@@ -260,12 +260,12 @@ func BenchmarkFleetCheckin(b *testing.B) {
 	const fleetDevices = 64
 	rng := rand.New(rand.NewSource(42))
 	for d := 0; d < fleetDevices; d++ {
-		if _, err := client.UploadTable(fmt.Sprintf("dev-%03d", d), "note9", "spotify", benchFleetTable(rng)); err != nil {
+		if _, err := client.UploadTableSet(fmt.Sprintf("dev-%03d", d), "note9", "spotify", learner.SingleTableSet(benchFleetTable(rng)), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
-	table := benchFleetTable(rng)
-	wire, err := core.MarshalTableBinary("spotify", table, false)
+	set := learner.SingleTableSet(benchFleetTable(rng))
+	wire, err := core.MarshalTableSetBinary("spotify", set, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func BenchmarkFleetCheckin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		device := fmt.Sprintf("dev-%03d", i%fleetDevices)
-		if _, err := client.UploadTable(device, "note9", "spotify", table); err != nil {
+		if _, err := client.UploadTableSet(device, "note9", "spotify", set, 0); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := client.Merge("spotify", "note9"); err != nil {
@@ -371,17 +371,17 @@ func benchCheckinScale(b *testing.B, devices, aggs int) {
 	rng := rand.New(rand.NewSource(42))
 	for d := 0; d < devices; d++ {
 		device := fmt.Sprintf("dev-%05d", d)
-		if _, err := clients[d%len(clients)].UploadTable(device, "note9", "spotify", benchFleetTable(rng)); err != nil {
+		if _, err := clients[d%len(clients)].UploadTableSet(device, "note9", "spotify", learner.SingleTableSet(benchFleetTable(rng)), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
-	table := benchFleetTable(rng)
+	set := learner.SingleTableSet(benchFleetTable(rng))
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		device := fmt.Sprintf("dev-%05d", i%devices)
 		c := clients[i%len(clients)]
-		if _, err := c.UploadTable(device, "note9", "spotify", table); err != nil {
+		if _, err := c.UploadTableSet(device, "note9", "spotify", set, 0); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := c.Merge("spotify", "note9"); err != nil {

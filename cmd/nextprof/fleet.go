@@ -63,7 +63,7 @@ func buildFleetWorkload(devices int, wire string, delta bool, seed int64) (func(
 			if _, err := uploaders[d].Upload(sets[d]); err != nil {
 				return nil, "", err
 			}
-		} else if _, err := client.UploadTableSet(device, plat, app, sets[d]); err != nil {
+		} else if _, err := client.UploadTableSet(device, plat, app, sets[d], 0); err != nil {
 			return nil, "", err
 		}
 	}
@@ -90,7 +90,7 @@ func buildFleetWorkload(devices int, wire string, delta bool, seed int64) (func(
 			if delta {
 				_, err = uploaders[d].Upload(sets[d])
 			} else {
-				_, err = client.UploadTableSet(fmt.Sprintf("dev-%05d", d), plat, app, sets[d])
+				_, err = client.UploadTableSet(fmt.Sprintf("dev-%05d", d), plat, app, sets[d], 0)
 			}
 			if err != nil {
 				fatalFleet(err)

@@ -125,7 +125,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:            cfg,
 		store:          fleetd.NewStoreMaxDevices(cfg.MaxDevicesPerKey),
 		queue:          newQueue(cfg.QueueLimit),
-		metrics:        NewMetrics(),
+		metrics:        &Metrics{RequestMetrics: fleetd.NewRequestMetrics("agg", "aggregator")},
 		devices:        make(map[string]struct{}),
 		pendingDevices: make(map[string]struct{}),
 		stop:           make(chan struct{}),
@@ -137,14 +137,15 @@ func New(cfg Config) (*Server, error) {
 		s.proxy = &http.Client{Timeout: 10 * time.Second}
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/checkin", s.instrument("checkin", s.handleCheckin))
-	mux.HandleFunc("PUT /v1/table", s.instrument("upload", s.handleUpload))
-	mux.HandleFunc("POST /v1/merge", s.instrument("merge", s.handleMerge))
-	mux.HandleFunc("GET /v1/policy", s.instrument("policy", s.handlePolicy))
-	mux.HandleFunc("GET /v1/apps", s.instrument("apps", s.handleApps))
-	mux.HandleFunc("POST /v1/flush", s.instrument("flush", s.handleFlush))
-	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
+	m := s.metrics
+	mux.HandleFunc("POST /v1/checkin", m.Handle("checkin", s.handleCheckin))
+	mux.HandleFunc("PUT /v1/table", m.Handle("upload", s.handleUpload))
+	mux.HandleFunc("POST /v1/merge", m.Handle("merge", s.handleMerge))
+	mux.HandleFunc("GET /v1/policy", m.Handle("policy", s.handlePolicy))
+	mux.HandleFunc("GET /v1/apps", m.Handle("apps", s.handleApps))
+	mux.HandleFunc("POST /v1/flush", m.Handle("flush", s.handleFlush))
+	mux.HandleFunc("GET /healthz", m.Handle("healthz", s.handleHealthz))
+	mux.HandleFunc("GET /metrics", m.Handle("metrics", s.handleMetrics))
 	s.mux = mux
 	return s, nil
 }
@@ -266,42 +267,13 @@ func (s *Server) MergeLocal(k fleetd.Key) (fleetd.MergeInfo, error) {
 	return info, nil
 }
 
-type handlerFunc func(w http.ResponseWriter, r *http.Request) int
-
-func (s *Server) instrument(label string, h handlerFunc) http.HandlerFunc {
-	idx := labelIndex(label)
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.request(idx)
-		if status := h(w, r); status >= 400 {
-			s.metrics.errored(idx)
-		}
-	}
-}
-
-// apiError mirrors fleetd's JSON error envelope so fleetd.Client works
-// unchanged against an aggregator.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) int {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-	return status
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) int {
-	return writeJSON(w, status, apiError{Error: err.Error()})
-}
-
 func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) int {
 	var req fleetd.CheckinRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: bad check-in body: %w", err))
+		return fleetd.WriteErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: bad check-in body: %w", err))
 	}
 	if !fleetd.SafeName(req.Device) || !fleetd.SafeName(req.Platform) {
-		return writeErr(w, http.StatusBadRequest,
+		return fleetd.WriteErr(w, http.StatusBadRequest,
 			fmt.Errorf("aggregator: check-in needs device and platform as single [a-zA-Z0-9._-] segments"))
 	}
 	s.devMu.Lock()
@@ -320,7 +292,7 @@ func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) int {
 			reply.Policies = append(reply.Policies, info)
 		}
 	}
-	return writeJSON(w, http.StatusOK, reply)
+	return fleetd.WriteJSON(w, http.StatusOK, reply)
 }
 
 // UploadReply is fleetd's upload acknowledgment plus the edge tier's
@@ -341,38 +313,41 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return writeErr(w, http.StatusRequestEntityTooLarge,
+			return fleetd.WriteErr(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("aggregator: upload exceeds %d bytes", tooBig.Limit))
 		}
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: reading upload: %w", err))
+		return fleetd.WriteErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: reading upload: %w", err))
 	}
 	if r.Header.Get("X-Fleet-Base-Gen") != "" {
 		// Edges don't track per-device upload generations (the queue
 		// forwards raw bodies; the root's generations are not ours to
 		// echo), so a delta upload can't be based here. 409 tells the
 		// device to fall back to a full upload, same as a stale base.
-		return writeErr(w, http.StatusConflict,
+		return fleetd.WriteErr(w, http.StatusConflict,
 			fmt.Errorf("aggregator %s: delta uploads are not supported at the edge tier; send the full table", s.cfg.ID))
 	}
 	app, set, _, err := fleetd.DecodeTableSet(r.Header.Get("Content-Type"), data)
 	if err != nil {
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: bad table upload: %w", err))
+		return fleetd.WriteErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: bad table upload: %w", err))
 	}
 	if err := learner.ValidateSet(set); err != nil {
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: upload from %q: %w", device, err))
+		return fleetd.WriteErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: upload from %q: %w", device, err))
 	}
 	k := fleetd.Key{App: app, Platform: platform}
 	pk := pendKey{key: k, device: device}
 	reply := UploadReply{UploadReply: fleetd.UploadReply{App: app, Platform: platform, Device: device}}
+	var prev []byte // the device's pending body this upload replaced
 	if s.root != nil {
 		// Queue before store: a rejected upload must be rejected whole —
 		// accepting it locally while refusing to forward it would
 		// silently fork the edge from the root.
-		depth, ok := s.queue.put(pk, data)
+		var depth int
+		var ok bool
+		prev, depth, ok = s.queue.put(pk, data)
 		if !ok {
 			s.metrics.rejected.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterS))
-			return writeErr(w, http.StatusTooManyRequests,
+			return fleetd.WriteErr(w, http.StatusTooManyRequests,
 				fmt.Errorf("aggregator %s: upload queue full (%d pending); retry after %ds",
 					s.cfg.ID, depth, s.cfg.RetryAfterS))
 		}
@@ -381,22 +356,28 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 			reply.BackoffS = float64(s.cfg.RetryAfterS)
 		}
 	}
-	n, err := s.store.UploadSetOwned(k, device, set)
+	n, _, err := s.store.UploadSetGen(k, device, set)
 	if err != nil {
-		s.queue.remove(pk) // nothing the local tier refused reaches the root
-		return writeErr(w, http.StatusBadRequest, err)
+		// Nothing the local tier refused reaches the root, but the
+		// device's earlier body stays queued: the local store kept it.
+		if prev != nil {
+			s.queue.put(pk, prev)
+		} else {
+			s.queue.remove(pk)
+		}
+		return fleetd.WriteErr(w, http.StatusBadRequest, err)
 	}
 	reply.Devices = n
-	return writeJSON(w, http.StatusOK, reply)
+	return fleetd.WriteJSON(w, http.StatusOK, reply)
 }
 
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) int {
 	k := fleetd.Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
 	info, err := s.MergeLocal(k)
 	if err != nil {
-		return writeErr(w, http.StatusBadRequest, err)
+		return fleetd.WriteErr(w, http.StatusBadRequest, err)
 	}
-	return writeJSON(w, http.StatusOK, info)
+	return fleetd.WriteJSON(w, http.StatusOK, info)
 }
 
 // handlePolicy proxies policy downloads to the root — preserving the
@@ -408,7 +389,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) int {
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) int {
 	k := fleetd.Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
 	if !fleetd.SafeName(k.App) || !fleetd.SafeName(k.Platform) {
-		return writeErr(w, http.StatusBadRequest,
+		return fleetd.WriteErr(w, http.StatusBadRequest,
 			fmt.Errorf("aggregator: policy needs app and platform as single [a-zA-Z0-9._-] segments"))
 	}
 	if s.root != nil {
@@ -418,13 +399,13 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) int {
 	}
 	set, round, ok := s.store.PolicySetRef(k)
 	if !ok {
-		return writeErr(w, http.StatusNotFound, fmt.Errorf("aggregator %s: no policy for %s at root or edge", s.cfg.ID, k))
+		return fleetd.WriteErr(w, http.StatusNotFound, fmt.Errorf("aggregator %s: no policy for %s at root or edge", s.cfg.ID, k))
 	}
 	// The edge fallback honors the same Accept negotiation as the root,
 	// so a binary-mode device keeps its encoding when the root is down.
 	data, ct, err := fleetd.EncodePolicy(k.App, set, fleetd.AcceptsBinary(r))
 	if err != nil {
-		return writeErr(w, http.StatusInternalServerError, err)
+		return fleetd.WriteErr(w, http.StatusInternalServerError, err)
 	}
 	s.metrics.proxyFallbacks.Add(1)
 	w.Header().Set("Content-Type", ct)
@@ -486,7 +467,7 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) int {
 	if infos == nil {
 		infos = []fleetd.KeyInfo{}
 	}
-	return writeJSON(w, http.StatusOK, infos)
+	return fleetd.WriteJSON(w, http.StatusOK, infos)
 }
 
 // FlushReply is the POST /v1/flush body: how many tables the root
@@ -500,9 +481,9 @@ type FlushReply struct {
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) int {
 	forwarded, err := s.Flush()
 	if err != nil {
-		return writeErr(w, http.StatusBadGateway, err)
+		return fleetd.WriteErr(w, http.StatusBadGateway, err)
 	}
-	return writeJSON(w, http.StatusOK, FlushReply{Agg: s.cfg.ID, Forwarded: forwarded, Pending: s.queue.depth()})
+	return fleetd.WriteJSON(w, http.StatusOK, FlushReply{Agg: s.cfg.ID, Forwarded: forwarded, Pending: s.queue.depth()})
 }
 
 // HealthReply is the aggregator's /healthz body.
@@ -525,9 +506,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
 	s.devMu.Lock()
 	devices := len(s.devices)
 	s.devMu.Unlock()
-	return writeJSON(w, http.StatusOK, HealthReply{
+	return fleetd.WriteJSON(w, http.StatusOK, HealthReply{
 		Status: "ok", Agg: s.cfg.ID, Root: s.rootURL,
-		UptimeS:  time.Since(s.metrics.start).Seconds(),
+		UptimeS:  s.metrics.Uptime().Seconds(),
 		Policies: keys, Merged: merged, Tables: uploads, Devices: devices,
 		Pending: s.queue.depth(), QueueCap: s.cfg.QueueLimit, Forwarded: s.metrics.forwarded.Load(),
 	})

@@ -94,10 +94,10 @@ func TestAggregatorEndToEnd(t *testing.T) {
 	if _, err := client.Checkin("dev-000", "note9"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.UploadTable("dev-000", "note9", "spotify", devTable(1)); err != nil {
+	if _, err := client.UploadTableSet("dev-000", "note9", "spotify", learner.SingleTableSet(devTable(1)), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.UploadTable("dev-001", "note9", "spotify", devTable(2)); err != nil {
+	if _, err := client.UploadTableSet("dev-001", "note9", "spotify", learner.SingleTableSet(devTable(2)), 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := agg.Pending(); got != 2 {
@@ -109,7 +109,7 @@ func TestAggregatorEndToEnd(t *testing.T) {
 	if _, err := client.Merge("spotify", "note9"); err != nil {
 		t.Fatal(err)
 	}
-	if _, round, err := client.Policy("spotify", "note9"); err != nil || round != 1 {
+	if _, round, err := client.PolicySet("spotify", "note9"); err != nil || round != 1 {
 		t.Fatalf("edge fallback policy: round=%d err=%v", round, err)
 	}
 	if agg.Metrics().proxyFallbacks.Load() != 1 {
@@ -132,7 +132,7 @@ func TestAggregatorEndToEnd(t *testing.T) {
 	}
 
 	// The device's policy pull now proxies to the root.
-	if _, round, err := client.Policy("spotify", "note9"); err != nil || round != 1 {
+	if _, round, err := client.PolicySet("spotify", "note9"); err != nil || round != 1 {
 		t.Fatalf("proxied policy: round=%d err=%v", round, err)
 	}
 	if agg.Metrics().proxied.Load() == 0 {
@@ -150,7 +150,7 @@ func TestAggregatorEndToEnd(t *testing.T) {
 	flat := fleetd.NewStore()
 	k := fleetd.Key{App: "spotify", Platform: "note9"}
 	for i, seed := range []int{1, 2} {
-		if _, err := flat.UploadSet(k, fmt.Sprintf("dev-%03d", i), learner.SingleTableSet(devTable(seed))); err != nil {
+		if _, _, err := flat.UploadSetGen(k, fmt.Sprintf("dev-%03d", i), learner.SingleTableSet(devTable(seed))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,10 +181,10 @@ func TestTwoTierByteIdenticalToFlat(t *testing.T) {
 			// come from the canonical join, not delivery order.
 			dev := fmt.Sprintf("dev-%08d", d*4+a)
 			seed := d*4 + a + 1
-			if _, err := client.UploadTable(dev, "sd855", "game", devTable(seed)); err != nil {
+			if _, err := client.UploadTableSet(dev, "sd855", "game", learner.SingleTableSet(devTable(seed)), 0); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.UploadSet(k, dev, learner.SingleTableSet(devTable(seed))); err != nil {
+			if _, _, err := flat.UploadSetGen(k, dev, learner.SingleTableSet(devTable(seed))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -217,14 +217,14 @@ func TestQueueOverflowRetryAfterAndDedup(t *testing.T) {
 
 	agg, client := newEdge(t, Config{ID: "agg-x", Root: rootTS.URL, QueueLimit: 2, RetryAfterS: 3})
 
-	if _, err := client.UploadTable("dev-000", "note9", "spotify", devTable(1)); err != nil {
+	if _, err := client.UploadTableSet("dev-000", "note9", "spotify", learner.SingleTableSet(devTable(1)), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.UploadTable("dev-001", "note9", "spotify", devTable(2)); err != nil {
+	if _, err := client.UploadTableSet("dev-001", "note9", "spotify", learner.SingleTableSet(devTable(2)), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Third distinct device overflows: 429, typed retry-after error.
-	_, err := client.UploadTable("dev-002", "note9", "spotify", devTable(3))
+	_, err := client.UploadTableSet("dev-002", "note9", "spotify", learner.SingleTableSet(devTable(3)), 0)
 	var ra *fleetd.RetryAfterError
 	if !errors.As(err, &ra) {
 		t.Fatalf("overflow error = %v, want RetryAfterError", err)
@@ -242,7 +242,7 @@ func TestQueueOverflowRetryAfterAndDedup(t *testing.T) {
 
 	// Re-upload from a queued device replaces its pending entry — a
 	// full queue never locks out the devices already in it.
-	if _, err := client.UploadTable("dev-001", "note9", "spotify", devTable(9)); err != nil {
+	if _, err := client.UploadTableSet("dev-001", "note9", "spotify", learner.SingleTableSet(devTable(9)), 0); err != nil {
 		t.Fatalf("dedup re-upload rejected: %v", err)
 	}
 	if got := agg.Pending(); got != 2 {
@@ -275,7 +275,7 @@ func TestRootUnreachableQueuedUploadsDrainOnReconnect(t *testing.T) {
 
 	agg, client := newEdge(t, Config{ID: "agg-y", Root: rootTS.URL})
 	for i := 1; i <= 3; i++ {
-		if _, err := client.UploadTable(fmt.Sprintf("dev-%03d", i), "note9", "maps", devTable(i)); err != nil {
+		if _, err := client.UploadTableSet(fmt.Sprintf("dev-%03d", i), "note9", "maps", learner.SingleTableSet(devTable(i)), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,10 +315,10 @@ func TestEpochPartialRoundAndCatchUp(t *testing.T) {
 	defer flakyTS.Close()
 	aggB, clientB := newEdge(t, Config{ID: "agg-b", Root: flakyTS.URL})
 
-	if _, err := clientA.UploadTable("dev-00000001", "note9", "video", devTable(1)); err != nil {
+	if _, err := clientA.UploadTableSet("dev-00000001", "note9", "video", learner.SingleTableSet(devTable(1)), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clientB.UploadTable("dev-00000002", "note9", "video", devTable(2)); err != nil {
+	if _, err := clientB.UploadTableSet("dev-00000002", "note9", "video", learner.SingleTableSet(devTable(2)), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -348,7 +348,7 @@ func TestEpochPartialRoundAndCatchUp(t *testing.T) {
 	}
 	flat := fleetd.NewStore()
 	for i, seed := range []int{1, 2} {
-		if _, err := flat.UploadSet(k, fmt.Sprintf("dev-%08d", i+1), learner.SingleTableSet(devTable(seed))); err != nil {
+		if _, _, err := flat.UploadSetGen(k, fmt.Sprintf("dev-%08d", i+1), learner.SingleTableSet(devTable(seed))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,7 +371,7 @@ func TestPolicyProxyPreservesRolloutNegotiation(t *testing.T) {
 	if _, err := client.Checkin("dev-000", "note9"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.UploadTable("dev-000", "note9", "spotify", devTable(1)); err != nil {
+	if _, err := client.UploadTableSet("dev-000", "note9", "spotify", learner.SingleTableSet(devTable(1)), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := agg.Flush(); err != nil {
@@ -405,7 +405,7 @@ func TestBackgroundFlusherDrains(t *testing.T) {
 	agg.Start()
 	defer agg.Close()
 
-	if _, err := client.UploadTable("dev-000", "note9", "spotify", devTable(1)); err != nil {
+	if _, err := client.UploadTableSet("dev-000", "note9", "spotify", learner.SingleTableSet(devTable(1)), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the table to land at the root, not for Pending() to hit
@@ -430,10 +430,10 @@ func TestBackgroundFlusherDrains(t *testing.T) {
 
 func TestAggregatorRejectsHostileInput(t *testing.T) {
 	_, client := newEdge(t, Config{ID: "agg-h"})
-	if _, err := client.UploadTable("../../pwn", "note9", "spotify", devTable(1)); err == nil {
+	if _, err := client.UploadTableSet("../../pwn", "note9", "spotify", learner.SingleTableSet(devTable(1)), 0); err == nil {
 		t.Fatal("path-traversal device ID accepted")
 	}
-	if _, err := client.UploadTable("dev-0", "note9", "../pwn", devTable(1)); err == nil {
+	if _, err := client.UploadTableSet("dev-0", "note9", "../pwn", learner.SingleTableSet(devTable(1)), 0); err == nil {
 		t.Fatal("path-traversal app accepted")
 	}
 	if _, err := New(Config{ID: "no/slash"}); err == nil {
@@ -510,5 +510,46 @@ func TestFederateRejectsPoisonedItemsIndividually(t *testing.T) {
 	if _, err := rootClient.Federate(fleetd.FederateRequest{Agg: "bad/agg"}); err == nil ||
 		!strings.Contains(err.Error(), "aggregator ID") {
 		t.Fatalf("bad agg ID error = %v", err)
+	}
+}
+
+// TestRejectedReuploadKeepsQueuedBody pins the upload unwind: a
+// re-upload the edge store refuses must leave the device's earlier,
+// accepted body queued for the root, because the edge store still
+// holds that table. Dropping it would fork the edge from the root.
+func TestRejectedReuploadKeepsQueuedBody(t *testing.T) {
+	rootSrv, rootTS := newRoot(t, fleetd.Config{})
+	agg, _ := newEdge(t, Config{ID: "agg-u", Root: rootTS.URL})
+	h := agg.Handler()
+	expectStatus(t, serve(t, h, http.MethodPut, "/v1/table?device=d0&platform=note9",
+		"application/json", tableBody(t, 1)), http.StatusOK, "d0 upload")
+	expectStatus(t, serve(t, h, http.MethodPut, "/v1/table?device=d1&platform=note9",
+		"application/json", tableBody(t, 2)), http.StatusOK, "d1 upload")
+	wide := core.NewQTable(12)
+	wide.Q[1] = make([]float64, 12)
+	wide.Visits[1] = 1
+	body, err := core.MarshalTableCompact("spotify", wide, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectStatus(t, serve(t, h, http.MethodPut, "/v1/table?device=d1&platform=note9",
+		"application/json", body), http.StatusBadRequest, "d1 12-action re-upload")
+	if _, err := agg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	k := fleetd.Key{App: "spotify", Platform: "note9"}
+	edge, err := agg.MergeLocal(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _, err := rootSrv.Store().MergeSet(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edge.Devices != 2 || root.Devices != 2 {
+		t.Fatalf("edge merged %d devices, root %d; want 2 and 2", edge.Devices, root.Devices)
+	}
+	if !bytes.Equal(marshalPolicy(t, agg.Store(), k), marshalPolicy(t, rootSrv.Store(), k)) {
+		t.Fatal("edge and root policies differ")
 	}
 }

@@ -4,25 +4,16 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
+
+	"nextdvfs/internal/fleetd"
 )
 
-// numLabels counts the instrumented edge endpoints.
-const numLabels = 8
-
-// Request labels, one per device-facing endpoint (flush is the admin
-// drain trigger). The metrics page iterates this list so every counter
-// appears even at zero.
-var requestLabels = [numLabels]string{"checkin", "upload", "merge", "policy", "apps", "flush", "healthz", "metrics"}
-
-// Metrics is the edge aggregator's instrumentation: per-endpoint
-// request/error counters plus the federation-pipeline counters every
-// backpressure question starts from (see docs/operations.md for the
-// reference table).
+// Metrics is the edge aggregator's instrumentation: the shared
+// per-endpoint request layer plus the federation-pipeline counters
+// every backpressure question starts from (see docs/operations.md for
+// the reference table).
 type Metrics struct {
-	start    time.Time
-	requests [numLabels]atomic.Int64
-	errors   [numLabels]atomic.Int64
+	*fleetd.RequestMetrics
 
 	// rejected counts uploads answered 429 because the upward queue was
 	// full — the hard backpressure signal.
@@ -42,30 +33,6 @@ type Metrics struct {
 	proxyFallbacks atomic.Int64
 }
 
-// NewMetrics starts the uptime clock.
-func NewMetrics() *Metrics { return &Metrics{start: time.Now()} }
-
-func labelIndex(label string) int {
-	for i, l := range requestLabels {
-		if l == label {
-			return i
-		}
-	}
-	panic("aggregator: unknown metrics label " + label)
-}
-
-func (m *Metrics) request(idx int) { m.requests[idx].Add(1) }
-func (m *Metrics) errored(idx int) { m.errors[idx].Add(1) }
-
-// Requests returns the total request count across endpoints.
-func (m *Metrics) Requests() int64 {
-	var n int64
-	for i := range m.requests {
-		n += m.requests[i].Load()
-	}
-	return n
-}
-
 // Forwarded returns how many device tables the root has accepted.
 func (m *Metrics) Forwarded() int64 { return m.forwarded.Load() }
 
@@ -75,20 +42,7 @@ func (m *Metrics) Rejected() int64 { return m.rejected.Load() }
 // write renders the Prometheus text exposition. Queue and store gauges
 // are passed in so the page reflects live state.
 func (m *Metrics) write(w io.Writer, pending, queueLimit, keys, merged, uploads, devices int) {
-	fmt.Fprintf(w, "# HELP agg_uptime_seconds Seconds since the aggregator started.\n")
-	fmt.Fprintf(w, "# TYPE agg_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "agg_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
-
-	fmt.Fprintf(w, "# HELP agg_requests_total Requests served, by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE agg_requests_total counter\n")
-	for i, l := range requestLabels {
-		fmt.Fprintf(w, "agg_requests_total{endpoint=%q} %d\n", l, m.requests[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP agg_request_errors_total Requests answered with an error status, by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE agg_request_errors_total counter\n")
-	for i, l := range requestLabels {
-		fmt.Fprintf(w, "agg_request_errors_total{endpoint=%q} %d\n", l, m.errors[i].Load())
-	}
+	m.RequestMetrics.Write(w)
 
 	fmt.Fprintf(w, "# HELP agg_pending_uploads Device tables queued for upward federation.\n")
 	fmt.Fprintf(w, "# TYPE agg_pending_uploads gauge\n")

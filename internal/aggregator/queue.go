@@ -38,26 +38,28 @@ func newQueue(limit int) *queue {
 	return &queue{limit: limit, entries: make(map[pendKey][]byte)}
 }
 
-// put enqueues (or replaces) a pending upload. It reports the depth
-// after the operation and ok=false when a new key would exceed the
-// bound — replacements always succeed, so a device that honors
-// Retry-After never loses its slot to its own retries.
-func (q *queue) put(pk pendKey, body []byte) (depth int, ok bool) {
+// put enqueues (or replaces) a pending upload. It reports the body it
+// replaced (nil for a new key), the depth after the operation, and
+// ok=false when a new key would exceed the bound — replacements always
+// succeed, so a device that honors Retry-After never loses its slot to
+// its own retries.
+func (q *queue) put(pk pendKey, body []byte) (prev []byte, depth int, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if _, exists := q.entries[pk]; !exists {
+	prev, exists := q.entries[pk]
+	if !exists {
 		if len(q.order) >= q.limit {
-			return len(q.order), false
+			return nil, len(q.order), false
 		}
 		q.order = append(q.order, pk)
 	}
 	q.entries[pk] = body
-	return len(q.order), true
+	return prev, len(q.order), true
 }
 
-// remove drops a pending upload (used to unwind an enqueue when the
-// local store rejects the same body — nothing the local tier refused
-// should reach the root).
+// remove drops a pending upload (used to unwind an enqueue of a new
+// key when the local store rejects the body — nothing the local tier
+// refused should reach the root).
 func (q *queue) remove(pk pendKey) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -45,10 +45,10 @@ func TestEdgeBinaryUploadFederatesToRoot(t *testing.T) {
 
 	dev := fleetd.NewClient(aggTS.URL)
 	dev.UseBinary = true
-	if _, err := dev.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(devTable(1))); err != nil {
+	if _, err := dev.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(devTable(1)), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.UploadTable("dev-b", "note9", "game", devTable(2)); err != nil {
+	if _, err := dev.UploadTableSet("dev-b", "note9", "game", learner.SingleTableSet(devTable(2)), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := agg.Flush(); err != nil {
@@ -65,10 +65,10 @@ func TestEdgeBinaryUploadFederatesToRoot(t *testing.T) {
 
 	refRoot, refTS := newRoot(t, fleetd.Config{})
 	refC := fleetd.NewClient(refTS.URL)
-	if _, err := refC.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(devTable(1))); err != nil {
+	if _, err := refC.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(devTable(1)), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := refC.UploadTable("dev-b", "note9", "game", devTable(2)); err != nil {
+	if _, err := refC.UploadTableSet("dev-b", "note9", "game", learner.SingleTableSet(devTable(2)), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := refC.Merge("game", "note9"); err != nil {
@@ -152,7 +152,7 @@ func TestEdgePolicyAcceptNegotiation(t *testing.T) {
 	// Proxied: policy lives at the root.
 	_, rootTS := newRoot(t, fleetd.Config{})
 	rc := fleetd.NewClient(rootTS.URL)
-	if _, err := rc.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(devTable(3))); err != nil {
+	if _, err := rc.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(devTable(3)), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rc.Merge("game", "note9"); err != nil {
@@ -170,7 +170,7 @@ func TestEdgePolicyAcceptNegotiation(t *testing.T) {
 	// Fallback: standalone edge with only a local merge.
 	agg, soloTS := newEdgeWire(t, Config{ID: "agg-s"})
 	sc := fleetd.NewClient(soloTS.URL)
-	if _, err := sc.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(devTable(3))); err != nil {
+	if _, err := sc.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(devTable(3)), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := agg.MergeLocal(fleetd.Key{App: "game", Platform: "note9"}); err != nil {

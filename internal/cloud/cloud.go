@@ -44,11 +44,11 @@ func (c TrainerConfig) WallTimeUS(onDeviceUS int64) int64 {
 	return int64(float64(onDeviceUS)/c.Speedup) + c.CommOverheadUS
 }
 
-// MergeTables federated-averages Q-tables trained on different devices:
+// mergeTables federated-averages Q-tables trained on different devices:
 // every state's action values are combined weighted by per-device visit
 // counts, so a device that explored a state thoroughly dominates
 // devices that barely saw it. Tables must share the action-space size.
-func MergeTables(tables []*core.QTable) (*core.QTable, error) {
+func mergeTables(tables []*core.QTable) (*core.QTable, error) {
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("cloud: nothing to merge")
 	}
@@ -104,7 +104,7 @@ func MergeTables(tables []*core.QTable) (*core.QTable, error) {
 // MergeTableSets federated-averages complete learner table states
 // role-by-role: every set must come from the same learner (same
 // registry name and role layout), and each role merges independently
-// across devices via MergeTables — so a two-estimator Double-Q policy
+// across devices via mergeTables — so a two-estimator Double-Q policy
 // keeps two distinct estimators through a fleet merge instead of
 // collapsing into one.
 func MergeTableSets(sets []*learner.TableSet) (*learner.TableSet, error) {
@@ -141,7 +141,7 @@ func MergeTableSets(sets []*learner.TableSet) (*learner.TableSet, error) {
 		for i, s := range sets {
 			tables[i] = s.Roles[j].Table
 		}
-		m, err := MergeTables(tables)
+		m, err := mergeTables(tables)
 		if err != nil {
 			return nil, fmt.Errorf("cloud: role %q: %w", role, err)
 		}

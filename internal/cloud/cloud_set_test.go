@@ -21,7 +21,7 @@ func mkDoubleQSet(seed int64) *learner.TableSet {
 
 // TestMergeTableSetsMergesRoleByRole pins the federated contract for
 // multi-table learners: each role averages independently across
-// devices, exactly as MergeTables would merge that role's tables alone.
+// devices, exactly as mergeTables would merge that role's tables alone.
 func TestMergeTableSetsMergesRoleByRole(t *testing.T) {
 	s1, s2 := mkDoubleQSet(1), mkDoubleQSet(2)
 	merged, err := MergeTableSets([]*learner.TableSet{s1, s2})
@@ -35,7 +35,7 @@ func TestMergeTableSetsMergesRoleByRole(t *testing.T) {
 		if merged.Roles[i].Role != role {
 			t.Fatalf("role %d = %q, want %q", i, merged.Roles[i].Role, role)
 		}
-		want, err := MergeTables([]*core.QTable{s1.Roles[i].Table, s2.Roles[i].Table})
+		want, err := mergeTables([]*core.QTable{s1.Roles[i].Table, s2.Roles[i].Table})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,7 @@ func TestMergeTablesVisitWeighted(t *testing.T) {
 	b.Q[core.StateKey(1)] = []float64{0, 1, 0}
 	b.Visits[core.StateKey(1)] = 1
 
-	m, err := MergeTables([]*core.QTable{a, b})
+	m, err := mergeTables([]*core.QTable{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestMergeTablesDisjointStates(t *testing.T) {
 	b.Q[core.StateKey(2)] = []float64{4, 5, 6}
 	b.Visits[core.StateKey(2)] = 5
 
-	m, err := MergeTables([]*core.QTable{a, b})
+	m, err := mergeTables([]*core.QTable{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMergeTablesSingleIsIdentity(t *testing.T) {
 	a.Steps = 42
 	a.TrainedUS = 9_000_000
 
-	m, err := MergeTables([]*core.QTable{a})
+	m, err := mergeTables([]*core.QTable{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestMergeTablesZeroVisits(t *testing.T) {
 	b.Q[core.StateKey(1)] = []float64{0, 0} // no Visits entry at all
 	b.Q[core.StateKey(2)] = []float64{6, 2} // zero-visit state unique to b
 
-	m, err := MergeTables([]*core.QTable{a, b})
+	m, err := mergeTables([]*core.QTable{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestMergeTablesZeroVisits(t *testing.T) {
 }
 
 func TestMergeTablesEmptySlice(t *testing.T) {
-	if _, err := MergeTables([]*core.QTable{}); err == nil {
+	if _, err := mergeTables([]*core.QTable{}); err == nil {
 		t.Fatal("empty (non-nil) slice should fail like nil")
 	}
 }
@@ -155,20 +155,20 @@ func TestMergeTablesMismatchedActionsAnyPosition(t *testing.T) {
 	// The action-space check must catch a mismatch anywhere in the
 	// slice, not just against the first table.
 	a, b, c := core.NewQTable(3), core.NewQTable(3), core.NewQTable(9)
-	if _, err := MergeTables([]*core.QTable{a, b, c}); err == nil {
+	if _, err := mergeTables([]*core.QTable{a, b, c}); err == nil {
 		t.Fatal("mismatch in third table should fail")
 	}
 }
 
 func TestMergeTablesValidation(t *testing.T) {
-	if _, err := MergeTables(nil); err == nil {
+	if _, err := mergeTables(nil); err == nil {
 		t.Fatal("empty merge should fail")
 	}
-	if _, err := MergeTables([]*core.QTable{nil}); err == nil {
+	if _, err := mergeTables([]*core.QTable{nil}); err == nil {
 		t.Fatal("nil table should fail")
 	}
 	a, b := core.NewQTable(3), core.NewQTable(4)
-	if _, err := MergeTables([]*core.QTable{a, b}); err == nil {
+	if _, err := mergeTables([]*core.QTable{a, b}); err == nil {
 		t.Fatal("mismatched actions should fail")
 	}
 }

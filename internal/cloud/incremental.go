@@ -137,7 +137,7 @@ func newStateSlot(devices, actions int) *stateSlot {
 	return &stateSlot{flat: make([]float64, devices*actions), weights: make([]int, devices)}
 }
 
-// effectiveWeight is MergeTables' per-device weight rule: the visit
+// effectiveWeight is mergeTables' per-device weight rule: the visit
 // count, floored at 1 for states seen but unweighted.
 func effectiveWeight(t *core.QTable, s core.StateKey) int {
 	if w := t.Visits[s]; w > 0 {
@@ -222,7 +222,7 @@ func equalRow(a, b []float64) bool {
 
 // Merge produces the merged set for the arena's current uploads,
 // recomputing only dirty states — each in sorted-device order, the
-// same term order as MergeTables — and aliasing every clean state's
+// same term order as mergeTables — and aliasing every clean state's
 // row from the previous output. The returned set is freshly allocated
 // (rows shared with prior outputs are immutable); Merge is byte-
 // identical to JoinDevices over the same uploads.
@@ -266,7 +266,7 @@ func (m *Merger) Merge() *learner.TableSet {
 	return out
 }
 
-// recompute is MergeTables' inner loop for one state: accumulate
+// recompute is mergeTables' inner loop for one state: accumulate
 // weight-scaled rows in device order, divide once by the total weight.
 // Absent devices are skipped by weight, present rows stream out of the
 // slot's flat buffer in order — one sequential pass over contiguous

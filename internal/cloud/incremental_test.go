@@ -11,7 +11,7 @@ import (
 
 // randFillTable populates a table with random rows, mixed visit
 // weights (positive, zero, absent), and metadata — every weight shape
-// MergeTables distinguishes.
+// mergeTables distinguishes.
 func randFillTable(rng *rand.Rand, t *core.QTable, states int) {
 	for k := 0; k < states; k++ {
 		s := core.StateKey(rng.Intn(120))

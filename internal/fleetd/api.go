@@ -1,0 +1,114 @@
+package fleetd
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"sync/atomic"
+	"time"
+)
+
+// This file is the request layer both fleet servers (the root here and
+// the edge tier in internal/aggregator) share: the JSON reply and error
+// envelope, and per-endpoint request accounting for /metrics.
+
+// apiError is the JSON error envelope every non-2xx response carries.
+type apiError struct {
+	Error string `json:"error"`
+}
+
+// WriteJSON answers with status and v as the JSON body, returning the
+// status for HandlerFunc.
+func WriteJSON(w http.ResponseWriter, status int, v any) int {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+	return status
+}
+
+// WriteErr answers with status and the {"error": "..."} envelope that
+// Client decodes.
+func WriteErr(w http.ResponseWriter, status int, err error) int {
+	return WriteJSON(w, status, apiError{Error: err.Error()})
+}
+
+// HandlerFunc is an endpoint handler that returns the HTTP status it
+// answered, so RequestMetrics can count errors.
+type HandlerFunc func(w http.ResponseWriter, r *http.Request) int
+
+// RequestMetrics counts requests and error answers per endpoint label
+// and keeps the uptime clock. The counters are lock-free atomics
+// resolved when a route is registered, so a request pays two atomic
+// adds at most.
+type RequestMetrics struct {
+	prefix, subject string
+	start           time.Time
+	endpoints       []*endpointCounters // in first-registration order
+}
+
+type endpointCounters struct {
+	label            string
+	requests, errors atomic.Int64
+}
+
+// NewRequestMetrics starts the uptime clock. prefix names the metric
+// families (<prefix>_requests_total, ...); subject names the process
+// in the uptime help text.
+func NewRequestMetrics(prefix, subject string) *RequestMetrics {
+	return &RequestMetrics{prefix: prefix, subject: subject, start: time.Now()}
+}
+
+// Handle wraps h with the counters for label. Register every route
+// before serving: labels are listed in the order first registered,
+// and several routes may share one label.
+func (m *RequestMetrics) Handle(label string, h HandlerFunc) http.HandlerFunc {
+	var c *endpointCounters
+	for _, e := range m.endpoints {
+		if e.label == label {
+			c = e
+			break
+		}
+	}
+	if c == nil {
+		c = &endpointCounters{label: label}
+		m.endpoints = append(m.endpoints, c)
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		c.requests.Add(1)
+		if h(w, r) >= 400 {
+			c.errors.Add(1)
+		}
+	}
+}
+
+// Requests returns the total request count across endpoints.
+func (m *RequestMetrics) Requests() int64 {
+	var n int64
+	for _, e := range m.endpoints {
+		n += e.requests.Load()
+	}
+	return n
+}
+
+// Uptime is the time since NewRequestMetrics.
+func (m *RequestMetrics) Uptime() time.Duration { return time.Since(m.start) }
+
+// Write renders the uptime, request and request-error blocks of the
+// Prometheus text exposition.
+func (m *RequestMetrics) Write(w io.Writer) {
+	fmt.Fprintf(w, "# HELP %s_uptime_seconds Seconds since the %s started.\n", m.prefix, m.subject)
+	fmt.Fprintf(w, "# TYPE %s_uptime_seconds gauge\n", m.prefix)
+	fmt.Fprintf(w, "%s_uptime_seconds %.3f\n", m.prefix, m.Uptime().Seconds())
+
+	fmt.Fprintf(w, "# HELP %s_requests_total Requests served, by endpoint.\n", m.prefix)
+	fmt.Fprintf(w, "# TYPE %s_requests_total counter\n", m.prefix)
+	for _, e := range m.endpoints {
+		fmt.Fprintf(w, "%s_requests_total{endpoint=%q} %d\n", m.prefix, e.label, e.requests.Load())
+	}
+	fmt.Fprintf(w, "# HELP %s_request_errors_total Requests answered with an error status, by endpoint.\n", m.prefix)
+	fmt.Fprintf(w, "# TYPE %s_request_errors_total counter\n", m.prefix)
+	for _, e := range m.endpoints {
+		fmt.Fprintf(w, "%s_request_errors_total{endpoint=%q} %d\n", m.prefix, e.label, e.errors.Load())
+	}
+}

@@ -111,59 +111,28 @@ func (c *Client) Checkin(device, platform string) (CheckinReply, error) {
 	return reply, err
 }
 
-// UploadTable sends the device's table for one app. The table's app
-// name travels inside the marshaled body (compact JSON — or the binary
-// encoding when the client is in binary mode).
-func (c *Client) UploadTable(device, platform, app string, t *core.QTable) (UploadReply, error) {
+// UploadTableSet sends a device's learner table set for one app (the
+// app name travels inside the body: compact JSON, or NXTB in binary
+// mode). baseGen 0 sends a full upload. baseGen > 0 sends a delta —
+// only the states trained since the accepted upload whose reply
+// carried that generation. The server answers 409 when the base is
+// gone (restart, eviction, competing session), surfaced as an error
+// matching errors.Is(err, ErrDeltaBase); the caller then re-sends the
+// full set. DeltaUploader wraps this loop. Single-table learners wrap
+// their table with learner.SingleTableSet.
+func (c *Client) UploadTableSet(device, platform, app string, set *core.TableSet, baseGen int64) (UploadReply, error) {
+	var data []byte
+	var err error
+	contentType := "application/json"
 	if c.UseBinary {
-		data, err := core.MarshalTableBinary(app, t, false)
-		if err != nil {
-			return UploadReply{}, err
-		}
-		return c.uploadBody(device, platform, core.TableSetMediaType, 0, data)
+		data, err = core.MarshalTableSetBinary(app, set, false)
+		contentType = core.TableSetMediaType
+	} else {
+		data, err = core.MarshalTableSetCompact(app, set, false)
 	}
-	data, err := core.MarshalTableCompact(app, t, false)
 	if err != nil {
 		return UploadReply{}, err
 	}
-	return c.uploadBody(device, platform, "application/json", 0, data)
-}
-
-// UploadTableSet sends a device's complete learner table set (both
-// Double-Q estimators; single-table learners degrade to the plain
-// UploadTable wire format).
-func (c *Client) UploadTableSet(device, platform, app string, set *core.TableSet) (UploadReply, error) {
-	data, contentType, err := c.marshalUpload(app, set)
-	if err != nil {
-		return UploadReply{}, err
-	}
-	return c.uploadBody(device, platform, contentType, 0, data)
-}
-
-// UploadTableSetDelta sends only the states trained since the last
-// accepted upload, echoing that upload's generation. The server
-// answers 409 — surfaced as an error matching errors.Is(err,
-// ErrDeltaBase) — when the base is gone (restart, eviction, competing
-// session); the caller then re-sends the full table. DeltaUploader
-// wraps this loop.
-func (c *Client) UploadTableSetDelta(device, platform, app string, delta *core.TableSet, baseGen int64) (UploadReply, error) {
-	data, contentType, err := c.marshalUpload(app, delta)
-	if err != nil {
-		return UploadReply{}, err
-	}
-	return c.uploadBody(device, platform, contentType, baseGen, data)
-}
-
-func (c *Client) marshalUpload(app string, set *core.TableSet) ([]byte, string, error) {
-	if c.UseBinary {
-		data, err := core.MarshalTableSetBinary(app, set, false)
-		return data, core.TableSetMediaType, err
-	}
-	data, err := core.MarshalTableSetCompact(app, set, false)
-	return data, "application/json", err
-}
-
-func (c *Client) uploadBody(device, platform, contentType string, baseGen int64, data []byte) (UploadReply, error) {
 	u := fmt.Sprintf("%s/v1/table?device=%s&platform=%s",
 		c.base, url.QueryEscape(device), url.QueryEscape(platform))
 	req, err := http.NewRequest(http.MethodPut, u, bytes.NewReader(data))
@@ -199,16 +168,6 @@ func (c *Client) Merge(app, platform string) (MergeInfo, error) {
 	var info MergeInfo
 	err = c.decode(resp, &info)
 	return info, err
-}
-
-// Policy downloads the current merged primary table for app×platform
-// along with its merge-round number.
-func (c *Client) Policy(app, platform string) (*core.QTable, int64, error) {
-	set, round, err := c.PolicySet(app, platform)
-	if err != nil {
-		return nil, 0, err
-	}
-	return set.Primary(), round, nil
 }
 
 // PolicySet downloads the complete merged learner table set for

@@ -41,7 +41,7 @@ func (c *Client) NewDeltaUploader(device, platform, app string) *DeltaUploader {
 func (d *DeltaUploader) Upload(set *core.TableSet) (UploadReply, error) {
 	if !d.disabled && d.gen > 0 && d.prev != nil {
 		if delta, ok := diffTableSet(d.prev, set); ok {
-			reply, err := d.c.UploadTableSetDelta(d.device, d.platform, d.app, delta, d.gen)
+			reply, err := d.c.UploadTableSet(d.device, d.platform, d.app, delta, d.gen)
 			switch {
 			case err == nil:
 				d.accept(set, reply)
@@ -56,7 +56,7 @@ func (d *DeltaUploader) Upload(set *core.TableSet) (UploadReply, error) {
 		// absent state as "unchanged", not "deleted"), so a snapshot
 		// that dropped states also falls back to a full upload.
 	}
-	reply, err := d.c.UploadTableSet(d.device, d.platform, d.app, set)
+	reply, err := d.c.UploadTableSet(d.device, d.platform, d.app, set, 0)
 	if err != nil {
 		return reply, err
 	}

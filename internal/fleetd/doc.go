@@ -6,10 +6,11 @@
 //
 //	POST /v1/checkin   device check-in: announces {device, platform} and
 //	                   learns which merged policies exist for it
-//	PUT  /v1/table     upload one device-trained Q-table (the JSON that
-//	                   core.MarshalTable produces)
+//	PUT  /v1/table     upload one device-trained table set (compact JSON
+//	                   or the NXTB binary codec), whole or as a delta
 //	POST /v1/merge     run a federated merge round for one app×platform
-//	                   via cloud.MergeTables (visit-weighted averaging)
+//	                   via cloud.JoinDevices (visit-weighted averaging)
+//	POST /v1/federate  batch ingest from edge aggregators (NXTF envelope)
 //	GET  /v1/policy    download the current merged policy for app×platform
 //	GET  /v1/apps      list known policies (optionally per platform)
 //	GET  /healthz      liveness + table/device counts

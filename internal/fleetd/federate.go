@@ -2,7 +2,6 @@ package fleetd
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,26 +19,28 @@ import (
 // fleet (see cloud.JoinDevices).
 
 // FederatedUpload is one device's table relayed by an aggregator: the
-// device and platform that produced it plus the compact wire body the
-// device originally uploaded, unmodified. The root re-validates and
-// re-sanitizes it as if the device had uploaded directly.
+// device and platform that produced it plus the wire body the device
+// originally uploaded, unmodified, in either table codec. The root
+// re-validates and re-sanitizes it as if the device had uploaded
+// directly.
 type FederatedUpload struct {
-	Device   string          `json:"device"`
-	Platform string          `json:"platform"`
-	Body     json.RawMessage `json:"body"`
+	Device   string
+	Platform string
+	Body     []byte
 }
 
-// FederateRequest is one batched upward push from an edge aggregator.
+// FederateRequest is one batched upward push from an edge aggregator,
+// carried as an NXTF envelope (see MarshalFederateRequest).
 type FederateRequest struct {
 	// Agg names the pushing aggregator (a single [a-zA-Z0-9._-]
 	// segment), for logs and partial-success attribution.
-	Agg string `json:"agg"`
+	Agg string
 	// Devices lists device IDs that checked in at the edge since the
 	// last push, so root-side device tracking and rollout cohort floors
 	// count the whole fleet, not the handful of aggregators.
-	Devices []string `json:"devices,omitempty"`
+	Devices []string
 	// Uploads carries the queued device tables, oldest first.
-	Uploads []FederatedUpload `json:"uploads,omitempty"`
+	Uploads []FederatedUpload
 }
 
 // FederateReply summarizes a federation push. Acceptance is per item:
@@ -58,26 +59,26 @@ type FederateReply struct {
 const maxFederateErrors = 8
 
 func (s *Server) handleFederate(w http.ResponseWriter, r *http.Request) int {
+	// Both ends of the push are ours, so it has one envelope: NXTF.
+	if ct := mediaType(r.Header.Get("Content-Type")); ct != FederateMediaType {
+		return WriteErr(w, http.StatusUnsupportedMediaType,
+			fmt.Errorf("fleetd: federation push must be %s, got %q", FederateMediaType, ct))
+	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxFederateBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return writeErr(w, http.StatusRequestEntityTooLarge,
+			return WriteErr(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("fleetd: federation push exceeds %d bytes", tooBig.Limit))
 		}
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: reading federation body: %w", err))
+		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: reading federation body: %w", err))
 	}
-	var req FederateRequest
-	if mediaType(r.Header.Get("Content-Type")) == FederateMediaType {
-		req, err = UnmarshalFederateRequest(data)
-	} else {
-		err = json.Unmarshal(data, &req)
-	}
+	req, err := UnmarshalFederateRequest(data)
 	if err != nil {
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad federation body: %w", err))
+		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad federation body: %w", err))
 	}
 	if !safeName(req.Agg) {
-		return writeErr(w, http.StatusBadRequest,
+		return WriteErr(w, http.StatusBadRequest,
 			fmt.Errorf("fleetd: federation push needs an aggregator ID as a single [a-zA-Z0-9._-] segment"))
 	}
 	reply := FederateReply{Agg: req.Agg}
@@ -97,7 +98,7 @@ func (s *Server) handleFederate(w http.ResponseWriter, r *http.Request) int {
 		}
 		reply.Accepted++
 	}
-	return writeJSON(w, http.StatusOK, reply)
+	return WriteJSON(w, http.StatusOK, reply)
 }
 
 // acceptFederated lands one relayed device table through the same
@@ -112,34 +113,15 @@ func (s *Server) acceptFederated(up FederatedUpload) error {
 	if err != nil {
 		return fmt.Errorf("fleetd: federated upload from %q: %w", up.Device, err)
 	}
-	_, err = s.store.UploadSetOwned(Key{App: app, Platform: up.Platform}, up.Device, set)
+	_, _, err = s.store.UploadSetGen(Key{App: app, Platform: up.Platform}, up.Device, set)
 	return err
 }
 
 // Federate pushes a batch of device tables (and newly checked-in
-// device IDs) upward to the root. Aggregators call it from their flush
-// pipeline; devices never do. The envelope encoding is chosen
-// automatically: if any queued body is binary (or the client is in
-// binary mode) the push uses the NXTF envelope, since json.RawMessage
-// cannot carry binary bodies; otherwise the legacy JSON envelope goes
-// out byte-identical to before.
+// device IDs) upward to the root as one NXTF envelope. Aggregators call
+// it from their flush pipeline; devices never do.
 func (c *Client) Federate(req FederateRequest) (FederateReply, error) {
-	binary := c.UseBinary
-	for _, up := range req.Uploads {
-		if core.IsBinaryTableSet(up.Body) {
-			binary = true
-			break
-		}
-	}
-	var body []byte
-	var err error
-	contentType := "application/json"
-	if binary {
-		body, contentType = MarshalFederateRequest(req), FederateMediaType
-	} else if body, err = json.Marshal(req); err != nil {
-		return FederateReply{}, err
-	}
-	resp, err := c.http.Post(c.base+"/v1/federate", contentType, bytes.NewReader(body))
+	resp, err := c.http.Post(c.base+"/v1/federate", FederateMediaType, bytes.NewReader(MarshalFederateRequest(req)))
 	if err != nil {
 		return FederateReply{}, err
 	}

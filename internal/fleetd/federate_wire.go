@@ -6,11 +6,8 @@ import (
 	"math"
 )
 
-// FederateMediaType is the Content-Type of the binary federation
-// envelope (NXTF v1). The JSON envelope embeds each device body as a
-// json.RawMessage, which cannot carry the binary table encoding, so an
-// aggregator relaying binary device uploads must push the binary
-// envelope; JSON envelopes remain the default and stay byte-identical.
+// FederateMediaType is the Content-Type of the federation envelope
+// (NXTF v1), the only encoding POST /v1/federate accepts.
 const FederateMediaType = "application/x-nextdvfs-federate"
 
 // NXTF v1 layout, little-endian throughout:
@@ -64,11 +61,6 @@ func appendStr(out []byte, s string) []byte {
 	return append(out, s...)
 }
 
-// IsFederateEnvelope reports whether data starts with the NXTF magic.
-func IsFederateEnvelope(data []byte) bool {
-	return len(data) >= len(fedMagic) && string(data[:len(fedMagic)]) == fedMagic
-}
-
 // fedReader is a bounds-checked cursor over an NXTF envelope.
 type fedReader struct {
 	data []byte
@@ -113,7 +105,7 @@ func (r *fedReader) str(what string) (string, error) {
 // fully absorbed).
 func UnmarshalFederateRequest(data []byte) (FederateRequest, error) {
 	var req FederateRequest
-	if !IsFederateEnvelope(data) {
+	if len(data) < len(fedMagic) || string(data[:len(fedMagic)]) != fedMagic {
 		return req, fmt.Errorf("fleetd: not a federation envelope")
 	}
 	if len(data) < len(fedMagic)+1 {

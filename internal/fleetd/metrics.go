@@ -11,25 +11,16 @@ import (
 	"nextdvfs/internal/rollout"
 )
 
-// numLabels counts the API endpoints instrumented below.
-const numLabels = 10
-
-// Request labels, one per API endpoint. The metrics page iterates this
-// list so every counter appears even at zero.
-var requestLabels = [numLabels]string{"checkin", "upload", "merge", "federate", "policy", "apps", "rollout", "report", "healthz", "metrics"}
-
 // mergeRingSize is the window behind the merge-latency quantiles: the
 // last 256 rounds, enough to smooth a burst without letting ancient
 // rounds dominate after a traffic shift.
 const mergeRingSize = 256
 
-// Metrics is the server's instrumentation: per-endpoint request and
-// error counters plus a merge-latency summary, all lock-free atomics on
+// Metrics is the server's instrumentation: the shared per-endpoint
+// request layer plus a merge-latency summary, all lock-free atomics on
 // the hot path.
 type Metrics struct {
-	start    time.Time
-	requests [numLabels]atomic.Int64
-	errors   [numLabels]atomic.Int64
+	*RequestMetrics
 
 	mergeCount atomic.Int64
 	mergeSumUS atomic.Int64
@@ -47,22 +38,6 @@ type Metrics struct {
 	restored  atomic.Int64
 }
 
-// NewMetrics starts the uptime clock.
-func NewMetrics() *Metrics {
-	return &Metrics{start: time.Now()}
-}
-
-func labelIndex(label string) int {
-	for i, l := range requestLabels {
-		if l == label {
-			return i
-		}
-	}
-	panic("fleetd: unknown metrics label " + label)
-}
-
-func (m *Metrics) request(idx int)  { m.requests[idx].Add(1) }
-func (m *Metrics) errored(idx int)  { m.errors[idx].Add(1) }
 func (m *Metrics) snapshotWritten() { m.snapshots.Add(1) }
 
 // observeMerge records one merge round's latency.
@@ -104,15 +79,6 @@ func (m *Metrics) mergeQuantiles(qs ...float64) []int64 {
 	return out
 }
 
-// Requests returns the total request count across endpoints.
-func (m *Metrics) Requests() int64 {
-	var n int64
-	for i := range m.requests {
-		n += m.requests[i].Load()
-	}
-	return n
-}
-
 // MergeLatency reports the merge-round latency summary.
 func (m *Metrics) MergeLatency() (count, sumUS, maxUS int64) {
 	return m.mergeCount.Load(), m.mergeSumUS.Load(), m.mergeMaxUS.Load()
@@ -121,20 +87,7 @@ func (m *Metrics) MergeLatency() (count, sumUS, maxUS int64) {
 // write renders the Prometheus text exposition. Store-level gauges are
 // passed in so the metrics page reflects the live table store.
 func (m *Metrics) write(w io.Writer, keys, merged, uploads, devices, untracked int) {
-	fmt.Fprintf(w, "# HELP fleetd_uptime_seconds Seconds since the server started.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "fleetd_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
-
-	fmt.Fprintf(w, "# HELP fleetd_requests_total Requests served, by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_requests_total counter\n")
-	for i, l := range requestLabels {
-		fmt.Fprintf(w, "fleetd_requests_total{endpoint=%q} %d\n", l, m.requests[i].Load())
-	}
-	fmt.Fprintf(w, "# HELP fleetd_request_errors_total Requests answered with an error status, by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_request_errors_total counter\n")
-	for i, l := range requestLabels {
-		fmt.Fprintf(w, "fleetd_request_errors_total{endpoint=%q} %d\n", l, m.errors[i].Load())
-	}
+	m.RequestMetrics.Write(w)
 
 	count, sumUS, maxUS := m.MergeLatency()
 	fmt.Fprintf(w, "# HELP fleetd_merge_latency_us Federated merge round latency in microseconds (quantiles over the last %d rounds; count/sum/max over the server lifetime).\n", mergeRingSize)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"nextdvfs/internal/learner"
 	"nextdvfs/internal/rollout"
 )
 
@@ -40,10 +41,10 @@ func checkinFleet(t *testing.T, client *Client, n int) {
 // trainAndMerge uploads tables from two devices and runs a merge round.
 func trainAndMerge(t *testing.T, client *Client, seedA, seedB int) MergeInfo {
 	t.Helper()
-	if _, err := client.UploadTable("dev-00000000", "note9", "spotify", devTable(seedA)); err != nil {
+	if _, err := client.UploadTableSet("dev-00000000", "note9", "spotify", learner.SingleTableSet(devTable(seedA)), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.UploadTable("dev-00000001", "note9", "spotify", devTable(seedB)); err != nil {
+	if _, err := client.UploadTableSet("dev-00000001", "note9", "spotify", learner.SingleTableSet(devTable(seedB)), 0); err != nil {
 		t.Fatal(err)
 	}
 	info, err := client.Merge("spotify", "note9")

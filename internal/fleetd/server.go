@@ -89,7 +89,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		store:   NewStoreMaxDevices(cfg.MaxDevicesPerKey),
-		metrics: NewMetrics(),
+		metrics: &Metrics{RequestMetrics: NewRequestMetrics("fleetd", "server")},
 		devices: make(map[string]struct{}),
 	}
 	if cfg.SnapshotDir != "" {
@@ -108,18 +108,19 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/checkin", s.instrument("checkin", s.handleCheckin))
-	mux.HandleFunc("PUT /v1/table", s.instrument("upload", s.handleUpload))
-	mux.HandleFunc("POST /v1/merge", s.instrument("merge", s.handleMerge))
-	mux.HandleFunc("POST /v1/federate", s.instrument("federate", s.handleFederate))
-	mux.HandleFunc("GET /v1/policy", s.instrument("policy", s.handlePolicy))
-	mux.HandleFunc("GET /v1/apps", s.instrument("apps", s.handleApps))
-	mux.HandleFunc("GET /v1/rollout", s.instrument("rollout", s.handleRolloutStatus))
-	mux.HandleFunc("POST /v1/rollout/advance", s.instrument("rollout", s.handleRolloutAdvance))
-	mux.HandleFunc("POST /v1/rollout/rollback", s.instrument("rollout", s.handleRolloutRollback))
-	mux.HandleFunc("POST /v1/report", s.instrument("report", s.handleReport))
-	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
+	m := s.metrics
+	mux.HandleFunc("POST /v1/checkin", m.Handle("checkin", s.handleCheckin))
+	mux.HandleFunc("PUT /v1/table", m.Handle("upload", s.handleUpload))
+	mux.HandleFunc("POST /v1/merge", m.Handle("merge", s.handleMerge))
+	mux.HandleFunc("POST /v1/federate", m.Handle("federate", s.handleFederate))
+	mux.HandleFunc("GET /v1/policy", m.Handle("policy", s.handlePolicy))
+	mux.HandleFunc("GET /v1/apps", m.Handle("apps", s.handleApps))
+	mux.HandleFunc("GET /v1/rollout", m.Handle("rollout", s.handleRolloutStatus))
+	mux.HandleFunc("POST /v1/rollout/advance", m.Handle("rollout", s.handleRolloutAdvance))
+	mux.HandleFunc("POST /v1/rollout/rollback", m.Handle("rollout", s.handleRolloutRollback))
+	mux.HandleFunc("POST /v1/report", m.Handle("report", s.handleReport))
+	mux.HandleFunc("GET /healthz", m.Handle("healthz", s.handleHealthz))
+	mux.HandleFunc("GET /metrics", m.Handle("metrics", s.handleMetrics))
 	s.mux = mux
 	return s, nil
 }
@@ -142,36 +143,6 @@ func (s *Server) Store() *Store { return s.store }
 // Metrics exposes the server's instrumentation.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// apiError is the JSON error envelope every non-2xx response carries.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-// handlerFunc is a handler that reports its HTTP status so instrument
-// can count errors.
-type handlerFunc func(w http.ResponseWriter, r *http.Request) int
-
-func (s *Server) instrument(label string, h handlerFunc) http.HandlerFunc {
-	idx := labelIndex(label)
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.request(idx)
-		if status := h(w, r); status >= 400 {
-			s.metrics.errored(idx)
-		}
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) int {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-	return status
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) int {
-	return writeJSON(w, status, apiError{Error: err.Error()})
-}
-
 // CheckinRequest is a device's periodic announcement.
 type CheckinRequest struct {
 	Device   string `json:"device"`
@@ -189,10 +160,10 @@ type CheckinReply struct {
 func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) int {
 	var req CheckinRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad check-in body: %w", err))
+		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad check-in body: %w", err))
 	}
 	if !safeName(req.Device) || !safeName(req.Platform) {
-		return writeErr(w, http.StatusBadRequest,
+		return WriteErr(w, http.StatusBadRequest,
 			fmt.Errorf("fleetd: check-in needs device and platform as single [a-zA-Z0-9._-] segments"))
 	}
 	s.noteDevice(req.Device)
@@ -202,7 +173,7 @@ func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) int {
 			reply.Policies = append(reply.Policies, info)
 		}
 	}
-	return writeJSON(w, http.StatusOK, reply)
+	return WriteJSON(w, http.StatusOK, reply)
 }
 
 // noteDevice records a device in the bounded distinct-device set and
@@ -286,37 +257,37 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return writeErr(w, http.StatusRequestEntityTooLarge,
+			return WriteErr(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("fleetd: upload exceeds %d bytes", tooBig.Limit))
 		}
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: reading upload: %w", err))
+		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: reading upload: %w", err))
 	}
 	app, set, _, err := DecodeTableSet(r.Header.Get("Content-Type"), data)
 	if err != nil {
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad table upload: %w", err))
+		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad table upload: %w", err))
 	}
 	k := Key{App: app, Platform: platform}
 	if baseHdr := r.Header.Get(baseGenHeader); baseHdr != "" {
 		baseGen, perr := strconv.ParseInt(baseHdr, 10, 64)
 		if perr != nil {
-			return writeErr(w, http.StatusBadRequest,
+			return WriteErr(w, http.StatusBadRequest,
 				fmt.Errorf("fleetd: bad %s header: %w", baseGenHeader, perr))
 		}
 		n, gen, err := s.store.UploadDelta(k, device, set, baseGen)
 		if err != nil {
 			if errors.Is(err, ErrDeltaBase) {
-				return writeErr(w, http.StatusConflict, err)
+				return WriteErr(w, http.StatusConflict, err)
 			}
-			return writeErr(w, http.StatusBadRequest, err)
+			return WriteErr(w, http.StatusBadRequest, err)
 		}
-		return writeJSON(w, http.StatusOK,
+		return WriteJSON(w, http.StatusOK,
 			UploadReply{App: app, Platform: platform, Device: device, Devices: n, Gen: gen})
 	}
 	n, gen, err := s.store.UploadSetGen(k, device, set)
 	if err != nil {
-		return writeErr(w, http.StatusBadRequest, err)
+		return WriteErr(w, http.StatusBadRequest, err)
 	}
-	return writeJSON(w, http.StatusOK,
+	return WriteJSON(w, http.StatusOK,
 		UploadReply{App: app, Platform: platform, Device: device, Devices: n, Gen: gen})
 }
 
@@ -328,7 +299,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) int {
 	// the metric agree; snapshot disk I/O is deliberately excluded.
 	elapsed := time.Since(start)
 	if err != nil {
-		return writeErr(w, http.StatusBadRequest, err)
+		return WriteErr(w, http.StatusBadRequest, err)
 	}
 	info.LatencyUS = elapsed.Microseconds()
 	s.metrics.observeMerge(elapsed)
@@ -337,26 +308,26 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) int {
 		// is immutable once published, so the artifact shares it.
 		art, err := cloud.NewArtifact(set, info.Round, info.Devices)
 		if err != nil {
-			return writeErr(w, http.StatusInternalServerError, fmt.Errorf("fleetd: building artifact for %s: %w", k, err))
+			return WriteErr(w, http.StatusInternalServerError, fmt.Errorf("fleetd: building artifact for %s: %w", k, err))
 		}
 		sub, err := s.rollout.Submit(k.String(), art)
 		if err != nil {
-			return writeErr(w, http.StatusInternalServerError, err)
+			return WriteErr(w, http.StatusInternalServerError, err)
 		}
 		info.Version = sub.Version
 	}
 	if s.cfg.SnapshotDir != "" {
 		if err := s.store.SnapshotKey(s.cfg.SnapshotDir, k); err != nil {
-			return writeErr(w, http.StatusInternalServerError, fmt.Errorf("fleetd: snapshotting %s: %w", k, err))
+			return WriteErr(w, http.StatusInternalServerError, fmt.Errorf("fleetd: snapshotting %s: %w", k, err))
 		}
 		s.metrics.snapshotWritten()
 		if s.rollout != nil {
 			if err := s.rollout.SnapshotKey(s.rolloutDir(), k.String()); err != nil {
-				return writeErr(w, http.StatusInternalServerError, fmt.Errorf("fleetd: snapshotting rollout %s: %w", k, err))
+				return WriteErr(w, http.StatusInternalServerError, fmt.Errorf("fleetd: snapshotting rollout %s: %w", k, err))
 			}
 		}
 	}
-	return writeJSON(w, http.StatusOK, info)
+	return WriteJSON(w, http.StatusOK, info)
 }
 
 // artifactETag derives the policy ETag a version-aware client echoes
@@ -374,11 +345,11 @@ func artifactETag(meta core.ArtifactMeta) string {
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) int {
 	k := Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
 	if err := k.validate(); err != nil {
-		return writeErr(w, http.StatusBadRequest, err)
+		return WriteErr(w, http.StatusBadRequest, err)
 	}
 	device := r.URL.Query().Get("device")
 	if device != "" && !safeName(device) {
-		return writeErr(w, http.StatusBadRequest,
+		return WriteErr(w, http.StatusBadRequest,
 			fmt.Errorf("fleetd: device must be a single [a-zA-Z0-9._-] segment"))
 	}
 	// Accept-negotiated encoding. The ETag hashes the table content,
@@ -401,7 +372,7 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) int {
 			}
 			data, ct, err := EncodePolicy(k.App, art.Set, binary)
 			if err != nil {
-				return writeErr(w, http.StatusInternalServerError, err)
+				return WriteErr(w, http.StatusInternalServerError, err)
 			}
 			w.Header().Set("Content-Type", ct)
 			w.WriteHeader(http.StatusOK)
@@ -418,11 +389,11 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) int {
 	// round-trips both estimators.
 	set, round, ok := s.store.PolicySetRef(k)
 	if !ok {
-		return writeErr(w, http.StatusNotFound, fmt.Errorf("fleetd: no merged policy for %s", k))
+		return WriteErr(w, http.StatusNotFound, fmt.Errorf("fleetd: no merged policy for %s", k))
 	}
 	data, ct, err := EncodePolicy(k.App, set, binary)
 	if err != nil {
-		return writeErr(w, http.StatusInternalServerError, err)
+		return WriteErr(w, http.StatusInternalServerError, err)
 	}
 	w.Header().Set("Content-Type", ct)
 	w.Header().Set(roundHeader, strconv.FormatInt(round, 10))
@@ -437,21 +408,21 @@ var errRolloutDisabled = errors.New("fleetd: rollout lifecycle not enabled on th
 
 func (s *Server) handleRolloutStatus(w http.ResponseWriter, r *http.Request) int {
 	if s.rollout == nil {
-		return writeErr(w, http.StatusNotFound, errRolloutDisabled)
+		return WriteErr(w, http.StatusNotFound, errRolloutDisabled)
 	}
 	app, platform := r.URL.Query().Get("app"), r.URL.Query().Get("platform")
 	if app == "" && platform == "" {
-		return writeJSON(w, http.StatusOK, s.rollout.Statuses())
+		return WriteJSON(w, http.StatusOK, s.rollout.Statuses())
 	}
 	k := Key{App: app, Platform: platform}
 	if err := k.validate(); err != nil {
-		return writeErr(w, http.StatusBadRequest, err)
+		return WriteErr(w, http.StatusBadRequest, err)
 	}
 	st, ok := s.rollout.Status(k.String())
 	if !ok {
-		return writeErr(w, http.StatusNotFound, fmt.Errorf("fleetd: no rollout state for %s", k))
+		return WriteErr(w, http.StatusNotFound, fmt.Errorf("fleetd: no rollout state for %s", k))
 	}
-	return writeJSON(w, http.StatusOK, st)
+	return WriteJSON(w, http.StatusOK, st)
 }
 
 // rolloutAction runs one admin lifecycle action (advance / rollback)
@@ -459,24 +430,24 @@ func (s *Server) handleRolloutStatus(w http.ResponseWriter, r *http.Request) int
 func (s *Server) rolloutAction(w http.ResponseWriter, r *http.Request,
 	act func(key string) (rollout.Decision, error)) int {
 	if s.rollout == nil {
-		return writeErr(w, http.StatusNotFound, errRolloutDisabled)
+		return WriteErr(w, http.StatusNotFound, errRolloutDisabled)
 	}
 	k := Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
 	if err := k.validate(); err != nil {
-		return writeErr(w, http.StatusBadRequest, err)
+		return WriteErr(w, http.StatusBadRequest, err)
 	}
 	d, err := act(k.String())
 	if err != nil {
 		// "no active rollout" / "not enough reports yet" are state
 		// conflicts, not malformed requests.
-		return writeErr(w, http.StatusConflict, err)
+		return WriteErr(w, http.StatusConflict, err)
 	}
 	if s.cfg.SnapshotDir != "" {
 		if err := s.rollout.SnapshotKey(s.rolloutDir(), k.String()); err != nil {
-			return writeErr(w, http.StatusInternalServerError, fmt.Errorf("fleetd: snapshotting rollout %s: %w", k, err))
+			return WriteErr(w, http.StatusInternalServerError, fmt.Errorf("fleetd: snapshotting rollout %s: %w", k, err))
 		}
 	}
-	return writeJSON(w, http.StatusOK, d)
+	return WriteJSON(w, http.StatusOK, d)
 }
 
 func (s *Server) handleRolloutAdvance(w http.ResponseWriter, r *http.Request) int {
@@ -501,25 +472,25 @@ type ReportReply struct {
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) int {
 	if s.rollout == nil {
-		return writeErr(w, http.StatusNotFound, errRolloutDisabled)
+		return WriteErr(w, http.StatusNotFound, errRolloutDisabled)
 	}
 	k := Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
 	if err := k.validate(); err != nil {
-		return writeErr(w, http.StatusBadRequest, err)
+		return WriteErr(w, http.StatusBadRequest, err)
 	}
 	var rep rollout.EvalReport
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&rep); err != nil {
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad report body: %w", err))
+		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad report body: %w", err))
 	}
 	if !safeName(rep.Device) {
-		return writeErr(w, http.StatusBadRequest,
+		return WriteErr(w, http.StatusBadRequest,
 			fmt.Errorf("fleetd: report needs a device as a single [a-zA-Z0-9._-] segment"))
 	}
 	cohort, err := s.rollout.Report(k.String(), rep)
 	if err != nil {
-		return writeErr(w, http.StatusConflict, err)
+		return WriteErr(w, http.StatusConflict, err)
 	}
-	return writeJSON(w, http.StatusOK, ReportReply{Device: rep.Device, Version: rep.Version, Cohort: cohort})
+	return WriteJSON(w, http.StatusOK, ReportReply{Device: rep.Device, Version: rep.Version, Cohort: cohort})
 }
 
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) int {
@@ -527,7 +498,7 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) int {
 	if infos == nil {
 		infos = []KeyInfo{}
 	}
-	return writeJSON(w, http.StatusOK, infos)
+	return WriteJSON(w, http.StatusOK, infos)
 }
 
 // HealthReply is the /healthz body.
@@ -545,8 +516,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
 	s.devMu.Lock()
 	devices := len(s.devices)
 	s.devMu.Unlock()
-	return writeJSON(w, http.StatusOK, HealthReply{
-		Status: "ok", UptimeS: time.Since(s.metrics.start).Seconds(),
+	return WriteJSON(w, http.StatusOK, HealthReply{
+		Status: "ok", UptimeS: s.metrics.Uptime().Seconds(),
 		Policies: keys, Merged: merged, DeviceTables: uploads, Devices: devices,
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nextdvfs/internal/core"
+	"nextdvfs/internal/learner"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *Client, func()) {
@@ -36,10 +37,10 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Two devices upload, a merge round runs, a third pulls the policy.
-	if _, err := client.UploadTable("dev-000", "note9", "spotify", devTable(1)); err != nil {
+	if _, err := client.UploadTableSet("dev-000", "note9", "spotify", learner.SingleTableSet(devTable(1)), 0); err != nil {
 		t.Fatal(err)
 	}
-	up, err := client.UploadTable("dev-001", "note9", "spotify", devTable(2))
+	up, err := client.UploadTableSet("dev-001", "note9", "spotify", learner.SingleTableSet(devTable(2)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +54,12 @@ func TestServerEndToEnd(t *testing.T) {
 	if info.Round != 1 || info.Devices != 2 || info.States == 0 {
 		t.Fatalf("merge info = %+v", info)
 	}
-	table, round, err := client.Policy("spotify", "note9")
+	set, round, err := client.PolicySet("spotify", "note9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if round != 1 || table.States() != info.States {
-		t.Fatalf("policy round=%d states=%d, want round=1 states=%d", round, table.States(), info.States)
+	if round != 1 || set.Primary().States() != info.States {
+		t.Fatalf("policy round=%d states=%d, want round=1 states=%d", round, set.Primary().States(), info.States)
 	}
 
 	// The next check-in now advertises the merged policy.
@@ -101,20 +102,20 @@ func TestServerErrorPaths(t *testing.T) {
 	if _, err := client.Checkin("", "note9"); err == nil {
 		t.Fatal("empty device check-in should fail")
 	}
-	if _, err := client.UploadTable("", "note9", "spotify", devTable(1)); err == nil {
+	if _, err := client.UploadTableSet("", "note9", "spotify", learner.SingleTableSet(devTable(1)), 0); err == nil {
 		t.Fatal("upload without device should fail")
 	}
 	if _, err := client.Merge("spotify", "note9"); err == nil {
 		t.Fatal("merge with no uploads should fail")
 	}
-	if _, _, err := client.Policy("spotify", "note9"); err == nil {
+	if _, _, err := client.PolicySet("spotify", "note9"); err == nil {
 		t.Fatal("policy on empty server should 404")
 	}
-	if _, err := client.UploadTable("d0", "note9", "spotify", devTable(1)); err != nil {
+	if _, err := client.UploadTableSet("d0", "note9", "spotify", learner.SingleTableSet(devTable(1)), 0); err != nil {
 		t.Fatal(err)
 	}
 	mismatched := core.NewQTable(3)
-	if _, err := client.UploadTable("d1", "note9", "spotify", mismatched); err == nil {
+	if _, err := client.UploadTableSet("d1", "note9", "spotify", learner.SingleTableSet(mismatched), 0); err == nil {
 		t.Fatal("action mismatch should be rejected")
 	}
 }
@@ -124,9 +125,9 @@ func TestServerMetricsExposition(t *testing.T) {
 	defer done()
 
 	client.Checkin("d0", "note9")
-	client.UploadTable("d0", "note9", "spotify", devTable(1))
+	client.UploadTableSet("d0", "note9", "spotify", learner.SingleTableSet(devTable(1)), 0)
 	client.Merge("spotify", "note9")
-	client.Policy("spotify", "note9")
+	client.PolicySet("spotify", "note9")
 	client.Merge("nosuchapp", "note9") // counted as a merge error
 
 	text, err := client.MetricsText()
@@ -153,13 +154,13 @@ func TestServerSnapshotWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	_, client, done := newTestServer(t, Config{SnapshotDir: dir})
 
-	if _, err := client.UploadTable("d0", "note9", "spotify", devTable(4)); err != nil {
+	if _, err := client.UploadTableSet("d0", "note9", "spotify", learner.SingleTableSet(devTable(4)), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Merge("spotify", "note9"); err != nil {
 		t.Fatal(err)
 	}
-	before, _, err := client.Policy("spotify", "note9")
+	before, _, err := client.PolicySet("spotify", "note9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,15 +170,15 @@ func TestServerSnapshotWarmRestart(t *testing.T) {
 	// before any device re-uploads.
 	_, client2, done2 := newTestServer(t, Config{SnapshotDir: dir})
 	defer done2()
-	after, round, err := client2.Policy("spotify", "note9")
+	after, round, err := client2.PolicySet("spotify", "note9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if round != 1 {
 		t.Fatalf("restored round = %d", round)
 	}
-	beforeJSON, _ := core.MarshalTable("spotify", before, true)
-	afterJSON, _ := core.MarshalTable("spotify", after, true)
+	beforeJSON, _ := core.MarshalTableSet("spotify", before, true)
+	afterJSON, _ := core.MarshalTableSet("spotify", after, true)
 	if string(beforeJSON) != string(afterJSON) {
 		t.Fatal("warm-restarted policy differs from pre-restart policy")
 	}

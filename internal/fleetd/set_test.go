@@ -35,7 +35,7 @@ func TestDoubleQUploadMergePolicyRoundTrip(t *testing.T) {
 
 	sets := []*learner.TableSet{mkDoubleQSet(1), mkDoubleQSet(2)}
 	for i, set := range sets {
-		if _, err := client.UploadTableSet(deviceName(i), "note9", "pubgmobile", set); err != nil {
+		if _, err := client.UploadTableSet(deviceName(i), "note9", "pubgmobile", set, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,10 +83,10 @@ func deviceName(i int) string {
 func TestUploadRejectsMixedLearnersPerKey(t *testing.T) {
 	s := NewStore()
 	k := Key{App: "spotify", Platform: "note9"}
-	if _, err := s.UploadSetOwned(k, "dev-a", mkDoubleQSet(1)); err != nil {
+	if _, _, err := s.UploadSetGen(k, "dev-a", mkDoubleQSet(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.UploadOwned(k, "dev-b", core.NewQTable(9)); err == nil {
+	if _, _, err := s.UploadSetGen(k, "dev-b", learner.SingleTableSet(core.NewQTable(9))); err == nil {
 		t.Fatal("single-table upload accepted into a doubleq fleet")
 	}
 }
@@ -102,18 +102,18 @@ func TestUploadRejectsUnregisteredLayouts(t *testing.T) {
 		Learner: "zzz",
 		Roles:   []learner.RoleTable{{Role: "q", Table: core.NewQTable(9)}},
 	}
-	if _, err := s.UploadSetOwned(k, "dev-evil", bogus); err == nil {
+	if _, _, err := s.UploadSetGen(k, "dev-evil", bogus); err == nil {
 		t.Fatal("unknown learner name accepted")
 	}
 	wrongRoles := &learner.TableSet{
 		Learner: "doubleq",
 		Roles:   []learner.RoleTable{{Role: "x", Table: core.NewQTable(9)}, {Role: "y", Table: core.NewQTable(9)}},
 	}
-	if _, err := s.UploadSetOwned(k, "dev-evil", wrongRoles); err == nil {
+	if _, _, err := s.UploadSetGen(k, "dev-evil", wrongRoles); err == nil {
 		t.Fatal("bogus role layout accepted")
 	}
 	// The key stays unpinned: a legitimate upload still lands.
-	if _, err := s.UploadSetOwned(k, "dev-a", mkDoubleQSet(1)); err != nil {
+	if _, _, err := s.UploadSetGen(k, "dev-a", mkDoubleQSet(1)); err != nil {
 		t.Fatalf("legitimate upload rejected after hostile attempts: %v", err)
 	}
 	// And the HTTP boundary rejects the same garbage at unmarshal.
@@ -128,10 +128,10 @@ func TestDoubleQSnapshotRestore(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
 	k := Key{App: "pubgmobile", Platform: "note9"}
-	if _, err := s.UploadSetOwned(k, "dev-a", mkDoubleQSet(5)); err != nil {
+	if _, _, err := s.UploadSetGen(k, "dev-a", mkDoubleQSet(5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Merge(k); err != nil {
+	if _, err := merge(s, k); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Snapshot(dir); err != nil {
@@ -141,7 +141,7 @@ func TestDoubleQSnapshotRestore(t *testing.T) {
 	if n, err := warm.Restore(dir); err != nil || n != 1 {
 		t.Fatalf("restore: n=%d err=%v", n, err)
 	}
-	set, round, ok := warm.PolicySet(k)
+	set, round, ok := warm.PolicySetRef(k)
 	if !ok || round != 1 {
 		t.Fatalf("restored policy missing (ok=%v round=%d)", ok, round)
 	}

@@ -155,11 +155,11 @@ type storeShard struct {
 }
 
 type entry struct {
-	// uploads holds the latest learner table set per device ID (deep
-	// copies — the store never aliases caller memory). Stored sets are
-	// immutable once inserted: re-uploads replace the map entry with a
-	// fresh set, so a merge round may snapshot references and drop the
-	// shard lock while it computes.
+	// uploads holds the latest learner table set per device ID, owned
+	// by the store (see UploadSetGen). Stored sets are immutable once
+	// inserted: re-uploads replace the map entry with a fresh set, so a
+	// merge round may snapshot references and drop the shard lock while
+	// it computes.
 	uploads map[string]*learner.TableSet
 	// merged is the current served policy, nil until the first merge
 	// round (or snapshot restore); round counts merge rounds.
@@ -211,66 +211,45 @@ func (s *Store) shardFor(k Key) *storeShard {
 	return &s.shards[h.Sum32()%numShards]
 }
 
-// Upload records a device's latest table for the key, replacing any
-// previous upload from the same device. It returns how many devices
-// have contributed. The action-space size must match what the fleet
-// already holds. The table is deep-copied; use UploadOwned when the
-// caller hands over ownership.
-func (s *Store) Upload(k Key, device string, t *core.QTable) (devices int, err error) {
-	if t != nil {
-		t = t.Clone()
-	}
-	return s.UploadOwned(k, device, t)
-}
-
-// UploadOwned is UploadSetOwned for a plain single-table upload (the
-// watkins wire format).
-func (s *Store) UploadOwned(k Key, device string, t *core.QTable) (devices int, err error) {
-	if t == nil {
-		return 0, fmt.Errorf("fleetd: %s: nil table from %q", k, device)
-	}
-	return s.UploadSetOwned(k, device, learner.SingleTableSet(t))
-}
-
-// UploadSet records a device's complete learner table set, deep-copied.
-func (s *Store) UploadSet(k Key, device string, set *learner.TableSet) (devices int, err error) {
-	if set != nil {
-		set = set.Clone()
-	}
-	return s.UploadSetOwned(k, device, set)
-}
-
-// UploadSetOwned is UploadSet without the defensive copy: the caller
-// promises it holds no other reference to the set (the HTTP handler
-// qualifies — each request unmarshals a fresh set — and skipping the
-// clone is worth ~15% on the check-in hot path). Every upload for a key
-// must come from the same learner (same registry name and role layout):
-// tables merge role-by-role, and averaging a Double-Q estimator into a
-// single-table policy would silently corrupt both.
-func (s *Store) UploadSetOwned(k Key, device string, set *learner.TableSet) (devices int, err error) {
-	devices, _, err = s.UploadSetGen(k, device, set)
-	return devices, err
-}
-
-// UploadSetGen is UploadSetOwned returning the device's new upload
-// generation alongside the device count — the value the server echoes
-// so the client can base its next delta upload on this one.
-func (s *Store) UploadSetGen(k Key, device string, set *learner.TableSet) (devices int, gen int64, err error) {
+// admit runs the checks every upload passes before the store takes a
+// lock: key and device names, a non-empty set, and learner registry
+// validation. The registry check comes before anything is stored: a
+// hostile first upload with a made-up learner name (or bogus role
+// names) would otherwise pin an unmatchable layout onto the key and
+// lock out every legitimate device. kind names the upload in errors.
+func admit(k Key, device string, set *learner.TableSet, kind string) error {
 	if err := k.validate(); err != nil {
-		return 0, 0, err
+		return err
 	}
 	if !safeName(device) {
-		return 0, 0, fmt.Errorf("fleetd: %s: bad device ID %q (want a single [a-zA-Z0-9._-] segment)", k, device)
+		return fmt.Errorf("fleetd: %s: bad device ID %q (want a single [a-zA-Z0-9._-] segment)", k, device)
 	}
 	if set == nil || set.Primary() == nil {
-		return 0, 0, fmt.Errorf("fleetd: %s: empty table set from %q", k, device)
+		return fmt.Errorf("fleetd: %s: empty %s from %q", k, kind, device)
 	}
-	// Registry validation before anything is stored: a hostile first
-	// upload with a made-up learner name (or bogus role names) would
-	// otherwise pin an unmatchable layout onto the key and lock out
-	// every legitimate device.
 	if err := learner.ValidateSet(set); err != nil {
-		return 0, 0, fmt.Errorf("fleetd: %s: upload from %q: %w", k, device, err)
+		return fmt.Errorf("fleetd: %s: %s from %q: %w", k, kind, device, err)
+	}
+	return nil
+}
+
+// UploadSetGen records a device's complete learner table set as its
+// latest upload for the key, replacing any previous one. It returns
+// how many devices have contributed and the device's new upload
+// generation, which the server echoes so the client can base its next
+// delta upload on this one.
+//
+// The store takes ownership of the set and sanitizes it in place: the
+// caller must hold no other reference to it (the HTTP handlers qualify
+// — each request decodes a fresh set — and skipping a defensive clone
+// is worth ~15% on the check-in hot path). Every upload for a key must
+// come from the same learner (same registry name and role layout) and
+// action-space size: tables merge role-by-role, and averaging a
+// Double-Q estimator into a single-table policy would silently corrupt
+// both.
+func (s *Store) UploadSetGen(k Key, device string, set *learner.TableSet) (devices int, gen int64, err error) {
+	if err := admit(k, device, set, "upload"); err != nil {
+		return 0, 0, err
 	}
 	sh := s.shardFor(k)
 	sh.mu.Lock()
@@ -347,17 +326,8 @@ var ErrDeltaBase = errors.New("fleetd: delta base generation mismatch")
 // A missing base or a stale baseGen fails with ErrDeltaBase (full
 // upload required); the store is never modified on error.
 func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseGen int64) (devices int, gen int64, err error) {
-	if err := k.validate(); err != nil {
+	if err := admit(k, device, delta, "delta"); err != nil {
 		return 0, 0, err
-	}
-	if !safeName(device) {
-		return 0, 0, fmt.Errorf("fleetd: %s: bad device ID %q (want a single [a-zA-Z0-9._-] segment)", k, device)
-	}
-	if delta == nil || delta.Primary() == nil {
-		return 0, 0, fmt.Errorf("fleetd: %s: empty delta from %q", k, device)
-	}
-	if err := learner.ValidateSet(delta); err != nil {
-		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w", k, device, err)
 	}
 	sh := s.shardFor(k)
 	sh.mu.Lock()
@@ -458,24 +428,15 @@ type MergeInfo struct {
 	Version int64 `json:"version,omitempty"`
 }
 
-// Merge runs a federated merge round for the key: every device's latest
-// upload, in sorted-device-ID order, through cloud.MergeTables. The
-// merge always recomputes from the full upload set (never incrementally
-// from the previous merged table), so the result is a deterministic
+// MergeSet runs a federated merge round for the key: every device's
+// latest upload, in sorted-device-ID order, through the visit-weighted
+// federated average (cloud.JoinDevices). The result is a deterministic
 // function of the uploads — concurrent rounds interleaved with uploads
-// converge to the same table a serial merge of the final upload set
-// produces.
-func (s *Store) Merge(k Key) (MergeInfo, error) {
-	info, _, err := s.MergeSet(k)
-	return info, err
-}
-
-// MergeSet is Merge returning the merged table set alongside the round
-// summary — the reference is the freshly installed, immutable
-// published set, handed back so the rollout layer can wrap the round's
-// output as a policy artifact without re-locking the shard (and
-// without racing a concurrent round for "which set did my round
-// produce").
+// converge to the set a serial merge of the final uploads produces.
+// It returns the round summary and the freshly installed, immutable
+// published set, so the rollout layer can wrap the round's output as a
+// policy artifact without re-locking the shard (and without racing a
+// concurrent round for "which set did my round produce").
 //
 // MergeSet runs as a phased epoch — split → local-merge → join, the
 // doppel coordinator/worker decomposition — so no lock spans the whole
@@ -569,40 +530,11 @@ func (s *Store) MergeSet(k Key) (MergeInfo, *learner.TableSet, error) {
 	return info, merged, nil
 }
 
-// Policy returns a deep copy of the key's current merged primary table
-// and its round number, or ok=false if no merge round has run yet.
-func (s *Store) Policy(k Key) (t *core.QTable, round int64, ok bool) {
-	set, round, ok := s.PolicySetRef(k)
-	if !ok {
-		return nil, 0, false
-	}
-	return set.Primary().Clone(), round, true
-}
-
-// PolicyRef is Policy without the deep copy. Published merged tables
-// are immutable — Merge and Restore always install freshly built
-// tables, never mutate one in place — so read-only consumers (the HTTP
-// download path, snapshotting) may share the reference; callers that
-// intend to mutate must use Policy.
-func (s *Store) PolicyRef(k Key) (t *core.QTable, round int64, ok bool) {
-	set, round, ok := s.PolicySetRef(k)
-	if !ok {
-		return nil, 0, false
-	}
-	return set.Primary(), round, true
-}
-
-// PolicySet returns a deep copy of the key's merged learner table set.
-func (s *Store) PolicySet(k Key) (set *learner.TableSet, round int64, ok bool) {
-	set, round, ok = s.PolicySetRef(k)
-	if ok {
-		set = set.Clone()
-	}
-	return set, round, ok
-}
-
-// PolicySetRef is PolicySet without the deep copy (same immutability
-// contract as PolicyRef).
+// PolicySetRef returns the key's current merged learner table set and
+// its round number, or ok=false before the first merge round. The set
+// is shared, not copied: published sets are immutable — MergeSet and
+// Restore always install freshly built sets, never mutate one in place
+// — so callers must only read it.
 func (s *Store) PolicySetRef(k Key) (set *learner.TableSet, round int64, ok bool) {
 	sh := s.shardFor(k)
 	sh.mu.RLock()

@@ -40,13 +40,13 @@ func TestStoreIncrementalMergeMatchesScratch(t *testing.T) {
 		t.Helper()
 		set := learner.SingleTableSet(devTable(seed))
 		shadow[dev] = set.Clone()
-		if _, err := s.UploadSet(k, dev, set); err != nil {
+		if _, _, err := s.UploadSetGen(k, dev, set); err != nil {
 			t.Fatal(err)
 		}
 	}
 	check := func(round int) {
 		t.Helper()
-		if _, err := s.Merge(k); err != nil {
+		if _, err := merge(s, k); err != nil {
 			t.Fatal(err)
 		}
 		want, _, err := cloud.JoinDevices(shadow)
@@ -96,7 +96,7 @@ func TestStoreUploadDelta(t *testing.T) {
 		t.Fatalf("first upload gen = %d, want 1", gen)
 	}
 	// Second contributor so merges exercise real averaging.
-	if _, err := s.UploadSet(k, "dev-b", learner.SingleTableSet(devTable(5))); err != nil {
+	if _, _, err := s.UploadSetGen(k, "dev-b", learner.SingleTableSet(devTable(5))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -139,20 +139,20 @@ func TestStoreUploadDelta(t *testing.T) {
 	if gen2 != gen+1 {
 		t.Fatalf("delta gen = %d, want %d", gen2, gen+1)
 	}
-	if _, err := s.Merge(k); err != nil {
+	if _, err := merge(s, k); err != nil {
 		t.Fatal(err)
 	}
 	deltaPolicy := policyBytes(t, s, k)
 
 	// Reference store: same traffic as full uploads.
 	ref := NewStore()
-	if _, err := ref.UploadSet(k, "dev-a", learner.SingleTableSet(next)); err != nil {
+	if _, _, err := ref.UploadSetGen(k, "dev-a", learner.SingleTableSet(next)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.UploadSet(k, "dev-b", learner.SingleTableSet(devTable(5))); err != nil {
+	if _, _, err := ref.UploadSetGen(k, "dev-b", learner.SingleTableSet(devTable(5))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Merge(k); err != nil {
+	if _, err := merge(ref, k); err != nil {
 		t.Fatal(err)
 	}
 	if deltaPolicy != policyBytes(t, ref, k) {
@@ -171,7 +171,7 @@ func TestStoreDeltaAfterRestoreFallsBack(t *testing.T) {
 	if _, gen, err := a.UploadSetGen(k, "dev-a", learner.SingleTableSet(devTable(2))); err != nil || gen != 1 {
 		t.Fatalf("gen=%d err=%v", gen, err)
 	}
-	if _, err := a.Merge(k); err != nil {
+	if _, err := merge(a, k); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Snapshot(dir); err != nil {
@@ -201,10 +201,10 @@ func TestStoreSnapshotRestoreConcurrentWithTraffic(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
 	k := Key{App: "spotify", Platform: "note9"}
-	if _, err := s.UploadSet(k, "dev-000", learner.SingleTableSet(devTable(1))); err != nil {
+	if _, _, err := s.UploadSetGen(k, "dev-000", learner.SingleTableSet(devTable(1))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Merge(k); err != nil {
+	if _, err := merge(s, k); err != nil {
 		t.Fatal(err)
 	}
 
@@ -242,7 +242,7 @@ func TestStoreSnapshotRestoreConcurrentWithTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if _, err := s.Merge(k); err != nil {
+			if _, err := merge(s, k); err != nil {
 				t.Error(err)
 				return
 			}
@@ -280,11 +280,11 @@ func TestStoreSnapshotRestoreConcurrentWithTraffic(t *testing.T) {
 	// The store converges: one more serial merge must match a scratch
 	// join of whatever uploads won the races — via the public API, by
 	// re-merging twice and comparing (the second round is all-clean).
-	if _, err := s.Merge(k); err != nil {
+	if _, err := merge(s, k); err != nil {
 		t.Fatal(err)
 	}
 	first := policyBytes(t, s, k)
-	if _, err := s.Merge(k); err != nil {
+	if _, err := merge(s, k); err != nil {
 		t.Fatal(err)
 	}
 	if second := policyBytes(t, s, k); first != second {

@@ -11,6 +11,7 @@ import (
 
 	"nextdvfs/internal/cloud"
 	"nextdvfs/internal/core"
+	"nextdvfs/internal/learner"
 )
 
 func devTable(seed int) *core.QTable {
@@ -27,11 +28,38 @@ func devTable(seed int) *core.QTable {
 	return t
 }
 
+// upload lands a single-table device upload (nil stays nil, so the
+// store's empty-upload check is reachable). The store takes ownership
+// of t.
+func upload(s *Store, k Key, device string, t *core.QTable) (devices int, err error) {
+	var set *learner.TableSet
+	if t != nil {
+		set = learner.SingleTableSet(t)
+	}
+	devices, _, err = s.UploadSetGen(k, device, set)
+	return devices, err
+}
+
+// merge runs one merge round, keeping only its summary.
+func merge(s *Store, k Key) (MergeInfo, error) {
+	info, _, err := s.MergeSet(k)
+	return info, err
+}
+
+// policy returns the key's published primary table (shared, read-only).
+func policy(s *Store, k Key) (*core.QTable, int64, bool) {
+	set, round, ok := s.PolicySetRef(k)
+	if !ok {
+		return nil, 0, false
+	}
+	return set.Primary(), round, true
+}
+
 func TestStoreUploadMergePolicy(t *testing.T) {
 	s := NewStore()
 	k := Key{App: "spotify", Platform: "note9"}
 	for i := 0; i < 4; i++ {
-		n, err := s.Upload(k, fmt.Sprintf("dev-%03d", i), devTable(i+1))
+		n, err := upload(s, k, fmt.Sprintf("dev-%03d", i), devTable(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,48 +67,48 @@ func TestStoreUploadMergePolicy(t *testing.T) {
 			t.Fatalf("device count = %d, want %d", n, i+1)
 		}
 	}
-	if _, _, ok := s.Policy(k); ok {
+	if _, _, ok := policy(s, k); ok {
 		t.Fatal("policy before any merge round")
 	}
-	info, err := s.Merge(k)
+	info, err := merge(s, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Round != 1 || info.Devices != 4 {
 		t.Fatalf("merge info = %+v", info)
 	}
-	got, round, ok := s.Policy(k)
+	got, round, ok := policy(s, k)
 	if !ok || round != 1 {
 		t.Fatalf("policy missing after merge (ok=%v round=%d)", ok, round)
 	}
 
-	// The served policy must equal a direct cloud.MergeTables of the
+	// The served policy must equal a direct cloud.MergeTableSets of the
 	// uploads in sorted-device order — byte-for-byte.
-	var tables []*core.QTable
+	var sets []*learner.TableSet
 	for i := 0; i < 4; i++ {
-		tables = append(tables, devTable(i+1))
+		sets = append(sets, learner.SingleTableSet(devTable(i+1)))
 	}
-	want, err := cloud.MergeTables(tables)
+	want, err := cloud.MergeTableSets(sets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotJSON, _ := core.MarshalTable(k.App, got, true)
-	wantJSON, _ := core.MarshalTable(k.App, want, true)
+	wantJSON, _ := core.MarshalTable(k.App, want.Primary(), true)
 	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Fatal("store merge differs from serial cloud.MergeTables")
+		t.Fatal("store merge differs from serial cloud.MergeTableSets")
 	}
 }
 
 func TestStoreReUploadReplaces(t *testing.T) {
 	s := NewStore()
 	k := Key{App: "chrome", Platform: "note9"}
-	if _, err := s.Upload(k, "d0", devTable(1)); err != nil {
+	if _, err := upload(s, k, "d0", devTable(1)); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s.Upload(k, "d0", devTable(2)); err != nil || n != 1 {
+	if n, err := upload(s, k, "d0", devTable(2)); err != nil || n != 1 {
 		t.Fatalf("re-upload: n=%d err=%v", n, err)
 	}
-	info, err := s.Merge(k)
+	info, err := merge(s, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,50 +117,66 @@ func TestStoreReUploadReplaces(t *testing.T) {
 	}
 }
 
+// TestStoreCloneSemantics pins what the store shares instead of
+// copying: it owns uploaded sets and hands out the published policy by
+// reference, so a published set must never change after the fact — a
+// later re-upload and merge round install a fresh set instead.
 func TestStoreCloneSemantics(t *testing.T) {
 	s := NewStore()
 	k := Key{App: "spotify", Platform: "note9"}
-	mine := devTable(1)
-	if _, err := s.Upload(k, "d0", mine); err != nil {
+	for _, d := range []string{"d0", "d1"} {
+		if _, err := upload(s, k, d, devTable(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := merge(s, k); err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the caller's table after upload must not affect the store.
-	mine.Q[core.StateKey(10)][0] = 1e9
-	if _, err := s.Merge(k); err != nil {
+	first, _, _ := policy(s, k)
+	before, err := core.MarshalTable(k.App, first, true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ := s.Policy(k)
-	if got.Q[core.StateKey(10)][0] == 1e9 {
-		t.Fatal("store aliases uploaded table memory")
+	next := devTable(1)
+	next.Q[core.StateKey(10)][0] = 1e9
+	if _, err := upload(s, k, "d0", next); err != nil {
+		t.Fatal(err)
 	}
-	// Mutating a returned policy must not affect the store either.
-	got.Q[core.StateKey(10)][0] = -1e9
-	again, _, _ := s.Policy(k)
-	if again.Q[core.StateKey(10)][0] == -1e9 {
-		t.Fatal("store aliases returned policy memory")
+	if _, err := merge(s, k); err != nil {
+		t.Fatal(err)
+	}
+	after, err := core.MarshalTable(k.App, first, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("a later round mutated a published policy set in place")
+	}
+	if latest, _, _ := policy(s, k); latest == first || latest.Q[core.StateKey(10)][0] == first.Q[core.StateKey(10)][0] {
+		t.Fatal("the second round did not install a fresh policy")
 	}
 }
 
 func TestStoreValidation(t *testing.T) {
 	s := NewStore()
 	k := Key{App: "spotify", Platform: "note9"}
-	if _, err := s.Upload(Key{}, "d0", devTable(1)); err == nil {
+	if _, err := upload(s, Key{}, "d0", devTable(1)); err == nil {
 		t.Fatal("empty key should fail")
 	}
-	if _, err := s.Upload(k, "", devTable(1)); err == nil {
+	if _, err := upload(s, k, "", devTable(1)); err == nil {
 		t.Fatal("empty device should fail")
 	}
-	if _, err := s.Upload(k, "d0", nil); err == nil {
+	if _, err := upload(s, k, "d0", nil); err == nil {
 		t.Fatal("nil table should fail")
 	}
-	if _, err := s.Merge(k); err == nil {
+	if _, err := merge(s, k); err == nil {
 		t.Fatal("merge with no uploads should fail")
 	}
-	if _, err := s.Upload(k, "d0", devTable(1)); err != nil {
+	if _, err := upload(s, k, "d0", devTable(1)); err != nil {
 		t.Fatal(err)
 	}
 	bad := core.NewQTable(3)
-	if _, err := s.Upload(k, "d1", bad); err == nil {
+	if _, err := upload(s, k, "d1", bad); err == nil {
 		t.Fatal("action-space mismatch should fail at upload")
 	}
 }
@@ -144,16 +188,16 @@ func TestStoreRejectsPathTraversalNames(t *testing.T) {
 	s := NewStore()
 	evil := []string{"../../../../tmp/pwn", "a/b", `a\b`, "..", ".", "", "name with spaces", "x\x00y"}
 	for _, name := range evil {
-		if _, err := s.Upload(Key{App: name, Platform: "note9"}, "d0", devTable(1)); err == nil {
+		if _, err := upload(s, Key{App: name, Platform: "note9"}, "d0", devTable(1)); err == nil {
 			t.Fatalf("app %q accepted", name)
 		}
-		if _, err := s.Upload(Key{App: "spotify", Platform: name}, "d0", devTable(1)); err == nil {
+		if _, err := upload(s, Key{App: "spotify", Platform: name}, "d0", devTable(1)); err == nil {
 			t.Fatalf("platform %q accepted", name)
 		}
-		if _, err := s.Upload(Key{App: "spotify", Platform: "note9"}, name, devTable(1)); err == nil {
+		if _, err := upload(s, Key{App: "spotify", Platform: "note9"}, name, devTable(1)); err == nil {
 			t.Fatalf("device %q accepted", name)
 		}
-		if _, err := s.Merge(Key{App: "spotify", Platform: name}); err == nil {
+		if _, err := merge(s, Key{App: "spotify", Platform: name}); err == nil {
 			t.Fatalf("merge with platform %q accepted", name)
 		}
 	}
@@ -173,14 +217,14 @@ func TestStoreClampsHostileUploads(t *testing.T) {
 		evil.Visits[core.StateKey(1)] = math.MaxInt
 		evil.Steps = -5
 		evil.TrainedUS = math.MaxInt64
-		if _, err := s.Upload(k, dev, evil); err != nil {
+		if _, err := upload(s, k, dev, evil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Merge(k); err != nil {
+	if _, err := merge(s, k); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ := s.Policy(k)
+	got, _, _ := policy(s, k)
 	if v := got.Visits[core.StateKey(1)]; v <= 0 || v > 2*maxVisitWeight {
 		t.Fatalf("merged visits = %d; overflow not prevented", v)
 	}
@@ -234,15 +278,15 @@ func TestStoreBoundsDevicesPerKey(t *testing.T) {
 		return t
 	}
 	for i := 0; i < maxDevicesPerKey; i++ {
-		if _, err := s.Upload(k, fmt.Sprintf("dev-%08d", i), small()); err != nil {
+		if _, err := upload(s, k, fmt.Sprintf("dev-%08d", i), small()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Upload(k, "dev-one-too-many", small()); err == nil {
+	if _, err := upload(s, k, "dev-one-too-many", small()); err == nil {
 		t.Fatal("device cap not enforced")
 	}
 	// A device already in the fleet may still refresh its table.
-	if _, err := s.Upload(k, "dev-00000000", small()); err != nil {
+	if _, err := upload(s, k, "dev-00000000", small()); err != nil {
 		t.Fatalf("re-upload at cap rejected: %v", err)
 	}
 }
@@ -260,11 +304,11 @@ func TestStoreConcurrent(t *testing.T) {
 			go func(app string, d int) {
 				defer wg.Done()
 				k := Key{App: app, Platform: "note9"}
-				if _, err := s.Upload(k, fmt.Sprintf("dev-%03d", d), devTable(d+1)); err != nil {
+				if _, err := upload(s, k, fmt.Sprintf("dev-%03d", d), devTable(d+1)); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := s.Merge(k); err != nil {
+				if _, err := merge(s, k); err != nil {
 					t.Error(err)
 				}
 			}(app, d)
@@ -272,7 +316,7 @@ func TestStoreConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for _, app := range apps {
-		info, err := s.Merge(Key{App: app, Platform: "note9"})
+		info, err := merge(s, Key{App: app, Platform: "note9"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,10 +337,10 @@ func TestStoreSnapshotRestore(t *testing.T) {
 		{App: "spotify", Platform: "note9"},
 		{App: "pubgmobile", Platform: "sd855"},
 	} {
-		if _, err := s.Upload(k, "d0", devTable(3)); err != nil {
+		if _, err := upload(s, k, "d0", devTable(3)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Merge(k); err != nil {
+		if _, err := merge(s, k); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,8 +358,8 @@ func TestStoreSnapshotRestore(t *testing.T) {
 		{App: "spotify", Platform: "note9"},
 		{App: "pubgmobile", Platform: "sd855"},
 	} {
-		cold, _, _ := s.Policy(k)
-		hot, round, ok := warm.Policy(k)
+		cold, _, _ := policy(s, k)
+		hot, round, ok := policy(warm, k)
 		if !ok || round != 1 {
 			t.Fatalf("%s not restored", k)
 		}

@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -72,10 +73,10 @@ func TestServerWireNegotiation(t *testing.T) {
 	for _, c := range []*Client{bin, js} {
 		for seed := 1; seed <= 3; seed++ {
 			set := learner.SingleTableSet(devTable(seed))
-			if _, err := c.UploadTableSet("dev-a", "note9", "game", set.Clone()); err != nil {
+			if _, err := c.UploadTableSet("dev-a", "note9", "game", set.Clone(), 0); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.UploadTable("dev-b", "note9", "game", devTable(seed+7)); err != nil {
+			if _, err := c.UploadTableSet("dev-b", "note9", "game", learner.SingleTableSet(devTable(seed+7)), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -175,7 +176,7 @@ func TestServerDeltaUploadHTTP(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	base := learner.SingleTableSet(devTable(3))
-	reply, err := c.UploadTableSet("dev-a", "note9", "game", base.Clone())
+	reply, err := c.UploadTableSet("dev-a", "note9", "game", base.Clone(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +194,10 @@ func TestServerDeltaUploadHTTP(t *testing.T) {
 	delta.Steps = next.Primary().Steps
 
 	// Stale generation → 409 surfaced as ErrDeltaBase.
-	if _, err := c.UploadTableSetDelta("dev-a", "note9", "game",
-		learner.SingleTableSet(delta.Clone()), 99); !errors.Is(err, ErrDeltaBase) {
+	if _, err := c.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(delta.Clone()), 99); !errors.Is(err, ErrDeltaBase) {
 		t.Fatalf("stale delta err = %v, want ErrDeltaBase", err)
 	}
-	reply, err = c.UploadTableSetDelta("dev-a", "note9", "game",
-		learner.SingleTableSet(delta), reply.Gen)
+	reply, err = c.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(delta), reply.Gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +240,7 @@ func TestDeltaUploaderFallback(t *testing.T) {
 
 	// A competing session replaces the device's table: uploader's base
 	// generation is now stale.
-	if _, err := c.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(devTable(9))); err != nil {
+	if _, err := c.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(devTable(9)), 0); err != nil {
 		t.Fatal(err)
 	}
 	s3 := s2.Clone()
@@ -313,7 +312,7 @@ func TestFederateBinaryEnvelope(t *testing.T) {
 
 	srv, ts := newWireServer(t, Config{})
 	c := NewClient(ts.URL)
-	reply, err := c.Federate(req) // auto-selects the binary envelope
+	reply, err := c.Federate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,10 +329,10 @@ func TestFederateBinaryEnvelope(t *testing.T) {
 
 	ref, tsRef := newWireServer(t, Config{})
 	cr := NewClient(tsRef.URL)
-	if _, err := cr.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(devTable(1))); err != nil {
+	if _, err := cr.UploadTableSet("dev-a", "note9", "game", learner.SingleTableSet(devTable(1)), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cr.UploadTableSet("dev-b", "note9", "game", learner.SingleTableSet(devTable(2))); err != nil {
+	if _, err := cr.UploadTableSet("dev-b", "note9", "game", learner.SingleTableSet(devTable(2)), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cr.Merge("game", "note9"); err != nil {
@@ -342,5 +341,47 @@ func TestFederateBinaryEnvelope(t *testing.T) {
 	want, _, ok := ref.Store().PolicySetRef(Key{App: "game", Platform: "note9"})
 	if !ok || setHash(t, fed) != setHash(t, want) {
 		t.Fatal("federated mixed-encoding policy diverges from direct uploads")
+	}
+}
+
+// TestFederateRejectsJSONEnvelope pins NXTF as the only federation
+// envelope: a JSON push (or one with no Content-Type) is answered 415
+// and stores nothing, even when its bodies are valid tables.
+func TestFederateRejectsJSONEnvelope(t *testing.T) {
+	srv, ts := newWireServer(t, Config{})
+	body, err := core.MarshalTableSetCompact("game", learner.SingleTableSet(devTable(1)), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelope, err := json.Marshal(map[string]any{
+		"agg":     "edge-0",
+		"devices": []string{"dev-a"},
+		"uploads": []map[string]any{{"device": "dev-a", "platform": "note9", "body": json.RawMessage(body)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ct := range []string{"application/json", ""} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/federate", bytes.NewReader(envelope))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnsupportedMediaType {
+			t.Fatalf("Content-Type %q: status %d, want 415", ct, resp.StatusCode)
+		}
+	}
+	if keys, _, uploads := srv.Store().Stats(); keys != 0 || uploads != 0 {
+		t.Fatalf("rejected pushes reached the store: %d keys, %d tables", keys, uploads)
+	}
+	if h, err := NewClient(ts.URL).Healthz(); err != nil || h.Devices != 0 {
+		t.Fatalf("rejected pushes registered devices: %+v, %v", h, err)
 	}
 }

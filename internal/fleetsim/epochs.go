@@ -73,7 +73,7 @@ func runPhased(client *fleetd.Client, plat platform.Platform, opts Options) (Rep
 			if uploaders != nil {
 				_, err = uploaders[i].Upload(set)
 			} else {
-				_, err = client.UploadTableSet(d.Device, opts.Platform, opts.App, set)
+				_, err = client.UploadTableSet(d.Device, opts.Platform, opts.App, set, 0)
 			}
 			if err != nil {
 				d.Err = err.Error()
@@ -113,10 +113,11 @@ func runPhased(client *fleetd.Client, plat platform.Platform, opts Options) (Rep
 		trafficWall += time.Since(ts)
 	}
 
-	merged, _, err := client.Policy(opts.App, opts.Platform)
+	pulled, _, err := client.PolicySet(opts.App, opts.Platform)
 	if err != nil {
 		return report, fmt.Errorf("fleetsim: final policy pull: %w", err)
 	}
+	merged := pulled.Primary()
 	requests.Add(1)
 	report.Merged = merged
 

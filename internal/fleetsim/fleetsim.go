@@ -337,10 +337,11 @@ func Run(baseURL string, opts Options) (Report, error) {
 				return report, fmt.Errorf("fleetsim: final merge of %s: %w", app, err)
 			}
 			requests.Add(1)
-			merged, _, err := client.Policy(app, opts.Platform)
+			pulled, _, err := client.PolicySet(app, opts.Platform)
 			if err != nil {
 				return report, fmt.Errorf("fleetsim: final policy pull of %s: %w", app, err)
 			}
+			merged := pulled.Primary()
 			requests.Add(1)
 			if len(opts.Scenarios) > 0 {
 				report.PerApp = append(report.PerApp, AppMerge{App: app, Merge: info, Merged: merged})

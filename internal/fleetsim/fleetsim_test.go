@@ -10,6 +10,7 @@ import (
 	"nextdvfs/internal/cloud"
 	"nextdvfs/internal/core"
 	"nextdvfs/internal/fleetd"
+	"nextdvfs/internal/learner"
 )
 
 func startServer(t *testing.T) (*fleetd.Server, string, func()) {
@@ -288,18 +289,18 @@ func TestFleetScenarioHeterogeneousMerge(t *testing.T) {
 	}
 
 	for _, am := range report.PerApp {
-		var tables []*core.QTable
+		var sets []*learner.TableSet
 		devs := 0
 		for _, d := range report.Devices { // device order == sorted name order
 			if tab, ok := d.Tables[am.App]; ok {
-				tables = append(tables, tab.Clone())
+				sets = append(sets, learner.SingleTableSet(tab.Clone()))
 				devs++
 			}
 		}
 		if devs != am.Merge.Devices {
 			t.Fatalf("%s: server merged %d devices, fleet holds %d", am.App, am.Merge.Devices, devs)
 		}
-		serial, err := cloud.MergeTables(tables)
+		serial, err := cloud.MergeTableSets(sets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,12 +308,12 @@ func TestFleetScenarioHeterogeneousMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantJSON, err := core.MarshalTable(am.App, serial, true)
+		wantJSON, err := core.MarshalTable(am.App, serial.Primary(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Fatalf("%s: concurrent scenario-fleet merge differs from serial cloud.MergeTables", am.App)
+			t.Fatalf("%s: concurrent scenario-fleet merge differs from serial cloud.MergeTableSets", am.App)
 		}
 	}
 

@@ -121,7 +121,7 @@ func runRollout(baseURL string, opts Options) (Report, error) {
 		if _, err := client.Checkin(deviceName(i), opts.Platform); err != nil {
 			return report, fmt.Errorf("fleetsim: %w", err)
 		}
-		if _, err := client.UploadTableSet(deviceName(i), opts.Platform, opts.App, agents[i].SnapshotFor(opts.App)); err != nil {
+		if _, err := client.UploadTableSet(deviceName(i), opts.Platform, opts.App, agents[i].SnapshotFor(opts.App), 0); err != nil {
 			return report, fmt.Errorf("fleetsim: %w", err)
 		}
 		requests += 2
@@ -152,7 +152,7 @@ func runRollout(baseURL string, opts Options) (Report, error) {
 		if ro.Sabotage {
 			up = sabotageSet(up)
 		}
-		if _, err := client.UploadTableSet(deviceName(i), opts.Platform, opts.App, up); err != nil {
+		if _, err := client.UploadTableSet(deviceName(i), opts.Platform, opts.App, up, 0); err != nil {
 			return report, fmt.Errorf("fleetsim: %w", err)
 		}
 		requests++
@@ -230,10 +230,11 @@ func runRollout(baseURL string, opts Options) (Report, error) {
 		report.CheckinsPerSec = float64(opts.Devices) / report.TrafficWallS
 		report.RequestsPerSec = float64(report.Requests) / report.TrafficWallS
 	}
-	merged, _, err := client.Policy(opts.App, opts.Platform)
+	pulled, _, err := client.PolicySet(opts.App, opts.Platform)
 	if err != nil {
 		return report, fmt.Errorf("fleetsim: final policy pull: %w", err)
 	}
+	merged := pulled.Primary()
 	report.Merged = merged
 	return report, nil
 }

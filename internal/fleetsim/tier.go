@@ -94,7 +94,7 @@ const (
 func uploadWithBackpressure(client *fleetd.Client, device, platform, app string,
 	set *core.TableSet, retries *atomic.Int64) (fleetd.UploadReply, error) {
 	for attempt := 0; ; attempt++ {
-		reply, err := client.UploadTableSet(device, platform, app, set)
+		reply, err := client.UploadTableSet(device, platform, app, set, 0)
 		var ra *fleetd.RetryAfterError
 		if err == nil || !errors.As(err, &ra) || attempt >= maxUploadRetries {
 			return reply, err
@@ -141,10 +141,11 @@ func runEpochPhase(rootClient *fleetd.Client, tier *aggTier, report *Report,
 		if !ok {
 			return fmt.Errorf("fleetsim: federation epoch produced no root merge for %s", app)
 		}
-		merged, _, err := rootClient.Policy(app, opts.Platform)
+		pulled, _, err := rootClient.PolicySet(app, opts.Platform)
 		if err != nil {
 			return fmt.Errorf("fleetsim: final policy pull of %s: %w", app, err)
 		}
+		merged := pulled.Primary()
 		requests.Add(1)
 		if len(opts.Scenarios) > 0 {
 			report.PerApp = append(report.PerApp, AppMerge{App: app, Merge: info, Merged: merged})
