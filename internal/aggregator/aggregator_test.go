@@ -449,7 +449,7 @@ func TestUploadReplyCarriesBackpressureHint(t *testing.T) {
 
 	put := func(dev string) UploadReply {
 		t.Helper()
-		data, err := core.MarshalTableCompact("spotify", devTable(1), false)
+		data, err := core.MarshalTableSetCompact("spotify", learner.SingleTableSet(devTable(1)), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,7 +485,7 @@ func TestFederateRejectsPoisonedItemsIndividually(t *testing.T) {
 	rootSrv, rootTS := newRoot(t, fleetd.Config{})
 	rootClient := fleetd.NewClient(rootTS.URL)
 
-	good, err := core.MarshalTableCompact("spotify", devTable(1), false)
+	good, err := core.MarshalTableSetCompact("spotify", learner.SingleTableSet(devTable(1)), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestRejectedReuploadKeepsQueuedBody(t *testing.T) {
 	wide := core.NewQTable(12)
 	wide.Q[1] = make([]float64, 12)
 	wide.Visits[1] = 1
-	body, err := core.MarshalTableCompact("spotify", wide, false)
+	body, err := core.MarshalTableSetCompact("spotify", learner.SingleTableSet(wide), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"nextdvfs/internal/cloud"
 	"nextdvfs/internal/core"
 	"nextdvfs/internal/fleetd"
+	"nextdvfs/internal/learner"
 	"nextdvfs/internal/rollout"
 )
 
@@ -48,7 +49,7 @@ func expectStatus(t *testing.T, rec *httptest.ResponseRecorder, want int, what s
 
 func tableBody(t *testing.T, seed int) []byte {
 	t.Helper()
-	data, err := core.MarshalTableCompact("spotify", devTable(seed), false)
+	data, err := core.MarshalTableSetCompact("spotify", learner.SingleTableSet(devTable(seed)), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,36 +117,15 @@ func lockstepSpans(jobs []Job) []span {
 // runLockstep executes jobs[start:end) through one sim.BatchEngine.
 // Fallback is total, not partial: if any lane fails to build, or the
 // configs turn out not to be lockstep-compatible, every job in the span
-// runs on its own scalar engine — same results (lockstep lanes are
-// bit-identical to scalar runs), just without the shared tick loop.
+// runs through runJob on its own scalar engine — same results (lockstep
+// lanes are bit-identical to scalar runs), just without the shared tick
+// loop. Re-running Build is safe: it returns independent configs every
+// call.
 func runLockstep(jobs []Job, start, end int, results []RunResult) {
-	k := end - start
-	cfgs := make([]sim.Config, k)
-	for r := 0; r < k; r++ {
-		cfg, err := jobs[start+r].Build()
-		if err != nil {
-			for i := start; i < end; i++ {
-				results[i] = runJob(i, jobs[i])
-			}
-			return
-		}
-		cfgs[r] = cfg
-	}
-	be, err := sim.NewBatch(cfgs)
+	be, err := buildBatch(jobs[start:end])
 	if err != nil {
-		// Mis-keyed span: the configs are already built (Build must
-		// return independent configs every call, and NewBatch does not
-		// consume them on error), so run them scalar.
-		for r := 0; r < k; r++ {
-			i := start + r
-			j := jobs[i]
-			results[i] = RunResult{Index: i, App: j.App, Scheme: j.Scheme, Platform: j.Platform, Seed: j.Seed}
-			eng, err := sim.New(cfgs[r])
-			if err != nil {
-				results[i].Err = err.Error()
-				continue
-			}
-			results[i].Result = eng.Run()
+		for i := start; i < end; i++ {
+			results[i] = runJob(i, jobs[i])
 		}
 		return
 	}
@@ -155,6 +134,19 @@ func runLockstep(jobs []Job, start, end int, results []RunResult) {
 		j := jobs[i]
 		results[i] = RunResult{Index: i, App: j.App, Scheme: j.Scheme, Platform: j.Platform, Seed: j.Seed, Result: res}
 	}
+}
+
+// buildBatch builds every job's config and one lockstep engine over them.
+func buildBatch(jobs []Job) (*sim.BatchEngine, error) {
+	cfgs := make([]sim.Config, len(jobs))
+	for r, j := range jobs {
+		cfg, err := j.Build()
+		if err != nil {
+			return nil, err
+		}
+		cfgs[r] = cfg
+	}
+	return sim.NewBatch(cfgs)
 }
 
 func runJob(i int, j Job) RunResult {

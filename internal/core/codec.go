@@ -129,15 +129,6 @@ func MarshalTableSetBinary(app string, set *TableSet, trained bool) ([]byte, err
 	return buf, nil
 }
 
-// MarshalTableBinary is MarshalTableSetBinary for a single-table
-// (watkins) policy.
-func MarshalTableBinary(app string, t *QTable, trained bool) ([]byte, error) {
-	if t == nil {
-		return nil, fmt.Errorf("core: nil table for %q", app)
-	}
-	return MarshalTableSetBinary(app, learner.SingleTableSet(t), trained)
-}
-
 // binSetSize estimates the encoded size so the encoder allocates once.
 func binSetSize(app string, set *TableSet) int {
 	n := 6 + len(app) + len(set.Learner) + 24

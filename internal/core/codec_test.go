@@ -168,7 +168,7 @@ func TestBinaryCodecRejectsHostileInputs(t *testing.T) {
 	q := NewQTable(1)
 	q.Q[StateKey(3)] = []float64{1}
 	q.Q[StateKey(4)] = []float64{2}
-	data, err := MarshalTableBinary("x", q, false)
+	data, err := MarshalTableSetBinary("x", learner.SingleTableSet(q), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,17 +48,6 @@ func MarshalTable(app string, t *QTable, trained bool) ([]byte, error) {
 	return MarshalTableSet(app, learner.SingleTableSet(t), trained)
 }
 
-// MarshalTableCompact is MarshalTable without indentation — the wire
-// format for network transfer (fleetd uploads), where nobody reads the
-// JSON and the whitespace is pure parse and transfer cost. Both forms
-// unmarshal identically.
-func MarshalTableCompact(app string, t *QTable, trained bool) ([]byte, error) {
-	if t == nil {
-		return nil, fmt.Errorf("core: nil table for %q", app)
-	}
-	return MarshalTableSetCompact(app, learner.SingleTableSet(t), trained)
-}
-
 // MarshalTableSet serializes a learner's complete table state.
 func MarshalTableSet(app string, set *TableSet, trained bool) ([]byte, error) {
 	dto, err := setToDTO(app, set, trained)

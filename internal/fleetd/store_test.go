@@ -239,7 +239,7 @@ func TestStoreClampsHostileUploads(t *testing.T) {
 	}
 	// The poisoned-but-sanitized policy must still marshal (the exact
 	// failure mode of unclamped Inf).
-	if _, err := core.MarshalTableCompact(k.App, got, true); err != nil {
+	if _, err := core.MarshalTableSetCompact(k.App, learner.SingleTableSet(got), true); err != nil {
 		t.Fatalf("merged policy no longer marshals: %v", err)
 	}
 	if got.Steps < 0 || got.TrainedUS < 0 {

@@ -546,20 +546,12 @@ func trainCohort(devices []DeviceResult, agents []*core.Agent, plat platform.Pla
 			cfg.Controller = laneAgents[r]
 			cfgs[r] = cfg
 		}
+		// Every lane compiles the same session structure, so NewBatch
+		// rejects a cohort only for the reasons sim.New would.
 		be, err := sim.NewBatch(cfgs)
 		if err != nil {
-			// Structural incompatibility is impossible by construction;
-			// defensively finish the round on scalar engines so training
-			// still completes.
-			for r := range cfgs {
-				eng, err := sim.New(cfgs[r])
-				if err != nil {
-					failCohort(devices, devs, err)
-					return
-				}
-				eng.Run()
-			}
-			continue
+			failCohort(devices, devs, err)
+			return
 		}
 		be.Run()
 	}

@@ -2,40 +2,29 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 
-	"nextdvfs/internal/ctrl"
-	"nextdvfs/internal/display"
 	"nextdvfs/internal/frand"
-	"nextdvfs/internal/governor"
-	"nextdvfs/internal/power"
-	"nextdvfs/internal/session"
-	"nextdvfs/internal/soc"
-	"nextdvfs/internal/stats"
 	"nextdvfs/internal/thermal"
 	"nextdvfs/internal/workload"
 )
 
 // BatchEngine steps k identically-structured runs in lockstep through
-// one shared tick loop. The sweep-invariant structure — timeline
-// cursor, per-OPP power/capacity tables, thermal neighbor lists,
-// ambient/refresh schedules — is walked and indexed once per tick and
-// shared by every lane; everything mutable is struct-of-arrays: the
-// per-cluster utilization windows, renderer pipeline state and cadence
-// clocks live in cluster-major parallel slices (cluster i, lane r at
-// [i*k+r]) and the thermal node temperatures in a node-major
-// thermal.Batch, so the hot integration loops load each table entry
-// once and sweep contiguous lanes.
+// one shared tick loop. It is the engine core at width k with batched
+// kernels: the timeline cursor, per-OPP tables and environment
+// schedules are walked once per tick for every lane, the power
+// integration sweeps each cluster across contiguous lanes (four at a
+// time with AVX2), and the thermal node temperatures live node-major in
+// a thermal.Batch.
 //
 // Bit-identity is the contract, not a best effort: lane r of a batch
 // produces byte-for-byte the Result that a scalar Engine produces from
 // cfgs[r] alone. The tick loop is stage-major (workload, power,
-// thermal, display, governor/controller — each stage sweeps all lanes
-// before the next begins), but within a lane the arithmetic touches
-// only that lane's state in exactly the scalar order, and lanes never
-// mix floating-point terms, so reordering across lanes cannot perturb
-// any lane's values. TestBatchMatchesScalarEngine pins this
-// differentially for every platform × scenario preset.
+// thermal, then the per-lane step — each stage sweeps all lanes before
+// the next begins), but within a lane the arithmetic touches only that
+// lane's state in exactly the scalar order, and lanes never mix
+// floating-point terms, so reordering across lanes cannot perturb any
+// lane's values. TestBatchMatchesScalarEngine pins this differentially
+// for every platform × scenario preset.
 //
 // Lanes may differ in seed, governor/controller (scheme), record
 // cadence, base-power fractions and fault hooks; NewBatch rejects
@@ -44,42 +33,9 @@ import (
 // identical, so callers can attempt batching and fall back to scalar
 // engines on error.
 type BatchEngine struct {
-	k, nc int
-	cfgs  []Config
-
-	// shared immutable structure (validated identical across lanes, then
-	// taken from lane 0).
-	powTbl     []*power.Table
-	capPerTick [][]float64
-	maxCapTick []float64
-	tempCo     []float64 // per cluster: Table.TempCo
-	idleW      []float64 // per cluster: Table.IdleW
-	bigPerCore []float64
-	gpuDrain   []float64
-	bigIdx     int
-	gpuIdx     int
-	bigCoresF  float64
-	bgSel      []int // cluster i -> which Demand field feeds its background load
-	nodeIdx    []int
-	skinIdx    int
-	bigTempI   int
-	opps       [][]int
-	cursor     *session.Cursor
-	nativeHz   int
-	tickUS     int64
-	dtSec      float64
-	therm      *thermal.Batch
-	sensor     *thermal.VirtualSensor
-
-	// per-lane subsystem instances, lane-indexed [k] (clusters is
-	// cluster-major [nc*k]; apps is script-major [nScripts][k]).
-	clusters []*soc.Cluster
-	displays []*display.Pipeline
-	govs     []governor.Governor
-	boosters []governor.InputBooster
-	ctrls    []ctrl.Controller
-	rngs     []*rand.Rand
-	apps     [][]workload.App
+	lanes
+	therm  *thermal.Batch
+	sensor *thermal.VirtualSensor
 
 	// fast is set when every app in every lane is a *workload.ProfileApp:
 	// the tick loop then takes the devirtualized TickFast/StartFrameFast
@@ -87,43 +43,12 @@ type BatchEngine struct {
 	// App interface over the standard Rand.
 	fast  bool
 	frngs []*frand.Rand
-	pApps [][]*workload.ProfileApp
+	pApps []*workload.ProfileApp // [nScripts*k], like apps
 
-	// struct-of-arrays mutable state. Cluster-major [nc*k] unless noted.
-	// The frame-pipeline state is the exception: it is branchy and
-	// accessed as a unit per lane, so it lives as one small struct per
-	// lane ([k]) — a single bounds check per lane instead of six.
-	rend         []rendState // [k]
-	busyCycles   []float64
-	curCapCycles []float64
-	maxCapCycles []float64
-	utilEWMA     []stats.EWMA
-	lastUtil     []float64
-	tickRender   []float64
-	// DVFS mirror: the current OPP's per-tick capacity and power-table
-	// row for every lane-cluster, plus the renderer drain rates, cached
-	// flat so the per-tick loops never chase cluster pointers or index
-	// OPP tables. Clusters only change OPP inside governor decisions,
-	// controller actuation and the run prologue — syncDVFS refreshes the
-	// mirror at exactly those points.
-	capCurTick  []float64 // [nc*k]
-	dynCur      []float64 // [nc*k]
-	leakCur     []float64 // [nc*k]
-	bigDrainPC  []float64 // [k] big-cluster per-core drain at cur OPP
-	gpuDrainCur []float64 // [k] GPU drain per tick at cur OPP
-	powerBuf    []float64 // node-major [numNodes*k]
-	lastPowerW  []float64 // [k]
-	ctlPowerSum []float64 // [k]
-	ctlPowerN   []int     // [k]
-	nextGovUS   []int64   // [k]
-	nextObsUS   []int64   // [k]
-	nextCtlUS   []int64   // [k]
-	nextRecUS   []int64   // [k]
-
-	// per-lane hot-loop constants mirrored out of cfgs.
-	baseW    []float64 // [k]
-	skinFrac []float64 // [k]
-	offFrac  []float64 // [k]
+	// per-lane hot-loop constants mirrored out of cfgs, [k].
+	baseW    []float64
+	skinFrac []float64
+	offFrac  []float64
 
 	// per-tick lane scratch, [k]. The demand fields are mirrored into
 	// struct-of-arrays form (demBig/demLittle/demGPU) so integratePower's
@@ -141,21 +66,12 @@ type BatchEngine struct {
 	sinkZero  []float64 // discard row for chips with neither node nor skin
 	rendering []bool
 	tickPower []float64
+	powerBuf  []float64 // node-major [numNodes*k]
 
 	// Kernel operands per cluster, resolved once by buildIPArgs.
 	ip       []ipArgs
 	zeroRows []int // powerBuf rows accumulated into per tick
 	needAmb  bool  // some cluster has no thermal node
-
-	// per-lane controller/reporting scratch. Each lane gets its own view
-	// and snapshot buffers so a controller that retains a slice past its
-	// call can never observe another lane's data.
-	views       [][]ctrl.ClusterView
-	obsBufs     [][]governor.Observation
-	snapScratch []ctrl.Snapshot
-	sampleInts  [][]int
-	sampleUtils [][]float64
-	results     []Result
 }
 
 // ipArgs is one cluster's resolved power-integration operands: fixed
@@ -166,27 +82,6 @@ type ipArgs struct {
 	dynCur, leakCur, nodeT, sink                  []float64
 	capMax, tempCo, idleW                         float64
 }
-
-// rendState is one lane's two-stage frame pipeline — the same fields
-// the scalar Engine keeps inline.
-type rendState struct {
-	cpuJob       workload.FrameJob
-	cpuRemaining float64
-	gpuRemaining float64
-	cpuActive    bool
-	gpuActive    bool
-	gpuDone      bool
-}
-
-// Background-demand routing per cluster, resolved once at construction
-// so integratePower's inner loop switches on a small int instead of
-// comparing cluster pointers per lane.
-const (
-	bgNone = iota
-	bgBig
-	bgLittle
-	bgGPU
-)
 
 // NewBatch builds a lockstep engine over k configs. Configs are
 // validated and defaulted like New does, then checked for structural
@@ -217,181 +112,26 @@ func NewBatch(cfgs []Config) (*BatchEngine, error) {
 	if err := checkDistinctLanes(local); err != nil {
 		return nil, err
 	}
-	if _, ok := base.Thermal.Index(thermal.NodeBig); !ok {
-		return nil, fmt.Errorf("sim: batch needs a %q thermal node", thermal.NodeBig)
-	}
 
-	b := &BatchEngine{k: k, cfgs: local}
-	nc := len(base.Chip.Clusters)
-	b.nc = nc
-	b.tickUS = base.TickUS
-	b.dtSec = float64(base.TickUS) / 1e6
-	b.nativeHz = base.Display.RefreshHz
-	b.cursor = session.NewCursor(base.Timeline)
-	b.therm = thermal.NewBatch(base.Thermal, k)
-	b.sensor = base.DevSense
+	b := &BatchEngine{
+		therm:  thermal.NewBatch(base.Thermal, k),
+		sensor: base.DevSense,
+	}
+	b.init(local, &b.therm.AmbientC)
 
-	// Shared per-cluster tables, identical to what New precomputes for
-	// lane 0 — and, by the compatibility check, to what it would compute
-	// for every other lane.
-	var big0, little0, gpu0 *soc.Cluster
-	for _, c := range base.Chip.Clusters {
-		switch c.Name {
-		case soc.ClusterBig:
-			big0 = c
-		case soc.ClusterLITTLE:
-			little0 = c
-		case soc.ClusterGPU:
-			gpu0 = c
-		}
-	}
-	if big0 == nil || gpu0 == nil {
-		for _, c := range base.Chip.Clusters {
-			if big0 == nil && c.Kind == soc.KindCPU {
-				big0 = c
-			}
-			if gpu0 == nil && c.Kind == soc.KindGPU {
-				gpu0 = c
-			}
-		}
-	}
-	b.powTbl = make([]*power.Table, nc)
-	b.capPerTick = make([][]float64, nc)
-	b.maxCapTick = make([]float64, nc)
-	b.tempCo = make([]float64, nc)
-	b.idleW = make([]float64, nc)
-	b.opps = make([][]int, nc)
-	b.nodeIdx = make([]int, nc)
-	b.bgSel = make([]int, nc)
-	b.bigIdx, b.gpuIdx = -1, -1
-	for i, c := range base.Chip.Clusters {
-		b.powTbl[i] = base.Power.Table(c)
-		b.tempCo[i] = b.powTbl[i].TempCo()
-		b.idleW[i] = b.powTbl[i].IdleW()
-		caps := make([]float64, c.NumOPPs())
-		khz := make([]int, c.NumOPPs())
-		for j := range caps {
-			caps[j] = float64(c.OPPAt(j).FreqKHz) * 1e3 * c.IPC * float64(c.Cores) * b.dtSec
-			khz[j] = c.OPPAt(j).FreqKHz
-		}
-		b.capPerTick[i] = caps
-		b.maxCapTick[i] = caps[len(caps)-1]
-		b.opps[i] = khz
-		if idx, ok := base.Thermal.Index(c.Name); ok {
-			b.nodeIdx[i] = idx
-		} else {
-			b.nodeIdx[i] = -1
-		}
-		// Same case order as the scalar engine's background switch.
-		switch {
-		case c == big0:
-			b.bgSel[i] = bgBig
-		case c == little0:
-			b.bgSel[i] = bgLittle
-		case c == gpu0:
-			b.bgSel[i] = bgGPU
-		default:
-			b.bgSel[i] = bgNone
-		}
-		if c == big0 {
-			b.bigIdx = i
-		}
-		if c == gpu0 {
-			b.gpuIdx = i
-		}
-	}
-	if big0 != nil {
-		b.bigPerCore = make([]float64, big0.NumOPPs())
-		for j := range b.bigPerCore {
-			b.bigPerCore[j] = float64(big0.OPPAt(j).FreqKHz) * 1e3 * big0.IPC
-		}
-		b.bigCoresF = float64(big0.Cores)
-	}
-	if gpu0 != nil {
-		b.gpuDrain = make([]float64, gpu0.NumOPPs())
-		for j := range b.gpuDrain {
-			b.gpuDrain[j] = float64(gpu0.OPPAt(j).FreqKHz) * 1e3 * gpu0.IPC * float64(gpu0.Cores) * b.dtSec
-		}
-	}
-	if skin, ok := base.Thermal.Index(thermal.NodeSkin); ok {
-		b.skinIdx = skin
-	} else {
-		b.skinIdx = -1
-	}
-	b.bigTempI = base.Thermal.MustIndex(thermal.NodeBig)
-
-	// Per-lane subsystems. Clusters are re-resolved per lane — the
-	// structural check guarantees the name/kind resolution lands on the
-	// same chip indices in every lane.
-	b.clusters = make([]*soc.Cluster, nc*k)
-	b.displays = make([]*display.Pipeline, k)
-	b.govs = make([]governor.Governor, k)
-	b.boosters = make([]governor.InputBooster, k)
-	b.ctrls = make([]ctrl.Controller, k)
-	b.rngs = make([]*rand.Rand, k)
-	for r := range local {
-		cfg := &local[r]
-		for i, c := range cfg.Chip.Clusters {
-			b.clusters[i*k+r] = c
-		}
-		b.displays[r] = cfg.Display
-		b.govs[r] = cfg.Governor
-		b.boosters[r], _ = cfg.Governor.(governor.InputBooster)
-		b.ctrls[r] = cfg.Controller
-		b.rngs[r] = rand.New(rand.NewSource(cfg.Seed))
-	}
-	nScripts := len(base.Timeline.Scripts)
-	b.apps = make([][]workload.App, nScripts)
+	b.pApps = make([]*workload.ProfileApp, len(b.apps))
 	b.fast = true
-	for si := range b.apps {
-		lanes := make([]workload.App, k)
-		for r := range local {
-			lanes[r] = local[r].Timeline.Scripts[si].App
-			if _, ok := lanes[r].(*workload.ProfileApp); !ok {
-				b.fast = false
-			}
-		}
-		b.apps[si] = lanes
+	for i, app := range b.apps {
+		b.pApps[i], _ = app.(*workload.ProfileApp)
+		b.fast = b.fast && b.pApps[i] != nil
 	}
 	if b.fast {
-		b.pApps = make([][]*workload.ProfileApp, nScripts)
-		for si := range b.apps {
-			lanes := make([]*workload.ProfileApp, k)
-			for r := range b.apps[si] {
-				lanes[r] = b.apps[si][r].(*workload.ProfileApp)
-			}
-			b.pApps[si] = lanes
-		}
 		b.frngs = make([]*frand.Rand, k)
 		for r := range local {
 			b.frngs[r] = frand.New(local[r].Seed)
 		}
 	}
 
-	// SoA state and scratch.
-	b.rend = make([]rendState, k)
-	b.busyCycles = make([]float64, nc*k)
-	b.curCapCycles = make([]float64, nc*k)
-	b.maxCapCycles = make([]float64, nc*k)
-	b.utilEWMA = make([]stats.EWMA, nc*k)
-	for i := range b.utilEWMA {
-		b.utilEWMA[i].Alpha = 0.5
-	}
-	b.lastUtil = make([]float64, nc*k)
-	b.tickRender = make([]float64, nc*k)
-	b.capCurTick = make([]float64, nc*k)
-	b.dynCur = make([]float64, nc*k)
-	b.leakCur = make([]float64, nc*k)
-	b.bigDrainPC = make([]float64, k)
-	b.gpuDrainCur = make([]float64, k)
-	b.powerBuf = make([]float64, base.Thermal.NumNodes()*k)
-	b.lastPowerW = make([]float64, k)
-	b.ctlPowerSum = make([]float64, k)
-	b.ctlPowerN = make([]int, k)
-	b.nextGovUS = make([]int64, k)
-	b.nextObsUS = make([]int64, k)
-	b.nextCtlUS = make([]int64, k)
-	b.nextRecUS = make([]int64, k)
 	b.baseW = make([]float64, k)
 	b.skinFrac = make([]float64, k)
 	b.offFrac = make([]float64, k)
@@ -411,15 +151,7 @@ func NewBatch(cfgs []Config) (*BatchEngine, error) {
 	b.sinkZero = make([]float64, k)
 	b.rendering = make([]bool, k)
 	b.tickPower = make([]float64, k)
-	b.views = make([][]ctrl.ClusterView, k)
-	b.obsBufs = make([][]governor.Observation, k)
-	for r := 0; r < k; r++ {
-		b.views[r] = make([]ctrl.ClusterView, nc)
-		b.obsBufs[r] = make([]governor.Observation, nc)
-	}
-	b.snapScratch = make([]ctrl.Snapshot, k)
-	b.sampleInts = make([][]int, k)
-	b.sampleUtils = make([][]float64, k)
+	b.powerBuf = make([]float64, base.Thermal.NumNodes()*k)
 	b.buildIPArgs()
 	return b, nil
 }
@@ -439,8 +171,8 @@ func (b *BatchEngine) buildIPArgs() {
 		a := &b.ip[i]
 		cb := i * k
 		a.capMax = b.maxCapTick[i]
-		a.tempCo = b.tempCo[i]
-		a.idleW = b.idleW[i]
+		a.tempCo = b.powTbl[i].TempCo()
+		a.idleW = b.powTbl[i].IdleW()
 		a.capCur = b.capCurTick[cb:][:k:k]
 		a.dynCur = b.dynCur[cb:][:k:k]
 		a.leakCur = b.leakCur[cb:][:k:k]
@@ -490,213 +222,13 @@ func (b *BatchEngine) buildIPArgs() {
 // Lanes returns the batch width k.
 func (b *BatchEngine) Lanes() int { return b.k }
 
-// lockstepCompatible reports why cfg cannot share a lockstep structure
-// with base: any divergence in timeline shape, chip OPP tables, power
-// constants, thermal network, sensor blend, panel rate, schedules or
-// tick step. Seeds, governors/controllers, cadences, base-power
-// fractions and fault hooks are free to differ per lane.
-func lockstepCompatible(base, cfg *Config) error {
-	if cfg.TickUS != base.TickUS {
-		return fmt.Errorf("tick %dµs differs from lane 0's %dµs", cfg.TickUS, base.TickUS)
-	}
-	if err := timelinesStructEqual(base.Timeline, cfg.Timeline); err != nil {
-		return err
-	}
-	if err := chipsStructEqual(base.Chip, cfg.Chip); err != nil {
-		return err
-	}
-	if cfg.Power.BaseW != base.Power.BaseW {
-		return fmt.Errorf("base power %v differs from lane 0's %v", cfg.Power.BaseW, base.Power.BaseW)
-	}
-	for i, c := range base.Chip.Clusters {
-		if !base.Power.Table(c).Equal(cfg.Power.Table(cfg.Chip.Clusters[i])) {
-			return fmt.Errorf("power table for cluster %q differs from lane 0", c.Name)
-		}
-	}
-	if !base.Thermal.StructEqual(cfg.Thermal) {
-		return fmt.Errorf("thermal network differs from lane 0")
-	}
-	if !base.DevSense.BlendEqual(cfg.DevSense) {
-		return fmt.Errorf("device-sensor blend differs from lane 0")
-	}
-	if cfg.Display.RefreshHz != base.Display.RefreshHz {
-		return fmt.Errorf("panel rate %d Hz differs from lane 0's %d Hz", cfg.Display.RefreshHz, base.Display.RefreshHz)
-	}
-	if (base.Ambient == nil) != (cfg.Ambient == nil) {
-		return fmt.Errorf("ambient schedule presence differs from lane 0")
-	}
-	if base.Ambient != nil {
-		as, bs := base.Ambient.Steps(), cfg.Ambient.Steps()
-		if len(as) != len(bs) {
-			return fmt.Errorf("ambient schedule differs from lane 0")
-		}
-		for i := range as {
-			if as[i] != bs[i] {
-				return fmt.Errorf("ambient schedule differs from lane 0")
-			}
-		}
-	}
-	if (base.Refresh == nil) != (cfg.Refresh == nil) {
-		return fmt.Errorf("refresh schedule presence differs from lane 0")
-	}
-	if base.Refresh != nil {
-		as, bs := base.Refresh.Steps(), cfg.Refresh.Steps()
-		if len(as) != len(bs) {
-			return fmt.Errorf("refresh schedule differs from lane 0")
-		}
-		for i := range as {
-			if as[i] != bs[i] {
-				return fmt.Errorf("refresh schedule differs from lane 0")
-			}
-		}
-	}
-	return nil
-}
-
-func timelinesStructEqual(a, b *session.Timeline) error {
-	if len(a.Scripts) != len(b.Scripts) {
-		return fmt.Errorf("timeline has %d scripts, lane 0 has %d", len(b.Scripts), len(a.Scripts))
-	}
-	for si := range a.Scripts {
-		sa, sb := &a.Scripts[si], &b.Scripts[si]
-		if sa.App.Name() != sb.App.Name() {
-			return fmt.Errorf("script %d app %q differs from lane 0's %q", si, sb.App.Name(), sa.App.Name())
-		}
-		if len(sa.Phases) != len(sb.Phases) {
-			return fmt.Errorf("script %d phase count differs from lane 0", si)
-		}
-		for pi := range sa.Phases {
-			if sa.Phases[pi] != sb.Phases[pi] {
-				return fmt.Errorf("script %d phase %d differs from lane 0", si, pi)
-			}
-		}
-	}
-	return nil
-}
-
-func chipsStructEqual(a, b *soc.Chip) error {
-	if len(a.Clusters) != len(b.Clusters) {
-		return fmt.Errorf("chip has %d clusters, lane 0 has %d", len(b.Clusters), len(a.Clusters))
-	}
-	for i, ca := range a.Clusters {
-		cb := b.Clusters[i]
-		if ca.Name != cb.Name || ca.Kind != cb.Kind || ca.Cores != cb.Cores || ca.IPC != cb.IPC {
-			return fmt.Errorf("cluster %d (%q) differs from lane 0", i, cb.Name)
-		}
-		if ca.NumOPPs() != cb.NumOPPs() {
-			return fmt.Errorf("cluster %q OPP count differs from lane 0", cb.Name)
-		}
-		for j := 0; j < ca.NumOPPs(); j++ {
-			if ca.OPPAt(j) != cb.OPPAt(j) {
-				return fmt.Errorf("cluster %q OPP %d differs from lane 0", cb.Name, j)
-			}
-		}
-	}
-	return nil
-}
-
-// checkDistinctLanes rejects configs that share mutable subsystem
-// instances between lanes: a shared chip, display, governor, thermal
-// model, controller or app would make the lanes stomp each other's
-// state mid-tick. (Schedules are fine to share — the batch only walks
-// lane 0's — and so is DevSense, which the batch reads structurally.)
-func checkDistinctLanes(cfgs []Config) error {
-	chips := make(map[*soc.Chip]int, len(cfgs))
-	therms := make(map[*thermal.Model]int, len(cfgs))
-	disps := make(map[*display.Pipeline]int, len(cfgs))
-	govs := make(map[governor.Governor]int, len(cfgs))
-	ctrls := make(map[ctrl.Controller]int, len(cfgs))
-	apps := make(map[workload.App]int, len(cfgs))
-	for r := range cfgs {
-		cfg := &cfgs[r]
-		if p, dup := chips[cfg.Chip]; dup {
-			return fmt.Errorf("sim: batch lanes %d and %d share a chip", p, r)
-		}
-		chips[cfg.Chip] = r
-		if p, dup := therms[cfg.Thermal]; dup {
-			return fmt.Errorf("sim: batch lanes %d and %d share a thermal model", p, r)
-		}
-		therms[cfg.Thermal] = r
-		if p, dup := disps[cfg.Display]; dup {
-			return fmt.Errorf("sim: batch lanes %d and %d share a display pipeline", p, r)
-		}
-		disps[cfg.Display] = r
-		if p, dup := govs[cfg.Governor]; dup {
-			return fmt.Errorf("sim: batch lanes %d and %d share a governor", p, r)
-		}
-		govs[cfg.Governor] = r
-		if cfg.Controller != nil {
-			if p, dup := ctrls[cfg.Controller]; dup {
-				return fmt.Errorf("sim: batch lanes %d and %d share a controller", p, r)
-			}
-			ctrls[cfg.Controller] = r
-		}
-		for si := range cfg.Timeline.Scripts {
-			app := cfg.Timeline.Scripts[si].App
-			if p, dup := apps[app]; dup && p != r {
-				return fmt.Errorf("sim: batch lanes %d and %d share app instance %q — compile one timeline per lane", p, r, app.Name())
-			}
-			apps[app] = r
-		}
-	}
-	return nil
-}
-
 // Run executes all lanes and returns their Results in lane order. Each
 // Result is byte-identical to what a scalar Engine built from the same
 // config would return.
 func (b *BatchEngine) Run() []Result {
 	k := b.k
-	amb := b.cfgs[0].Ambient
-	ref := b.cfgs[0].Refresh
-
-	// Per-lane prologue, mirroring the scalar Run exactly (the shared
-	// pieces — ambient schedule, refresh schedule, thermal reset — are
-	// walked once via lane 0's instances).
-	for r := 0; r < k; r++ {
-		b.cfgs[r].Chip.ResetDVFS()
-	}
-	if amb != nil {
-		amb.Start()
-		b.therm.AmbientC = amb.At(0)
-	}
+	b.begin()
 	b.therm.Reset()
-	if ref != nil {
-		for r := 0; r < k; r++ {
-			b.displays[r].SetRefresh(b.nativeHz, 0)
-		}
-		ref.Start()
-	}
-	for r := 0; r < k; r++ {
-		b.displays[r].Reset()
-		b.govs[r].Reset()
-		if c := b.ctrls[r]; c != nil {
-			c.Reset()
-		}
-	}
-	b.resetRunState()
-	for r := 0; r < k; r++ {
-		b.syncDVFS(r)
-	}
-
-	cursor := b.cursor
-	cursor.Rewind()
-	nSamples := make([]int, k)
-	results := make([]Result, k)
-	meters := make([]power.Meter, k)
-	accs := make([]accumulators, k)
-	for r := 0; r < k; r++ {
-		cfg := &b.cfgs[r]
-		nSamples[r] = int(cfg.Timeline.DurUS()/cfg.RecordIntervalUS) + 2
-		b.sampleInts[r] = make([]int, 0, nSamples[r]*b.nc*2)
-		b.sampleUtils[r] = make([]float64, 0, nSamples[r]*b.nc)
-		if c := b.ctrls[r]; c != nil {
-			results[r].Scheme = c.Name()
-		} else {
-			results[r].Scheme = b.govs[r].Name()
-		}
-	}
-	b.results = results
 
 	dt := b.tickUS
 	dtSec := b.dtSec
@@ -712,299 +244,59 @@ func (b *BatchEngine) Run() []Result {
 	tdBuf := b.tdBuf[:k:k]
 	rendering := b.rendering[:k:k]
 	tickPower := b.tickPower[:k:k]
-	lastPowerW := b.lastPowerW[:k:k]
-	ctlPowerSum := b.ctlPowerSum[:k:k]
-	ctlPowerN := b.ctlPowerN[:k:k]
-	nextGovUS := b.nextGovUS[:k:k]
-	nextRecUS := b.nextRecUS[:k:k]
-	meterSl := meters[:k:k]
-	accSl := accs[:k:k]
-	temps := b.therm.Temps()
-	tbRow := temps[b.bigTempI*k:][:k:k]
+	tbRow := b.therm.Temps()[b.bigTempI*k:][:k:k]
 
 	for {
 		now += dt
-		_, inter, entered, ok := cursor.At(now)
+		si, inter, ok := b.enter(now)
 		if !ok {
 			break
 		}
-		si := cursor.ScriptIndex()
-		lane := b.apps[si]
-		if entered {
-			for r := 0; r < k; r++ {
-				app := lane[r]
-				app.Reset()
-				b.dropInFlightFrame(r)
-				if c := b.ctrls[r]; c != nil {
-					c.AppChanged(app.Name(), app.Class() == workload.ClassGame)
-				}
-			}
-		}
-
-		// Shared environment schedules: one lookup drives every lane.
-		if amb != nil {
-			b.therm.AmbientC = amb.At(now)
-		}
-		if ref != nil {
-			// All displays carry the same rate at all times (it only ever
-			// changes here), so lane 0's current rate stands in for all.
-			if hz := ref.At(now); hz > 0 && hz != b.displays[0].RefreshHz {
-				for r := 0; r < k; r++ {
-					b.displays[r].SetRefresh(hz, now)
-				}
-			}
-		}
-		screenOff := inter == workload.InterOff
-		boost := inter == workload.InterTouch || inter == workload.InterScroll || inter == workload.InterPlay
+		apps := b.scriptApps(si)
 
 		// Stage 1: workload + renderer, per lane. The fast path calls the
 		// concrete ProfileApp methods over the replayed rng stream; the
 		// generic path is the App interface over the standard Rand.
-		for i := range b.tickRender {
-			b.tickRender[i] = 0
-		}
 		if b.fast {
-			papps := b.pApps[si]
+			papps := b.pApps[si*k:][:k:k]
 			for r := 0; r < k; r++ {
-				if boost {
-					if bo := b.boosters[r]; bo != nil {
-						bo.OnInput(now)
-					}
-				}
 				d := papps[r].TickFast(now, dt, inter, b.frngs[r])
 				demand[r] = d
 				demBig[r], demLittle[r], demGPU[r] = d.BigBg, d.LittleBg, d.GPUBg
-				rendering[r] = b.advanceRenderer(r, nil, papps[r], inter, d, dtSec)
+				if b.frameSlot(r, d.WantFrame) {
+					b.startFrame(r, papps[r].StartFrameFast(inter, b.frngs[r]))
+				}
+				rendering[r] = b.render(r)
 			}
 		} else {
 			for r := 0; r < k; r++ {
-				if boost {
-					if bo := b.boosters[r]; bo != nil {
-						bo.OnInput(now)
-					}
-				}
-				d := lane[r].Tick(now, dt, inter, b.rngs[r])
+				d := apps[r].Tick(now, dt, inter, b.lane[r].rng)
 				demand[r] = d
 				demBig[r], demLittle[r], demGPU[r] = d.BigBg, d.LittleBg, d.GPUBg
-				rendering[r] = b.advanceRenderer(r, lane[r], nil, inter, d, dtSec)
+				if b.frameSlot(r, d.WantFrame) {
+					b.startFrame(r, apps[r].StartFrame(inter, b.lane[r].rng))
+				}
+				rendering[r] = b.render(r)
 			}
 		}
 
 		// Stage 2: batched power integration and thermal step across all
-		// lanes, then one fused per-lane sweep: accounting, sensor reads,
-		// display, and the governor/controller/trace cadences. Per lane
-		// the arithmetic order is exactly the scalar engine's — the
-		// accounting after the thermal step is fine because it feeds
-		// nothing the thermal step reads.
-		b.integratePower(screenOff)
+		// lanes, then batched temperature reads: the big-cluster node row
+		// is a copy, the device sensor a node-outer weighted blend.
+		b.integratePower(inter == workload.InterOff)
 		b.therm.Step(dtSec, b.powerBuf)
-
-		// Batched temperature reads: the big-cluster node row is a copy,
-		// the device sensor a node-outer weighted blend — both land in
-		// per-lane scratch the accounting sweep below reads back.
 		copy(tbBuf, tbRow)
 		b.sensor.ReadAllBatchC(b.therm, tdBuf)
 
+		// Stage 3: the core's per-lane step. Per lane the arithmetic
+		// order is exactly the scalar engine's — the accounting after
+		// the thermal step is fine because it feeds nothing the thermal
+		// step reads.
 		for r := 0; r < k; r++ {
-			acc := &accSl[r]
-			p := tickPower[r]
-			lastPowerW[r] = p
-			ctlPowerSum[r] += p
-			ctlPowerN[r]++
-			meterSl[r].Accumulate(p, dtSec)
-			acc.power.Push(p)
-
-			tb := tbBuf[r]
-			td := tdBuf[r]
-			acc.tempBig.Push(tb)
-			acc.tempDev.Push(td)
-
-			expecting := rendering[r] || demand[r].WantFrame
-			d := b.displays[r]
-			d.Tick(now, expecting)
-			f := d.FPS(now)
-			acc.fps.Push(f)
-			if expecting {
-				acc.activeFPS.Push(f)
-			}
-
-			if now >= nextGovUS[r] {
-				b.decideGovernor(r, now)
-				nextGovUS[r] = now + b.govs[r].IntervalUS()
-				b.syncDVFS(r)
-			}
-			if c := b.ctrls[r]; c != nil {
-				if iv := c.ObserveIntervalUS(); iv > 0 && now >= b.nextObsUS[r] {
-					snap := b.snapshot(r, now, f, lane[r], tb, td)
-					c.Observe(snap)
-					b.nextObsUS[r] = now + iv
-				}
-				if iv := c.ControlIntervalUS(); iv > 0 && now >= b.nextCtlUS[r] {
-					snap := b.snapshot(r, now, f, lane[r], tb, td)
-					if ctlPowerN[r] > 0 {
-						snap.PowerW = ctlPowerSum[r] / float64(ctlPowerN[r])
-					}
-					ctlPowerSum[r], ctlPowerN[r] = 0, 0
-					c.Control(snap, chipActuator{b.cfgs[r].Chip})
-					b.nextCtlUS[r] = now + iv
-					b.syncDVFS(r)
-				}
-			}
-			if now >= nextRecUS[r] {
-				if results[r].Samples == nil {
-					results[r].Samples = make([]Sample, 0, nSamples[r])
-				}
-				results[r].Samples = append(results[r].Samples, b.sample(r, now, lane[r], inter, f, p, tb, td))
-				nextRecUS[r] = now + b.cfgs[r].RecordIntervalUS
-			}
+			b.finishTick(r, now, apps[r], inter, tickPower[r], tbBuf[r], tdBuf[r], rendering[r] || demand[r].WantFrame)
 		}
 	}
-
-	for r := 0; r < k; r++ {
-		res := &results[r]
-		d := b.displays[r]
-		res.DurationS = float64(b.cfgs[r].Timeline.DurUS()) / 1e6
-		res.AvgPowerW = meters[r].AvgW()
-		res.PeakPowerW = accs[r].power.Max()
-		res.EnergyJ = meters[r].EnergyJ
-		res.AvgTempBigC = accs[r].tempBig.Mean()
-		res.PeakTempBigC = accs[r].tempBig.Max()
-		res.AvgTempDevC = accs[r].tempDev.Mean()
-		res.PeakTempDevC = accs[r].tempDev.Max()
-		res.AvgFPS = accs[r].fps.Mean()
-		res.ActiveAvgFPS = accs[r].activeFPS.Mean()
-		res.FramesDisplayed = d.Displayed()
-		res.FramesDropped = d.Dropped()
-		res.VSyncs = d.VSyncs()
-	}
-	b.results = nil
-	return results
-}
-
-func (b *BatchEngine) resetRunState() {
-	for r := 0; r < b.k; r++ {
-		b.rend[r] = rendState{}
-		b.nextGovUS[r], b.nextObsUS[r], b.nextCtlUS[r], b.nextRecUS[r] = 0, 0, 0, 0
-		b.lastPowerW[r] = 0
-		b.ctlPowerSum[r], b.ctlPowerN[r] = 0, 0
-	}
-	for i := range b.busyCycles {
-		b.busyCycles[i] = 0
-		b.curCapCycles[i] = 0
-		b.maxCapCycles[i] = 0
-		b.utilEWMA[i].Reset()
-		b.lastUtil[i] = 0
-	}
-}
-
-// syncDVFS refreshes lane r's DVFS mirror — the per-tick capacity,
-// power-table row and renderer drain rates at each cluster's current
-// OPP. Call after anything that can move an OPP index: the run
-// prologue's ResetDVFS, a governor Decide (input boost can push cur via
-// the floor) and a controller Control (cap/pin actuation).
-func (b *BatchEngine) syncDVFS(r int) {
-	k := b.k
-	for i := 0; i < b.nc; i++ {
-		idx := i*k + r
-		cur := b.clusters[idx].Cur()
-		b.capCurTick[idx] = b.capPerTick[i][cur]
-		dyn, leak := b.powTbl[i].Row(cur)
-		b.dynCur[idx] = dyn
-		b.leakCur[idx] = leak
-	}
-	if b.bigIdx >= 0 {
-		b.bigDrainPC[r] = b.bigPerCore[b.clusters[b.bigIdx*k+r].Cur()]
-	}
-	if b.gpuIdx >= 0 {
-		b.gpuDrainCur[r] = b.gpuDrain[b.clusters[b.gpuIdx*k+r].Cur()]
-	}
-}
-
-// dropInFlightFrame abandons lane r's partially rendered frame.
-func (b *BatchEngine) dropInFlightFrame(r int) {
-	rs := &b.rend[r]
-	rs.cpuActive, rs.gpuActive, rs.gpuDone = false, false, false
-	rs.cpuRemaining, rs.gpuRemaining = 0, 0
-}
-
-// advanceRenderer is the scalar engine's two-stage frame pipeline for
-// lane r; same branches, same arithmetic, indexed into the SoA state.
-// Exactly one of app/papp is non-nil — papp on the fast path, where the
-// frame-cost draws come from the replayed rng.
-func (b *BatchEngine) advanceRenderer(r int, app workload.App, papp *workload.ProfileApp, inter workload.Interaction, demand workload.Demand, dtSec float64) bool {
-	d := b.displays[r]
-	rs := &b.rend[r]
-	if !rs.cpuActive && demand.WantFrame && d.BackBufferFree() {
-		if papp != nil {
-			rs.cpuJob = papp.StartFrameFast(inter, b.frngs[r])
-		} else {
-			rs.cpuJob = app.StartFrame(inter, b.rngs[r])
-		}
-		rs.cpuRemaining = rs.cpuJob.CPUWork
-		rs.cpuActive = true
-	}
-
-	if rs.cpuActive && b.bigIdx >= 0 {
-		cores := rs.cpuJob.Parallelism
-		if limit := b.bigCoresF; cores > limit {
-			cores = limit
-		}
-		drain := b.bigDrainPC[r] * cores * dtSec
-		used := drain
-		if used > rs.cpuRemaining {
-			used = rs.cpuRemaining
-		}
-		rs.cpuRemaining -= used
-		b.noteRender(b.bigIdx, r, used)
-		if rs.cpuRemaining <= 0 {
-			rs.cpuActive = false
-			if !rs.gpuActive && !rs.gpuDone {
-				rs.gpuRemaining = rs.cpuJob.GPUWork
-				rs.gpuActive = true
-			} else {
-				rs.cpuActive = true
-				rs.cpuRemaining = 0
-			}
-		}
-	}
-
-	if rs.cpuActive && rs.cpuRemaining <= 0 && !rs.gpuActive && !rs.gpuDone {
-		rs.gpuRemaining = rs.cpuJob.GPUWork
-		rs.gpuActive = true
-		rs.cpuActive = false
-	}
-
-	if rs.gpuActive && b.gpuIdx >= 0 {
-		drain := b.gpuDrainCur[r]
-		used := drain
-		if used > rs.gpuRemaining {
-			used = rs.gpuRemaining
-		}
-		rs.gpuRemaining -= used
-		b.noteRender(b.gpuIdx, r, used)
-		if rs.gpuRemaining <= 0 {
-			rs.gpuActive = false
-			rs.gpuDone = true
-		}
-	}
-
-	if rs.gpuDone {
-		if d.OfferFrame() {
-			rs.gpuDone = false
-		}
-	}
-
-	return rs.cpuActive || rs.gpuActive || rs.gpuDone
-}
-
-// noteRender charges render cycles to cluster i of lane r.
-func (b *BatchEngine) noteRender(i, r int, used float64) {
-	if i < 0 {
-		return
-	}
-	idx := i*b.k + r
-	b.tickRender[idx] += used
-	b.busyCycles[idx] += used
+	return b.finish()
 }
 
 // integratePower is the batched tick power integration: cluster-outer,
@@ -1103,106 +395,4 @@ func ipLanes(dem, capCur, render, busyW, curW, maxW, lastU, dynCur, leakCur, nod
 		total[r] += w
 		sink[r] += w
 	}
-}
-
-// decideGovernor hands lane r's governor its observations and resets
-// that lane's utilization windows.
-func (b *BatchEngine) decideGovernor(r int, nowUS int64) {
-	k := b.k
-	obs := b.obsBufs[r]
-	for i := 0; i < b.nc; i++ {
-		idx := i*k + r
-		c := b.clusters[idx]
-		util, norm := 0.0, 0.0
-		if b.curCapCycles[idx] > 0 {
-			util = b.busyCycles[idx] / b.curCapCycles[idx]
-		}
-		if b.maxCapCycles[idx] > 0 {
-			norm = b.busyCycles[idx] / b.maxCapCycles[idx]
-		}
-		if util > 1 {
-			util = 1
-		}
-		if norm > 1 {
-			norm = 1
-		}
-		norm = b.utilEWMA[idx].Push(norm)
-		b.lastUtil[idx] = util
-		obs[i] = governor.Observation{Cluster: c, Util: util, NormUtil: norm}
-		b.busyCycles[idx] = 0
-		b.curCapCycles[idx] = 0
-		b.maxCapCycles[idx] = 0
-	}
-	b.govs[r].Decide(nowUS, obs)
-}
-
-// snapshot builds lane r's controller view into that lane's scratch.
-func (b *BatchEngine) snapshot(r int, nowUS int64, fps float64, app workload.App, tempBig, tempDev float64) ctrl.Snapshot {
-	k := b.k
-	views := b.views[r]
-	for i := 0; i < b.nc; i++ {
-		idx := i*k + r
-		c := b.clusters[idx]
-		views[i] = ctrl.ClusterView{
-			Name:     c.Name,
-			IsGPU:    c.Kind == soc.KindGPU,
-			NumOPPs:  c.NumOPPs(),
-			CurIdx:   c.Cur(),
-			CapIdx:   c.Cap(),
-			FloorIdx: c.Floor(),
-			FreqKHz:  c.FreqKHz(),
-			OPPKHz:   b.opps[i],
-			Util:     b.lastUtil[idx],
-			NormUtil: b.utilEWMA[idx].Value(),
-		}
-	}
-	b.snapScratch[r] = ctrl.Snapshot{
-		NowUS:        nowUS,
-		FPS:          fps,
-		PowerW:       b.lastPowerW[r],
-		TempBigC:     tempBig,
-		TempDeviceC:  tempDev,
-		AmbientC:     b.therm.AmbientC,
-		AppName:      app.Name(),
-		AppClassGame: app.Class() == workload.ClassGame,
-		Clusters:     views,
-	}
-	if f := b.cfgs[r].SnapshotFault; f != nil {
-		f(&b.snapScratch[r])
-	}
-	return b.snapScratch[r]
-}
-
-func (b *BatchEngine) sample(r int, nowUS int64, app workload.App, inter workload.Interaction, fps, powerW, tb, td float64) Sample {
-	s := Sample{
-		TimeUS:      nowUS,
-		App:         app.Name(),
-		Interaction: inter.String(),
-		FPS:         fps,
-		PowerW:      powerW,
-		TempBigC:    tb,
-		TempDevC:    td,
-	}
-	k := b.k
-	ints := b.sampleInts[r]
-	base := len(ints)
-	for i := 0; i < b.nc; i++ {
-		ints = append(ints, b.clusters[i*k+r].FreqKHz())
-	}
-	mid := len(ints)
-	for i := 0; i < b.nc; i++ {
-		ints = append(ints, b.clusters[i*k+r].Cap())
-	}
-	end := len(ints)
-	b.sampleInts[r] = ints
-	s.FreqKHz = ints[base:mid:mid]
-	s.CapIdx = ints[mid:end:end]
-	utils := b.sampleUtils[r]
-	ub := len(utils)
-	for i := 0; i < b.nc; i++ {
-		utils = append(utils, b.lastUtil[i*k+r])
-	}
-	b.sampleUtils[r] = utils
-	s.Util = utils[ub:len(utils):len(utils)]
-	return s
 }

@@ -33,20 +33,20 @@ func sweepConfig(t *testing.T, scn scenario.Scenario, plat platform.Platform, st
 // (reflect.DeepEqual over the full Result including every trace
 // sample). Scenarios are scaled to 2% so the full matrix stays fast
 // while still crossing app switches, ambient moves and refresh
-// switches.
+// switches. Widths 3 and 4 take the portable and (where the host has
+// AVX2) the vector power kernels.
 func TestBatchMatchesScalarEngine(t *testing.T) {
-	const (
-		k          = 3
-		structSeed = 42
-	)
+	const structSeed = 42
+	widths := []int{3, 4}
+	maxK := widths[len(widths)-1]
 	for _, pname := range platform.Names() {
 		plat := platform.MustGet(pname)
 		for _, sname := range scenario.Names() {
 			t.Run(pname+"/"+sname, func(t *testing.T) {
 				scn := scenario.Scaled(scenario.MustGet(sname), 0.02)
 
-				want := make([]sim.Result, k)
-				for r := 0; r < k; r++ {
+				want := make([]sim.Result, maxK)
+				for r := range want {
 					e, err := sim.New(sweepConfig(t, scn, plat, structSeed, int64(100+r)))
 					if err != nil {
 						t.Fatal(err)
@@ -54,22 +54,24 @@ func TestBatchMatchesScalarEngine(t *testing.T) {
 					want[r] = e.Run()
 				}
 
-				cfgs := make([]sim.Config, k)
-				for r := 0; r < k; r++ {
-					cfgs[r] = sweepConfig(t, scn, plat, structSeed, int64(100+r))
-				}
-				b, err := sim.NewBatch(cfgs)
-				if err != nil {
-					t.Fatalf("NewBatch: %v", err)
-				}
-				got := b.Run()
-				if len(got) != k {
-					t.Fatalf("batch returned %d results, want %d", len(got), k)
-				}
-				for r := 0; r < k; r++ {
-					if !reflect.DeepEqual(want[r], got[r]) {
-						t.Errorf("lane %d diverged from scalar run\nscalar: %s\nbatch:  %s",
-							r, summarize(want[r]), summarize(got[r]))
+				for _, k := range widths {
+					cfgs := make([]sim.Config, k)
+					for r := 0; r < k; r++ {
+						cfgs[r] = sweepConfig(t, scn, plat, structSeed, int64(100+r))
+					}
+					b, err := sim.NewBatch(cfgs)
+					if err != nil {
+						t.Fatalf("k=%d NewBatch: %v", k, err)
+					}
+					got := b.Run()
+					if len(got) != k {
+						t.Fatalf("k=%d batch returned %d results", k, len(got))
+					}
+					for r := 0; r < k; r++ {
+						if !reflect.DeepEqual(want[r], got[r]) {
+							t.Errorf("k=%d lane %d diverged from scalar run\nscalar: %s\nbatch:  %s",
+								k, r, summarize(want[r]), summarize(got[r]))
+						}
 					}
 				}
 			})

@@ -50,7 +50,8 @@ type Config struct {
 	SnapshotFault func(*ctrl.Snapshot)
 }
 
-// Validate reports missing mandatory pieces.
+// Validate reports missing mandatory pieces, including a thermal
+// network without the big-cluster node.
 func (c *Config) Validate() error {
 	switch {
 	case c.Chip == nil:
@@ -66,10 +67,11 @@ func (c *Config) Validate() error {
 	case c.Governor == nil:
 		return fmt.Errorf("sim: config needs a governor")
 	}
-	if err := c.Timeline.Validate(); err != nil {
-		return err
+	if _, ok := c.Thermal.Index(thermal.NodeBig); !ok {
+		// The engines read the big-cluster temperature every tick.
+		return fmt.Errorf("sim: thermal network needs a %q node", thermal.NodeBig)
 	}
-	return nil
+	return c.Timeline.Validate()
 }
 
 func (c *Config) applyDefaults() {

@@ -16,6 +16,13 @@
 //  6. on their own cadences, the governor picks OPPs from utilization
 //     and the controller observes (25 ms for Next) and acts (100 ms).
 //
-// All stochastic draws flow from one seeded source, so runs are
-// reproducible bit-for-bit.
+// One engine core (lanes.go) holds k lanes of this state and does
+// steps 1, 3, 5 and 6 and the Result for both engines. Engine is the
+// core at k=1 with scalar kernels for steps 2 and 4; BatchEngine is the
+// core at width k with batched kernels (a devirtualized workload
+// stream, an AVX2 power sweep, a node-major thermal step). Each lane of
+// a batch is bit-identical to the scalar run of its config.
+//
+// All stochastic draws flow from one seeded source per lane, so runs
+// are reproducible bit-for-bit.
 package sim

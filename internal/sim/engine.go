@@ -1,87 +1,18 @@
 package sim
 
-import (
-	"math/rand"
-
-	"nextdvfs/internal/ctrl"
-	"nextdvfs/internal/governor"
-	"nextdvfs/internal/power"
-	"nextdvfs/internal/session"
-	"nextdvfs/internal/soc"
-	"nextdvfs/internal/stats"
-	"nextdvfs/internal/thermal"
-	"nextdvfs/internal/workload"
-)
+import "nextdvfs/internal/workload"
 
 // Engine executes one configured simulation. Create with New, run with
 // Run. Engines are single-goroutine; build one per concurrent run.
+//
+// Engine is the one-lane case of the engine core, with scalar kernels:
+// the App interface over the standard Rand for the workload, one
+// power.Table evaluation per cluster, thermal.Model.Step and the
+// device sensor's scalar read.
 type Engine struct {
-	cfg Config
-	rng *rand.Rand
-
-	// renderer state: a two-stage CPU→GPU frame pipeline.
-	cpuRemaining float64
-	cpuJob       workload.FrameJob
-	cpuActive    bool
-	gpuRemaining float64
-	gpuActive    bool
-	gpuDone      bool // frame finished GPU but waiting for a back buffer
-
-	// per-cluster integration state.
-	big, little, gpu *soc.Cluster
-	busyCycles       []float64 // since last governor decision
-	curCapCycles     []float64
-	maxCapCycles     []float64
-	utilEWMA         []stats.EWMA
-	lastUtil         []float64
-
-	// thermal wiring.
-	nodeIdx  []int // cluster i -> thermal node index (-1 if absent)
-	skinIdx  int
-	bigTempI int // thermal node index of NodeBig (-1: resolve by name)
-	powerBuf []float64
-
-	// Precomputed hot-path tables, all built once in New so the tick
-	// loop is indexed lookups with no map access and no allocation. The
-	// folded products keep the original evaluation order, so every
-	// number the loop produces is bit-identical to the unfolded math.
-	powTbl     []*power.Table        // cluster i -> per-OPP power lookup
-	capPerTick [][]float64           // cluster i, OPP k -> cycles/tick at full util
-	maxCapTick []float64             // cluster i -> cycles/tick at the top OPP
-	bigPerCore []float64             // big-stage OPP k -> cycles/sec of one core
-	gpuDrain   []float64             // GPU-stage OPP k -> render cycles/tick
-	bigIdx     int                   // chip index of the render CPU stage (-1 if none)
-	gpuIdx     int                   // chip index of the render GPU stage (-1 if none)
-	booster    governor.InputBooster // non-nil when the governor boosts on input
-	obsBuf     []governor.Observation
-	cursor     *session.Cursor
-
-	// Per-run bulk sample storage: one allocation per run instead of
-	// three per recorded sample (the slices handed out in Result alias
-	// into these, so they are re-made each Run, never recycled).
-	sampleInts  []int
-	sampleUtils []float64
-
-	// per-tick render-thread cycles per cluster (chip order), consumed
-	// by integratePower so background work only gets the leftovers —
-	// Android UI/render threads outrank background work.
-	tickRender []float64
-
-	// cadence bookkeeping.
-	nextGovUS   int64
-	nextObsUS   int64
-	nextCtlUS   int64
-	nextRecUS   int64
-	lastPowerW  float64
-	ctlPowerSum float64 // power integrated since the last Control
-	ctlPowerN   int
-	screenOff   bool // current tick's screen state (workload.InterOff)
-	nativeHz    int  // the panel's built-in rate, restored before each run
-
-	views []ctrl.ClusterView
-	opps  [][]int
-	// snapScratch is the reusable controller snapshot (see snapshot()).
-	snapScratch ctrl.Snapshot
+	lanes
+	cfg      *Config   // the one lane's config
+	powerBuf []float64 // per thermal node: this tick's deposited watts
 }
 
 // New builds an engine; the config is validated and defaulted.
@@ -90,419 +21,74 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	cfg.applyDefaults()
-	e := &Engine{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-
-	n := len(cfg.Chip.Clusters)
-	e.busyCycles = make([]float64, n)
-	e.curCapCycles = make([]float64, n)
-	e.maxCapCycles = make([]float64, n)
-	e.utilEWMA = make([]stats.EWMA, n)
-	e.lastUtil = make([]float64, n)
-	for i := range e.utilEWMA {
-		e.utilEWMA[i].Alpha = 0.5
-	}
-	e.views = make([]ctrl.ClusterView, n)
-	e.opps = make([][]int, n)
-	e.nodeIdx = make([]int, n)
-	for i, c := range cfg.Chip.Clusters {
-		khz := make([]int, c.NumOPPs())
-		for k := range khz {
-			khz[k] = c.OPPAt(k).FreqKHz
-		}
-		e.opps[i] = khz
-		if idx, ok := cfg.Thermal.Index(c.Name); ok {
-			e.nodeIdx[i] = idx
-		} else {
-			e.nodeIdx[i] = -1
-		}
-		switch c.Name {
-		case soc.ClusterBig:
-			e.big = c
-		case soc.ClusterLITTLE:
-			e.little = c
-		case soc.ClusterGPU:
-			e.gpu = c
-		}
-	}
-	if e.big == nil || e.gpu == nil {
-		// The renderer needs a big CPU stage and a GPU stage; fall back
-		// to the first CPU/GPU clusters by kind.
-		for _, c := range cfg.Chip.Clusters {
-			if e.big == nil && c.Kind == soc.KindCPU {
-				e.big = c
-			}
-			if e.gpu == nil && c.Kind == soc.KindGPU {
-				e.gpu = c
-			}
-		}
-	}
-	if skin, ok := cfg.Thermal.Index(thermal.NodeSkin); ok {
-		e.skinIdx = skin
-	} else {
-		e.skinIdx = -1
-	}
-	if big, ok := cfg.Thermal.Index(thermal.NodeBig); ok {
-		e.bigTempI = big
-	} else {
-		e.bigTempI = -1
-	}
+	e := &Engine{}
+	e.init([]Config{cfg}, &cfg.Thermal.AmbientC)
+	e.cfg = e.lane[0].cfg
 	e.powerBuf = make([]float64, cfg.Thermal.NumNodes())
-	e.tickRender = make([]float64, n)
-	e.nativeHz = cfg.Display.RefreshHz
-
-	// Precompute the per-OPP tables the tick loop indexes into. Every
-	// folded product preserves the association order of the expressions
-	// it replaces, so the loop's arithmetic is bit-identical.
-	dtSec := float64(e.cfg.TickUS) / 1e6
-	e.powTbl = make([]*power.Table, n)
-	e.capPerTick = make([][]float64, n)
-	e.maxCapTick = make([]float64, n)
-	e.bigIdx, e.gpuIdx = -1, -1
-	for i, c := range cfg.Chip.Clusters {
-		e.powTbl[i] = cfg.Power.Table(c)
-		caps := make([]float64, c.NumOPPs())
-		for k := range caps {
-			caps[k] = float64(c.OPPAt(k).FreqKHz) * 1e3 * c.IPC * float64(c.Cores) * dtSec
-		}
-		e.capPerTick[i] = caps
-		e.maxCapTick[i] = caps[len(caps)-1]
-		if c == e.big {
-			e.bigIdx = i
-		}
-		if c == e.gpu {
-			e.gpuIdx = i
-		}
-	}
-	if e.big != nil {
-		e.bigPerCore = make([]float64, e.big.NumOPPs())
-		for k := range e.bigPerCore {
-			e.bigPerCore[k] = float64(e.big.OPPAt(k).FreqKHz) * 1e3 * e.big.IPC
-		}
-	}
-	if e.gpu != nil {
-		e.gpuDrain = make([]float64, e.gpu.NumOPPs())
-		for k := range e.gpuDrain {
-			e.gpuDrain[k] = float64(e.gpu.OPPAt(k).FreqKHz) * 1e3 * e.gpu.IPC * float64(e.gpu.Cores) * dtSec
-		}
-	}
-	e.booster, _ = cfg.Governor.(governor.InputBooster)
-	e.obsBuf = make([]governor.Observation, n)
-	e.cursor = session.NewCursor(cfg.Timeline)
 	return e, nil
 }
 
 // Run executes the configured session and returns its Result.
 func (e *Engine) Run() Result {
-	cfg := &e.cfg
-	cfg.Chip.ResetDVFS()
-	if cfg.Ambient != nil {
-		// The run starts in whatever environment the schedule opens with:
-		// ambient (and the node temperatures Reset restores) must match.
-		cfg.Ambient.Start()
-		cfg.Thermal.AmbientC = cfg.Ambient.At(0)
-	}
+	cfg := e.cfg
+	e.begin()
 	cfg.Thermal.Reset()
-	if cfg.Refresh != nil {
-		// Restore the native panel rate a previous run's schedule may have
-		// switched away from, then rewind the schedule.
-		cfg.Display.SetRefresh(e.nativeHz, 0)
-		cfg.Refresh.Start()
-	}
-	cfg.Display.Reset()
-	cfg.Governor.Reset()
-	if cfg.Controller != nil {
-		cfg.Controller.Reset()
-	}
-	e.resetRunState()
 
-	cursor := e.cursor
-	cursor.Rewind()
-	// Bulk per-run sample storage: sized for the record cadence so the
-	// tick loop itself never allocates (allocations here are per run,
-	// and the Result aliases these buffers, so they must be fresh).
-	nc := len(cfg.Chip.Clusters)
-	nSamples := int(cfg.Timeline.DurUS()/cfg.RecordIntervalUS) + 2
-	e.sampleInts = make([]int, 0, nSamples*nc*2)
-	e.sampleUtils = make([]float64, 0, nSamples*nc)
-	var acc accumulators
-	var meter power.Meter
-	var result Result
-	result.Scheme = e.schemeName()
-
-	dt := cfg.TickUS
-	dtSec := float64(dt) / 1e6
+	dt := e.tickUS
 	now := int64(0)
-
+	rng := e.lane[0].rng
 	for {
 		now += dt
-		app, inter, entered, ok := cursor.At(now)
+		si, inter, ok := e.enter(now)
 		if !ok {
 			break
 		}
-		if entered {
-			app.Reset()
-			e.dropInFlightFrame()
-			if cfg.Controller != nil {
-				cfg.Controller.AppChanged(app.Name(), app.Class() == workload.ClassGame)
-			}
+		app := e.apps[si] // one lane: script si's app sits at index si
+		demand := app.Tick(now, dt, inter, rng)
+		if e.frameSlot(0, demand.WantFrame) {
+			e.startFrame(0, app.StartFrame(inter, rng))
 		}
+		rendering := e.render(0)
 
-		// Environment schedules (scenario-driven): ambient temperature and
-		// panel refresh follow their piecewise-constant steps.
-		if cfg.Ambient != nil {
-			cfg.Thermal.AmbientC = cfg.Ambient.At(now)
-		}
-		if cfg.Refresh != nil {
-			if hz := cfg.Refresh.At(now); hz > 0 && hz != cfg.Display.RefreshHz {
-				cfg.Display.SetRefresh(hz, now)
-			}
-		}
-		e.screenOff = inter == workload.InterOff
-
-		// Input boost fires on every tick of an active gesture, like the
-		// stream of input events Android sees. Gameplay counts: a game
-		// session is a continuous stream of touchscreen input, which is
-		// precisely why stock Android keeps CPU floors boosted through
-		// entire matches.
-		if inter == workload.InterTouch || inter == workload.InterScroll || inter == workload.InterPlay {
-			if e.booster != nil {
-				e.booster.OnInput(now)
-			}
-		}
-
-		demand := app.Tick(now, dt, inter, e.rng)
-		rendering := e.advanceRenderer(app, inter, demand, dtSec)
-
-		// Power for this tick, integrating cluster utilization.
-		tickPower := e.integratePower(demand)
-		e.lastPowerW = tickPower
-		e.ctlPowerSum += tickPower
-		e.ctlPowerN++
-		meter.Accumulate(tickPower, dtSec)
-		acc.power.Push(tickPower)
-
-		// Thermal step.
-		cfg.Thermal.Step(dtSec, e.powerBuf)
-		var tb float64
-		if e.bigTempI >= 0 {
-			tb = cfg.Thermal.TempC(e.bigTempI)
-		} else {
-			tb = cfg.Thermal.TempByName(thermal.NodeBig)
-		}
+		p := e.integratePower(demand, inter == workload.InterOff)
+		cfg.Thermal.Step(e.dtSec, e.powerBuf)
+		tb := cfg.Thermal.TempC(e.bigTempI)
 		td := cfg.DevSense.ReadC()
-		acc.tempBig.Push(tb)
-		acc.tempDev.Push(td)
-
-		// Display.
-		expecting := rendering || demand.WantFrame
-		cfg.Display.Tick(now, expecting)
-		fps := cfg.Display.FPS(now)
-		acc.fps.Push(fps)
-		if expecting {
-			acc.activeFPS.Push(fps)
-		}
-
-		// Governor cadence.
-		if now >= e.nextGovUS {
-			e.decideGovernor(now)
-			e.nextGovUS = now + cfg.Governor.IntervalUS()
-		}
-
-		// Controller cadences.
-		if c := cfg.Controller; c != nil {
-			if iv := c.ObserveIntervalUS(); iv > 0 && now >= e.nextObsUS {
-				snap := e.snapshot(now, fps, app, tb, td)
-				c.Observe(snap)
-				e.nextObsUS = now + iv
-			}
-			if iv := c.ControlIntervalUS(); iv > 0 && now >= e.nextCtlUS {
-				snap := e.snapshot(now, fps, app, tb, td)
-				// Controllers read window-averaged power, like the
-				// integrating fuel gauge a real agent samples.
-				if e.ctlPowerN > 0 {
-					snap.PowerW = e.ctlPowerSum / float64(e.ctlPowerN)
-				}
-				e.ctlPowerSum, e.ctlPowerN = 0, 0
-				c.Control(snap, chipActuator{cfg.Chip})
-				e.nextCtlUS = now + iv
-			}
-		}
-
-		// Trace recording.
-		if now >= e.nextRecUS {
-			if result.Samples == nil {
-				result.Samples = make([]Sample, 0, nSamples)
-			}
-			result.Samples = append(result.Samples, e.sample(now, app, inter, fps, tickPower, tb, td))
-			e.nextRecUS = now + cfg.RecordIntervalUS
-		}
+		e.finishTick(0, now, app, inter, p, tb, td, rendering || demand.WantFrame)
 	}
-
-	result.DurationS = float64(cfg.Timeline.DurUS()) / 1e6
-	result.AvgPowerW = meter.AvgW()
-	result.PeakPowerW = acc.power.Max()
-	result.EnergyJ = meter.EnergyJ
-	result.AvgTempBigC = acc.tempBig.Mean()
-	result.PeakTempBigC = acc.tempBig.Max()
-	result.AvgTempDevC = acc.tempDev.Mean()
-	result.PeakTempDevC = acc.tempDev.Max()
-	result.AvgFPS = acc.fps.Mean()
-	result.ActiveAvgFPS = acc.activeFPS.Mean()
-	result.FramesDisplayed = cfg.Display.Displayed()
-	result.FramesDropped = cfg.Display.Dropped()
-	result.VSyncs = cfg.Display.VSyncs()
-	return result
-}
-
-func (e *Engine) schemeName() string {
-	if e.cfg.Controller != nil {
-		return e.cfg.Controller.Name()
-	}
-	return e.cfg.Governor.Name()
-}
-
-func (e *Engine) resetRunState() {
-	e.cpuActive, e.gpuActive, e.gpuDone = false, false, false
-	e.cpuRemaining, e.gpuRemaining = 0, 0
-	for i := range e.busyCycles {
-		e.busyCycles[i] = 0
-		e.curCapCycles[i] = 0
-		e.maxCapCycles[i] = 0
-		e.utilEWMA[i].Reset()
-		e.lastUtil[i] = 0
-	}
-	e.nextGovUS, e.nextObsUS, e.nextCtlUS, e.nextRecUS = 0, 0, 0, 0
-	e.lastPowerW = 0
-	e.ctlPowerSum, e.ctlPowerN = 0, 0
-	e.screenOff = false
-}
-
-// dropInFlightFrame abandons any partially rendered frame on app switch.
-func (e *Engine) dropInFlightFrame() {
-	e.cpuActive, e.gpuActive, e.gpuDone = false, false, false
-	e.cpuRemaining, e.gpuRemaining = 0, 0
-}
-
-// advanceRenderer drains the CPU and GPU stages by one tick and reports
-// whether any stage is busy (a frame is in flight). Render threads run
-// at Android UI priority: they take the cores they can use and the
-// app's background work gets the leftovers (integratePower clips it).
-func (e *Engine) advanceRenderer(app workload.App, inter workload.Interaction, demand workload.Demand, dtSec float64) bool {
-	for i := range e.tickRender {
-		e.tickRender[i] = 0
-	}
-
-	// Start a new frame when the CPU stage is free, the app wants one
-	// and the pipeline can eventually take it.
-	if !e.cpuActive && demand.WantFrame && e.cfg.Display.BackBufferFree() {
-		e.cpuJob = app.StartFrame(inter, e.rng)
-		e.cpuRemaining = e.cpuJob.CPUWork
-		e.cpuActive = true
-	}
-
-	// CPU stage on the big cluster.
-	if e.cpuActive && e.big != nil {
-		cores := e.cpuJob.Parallelism
-		if limit := float64(e.big.Cores); cores > limit {
-			cores = limit
-		}
-		drain := e.bigPerCore[e.big.Cur()] * cores * dtSec
-		used := drain
-		if used > e.cpuRemaining {
-			used = e.cpuRemaining
-		}
-		e.cpuRemaining -= used
-		e.noteRender(e.bigIdx, used)
-		if e.cpuRemaining <= 0 {
-			e.cpuActive = false
-			// Hand to GPU stage (stalls if GPU still busy with previous).
-			if !e.gpuActive && !e.gpuDone {
-				e.gpuRemaining = e.cpuJob.GPUWork
-				e.gpuActive = true
-			} else {
-				// GPU busy: model the handoff queue of depth 1 by
-				// leaving the CPU stage blocked until the GPU frees.
-				e.cpuActive = true
-				e.cpuRemaining = 0
-			}
-		}
-	}
-
-	// Unblock a finished CPU stage waiting on the GPU.
-	if e.cpuActive && e.cpuRemaining <= 0 && !e.gpuActive && !e.gpuDone {
-		e.gpuRemaining = e.cpuJob.GPUWork
-		e.gpuActive = true
-		e.cpuActive = false
-	}
-
-	// GPU stage: rendering owns the GPU; decode/composition background
-	// shares but yields priority.
-	if e.gpuActive && e.gpu != nil {
-		drain := e.gpuDrain[e.gpu.Cur()]
-		used := drain
-		if used > e.gpuRemaining {
-			used = e.gpuRemaining
-		}
-		e.gpuRemaining -= used
-		e.noteRender(e.gpuIdx, used)
-		if e.gpuRemaining <= 0 {
-			e.gpuActive = false
-			e.gpuDone = true
-		}
-	}
-
-	// Offer the completed frame; back-pressure holds it if buffers full.
-	if e.gpuDone {
-		if e.cfg.Display.OfferFrame() {
-			e.gpuDone = false
-		}
-	}
-
-	return e.cpuActive || e.gpuActive || e.gpuDone
-}
-
-// noteRender charges render cycles to cluster i's tick accounting.
-func (e *Engine) noteRender(i int, used float64) {
-	if i < 0 {
-		return
-	}
-	e.tickRender[i] += used
-	e.busyCycles[i] += used
+	return e.finish()[0]
 }
 
 // integratePower computes this tick's device power, charges background
 // utilization, and fills the thermal power buffer. Returns total watts.
-// The per-OPP capacity and power terms come from the tables New built;
-// the fixed tick step is already folded in.
-func (e *Engine) integratePower(demand workload.Demand) float64 {
-	cfg := &e.cfg
+// With one lane, cluster i's core state sits at index i.
+func (e *Engine) integratePower(demand workload.Demand, screenOff bool) float64 {
+	cfg := e.cfg
 	baseW := cfg.Power.BaseW
-	if e.screenOff {
+	if screenOff {
 		// The panel and its rail dominate base power; screen-off sheds
 		// most of it (the remainder is radios, sensors, always-on logic).
 		baseW *= cfg.ScreenOffBaseFrac
 	}
 	total := baseW
-	for i := range e.powerBuf {
-		e.powerBuf[i] = 0
-	}
+	clear(e.powerBuf)
 	if e.skinIdx >= 0 {
 		e.powerBuf[e.skinIdx] = baseW * cfg.SkinPowerFrac
 	}
 
-	for i, c := range cfg.Chip.Clusters {
+	for i, c := range e.clusters {
 		// Background demand is an absolute rate: a fraction of MAX
 		// capacity, clipped by what the current clock can deliver.
 		bg := 0.0
-		switch c {
-		case e.big:
+		switch e.bgSel[i] {
+		case bgBig:
 			bg = demand.BigBg
-		case e.little:
+		case bgLittle:
 			bg = demand.LittleBg
-		case e.gpu:
+		case bgGPU:
 			bg = demand.GPUBg
 		}
-		capCur := e.capPerTick[i][c.Cur()]
+		capCur := e.capCurTick[i]
 		capMax := e.maxCapTick[i]
 		// Background work takes whatever capacity the render thread
 		// left this tick (UI priority wins on Android).
@@ -530,139 +116,17 @@ func (e *Engine) integratePower(demand workload.Demand) float64 {
 		e.lastUtil[i] = util
 
 		nodeTemp := cfg.Thermal.AmbientC
-		if e.nodeIdx[i] >= 0 {
-			nodeTemp = cfg.Thermal.TempC(e.nodeIdx[i])
+		node := e.nodeIdx[i]
+		if node >= 0 {
+			nodeTemp = cfg.Thermal.TempC(node)
 		}
 		w := e.powTbl[i].Power(c.Cur(), util, nodeTemp)
 		total += w
-		if e.nodeIdx[i] >= 0 {
-			e.powerBuf[e.nodeIdx[i]] += w
+		if node >= 0 {
+			e.powerBuf[node] += w
 		} else if e.skinIdx >= 0 {
 			e.powerBuf[e.skinIdx] += w
 		}
 	}
 	return total
-}
-
-// decideGovernor hands the governor its per-cluster observations and
-// resets the utilization windows.
-func (e *Engine) decideGovernor(nowUS int64) {
-	// obsBuf is engine scratch: no governor retains the slice past its
-	// Decide call (they copy what they need), so reusing it keeps the
-	// decision path allocation-free.
-	obs := e.obsBuf
-	for i, c := range e.cfg.Chip.Clusters {
-		util, norm := 0.0, 0.0
-		if e.curCapCycles[i] > 0 {
-			util = e.busyCycles[i] / e.curCapCycles[i]
-		}
-		if e.maxCapCycles[i] > 0 {
-			norm = e.busyCycles[i] / e.maxCapCycles[i]
-		}
-		if util > 1 {
-			util = 1
-		}
-		if norm > 1 {
-			norm = 1
-		}
-		norm = e.utilEWMA[i].Push(norm)
-		e.lastUtil[i] = util
-		obs[i] = governor.Observation{Cluster: c, Util: util, NormUtil: norm}
-		e.busyCycles[i] = 0
-		e.curCapCycles[i] = 0
-		e.maxCapCycles[i] = 0
-	}
-	e.cfg.Governor.Decide(nowUS, obs)
-}
-
-// snapshot builds the controller view of the platform. It assembles
-// into the engine's scratch snapshot rather than a local: taking the
-// address of a local for the SnapshotFault hook would make every
-// snapshot escape to the heap — one allocation per Observe/Control,
-// which the controller-path zero-alloc pin forbids.
-func (e *Engine) snapshot(nowUS int64, fps float64, app workload.App, tempBig, tempDev float64) ctrl.Snapshot {
-	for i, c := range e.cfg.Chip.Clusters {
-		e.views[i] = ctrl.ClusterView{
-			Name:     c.Name,
-			IsGPU:    c.Kind == soc.KindGPU,
-			NumOPPs:  c.NumOPPs(),
-			CurIdx:   c.Cur(),
-			CapIdx:   c.Cap(),
-			FloorIdx: c.Floor(),
-			FreqKHz:  c.FreqKHz(),
-			OPPKHz:   e.opps[i],
-			Util:     e.lastUtil[i],
-			NormUtil: e.utilEWMA[i].Value(),
-		}
-	}
-	e.snapScratch = ctrl.Snapshot{
-		NowUS:        nowUS,
-		FPS:          fps,
-		PowerW:       e.lastPowerW,
-		TempBigC:     tempBig,
-		TempDeviceC:  tempDev,
-		AmbientC:     e.cfg.Thermal.AmbientC,
-		AppName:      app.Name(),
-		AppClassGame: app.Class() == workload.ClassGame,
-		Clusters:     e.views,
-	}
-	if e.cfg.SnapshotFault != nil {
-		e.cfg.SnapshotFault(&e.snapScratch)
-	}
-	return e.snapScratch
-}
-
-func (e *Engine) sample(nowUS int64, app workload.App, inter workload.Interaction, fps, powerW, tb, td float64) Sample {
-	s := Sample{
-		TimeUS:      nowUS,
-		App:         app.Name(),
-		Interaction: inter.String(),
-		FPS:         fps,
-		PowerW:      powerW,
-		TempBigC:    tb,
-		TempDevC:    td,
-	}
-	// Slice the per-sample vectors out of the run's bulk buffers (sized
-	// in Run for the record cadence): no per-sample allocation, and the
-	// three-index caps keep later appends from aliasing earlier samples
-	// even if an odd cadence outgrows the estimate.
-	base := len(e.sampleInts)
-	for _, c := range e.cfg.Chip.Clusters {
-		e.sampleInts = append(e.sampleInts, c.FreqKHz())
-	}
-	mid := len(e.sampleInts)
-	for _, c := range e.cfg.Chip.Clusters {
-		e.sampleInts = append(e.sampleInts, c.Cap())
-	}
-	end := len(e.sampleInts)
-	s.FreqKHz = e.sampleInts[base:mid:mid]
-	s.CapIdx = e.sampleInts[mid:end:end]
-	ub := len(e.sampleUtils)
-	e.sampleUtils = append(e.sampleUtils, e.lastUtil...)
-	s.Util = e.sampleUtils[ub:len(e.sampleUtils):len(e.sampleUtils)]
-	return s
-}
-
-// chipActuator implements ctrl.Actuator on the chip.
-type chipActuator struct{ chip *soc.Chip }
-
-func (a chipActuator) SetCap(cluster string, idx int) {
-	if c := a.chip.Cluster(cluster); c != nil {
-		c.SetCap(idx)
-	}
-}
-
-func (a chipActuator) SetFloor(cluster string, idx int) {
-	if c := a.chip.Cluster(cluster); c != nil {
-		c.SetFloor(idx)
-	}
-}
-
-func (a chipActuator) Pin(cluster string, idx int) {
-	if c := a.chip.Cluster(cluster); c != nil {
-		// Order matters: widen first so the clamp cannot bite.
-		c.SetFloor(0)
-		c.SetCap(idx)
-		c.SetFloor(idx)
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"nextdvfs/internal/governor"
 	"nextdvfs/internal/session"
 	"nextdvfs/internal/soc"
+	"nextdvfs/internal/thermal"
 	"nextdvfs/internal/workload"
 )
 
@@ -40,6 +41,25 @@ func TestConfigValidation(t *testing.T) {
 	good := Note9Config(tl, 1)
 	if _, err := New(good); err != nil {
 		t.Fatalf("good config rejected: %v", err)
+	}
+
+	// Both engines read the big-cluster temperature every tick, so a
+	// thermal network without a "big" node must fail at construction,
+	// not panic on the first tick.
+	noBig := func() Config {
+		cfg := Note9Config(gameTimeline(1, 5), 1)
+		th := thermal.NewModel(21,
+			[]thermal.NodeSpec{{Name: "soc", CapJPerK: 5, GAmbWPerK: 0.1}, {Name: thermal.NodeSkin, CapJPerK: 20, GAmbWPerK: 0.3}},
+			[]thermal.Link{{A: "soc", B: thermal.NodeSkin, GWPerK: 0.5}})
+		cfg.Thermal = th
+		cfg.DevSense = thermal.NewVirtualSensor(th, map[string]float64{thermal.NodeSkin: 0.7, "soc": 0.3})
+		return cfg
+	}
+	if _, err := New(noBig()); err == nil {
+		t.Fatal("thermal network without a big node must fail")
+	}
+	if _, err := NewBatch([]Config{noBig()}); err == nil {
+		t.Fatal("batch over a thermal network without a big node must fail")
 	}
 }
 
