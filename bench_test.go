@@ -40,7 +40,7 @@ import (
 func BenchmarkFig1SchedutilTrace(b *testing.B) {
 	var fps float64
 	for i := 0; i < b.N; i++ {
-		r := exp.Fig1(42)
+		r := exp.Fig1On("note9", 42)
 		fps = r.Result.AvgFPS
 	}
 	b.ReportMetric(fps, "avg_fps")
@@ -49,7 +49,7 @@ func BenchmarkFig1SchedutilTrace(b *testing.B) {
 func BenchmarkFig3NextVsSchedutil(b *testing.B) {
 	var saving, tempRed float64
 	for i := 0; i < b.N; i++ {
-		r := exp.Fig3(42)
+		r := exp.Fig3On("note9", 42)
 		saving = r.PowerSavingPct
 		tempRed = r.AvgTempRedPct
 	}
@@ -60,7 +60,7 @@ func BenchmarkFig3NextVsSchedutil(b *testing.B) {
 func BenchmarkFig4PPDWTrend(b *testing.B) {
 	var topPPDW float64
 	for i := 0; i < b.N; i++ {
-		r := exp.Fig4(42)
+		r := exp.Fig4On("note9", 42)
 		for _, p := range r.Points {
 			if !p.Worst && p.PPDW > topPPDW {
 				topPPDW = p.PPDW
@@ -666,7 +666,7 @@ func BenchmarkExtensionHighRefresh(b *testing.B) {
 	// 60/90/120 Hz panels (the paper evaluates only 60 Hz).
 	var saving120 float64
 	for i := 0; i < b.N; i++ {
-		rows := exp.HighRefresh(42)
+		rows := exp.HighRefreshOn(exp.HighRefreshOptions{Seed: 42})
 		saving120 = rows[len(rows)-1].SavingPct
 	}
 	b.ReportMetric(saving120, "%power_saved_120hz")

@@ -164,14 +164,11 @@ func buildWorkload(fig, scen, plat string, seed int64, scale float64, sweep int)
 		return nil, "", err
 	}
 	laneConfig := func(engineSeed int64) sim.Config {
-		compiled, err := scenario.Compile(s, seed, p.AmbientC)
+		cfg, err := exp.ScenarioConfig(s, p, seed, engineSeed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "nextprof:", err)
 			os.Exit(1)
 		}
-		cfg := p.Config(compiled.Timeline, engineSeed)
-		cfg.Ambient = compiled.Ambient
-		cfg.Refresh = compiled.Refresh
 		return cfg
 	}
 	if sweep > 0 {

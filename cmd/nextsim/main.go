@@ -17,10 +17,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 
 	"nextdvfs"
+	"nextdvfs/internal/learner"
 	"nextdvfs/internal/platform"
 	"nextdvfs/internal/trace"
 )
@@ -48,11 +48,8 @@ func main() {
 		return
 	}
 
-	if *learnerName != "" && !slices.Contains(nextdvfs.Learners(), *learnerName) {
-		fatal(fmt.Errorf("unknown learner %q (have: %s)", *learnerName, strings.Join(nextdvfs.Learners(), ", ")))
-	}
-	if *explorer != "" && !slices.Contains(nextdvfs.Explorers(), *explorer) {
-		fatal(fmt.Errorf("unknown explorer %q (have: %s)", *explorer, strings.Join(nextdvfs.Explorers(), ", ")))
+	if err := learner.CheckNames(*learnerName, *explorer); err != nil {
+		fatal(err)
 	}
 
 	opts := nextdvfs.RunOptions{

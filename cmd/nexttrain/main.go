@@ -16,10 +16,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 
 	"nextdvfs"
+	"nextdvfs/internal/learner"
 )
 
 func main() {
@@ -61,11 +61,8 @@ func main() {
 func trainFederated(app, store string, n, sessions int, seed int64, learnerName, explorer string) {
 	cfg := nextdvfs.DefaultAgentConfig()
 	cfg.Seed = seed
-	if !slices.Contains(append(nextdvfs.Learners(), ""), learnerName) {
-		fatal(fmt.Errorf("unknown learner %q (have: %s)", learnerName, strings.Join(nextdvfs.Learners(), ", ")))
-	}
-	if !slices.Contains(append(nextdvfs.Explorers(), ""), explorer) {
-		fatal(fmt.Errorf("unknown explorer %q (have: %s)", explorer, strings.Join(nextdvfs.Explorers(), ", ")))
+	if err := learner.CheckNames(learnerName, explorer); err != nil {
+		fatal(err)
 	}
 	cfg.Learner = learnerName
 	cfg.Explorer = explorer

@@ -33,9 +33,6 @@ type Metrics struct {
 	proxyFallbacks atomic.Int64
 }
 
-// Forwarded returns how many device tables the root has accepted.
-func (m *Metrics) Forwarded() int64 { return m.forwarded.Load() }
-
 // Rejected returns how many uploads were answered 429 (queue full).
 func (m *Metrics) Rejected() int64 { return m.rejected.Load() }
 

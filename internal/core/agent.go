@@ -146,18 +146,11 @@ type AppTable struct {
 	// knows the platform's action space and can build the learner.
 	pending *learner.TableSet
 
-	tdEWMA     float64
-	tdSeeded   bool
+	// flipEWMA is the exponentially averaged greedy-action flip rate —
+	// the convergence signal.
 	flipEWMA   float64
 	flipSeeded bool
 }
-
-// TDError returns the exponentially averaged |TD error| (diagnostics).
-func (t *AppTable) TDError() float64 { return t.tdEWMA }
-
-// FlipRate returns the exponentially averaged greedy-action flip rate —
-// the convergence signal.
-func (t *AppTable) FlipRate() float64 { return t.flipEWMA }
 
 // Learner exposes the app's learner (nil until the first control step
 // builds it).
@@ -343,10 +336,10 @@ func (a *Agent) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 		if applies {
 			bestBefore, _ = t.learner.Greedy(flipState)
 		}
-		td := t.learner.Update(a.prevState, a.prevAction, reward, state, nextAction, a.cfg.Alpha, a.cfg.Gamma, a.rng)
+		t.learner.Update(a.prevState, a.prevAction, reward, state, nextAction, a.cfg.Alpha, a.cfg.Gamma, a.rng)
 		if applies && !t.Trained {
 			bestAfter, _ := t.learner.Greedy(flipState)
-			a.trackConvergence(t, td, bestBefore != bestAfter)
+			a.trackConvergence(t, bestBefore != bestAfter)
 		}
 	}
 
@@ -375,20 +368,9 @@ func (a *Agent) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 	a.prevValid = true
 }
 
-// trackConvergence updates the diagnostics EWMAs and latches Trained
-// when the greedy policy has stopped flipping.
-func (a *Agent) trackConvergence(t *AppTable, td float64, flipped bool) {
-	if td < 0 {
-		td = -td
-	}
-	const tdAlpha = 0.05
-	if !t.tdSeeded {
-		t.tdEWMA = td
-		t.tdSeeded = true
-	} else {
-		t.tdEWMA += tdAlpha * (td - t.tdEWMA)
-	}
-
+// trackConvergence updates the flip-rate EWMA and latches Trained when
+// the greedy policy has stopped flipping.
+func (a *Agent) trackConvergence(t *AppTable, flipped bool) {
 	const flipAlpha = 1.0 / 400
 	f := 0.0
 	if flipped {

@@ -79,9 +79,6 @@ func NewStateSpace(clusterOPPs []int, cfg StateSpaceConfig) *StateSpace {
 	}
 }
 
-// NumClusters returns the number of frequency dimensions.
-func (ss *StateSpace) NumClusters() int { return len(ss.clusterCard) }
-
 // Actions returns the action-space size: up/down/nothing per cluster
 // (9 on a 3-cluster chip, as the paper enumerates).
 func (ss *StateSpace) Actions() int { return 3 * len(ss.clusterCard) }

@@ -233,7 +233,7 @@ func TestNStepConvergenceTracksUpdatedState(t *testing.T) {
 	if tab.Table.Steps != 0 {
 		t.Fatalf("n-step applied %d updates before the window filled", tab.Table.Steps)
 	}
-	if tab.tdSeeded || tab.flipSeeded {
+	if tab.flipSeeded {
 		t.Fatal("buffering steps polluted the convergence EWMAs")
 	}
 	// Keep stepping with varied FPS so updates actually apply.

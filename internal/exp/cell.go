@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"nextdvfs/internal/batch"
 	"nextdvfs/internal/learner"
@@ -56,11 +55,8 @@ func (c Cell) Validate() error {
 		return err
 	}
 	if spec.TrainsAgent {
-		if !learner.Known(c.Learner) {
-			return fmt.Errorf("exp: unknown learner %q (have: %s)", c.Learner, strings.Join(learner.Names(), ", "))
-		}
-		if !learner.KnownExplorer(c.Explorer) {
-			return fmt.Errorf("exp: unknown explorer %q (have: %s)", c.Explorer, strings.Join(learner.ExplorerNames(), ", "))
+		if err := learner.CheckNames(c.Learner, c.Explorer); err != nil {
+			return fmt.Errorf("exp: %w", err)
 		}
 	}
 	return nil
@@ -95,25 +91,7 @@ func (c Cell) Job(lockstepKey string) (batch.Job, error) {
 		Seed:        seed,
 		LockstepKey: lockstepKey,
 		Build: func() (sim.Config, error) {
-			return scenarioCellConfig(scn, plat, spec, lrn, explorer, seed, trainSessions)
+			return laneConfig(scn, plat, spec, lrn, explorer, seed, seed+500, seed+500, trainSessions)
 		},
 	}, nil
-}
-
-// RunCell evaluates a single cell on a private engine — the one-off
-// entry point; sweeps should assemble jobs and use batch.Run.
-func RunCell(c Cell) (sim.Result, error) {
-	job, err := c.Job("")
-	if err != nil {
-		return sim.Result{}, err
-	}
-	cfg, err := job.Build()
-	if err != nil {
-		return sim.Result{}, err
-	}
-	eng, err := sim.New(cfg)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return eng.Run(), nil
 }

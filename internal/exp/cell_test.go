@@ -7,9 +7,8 @@ import (
 	"nextdvfs/internal/batch"
 )
 
-// A Cell is the plan-runnable unit behind ScenarioGrid cells: with the
-// grid's seed derivation it must reproduce the grid row byte-for-byte,
-// scalar or lockstep.
+// A Cell is the plan-runnable unit behind ScenarioGrid cells: run alone
+// through batch.Run, it must reproduce the grid row byte-for-byte.
 func TestCellMatchesScenarioGridRow(t *testing.T) {
 	opts := ScenarioOptions{
 		Seed:          42,
@@ -35,11 +34,15 @@ func TestCellMatchesScenarioGridRow(t *testing.T) {
 			TrainSessions: opts.TrainSessions,
 			DurationScale: opts.DurationScale,
 		}
-		got, err := RunCell(cell)
+		job, err := cell.Job("")
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, _ := json.Marshal(got)
+		got := batch.Run([]batch.Job{job}, batch.Options{Parallel: 1})[0]
+		if got.Err != "" {
+			t.Fatal(got.Err)
+		}
+		a, _ := json.Marshal(got.Result)
 		b, _ := json.Marshal(row.Result)
 		if string(a) != string(b) {
 			t.Fatalf("cell %s/%s result differs from grid row:\n%s\nvs\n%s", row.Scenario, row.Scheme, a, b)

@@ -29,13 +29,6 @@ func (p *pinController) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 func (p *pinController) AppChanged(string, bool) {}
 func (p *pinController) Reset()                  { p.done = false }
 
-// NewIntQoS builds the Int. QoS PM baseline wired to the Note 9 power
-// model — its published cost model gets the same fidelity the simulator
-// burns with.
-func NewIntQoS() ctrl.Controller {
-	return NewIntQoSOn(platform.MustGet(platform.DefaultName))
-}
-
 // NewIntQoSOn builds Int. QoS PM against the given platform's own chip
 // and power model, so the baseline's cost model tracks whatever device
 // the grid is sweeping.

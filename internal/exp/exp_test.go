@@ -36,7 +36,7 @@ func TestTrainProducesUsableAgent(t *testing.T) {
 }
 
 func TestFig1ProducesPaperPhenomena(t *testing.T) {
-	r := Fig1(42)
+	r := Fig1On("note9", 42)
 	if r.Result.DurationS != 280 {
 		t.Fatalf("session length = %g s, want 280", r.Result.DurationS)
 	}
@@ -70,8 +70,8 @@ func TestNextBeatsSchedutilOnSpotify(t *testing.T) {
 	tl := func() *session.Timeline {
 		return session.EvalTimeline(workload.Spotify(), rand.New(rand.NewSource(777)))
 	}
-	sched := RunTimeline(tl(), 777, nil)
-	next := RunTimeline(tl(), 777, agent)
+	sched := runOn(mustNote9(), tl(), 777, nil)
+	next := runOn(mustNote9(), tl(), 777, agent)
 	if next.AvgPowerW >= sched.AvgPowerW {
 		t.Fatalf("Next (%.2f W) must beat schedutil (%.2f W) on the paper's waste case",
 			next.AvgPowerW, sched.AvgPowerW)
@@ -83,7 +83,7 @@ func TestNextBeatsSchedutilOnSpotify(t *testing.T) {
 }
 
 func TestFig4ShapeMatchesPaper(t *testing.T) {
-	r := Fig4(42)
+	r := Fig4On("note9", 42)
 	var frontier, worst []PPDWPoint
 	for _, p := range r.Points {
 		if p.Worst {
@@ -240,7 +240,7 @@ func TestAgentSurvivesSensorDropout(t *testing.T) {
 	tl := &session.Timeline{Scripts: []session.Script{
 		session.ForApp(workload.Facebook(), session.Seconds(60), rng),
 	}}
-	res := runWith(tl, 13, agent, func(c *sim.Config) {
+	res := runOn(mustNote9(), tl, 13, agent, func(c *sim.Config) {
 		c.SnapshotFault = func(s *ctrl.Snapshot) {
 			s.TempBigC = 21 // sensor stuck at ambient
 		}
@@ -264,7 +264,7 @@ func TestAgentSurvivesFPSJitter(t *testing.T) {
 	tl := &session.Timeline{Scripts: []session.Script{
 		session.ForApp(workload.YouTube(), session.Seconds(60), rng),
 	}}
-	res := runWith(tl, 17, agent, func(c *sim.Config) {
+	res := runOn(mustNote9(), tl, 17, agent, func(c *sim.Config) {
 		c.SnapshotFault = func(s *ctrl.Snapshot) {
 			s.FPS += (noise.Float64() - 0.5) * 20
 			if s.FPS < 0 {
@@ -285,7 +285,7 @@ func TestStaleQTableCrossApp(t *testing.T) {
 	before := agent.TableFor(workload.NameLineage).Table.Steps
 
 	tl := session.EvalTimeline(workload.Facebook(), rand.New(rand.NewSource(555)))
-	res := RunTimeline(tl, 555, agent)
+	res := runOn(mustNote9(), tl, 555, agent)
 	if res.AvgPowerW <= 0 {
 		t.Fatal("cross-app run failed")
 	}
@@ -299,7 +299,7 @@ func TestStaleQTableCrossApp(t *testing.T) {
 }
 
 func TestHighRefreshSupportsFasterPanels(t *testing.T) {
-	rows := HighRefresh(7)
+	rows := HighRefreshOn(HighRefreshOptions{Seed: 7})
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}

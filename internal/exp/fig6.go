@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"math/rand"
-
 	"nextdvfs/internal/batch"
 	"nextdvfs/internal/cloud"
 	"nextdvfs/internal/core"
@@ -119,11 +117,7 @@ func fig6Level(plat platform.Platform, levels int, seedOffset int64, opts *Fig6O
 	statesBySession := make([]int, 0, opts.MaxSessions)
 	for i := 1; i <= opts.MaxSessions; i++ {
 		seed := cfg.Seed + int64(i)
-		rng := rand.New(rand.NewSource(seed))
-		tl := &session.Timeline{Scripts: []session.Script{
-			session.ForApp(workload.Facebook(), session.Seconds(opts.SessionSecs), rng),
-		}}
-		runOn(plat, tl, seed, agent)
+		runOn(plat, session.AppTimeline(workload.Facebook(), opts.SessionSecs, seed), seed, agent)
 		n := 0
 		if tab := agent.TableFor(appName); tab != nil && tab.Table != nil {
 			n = tab.Table.States()

@@ -107,31 +107,17 @@ func evaluateAppCfg(plat platform.Platform, mk func() *workload.ProfileApp, opts
 		Platform:    plat.Name,
 	})
 
-	// The evaluation sessions form a small scheme grid; each job builds
-	// a private config over a freshly seeded timeline, so the grid is
-	// safe to run on the shared worker pool.
+	// The evaluation sessions form a small scheme grid on the shared
+	// worker pool.
 	evalSeed := seed + 500
 	evalTL := func() *session.Timeline {
 		return session.EvalTimeline(mk(), rand.New(rand.NewSource(evalSeed)))
 	}
-	jobs := []batch.Job{
-		{App: name, Scheme: "schedutil", Platform: plat.Name, Seed: evalSeed, Build: func() (sim.Config, error) {
-			return plat.Config(evalTL(), evalSeed), nil
-		}},
-		{App: name, Scheme: "next", Platform: plat.Name, Seed: evalSeed, Build: func() (sim.Config, error) {
-			cfg := plat.Config(evalTL(), evalSeed)
-			cfg.Controller = agent
-			return cfg, nil
-		}},
-	}
+	schemes := []string{"schedutil", "next"}
 	if game {
-		jobs = append(jobs, batch.Job{App: name, Scheme: "intqospm", Platform: plat.Name, Seed: evalSeed, Build: func() (sim.Config, error) {
-			cfg := plat.Config(evalTL(), evalSeed)
-			cfg.Controller = NewIntQoSOn(plat)
-			return cfg, nil
-		}})
+		schemes = append(schemes, "intqospm")
 	}
-	res := mustResults(batch.Run(jobs, batch.Options{Parallel: evalParallel}))
+	res := mustResults(batch.Run(evalJobs(name, plat, evalSeed, evalTL, agent, schemes...), batch.Options{Parallel: evalParallel}))
 	sched, next := res[0].Result, res[1].Result
 
 	ambient := plat.AmbientC

@@ -17,13 +17,9 @@ type Fig1Result struct {
 	Samples []sim.Sample
 }
 
-// Fig1 reproduces the paper's Fig. 1 at 3 s sample resolution (the
-// paper records FPS every 3 seconds for the figure).
-func Fig1(seed int64) Fig1Result {
-	return Fig1On(platform.DefaultName, seed)
-}
-
-// Fig1On replays the Fig. 1 session on any registry platform.
+// Fig1On reproduces the paper's Fig. 1 on any registry platform at 3 s
+// sample resolution (the paper records FPS every 3 seconds for the
+// figure).
 func Fig1On(platformName string, seed int64) Fig1Result {
 	plat := platform.MustGet(platformName)
 	rng := rand.New(rand.NewSource(seed))
@@ -50,19 +46,13 @@ type Fig3Result struct {
 	Train          []TrainStats
 }
 
-// Fig3 trains Next on the three session apps, then replays the same
-// session under schedutil and under the trained agent.
-func Fig3(seed int64) Fig3Result {
-	return Fig3On(platform.DefaultName, seed)
-}
-
-// Fig3On runs the Fig. 3 comparison on any registry platform.
+// Fig3On trains Next on the three session apps on any registry
+// platform, then replays the same session under schedutil and under the
+// trained agent.
 func Fig3On(platformName string, seed int64) Fig3Result {
 	plat := platform.MustGet(platformName)
 	// One shared agent learns all three apps, as on a real device.
-	cfg := DefaultAgentConfigFor(plat)
-	cfg.Seed = seed
-	agent := core.NewAgent(cfg)
+	agent := NewDefaultAgent(plat, seed, "", "")
 	var stats []TrainStats
 	for i := 1; i <= 18; i++ {
 		rng := rand.New(rand.NewSource(seed + int64(i)))
@@ -120,19 +110,14 @@ type Fig4Result struct {
 	Bounds core.Bounds
 }
 
-// Fig4 reproduces the PPDW-vs-FPS trend the way the paper measured it:
-// during Lineage gameplay on stock schedutil, where the frame rate is
-// set by scene weight — heavy scenes push the pipeline past its VSync
+// Fig4On reproduces the PPDW-vs-FPS trend on any registry platform the
+// way the paper measured it: during Lineage gameplay on stock
+// schedutil, where the frame rate is set by scene weight — heavy scenes push the pipeline past its VSync
 // budget (low FPS at high power and temperature → low PPDW), light
 // scenes ride the 60 Hz cap with idle headroom (high PPDW). The sweep
 // scales the per-frame render cost to visit that scene spectrum, and
 // adds the analytic worst-case anchors at FPS 0/1/10 (the paper's
 // red-marked points: least frames at maximum power and temperature).
-func Fig4(seed int64) Fig4Result {
-	return Fig4On(platform.DefaultName, seed)
-}
-
-// Fig4On runs the PPDW sweep on any registry platform.
 func Fig4On(platformName string, seed int64) Fig4Result {
 	plat := platform.MustGet(platformName)
 	weights := []float64{2.6, 2.2, 1.8, 1.5, 1.25, 1.0, 0.8, 0.6}

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"nextdvfs/internal/batch"
-	"nextdvfs/internal/core"
 	"nextdvfs/internal/platform"
 	"nextdvfs/internal/session"
 	"nextdvfs/internal/sim"
@@ -29,13 +28,8 @@ type HighRefreshOptions struct {
 	Parallel int
 }
 
-// HighRefresh runs Lineage on 60/90/120 Hz panels under schedutil and a
-// trained Next agent on the default platform.
-func HighRefresh(seed int64) []RefreshRow {
-	return HighRefreshOn(HighRefreshOptions{Seed: seed})
-}
-
-// HighRefreshOn runs the panel sweep on any base platform. The agent's
+// HighRefreshOn runs Lineage on 60/90/120 Hz panels of any base
+// platform under schedutil and a trained Next agent. The agent's
 // FPS quantizers span the panel rate, and the game's render loop chases
 // it — the experiment shows the approach is not hard-wired to 60 Hz.
 func HighRefreshOn(opts HighRefreshOptions) []RefreshRow {
@@ -65,34 +59,23 @@ func highRefreshRate(base platform.Platform, seed int64, hz int) RefreshRow {
 		p.FrameGPUMean *= scale
 		return workload.NewProfileApp(p)
 	}
-	mkTL := func(secs float64) *session.Timeline {
+	mkTL := func() *session.Timeline { // 120 s of gameplay
 		return &session.Timeline{Scripts: []session.Script{{
 			App: mkApp(),
 			Phases: []session.Phase{
-				{Inter: workload.InterPlay, DurUS: session.Seconds(secs)},
+				{Inter: workload.InterPlay, DurUS: session.Seconds(120)},
 			},
 		}}}
 	}
 
-	// DefaultAgentConfigFor spans the variant's panel rate.
-	agentCfg := DefaultAgentConfigFor(plat)
-	agentCfg.Seed = seed + int64(hz)
-	agent := core.NewAgent(agentCfg)
+	// The default configuration spans the variant's panel rate.
+	agent := NewDefaultAgent(plat, seed+int64(hz), "", "")
 	for i := 1; i <= 10; i++ {
-		runOn(plat, mkTL(120), seed+int64(hz)+int64(i), agent)
+		runOn(plat, mkTL(), seed+int64(hz)+int64(i), agent)
 	}
 
 	evalSeed := seed + int64(hz) + 999
-	res := mustResults(batch.Run([]batch.Job{
-		{App: workload.NameLineage, Scheme: "schedutil", Platform: plat.Name, Seed: evalSeed, Build: func() (sim.Config, error) {
-			return plat.Config(mkTL(120), evalSeed), nil
-		}},
-		{App: workload.NameLineage, Scheme: "next", Platform: plat.Name, Seed: evalSeed, Build: func() (sim.Config, error) {
-			cfg := plat.Config(mkTL(120), evalSeed)
-			cfg.Controller = agent
-			return cfg, nil
-		}},
-	}, batch.Options{Parallel: 1}))
+	res := mustResults(batch.Run(evalJobs(workload.NameLineage, plat, evalSeed, mkTL, agent, "schedutil", "next"), batch.Options{Parallel: 1}))
 	sched, next := res[0].Result, res[1].Result
 	return RefreshRow{
 		RefreshHz: hz,

@@ -12,6 +12,7 @@ import (
 	"nextdvfs/internal/platform"
 	"nextdvfs/internal/scenario"
 	"nextdvfs/internal/session"
+	"nextdvfs/internal/sim"
 	"nextdvfs/internal/workload"
 )
 
@@ -219,15 +220,15 @@ func TestWatkinsAgentMatchesPreRefactorRule(t *testing.T) {
 				session.ForApp(workload.Spotify(), session.Seconds(60), rand.New(rand.NewSource(seed))),
 			}}
 		}
-		RunTimeline(mkTL(), seed, agent)
-		RunTimeline(mkTL(), seed, ref)
+		runOn(mustNote9(), mkTL(), seed, agent)
+		runOn(mustNote9(), mkTL(), seed, ref)
 	}
 
 	evalTL := func() *session.Timeline {
 		return session.EvalTimeline(workload.Spotify(), rand.New(rand.NewSource(999)))
 	}
-	resAgent := RunTimeline(evalTL(), 999, agent)
-	resRef := RunTimeline(evalTL(), 999, ref)
+	resAgent := runOn(mustNote9(), evalTL(), 999, agent)
+	resRef := runOn(mustNote9(), evalTL(), 999, ref)
 	if !reflect.DeepEqual(resAgent, resRef) {
 		t.Fatalf("evaluation diverged:\nagent: %+v\nref:   %+v", resAgent, resRef)
 	}
@@ -249,14 +250,8 @@ func TestWatkinsMatchesPreRefactorOnEveryScenarioPreset(t *testing.T) {
 		agent := core.NewAgent(cfg)
 		ref := newRefAgent(cfg)
 		for s := int64(1); s <= 2; s++ {
-			resA, err := RunScenarioOn("note9", scn, 100+s, agent)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resR, err := RunScenarioOn("note9", scn, 100+s, ref)
-			if err != nil {
-				t.Fatal(err)
-			}
+			resA := runScenario(t, scn, 100+s, agent)
+			resR := runScenario(t, scn, 100+s, ref)
 			if !reflect.DeepEqual(resA, resR) {
 				t.Fatalf("%s session %d: results diverged", name, s)
 			}
@@ -268,3 +263,19 @@ func TestWatkinsMatchesPreRefactorOnEveryScenarioPreset(t *testing.T) {
 }
 
 func mustNote9() platform.Platform { return platform.MustGet(platform.DefaultName) }
+
+// runScenario runs the scenario compiled at seed on the Note 9 under
+// controller, through the shared scenario config builder.
+func runScenario(t *testing.T, scn scenario.Scenario, seed int64, controller ctrl.Controller) sim.Result {
+	t.Helper()
+	cfg, err := ScenarioConfig(scn, mustNote9(), seed, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Controller = controller
+	eng, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.Run()
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 
 	"nextdvfs/internal/batch"
 	"nextdvfs/internal/learner"
@@ -82,12 +81,9 @@ type LearnerRow struct {
 func LearnerGrid(opts LearnerGridOptions) ([]LearnerRow, error) {
 	opts.defaults()
 	for _, l := range opts.Learners {
-		if !learner.Known(l) {
-			return nil, fmt.Errorf("exp: unknown learner %q (have: %s)", l, strings.Join(learner.Names(), ", "))
+		if err := learner.CheckNames(l, opts.Explorer); err != nil {
+			return nil, fmt.Errorf("exp: %w", err)
 		}
-	}
-	if !learner.KnownExplorer(opts.Explorer) {
-		return nil, fmt.Errorf("exp: unknown explorer %q (have: %s)", opts.Explorer, strings.Join(learner.ExplorerNames(), ", "))
 	}
 	for _, app := range opts.Apps {
 		if workload.ByName(app) == nil {
@@ -138,8 +134,8 @@ func learnerCell(plat platform.Platform, lrn, explorer, app string, appOrdinal i
 	evalTL := func() *session.Timeline {
 		return session.EvalTimeline(mk(), rand.New(rand.NewSource(evalSeed)))
 	}
-	sched := runOn(plat, evalTL(), evalSeed, nil)
-	next := runOn(plat, evalTL(), evalSeed, agent)
+	res := mustResults(batch.Run(evalJobs(app, plat, evalSeed, evalTL, agent, "schedutil", "next"), batch.Options{Parallel: 1}))
+	sched, next := res[0].Result, res[1].Result
 
 	trainedS := float64(stats.TrainedUS) / 1e6
 	return LearnerRow{

@@ -152,8 +152,8 @@ func TestSchemeRegistryErrorEnumeratesRegistry(t *testing.T) {
 	if len(Schemes()) < 6 {
 		t.Fatalf("schemes registered = %d, want the full set", len(Schemes()))
 	}
-	if !KnownScheme("") || !KnownScheme("next") || KnownScheme("nope") {
-		t.Fatal("KnownScheme wrong")
+	if spec, err := GetScheme(""); err != nil || spec.Name != "schedutil" {
+		t.Fatalf(`GetScheme("") = %q, %v; want schedutil`, spec.Name, err)
 	}
 	for _, name := range Schemes() {
 		spec, err := GetScheme(name)

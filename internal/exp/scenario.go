@@ -3,11 +3,9 @@ package exp
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"nextdvfs/internal/batch"
 	"nextdvfs/internal/core"
-	"nextdvfs/internal/ctrl"
 	"nextdvfs/internal/learner"
 	"nextdvfs/internal/platform"
 	"nextdvfs/internal/scenario"
@@ -44,14 +42,6 @@ type ScenarioOptions struct {
 	// TrainSessions is how many scenario sessions train each "next"
 	// cell's agent (0 → 6).
 	TrainSessions int
-	// Lockstep routes the evaluation runs of each (scenario, platform)
-	// pair through one sim.BatchEngine: all schemes and learners of the
-	// pair share its compiled timeline's structure, so their eval lanes
-	// step one shared tick loop instead of one engine each. Rows are
-	// byte-identical either way — the batched engine is pinned
-	// bit-identical to scalar runs — so this is purely a throughput
-	// knob.
-	Lockstep bool
 }
 
 func (o *ScenarioOptions) defaults() {
@@ -86,77 +76,49 @@ type ScenarioRow struct {
 // cell of the options across the batch pool and returns rows in fixed
 // scenario-major, platform, scheme, learner-minor order. All cells of a
 // (scenario, platform) pair replay the byte-identical compiled
-// timeline, so their rows are directly comparable; agent cells first
-// train a fresh agent — with the cell's learner — on TrainSessions
-// differently-seeded sessions of the same scenario. The learner
-// dimension applies only to agent-training schemes: a governor cell
-// has no update rule to sweep.
+// timeline, so their rows are directly comparable. Every cell runs as
+// its own scalar batch job, so agent training parallelises across the
+// whole grid rather than per pair. Agent cells first train a fresh agent — with the cell's learner — on
+// TrainSessions differently-seeded sessions of the same scenario. The
+// learner dimension applies only to agent-training schemes: a governor
+// cell has no update rule to sweep.
 func ScenarioGrid(opts ScenarioOptions) ([]ScenarioRow, error) {
 	opts.defaults()
-	for _, l := range opts.Learners {
-		if !learner.Known(l) {
-			return nil, fmt.Errorf("exp: unknown learner %q (have: %s)", l, strings.Join(learner.Names(), ", "))
+	agentLearners := make([]string, len(opts.Learners))
+	for i, l := range opts.Learners {
+		if err := learner.CheckNames(l, opts.Explorer); err != nil {
+			return nil, fmt.Errorf("exp: %w", err)
 		}
+		agentLearners[i] = learner.Normalize(l)
 	}
-	if !learner.KnownExplorer(opts.Explorer) {
-		return nil, fmt.Errorf("exp: unknown explorer %q (have: %s)", opts.Explorer, strings.Join(learner.ExplorerNames(), ", "))
-	}
-	type cell struct {
-		scn  scenario.Scenario
-		plat platform.Platform
-		si   int
-		pi   int
-		sch  SchemeSpec
-		lrn  string // "" for schemes that do not train an agent
-	}
-	var cells []cell
+	var cells []Cell
+	var jobs []batch.Job
 	for si, sn := range opts.Scenarios {
-		scn, err := scenario.Get(sn)
-		if err != nil {
-			return nil, err
-		}
-		scn = scenario.Scaled(scn, opts.DurationScale)
 		for pi, pn := range opts.Platforms {
-			plat, err := platform.Get(pn)
-			if err != nil {
-				return nil, err
-			}
+			// Seeds derive from the (scenario, platform) pair only, so
+			// every scheme and learner replays the identical evaluation
+			// timeline.
+			base := opts.Seed + int64(si)*100_003 + int64(pi)*1_009
 			for _, sch := range opts.Schemes {
 				spec, err := GetScheme(sch)
 				if err != nil {
 					return nil, err
 				}
+				learners := []string{""} // governor schemes have no learner
 				if spec.TrainsAgent {
-					for _, l := range opts.Learners {
-						cells = append(cells, cell{scn: scn, plat: plat, si: si, pi: pi, sch: spec, lrn: learner.Normalize(l)})
+					learners = agentLearners
+				}
+				for _, l := range learners {
+					c := Cell{Scenario: sn, Platform: pn, Scheme: spec.Name, Learner: l, Explorer: opts.Explorer,
+						Seed: base, TrainSessions: opts.TrainSessions, DurationScale: opts.DurationScale}
+					job, err := c.Job("")
+					if err != nil {
+						return nil, err
 					}
-				} else {
-					cells = append(cells, cell{scn: scn, plat: plat, si: si, pi: pi, sch: spec})
+					cells = append(cells, c)
+					jobs = append(jobs, job)
 				}
 			}
-		}
-	}
-
-	jobs := make([]batch.Job, len(cells))
-	for i, c := range cells {
-		c := c
-		// Seeds derive from the (scenario, platform) pair only, so every
-		// scheme and learner replays the identical evaluation timeline.
-		base := opts.Seed + int64(c.si)*100_003 + int64(c.pi)*1_009
-		jobs[i] = batch.Job{
-			App:      c.scn.Name,
-			Scheme:   c.sch.Name,
-			Platform: c.plat.Name,
-			Seed:     base,
-			Build: func() (sim.Config, error) {
-				return scenarioCellConfig(c.scn, c.plat, c.sch, c.lrn, opts.Explorer, base, opts.TrainSessions)
-			},
-		}
-		if opts.Lockstep {
-			// Cells are ordered scheme/learner-minor, so every cell of a
-			// (scenario, platform) pair is consecutive and the whole pair
-			// becomes one lockstep span.
-			jobs[i].LockstepKey = fmt.Sprintf("grid|%d|%d", c.si, c.pi)
 		}
 	}
 	results := batch.Run(jobs, batch.Options{Parallel: opts.Parallel})
@@ -165,105 +127,60 @@ func ScenarioGrid(opts ScenarioOptions) ([]ScenarioRow, error) {
 		if r.Err != "" {
 			return nil, fmt.Errorf("exp: scenario cell %s/%s/%s: %s", r.App, r.Platform, r.Scheme, r.Err)
 		}
-		c := cells[i]
-		rows[i] = ScenarioRow{Scenario: c.scn.Name, Platform: c.plat.Name, Scheme: c.sch.Name, Learner: c.lrn, Result: r.Result}
+		rows[i] = ScenarioRow{Scenario: r.App, Platform: r.Platform, Scheme: r.Scheme, Learner: cells[i].Learner, Result: r.Result}
 	}
 	return rows, nil
 }
 
-// scenarioConfig compiles the scenario at seed and assembles the
-// platform's sim config with the environment schedules attached.
-func scenarioConfig(scn scenario.Scenario, plat platform.Platform, seed int64) (sim.Config, error) {
-	compiled, err := scenario.Compile(scn, seed, plat.AmbientC)
+// ScenarioConfig compiles the scenario's structure at structSeed and
+// assembles the platform's sim config at engineSeed with the
+// environment schedules attached — the one place a scenario becomes a
+// session. Runs that share structSeed replay identical phase
+// structure and schedules (the lockstep contract); most callers pass
+// one seed for both.
+func ScenarioConfig(scn scenario.Scenario, plat platform.Platform, structSeed, engineSeed int64) (sim.Config, error) {
+	compiled, err := scenario.Compile(scn, structSeed, plat.AmbientC)
 	if err != nil {
 		return sim.Config{}, err
 	}
-	cfg := plat.Config(compiled.Timeline, seed)
+	cfg := plat.Config(compiled.Timeline, engineSeed)
 	cfg.Ambient = compiled.Ambient
 	cfg.Refresh = compiled.Refresh
 	return cfg, nil
 }
 
-// trainSchemeAgent trains a fresh agent for an agent-training scheme on
-// trainSessions differently-seeded sessions of the scenario, or returns
-// nil for schemes that do not train. Training runs stay scalar — each
-// session's timeline structure depends on its seed, so they are not
-// lockstep candidates; only the shared-structure evaluation run is.
-func trainSchemeAgent(scn scenario.Scenario, plat platform.Platform, spec SchemeSpec, learnerName, explorer string, baseSeed int64, trainSessions int) (*core.Agent, error) {
-	if !spec.TrainsAgent {
-		return nil, nil
-	}
-	cfg := DefaultAgentConfigFor(plat)
-	cfg.Seed = baseSeed
-	cfg.Learner = learnerName
-	cfg.Explorer = explorer
-	agent := core.NewAgent(cfg)
-	for i := 1; i <= trainSessions; i++ {
-		seed := baseSeed + int64(i)
-		c, err := scenarioConfig(scn, plat, seed)
-		if err != nil {
-			return nil, err
+// laneConfig returns one evaluation lane: for an agent-training scheme
+// it first trains a fresh agent on trainSessions sessions of the
+// scenario seeded trainSeed+1…, then configures the scheme over the
+// scenario's structure compiled at structSeed, run at engineSeed. Every
+// call is independent — fresh agent, fresh compiled timeline — which
+// is the batch.Job Build contract. Training sessions vary structurally
+// with their seeds, so they run scalar; only the evaluation run is a
+// lockstep candidate.
+func laneConfig(scn scenario.Scenario, plat platform.Platform, spec SchemeSpec, learnerName, explorer string, trainSeed, structSeed, engineSeed int64, trainSessions int) (sim.Config, error) {
+	var agent *core.Agent
+	if spec.TrainsAgent {
+		agent = NewDefaultAgent(plat, trainSeed, learnerName, explorer)
+		for i := 1; i <= trainSessions; i++ {
+			seed := trainSeed + int64(i)
+			c, err := ScenarioConfig(scn, plat, seed, seed)
+			if err != nil {
+				return sim.Config{}, err
+			}
+			c.Controller = agent
+			eng, err := sim.New(c)
+			if err != nil {
+				return sim.Config{}, err
+			}
+			eng.Run()
 		}
-		c.Controller = agent
-		eng, err := sim.New(c)
-		if err != nil {
-			return nil, err
-		}
-		eng.Run()
 	}
-	return agent, nil
-}
-
-// scenarioCellConfig trains the cell's agent (if its scheme needs one)
-// and returns the fully-configured evaluation config. Every call is
-// independent — fresh agent, fresh compiled timeline — which is the
-// batch.Job Build contract.
-func scenarioCellConfig(scn scenario.Scenario, plat platform.Platform, spec SchemeSpec, learnerName, explorer string, baseSeed int64, trainSessions int) (sim.Config, error) {
-	agent, err := trainSchemeAgent(scn, plat, spec, learnerName, explorer, baseSeed, trainSessions)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	evalSeed := baseSeed + 500
-	cfg, err := scenarioConfig(scn, plat, evalSeed)
+	cfg, err := ScenarioConfig(scn, plat, structSeed, engineSeed)
 	if err != nil {
 		return sim.Config{}, err
 	}
 	spec.Configure(&cfg, plat, agent)
 	return cfg, nil
-}
-
-func scenarioCell(scn scenario.Scenario, plat platform.Platform, spec SchemeSpec, learnerName, explorer string, baseSeed int64, trainSessions int) (sim.Result, error) {
-	cfg, err := scenarioCellConfig(scn, plat, spec, learnerName, explorer, baseSeed, trainSessions)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	eng, err := sim.New(cfg)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return eng.Run(), nil
-}
-
-// RunScenarioOn compiles the scenario at seed for the named registry
-// platform and runs it with an optional controller — the single-run
-// entry point fleetsim and tools use.
-func RunScenarioOn(platformName string, scn scenario.Scenario, seed int64, controller ctrl.Controller) (sim.Result, error) {
-	plat, err := platform.Get(platformName)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	cfg, err := scenarioConfig(scn, plat, seed)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	if controller != nil {
-		cfg.Controller = controller
-	}
-	eng, err := sim.New(cfg)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return eng.Run(), nil
 }
 
 // WriteScenarioGrid prints the grid the way cmd/nextbench -scenarios

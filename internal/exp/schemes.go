@@ -90,16 +90,6 @@ func Schemes() []string {
 	return names
 }
 
-// SchemeInfos lists every registered scheme, sorted by name.
-func SchemeInfos() []SchemeSpec {
-	names := Schemes()
-	infos := make([]SchemeSpec, 0, len(names))
-	for _, n := range names {
-		infos = append(infos, schemeRegistry[n])
-	}
-	return infos
-}
-
 // GetScheme resolves a scheme name ("" = schedutil). The unknown-name
 // error enumerates the live registry, so the message can never drift
 // from the actual set.
@@ -112,11 +102,4 @@ func GetScheme(name string) (SchemeSpec, error) {
 		return SchemeSpec{}, fmt.Errorf("exp: unknown scheme %q (have: %s)", name, strings.Join(Schemes(), ", "))
 	}
 	return s, nil
-}
-
-// KnownScheme reports whether name is registered ("" counts: it
-// resolves to schedutil).
-func KnownScheme(name string) bool {
-	_, err := GetScheme(name)
-	return err == nil
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"nextdvfs/internal/batch"
 	"nextdvfs/internal/learner"
@@ -90,11 +89,8 @@ func SeedSweep(opts SeedSweepOptions) ([]SeedSweepRow, error) {
 	}
 	lrn := ""
 	if spec.TrainsAgent {
-		if !learner.Known(opts.Learner) {
-			return nil, fmt.Errorf("exp: unknown learner %q (have: %s)", opts.Learner, strings.Join(learner.Names(), ", "))
-		}
-		if !learner.KnownExplorer(opts.Explorer) {
-			return nil, fmt.Errorf("exp: unknown explorer %q (have: %s)", opts.Explorer, strings.Join(learner.ExplorerNames(), ", "))
+		if err := learner.CheckNames(opts.Learner, opts.Explorer); err != nil {
+			return nil, fmt.Errorf("exp: %w", err)
 		}
 		lrn = learner.Normalize(opts.Learner)
 	}
@@ -107,8 +103,12 @@ func SeedSweep(opts SeedSweepOptions) ([]SeedSweepRow, error) {
 			Scheme:   spec.Name,
 			Platform: plat.Name,
 			Seed:     engineSeed,
+			// The scenario compiles at the shared structural seed in
+			// every lane (identical phase structure and schedules, fresh
+			// app instances); the lane's own engine seed also seeds its
+			// agent's training.
 			Build: func() (sim.Config, error) {
-				return sweepLaneConfig(scn, plat, spec, lrn, opts.Explorer, opts.Seed, engineSeed, opts.TrainSessions)
+				return laneConfig(scn, plat, spec, lrn, opts.Explorer, engineSeed, opts.Seed, engineSeed, opts.TrainSessions)
 			},
 		}
 		if opts.Lockstep {
@@ -124,28 +124,6 @@ func SeedSweep(opts SeedSweepOptions) ([]SeedSweepRow, error) {
 		rows[i] = SeedSweepRow{Seed: r.Seed, Result: r.Result}
 	}
 	return rows, nil
-}
-
-// sweepLaneConfig assembles one sweep lane: the scenario compiles at
-// the shared structural seed (identical phase structure and schedules
-// in every lane, fresh app instances) while the engine seed is the
-// lane's own. Agent schemes train a fresh per-lane agent first —
-// training sessions vary structurally with the engine seed, so they
-// run scalar; only the evaluation run locksteps.
-func sweepLaneConfig(scn scenario.Scenario, plat platform.Platform, spec SchemeSpec, learnerName, explorer string, structSeed, engineSeed int64, trainSessions int) (sim.Config, error) {
-	agent, err := trainSchemeAgent(scn, plat, spec, learnerName, explorer, engineSeed, trainSessions)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	compiled, err := scenario.Compile(scn, structSeed, plat.AmbientC)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	cfg := plat.Config(compiled.Timeline, engineSeed)
-	cfg.Ambient = compiled.Ambient
-	cfg.Refresh = compiled.Refresh
-	spec.Configure(&cfg, plat, agent)
-	return cfg, nil
 }
 
 // WriteSeedSweep prints per-seed rows and an unweighted mean line — the

@@ -3,7 +3,10 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
+
+	"nextdvfs/internal/batch"
 )
 
 // The sweep wiring pin: Lockstep on and off must produce byte-identical
@@ -66,34 +69,45 @@ func TestSeedSweepRejectsUnknownNames(t *testing.T) {
 	}
 }
 
-// The grid wiring pin: ScenarioGrid Lockstep batches every (scenario,
-// platform) pair's schemes through one engine, and rows — and the exact
-// bytes the CLI prints — stay identical to the scalar grid.
+// The grid wiring pin: ScenarioGrid runs every cell scalar, and its
+// rows stay identical to the same cells run with each (scenario,
+// platform) pair's schemes as one lockstep span.
 func TestScenarioGridLockstepByteIdentical(t *testing.T) {
-	run := func(lockstep bool) ([]ScenarioRow, []byte) {
-		rows, err := ScenarioGrid(ScenarioOptions{
-			Seed:          42,
-			Scenarios:     []string{"doomscroll", "cold-start"},
-			Parallel:      4,
-			DurationScale: 0.02,
-			TrainSessions: 1,
-			Lockstep:      lockstep,
-		})
-		if err != nil {
-			t.Fatal(err)
+	opts := ScenarioOptions{
+		Seed:          42,
+		Scenarios:     []string{"doomscroll", "cold-start"},
+		Parallel:      4,
+		DurationScale: 0.02,
+		TrainSessions: 1,
+	}
+	rows, err := ScenarioGrid(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []batch.Job
+	for si, sn := range opts.Scenarios {
+		for _, sch := range []string{"schedutil", "next"} {
+			c := Cell{Scenario: sn, Platform: "note9", Scheme: sch, Seed: opts.Seed + int64(si)*100_003,
+				TrainSessions: opts.TrainSessions, DurationScale: opts.DurationScale}
+			job, err := c.Job(fmt.Sprintf("grid|%d", si))
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, job)
 		}
-		var buf bytes.Buffer
-		WriteScenarioGrid(&buf, rows)
-		return rows, buf.Bytes()
 	}
-	scalarRows, scalarOut := run(false)
-	lockRows, lockOut := run(true)
-	a, _ := json.Marshal(scalarRows)
-	b, _ := json.Marshal(lockRows)
-	if !bytes.Equal(a, b) {
-		t.Fatal("lockstep grid rows diverged from scalar grid")
+	lock := batch.Run(jobs, batch.Options{Parallel: 4})
+	if len(lock) != len(rows) {
+		t.Fatalf("%d grid rows, %d lockstep cells", len(rows), len(lock))
 	}
-	if !bytes.Equal(scalarOut, lockOut) {
-		t.Fatalf("printed grid differs:\n%s\n--- vs ---\n%s", scalarOut, lockOut)
+	for i, r := range lock {
+		if r.Err != "" {
+			t.Fatal(r.Err)
+		}
+		a, _ := json.Marshal(rows[i].Result)
+		b, _ := json.Marshal(r.Result)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("grid row %s/%s diverged from its lockstep cell", rows[i].Scenario, rows[i].Scheme)
+		}
 	}
 }

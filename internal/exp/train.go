@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"nextdvfs/internal/batch"
 	"nextdvfs/internal/core"
@@ -84,11 +83,7 @@ func Train(makeApp func() *workload.ProfileApp, opts TrainOptions) (*core.Agent,
 	stats := TrainStats{App: name}
 	for i := 1; i <= opts.MaxSessions; i++ {
 		seed := opts.BaseSeed + int64(i)
-		rng := rand.New(rand.NewSource(seed))
-		tl := &session.Timeline{Scripts: []session.Script{
-			session.ForApp(makeApp(), session.Seconds(opts.SessionSecs), rng),
-		}}
-		runOn(plat, tl, seed, agent)
+		runOn(plat, session.AppTimeline(makeApp(), opts.SessionSecs, seed), seed, agent)
 		stats.Sessions = i
 		if tab := agent.TableFor(name); tab != nil && tab.Trained {
 			stats.Converged = true
@@ -118,6 +113,18 @@ func DefaultAgentConfigFor(p platform.Platform) core.AgentConfig {
 	return cfg
 }
 
+// NewDefaultAgent builds a fresh agent on the platform's default
+// configuration with the given seed, learner and explorer — the agent
+// every session recipe trains unless a driver varies the configuration
+// itself. Names are not checked here; callers run learner.CheckNames.
+func NewDefaultAgent(p platform.Platform, seed int64, learnerName, explorer string) *core.Agent {
+	cfg := DefaultAgentConfigFor(p)
+	cfg.Seed = seed
+	cfg.Learner = learnerName
+	cfg.Explorer = explorer
+	return core.NewAgent(cfg)
+}
+
 // mustResults asserts every job in a batch succeeded and returns the
 // results — experiment wiring is code, not input, so a failed build is
 // a panic, with the job's labels in the message.
@@ -128,6 +135,26 @@ func mustResults(res []batch.RunResult) []batch.RunResult {
 		}
 	}
 	return res
+}
+
+// evalJobs replays one evaluation session under each named scheme
+// (agent serves the agent-training ones). Every job builds a private
+// config over a freshly built timeline, so the jobs are safe to run on
+// the shared worker pool.
+func evalJobs(app string, plat platform.Platform, seed int64, tl func() *session.Timeline, agent *core.Agent, schemes ...string) []batch.Job {
+	jobs := make([]batch.Job, len(schemes))
+	for i, name := range schemes {
+		spec, err := GetScheme(name)
+		if err != nil {
+			panic(err) // experiment wiring is code, not input
+		}
+		jobs[i] = batch.Job{App: app, Scheme: spec.Name, Platform: plat.Name, Seed: seed, Build: func() (sim.Config, error) {
+			cfg := plat.Config(tl(), seed)
+			spec.Configure(&cfg, plat, agent)
+			return cfg, nil
+		}}
+	}
+	return jobs
 }
 
 // runOn executes a timeline on the given platform with an optional
@@ -145,26 +172,4 @@ func runOn(p platform.Platform, tl *session.Timeline, seed int64, controller ctr
 		panic(err) // experiment wiring is code, not input
 	}
 	return eng.Run()
-}
-
-// runWith is runOn on the default platform (the paper's Note 9) — the
-// shorthand the paper-figure drivers use.
-func runWith(tl *session.Timeline, seed int64, controller ctrl.Controller, mutate ...func(*sim.Config)) sim.Result {
-	return runOn(platform.MustGet(platform.DefaultName), tl, seed, controller, mutate...)
-}
-
-// RunTimeline executes a timeline on the Note 9 with an optional
-// controller — the exported single-run entry point used by tools and
-// examples.
-func RunTimeline(tl *session.Timeline, seed int64, controller ctrl.Controller) sim.Result {
-	return runWith(tl, seed, controller)
-}
-
-// RunTimelineOn is RunTimeline on a named registry platform.
-func RunTimelineOn(platformName string, tl *session.Timeline, seed int64, controller ctrl.Controller) (sim.Result, error) {
-	p, err := platform.Get(platformName)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return runOn(p, tl, seed, controller), nil
 }

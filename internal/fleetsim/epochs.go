@@ -2,17 +2,12 @@ package fleetsim
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
 	"nextdvfs/internal/batch"
-	"nextdvfs/internal/core"
-	"nextdvfs/internal/exp"
 	"nextdvfs/internal/fleetd"
 	"nextdvfs/internal/platform"
-	"nextdvfs/internal/session"
-	"nextdvfs/internal/workload"
 )
 
 // runPhased is the Epochs > 1 traffic shape: the repeated federated
@@ -25,15 +20,10 @@ import (
 // session (continuing its session-seed sequence) on top of the
 // installed policy, which is what makes re-uploads incremental and
 // gives DeltaUploads real deltas to ship.
-func runPhased(client *fleetd.Client, plat platform.Platform, opts Options) (Report, error) {
-	report := Report{Options: opts, Devices: make([]DeviceResult, opts.Devices)}
-	agents := make([]*core.Agent, opts.Devices)
-	trainStart := time.Now()
-	batch.Map(opts.Devices, opts.Parallel, func(i int) {
-		report.Devices[i] = DeviceResult{Device: deviceName(i)}
-		agents[i] = trainDevice(&report.Devices[i], plat, opts, i)
-	})
-	trainWall := time.Since(trainStart)
+func runPhased(client *fleetd.Client, plat platform.Platform, report Report) (Report, error) {
+	opts := report.Options
+	agents := trainFleet(&report, plat)
+	trainWall := report.TrainWallS
 
 	var uploaders []*fleetd.DeltaUploader
 	if opts.DeltaUploads {
@@ -47,11 +37,20 @@ func runPhased(client *fleetd.Client, plat platform.Platform, opts Options) (Rep
 	var trafficWall time.Duration
 	for e := 1; e <= opts.Epochs; e++ {
 		if e > 1 {
+			// Each epoch continues every device's session-seed sequence
+			// by one session, exactly as a longer -sessions run would.
 			ts := time.Now()
+			s := opts.Sessions + e - 1
 			batch.Map(opts.Devices, opts.Parallel, func(i int) {
-				trainOneSession(&report.Devices[i], agents[i], opts, i, opts.Sessions+e-1)
+				d := &report.Devices[i]
+				if d.Err != "" || agents[i] == nil {
+					return
+				}
+				if err := trainSessions(plat, opts, i, agents[i], s, s); err != nil {
+					d.Err = err.Error()
+				}
 			})
-			trainWall += time.Since(ts)
+			trainWall += time.Since(ts).Seconds()
 		}
 
 		ts := time.Now()
@@ -113,44 +112,11 @@ func runPhased(client *fleetd.Client, plat platform.Platform, opts Options) (Rep
 		trafficWall += time.Since(ts)
 	}
 
-	pulled, _, err := client.PolicySet(opts.App, opts.Platform)
-	if err != nil {
-		return report, fmt.Errorf("fleetsim: final policy pull: %w", err)
+	if err := report.pullFinal(client, opts.App, report.Merge, &requests); err != nil {
+		return report, err
 	}
-	merged := pulled.Primary()
-	requests.Add(1)
-	report.Merged = merged
-
-	report.TrainWallS = trainWall.Seconds()
+	report.TrainWallS = trainWall
 	report.TrafficWallS = trafficWall.Seconds()
-	report.Requests = requests.Load()
-	for _, d := range report.Devices {
-		if d.Err != "" {
-			report.Errors++
-		}
-	}
-	if report.TrafficWallS > 0 {
-		// One check-in cycle = one upload→merge→pull pass per device.
-		report.CheckinsPerSec = float64((opts.Devices-report.Errors)*opts.Epochs) / report.TrafficWallS
-		report.RequestsPerSec = float64(report.Requests) / report.TrafficWallS
-	}
+	report.tally(requests.Load(), opts.Epochs)
 	return report, nil
-}
-
-// trainOneSession continues a device's session-seed sequence by one
-// more session — the same derivation trainDevice uses, so epoch e
-// trains session Sessions+e-1 exactly as a longer -sessions run would.
-func trainOneSession(res *DeviceResult, agent *core.Agent, opts Options, i, s int) {
-	if res.Err != "" || agent == nil {
-		return
-	}
-	devSeed := opts.Seed + int64(i+1)*7919
-	seed := devSeed + int64(s)
-	rng := rand.New(rand.NewSource(seed))
-	tl := &session.Timeline{Scripts: []session.Script{
-		session.ForApp(workload.ByName(opts.App), session.Seconds(opts.SessionSecs), rng),
-	}}
-	if _, err := exp.RunTimelineOn(opts.Platform, tl, seed, agent); err != nil {
-		res.Err = err.Error()
-	}
 }

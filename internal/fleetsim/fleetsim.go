@@ -5,18 +5,27 @@
 // federated merge round and pull the merged policy back — the full
 // Section IV-C loop, closed over a real HTTP API.
 //
-// Determinism carries through the network: device i trains from seed
-// base+(i+1)*7919 (the same derivation nextdvfs.NewFleet uses), the
-// server merges uploads in sorted-device order, and a final merge after
-// all traffic lands on a table byte-identical to a serial
-// cloud.Fleet.MergeApp of the same per-device tables — the end-to-end
-// test pins this at 64 devices.
+// Every mode (flat, scenario, lockstep, phased epochs, rollout A/B,
+// two-tier) builds its devices' sessions through one recipe:
+// sessionConfig builds session s of device i (the options app or the
+// device's scenario preset, at the one deviceSeed derivation, with an
+// optional structural seed a lockstep cohort shares), trainSessions
+// runs a session range on the scalar engine, trainCohort hands a
+// cohort's configs to sim.NewBatch, and harvest snapshots the trained
+// tables. Each mode then differs only in the traffic it drives, and
+// closes its report through the same final pull and tally.
+//
+// Determinism carries through the network: device i trains from its
+// own seed (the derivation nextdvfs.NewFleet uses), the server merges
+// uploads in sorted-device order, and a final merge after all traffic
+// lands on a table byte-identical to a serial cloud.Fleet.MergeApp of
+// the same per-device tables — the end-to-end test pins this at 64
+// devices.
 package fleetsim
 
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -79,7 +88,7 @@ type Options struct {
 	// mode against a rollout-enabled server: two training generations
 	// mint a stable and a candidate artifact, then deterministic
 	// evaluation rounds feed cohort energy/QoS back until the server
-	// promotes or rolls back. Excludes Scenarios and Lockstep.
+	// promotes or rolls back. Excludes Scenarios, Lockstep and Epochs > 1.
 	Rollout *RolloutOptions
 	// Aggregators, when > 0, simulates the two-tier topology: that many
 	// in-process edge aggregators are stood up over the root server at
@@ -247,11 +256,8 @@ func Run(baseURL string, opts Options) (Report, error) {
 			return Report{}, fmt.Errorf("fleetsim: %w", err)
 		}
 	}
-	if !learner.Known(opts.Learner) {
-		return Report{}, fmt.Errorf("fleetsim: unknown learner %q (have: %s)", opts.Learner, strings.Join(learner.Names(), ", "))
-	}
-	if !learner.KnownExplorer(opts.Explorer) {
-		return Report{}, fmt.Errorf("fleetsim: unknown explorer %q (have: %s)", opts.Explorer, strings.Join(learner.ExplorerNames(), ", "))
+	if err := learner.CheckNames(opts.Learner, opts.Explorer); err != nil {
+		return Report{}, fmt.Errorf("fleetsim: %w", err)
 	}
 	plat, err := platform.Get(opts.Platform)
 	if err != nil {
@@ -261,40 +267,29 @@ func Run(baseURL string, opts Options) (Report, error) {
 		if opts.Aggregators > 0 {
 			return Report{}, fmt.Errorf("fleetsim: aggregator tier excludes rollout mode")
 		}
-		return runRollout(baseURL, opts)
+		if len(opts.Scenarios) > 0 || opts.Lockstep {
+			return Report{}, fmt.Errorf("fleetsim: rollout mode is single-app and scalar (no -scenarios / -lockstep)")
+		}
+	}
+	if opts.Epochs > 1 && (len(opts.Scenarios) > 0 || opts.Lockstep || opts.Aggregators > 0 || opts.Rollout != nil) {
+		return Report{}, fmt.Errorf("fleetsim: epochs > 1 excludes scenarios, lockstep, rollout and aggregator tiers")
 	}
 	client := fleetd.NewClient(baseURL)
 	client.UseBinary = opts.Binary
 	if _, err := client.Healthz(); err != nil {
 		return Report{}, fmt.Errorf("fleetsim: server not reachable: %w", err)
 	}
-	if opts.Epochs > 1 {
-		if len(opts.Scenarios) > 0 || opts.Lockstep || opts.Aggregators > 0 {
-			return Report{}, fmt.Errorf("fleetsim: epochs > 1 excludes scenarios, lockstep and aggregator tiers")
-		}
-		return runPhased(client, plat, opts)
-	}
-
 	report := Report{Options: opts, Devices: make([]DeviceResult, opts.Devices)}
+	if opts.Rollout != nil {
+		return runRollout(client, plat, report)
+	}
+	if opts.Epochs > 1 {
+		return runPhased(client, plat, report)
+	}
 
 	// Phase 1 — simulate: every device trains its own agent on its own
-	// sessions (independent jobs, so the pool scales them). Lockstep
-	// mode regroups the same work into same-scenario cohorts that step
-	// one shared tick loop per session round.
-	agents := make([]*core.Agent, opts.Devices)
-	trainStart := time.Now()
-	if opts.Lockstep {
-		cohorts := lockstepCohorts(opts)
-		batch.Map(len(cohorts), opts.Parallel, func(ci int) {
-			trainCohort(report.Devices, agents, plat, opts, cohorts[ci])
-		})
-	} else {
-		batch.Map(opts.Devices, opts.Parallel, func(i int) {
-			report.Devices[i] = DeviceResult{Device: deviceName(i)}
-			agents[i] = trainDevice(&report.Devices[i], plat, opts, i)
-		})
-	}
-	report.TrainWallS = time.Since(trainStart).Seconds()
+	// sessions.
+	agents := trainFleet(&report, plat)
 
 	// Phase 2 — traffic: each device checks in, uploads, requests a
 	// merge round and pulls whatever policy that round (or a concurrent
@@ -327,50 +322,67 @@ func Run(baseURL string, opts Options) (Report, error) {
 	// its next check-in. A two-tier run reaches the same table through a
 	// federation epoch instead of a direct merge.
 	if tier != nil {
-		if err := runEpochPhase(client, tier, &report, opts, &requests, &retries); err != nil {
+		if err := runEpochPhase(client, tier, &report, &requests, &retries); err != nil {
 			return report, err
 		}
 	} else {
-		for _, app := range finalApps(&report, opts) {
+		for _, app := range finalApps(&report) {
 			info, err := client.Merge(app, opts.Platform)
 			if err != nil {
 				return report, fmt.Errorf("fleetsim: final merge of %s: %w", app, err)
 			}
 			requests.Add(1)
-			pulled, _, err := client.PolicySet(app, opts.Platform)
-			if err != nil {
-				return report, fmt.Errorf("fleetsim: final policy pull of %s: %w", app, err)
-			}
-			merged := pulled.Primary()
-			requests.Add(1)
-			if len(opts.Scenarios) > 0 {
-				report.PerApp = append(report.PerApp, AppMerge{App: app, Merge: info, Merged: merged})
-			}
-			if report.Merged == nil || app == opts.App {
-				report.Merge = info
-				report.Merged = merged
+			if err := report.pullFinal(client, app, info, &requests); err != nil {
+				return report, err
 			}
 		}
 	}
-	report.Requests = requests.Load()
-	for _, d := range report.Devices {
-		if d.Err != "" {
-			report.Errors++
-		}
-	}
-	if report.TrafficWallS > 0 {
-		report.CheckinsPerSec = float64(opts.Devices-report.Errors) / report.TrafficWallS
-		report.RequestsPerSec = float64(report.Requests) / report.TrafficWallS
-	}
+	report.tally(requests.Load(), 1)
 	return report, nil
+}
+
+// pullFinal pulls app's final merged policy and records it with the
+// round that produced it: under PerApp for scenario fleets, and as the
+// report's Merge/Merged for the options app (or the first app pulled).
+func (r *Report) pullFinal(client *fleetd.Client, app string, info fleetd.MergeInfo, requests *atomic.Int64) error {
+	pulled, _, err := client.PolicySet(app, r.Options.Platform)
+	if err != nil {
+		return fmt.Errorf("fleetsim: final policy pull of %s: %w", app, err)
+	}
+	requests.Add(1)
+	merged := pulled.Primary()
+	if len(r.Options.Scenarios) > 0 {
+		r.PerApp = append(r.PerApp, AppMerge{App: app, Merge: info, Merged: merged})
+	}
+	if r.Merged == nil || app == r.Options.App {
+		r.Merge = info
+		r.Merged = merged
+	}
+	return nil
+}
+
+// tally closes the report: the request total, the failed-device count
+// and the traffic-phase rates, where one check-in cycle is one
+// upload → merge → pull pass and every healthy device ran cycles.
+func (r *Report) tally(requests int64, cycles int) {
+	r.Requests = requests
+	for _, d := range r.Devices {
+		if d.Err != "" {
+			r.Errors++
+		}
+	}
+	if r.TrafficWallS > 0 {
+		r.CheckinsPerSec = float64((len(r.Devices)-r.Errors)*cycles) / r.TrafficWallS
+		r.RequestsPerSec = float64(r.Requests) / r.TrafficWallS
+	}
 }
 
 // finalApps lists the apps phase 3 merges: the single options app for a
 // homogeneous fleet, or the sorted union of every app any scenario
 // device uploaded.
-func finalApps(report *Report, opts Options) []string {
-	if len(opts.Scenarios) == 0 {
-		return []string{opts.App}
+func finalApps(report *Report) []string {
+	if len(report.Options.Scenarios) == 0 {
+		return []string{report.Options.App}
 	}
 	set := make(map[string]bool)
 	for _, d := range report.Devices {
@@ -399,61 +411,74 @@ func finalApps(report *Report, opts Options) []string {
 // of the byte-identical invariant.
 func deviceName(i int) string { return fmt.Sprintf("dev-%08d", i) }
 
-// trainDevice runs the device's training sessions through the sim
-// engine and returns its agent (nil on error, recorded in res).
-func trainDevice(res *DeviceResult, plat platform.Platform, opts Options, i int) *core.Agent {
+// deviceSeed is device i's private seed: it seeds the device's agent,
+// and session s of the device runs at deviceSeed+s.
+func deviceSeed(opts Options, i int) int64 { return opts.Seed + int64(i+1)*7919 }
+
+// newDevice resets res for device i and returns the device's fresh
+// agent.
+func newDevice(res *DeviceResult, plat platform.Platform, opts Options, i int) *core.Agent {
+	*res = DeviceResult{Device: deviceName(i)}
 	if len(opts.Scenarios) > 0 {
-		return trainScenarioDevice(res, plat, opts, i)
+		res.Scenario = opts.Scenarios[i%len(opts.Scenarios)]
 	}
-	devSeed := opts.Seed + int64(i+1)*7919
-	cfg := exp.DefaultAgentConfigFor(plat)
-	cfg.Seed = devSeed
-	cfg.Learner = opts.Learner
-	cfg.Explorer = opts.Explorer
-	agent := core.NewAgent(cfg)
-	for s := 1; s <= opts.Sessions; s++ {
-		seed := devSeed + int64(s)
-		rng := rand.New(rand.NewSource(seed))
-		tl := &session.Timeline{Scripts: []session.Script{
-			session.ForApp(workload.ByName(opts.App), session.Seconds(opts.SessionSecs), rng),
-		}}
-		if _, err := exp.RunTimelineOn(opts.Platform, tl, seed, agent); err != nil {
-			res.Err = err.Error()
-			return nil
-		}
-	}
-	tab := agent.TableFor(opts.App)
-	if tab == nil || tab.Table == nil {
-		res.Err = "training produced no table"
-		return nil
-	}
-	res.States = tab.Table.States()
-	res.Steps = tab.Table.Steps
-	res.Uploaded = tab.Table.Clone()
-	return agent
+	return exp.NewDefaultAgent(plat, deviceSeed(opts, i), opts.Learner, opts.Explorer)
 }
 
-// trainScenarioDevice trains device i on its assigned scenario preset,
-// scaled to SessionSecs per session, and snapshots every per-app table
-// it produced.
-func trainScenarioDevice(res *DeviceResult, plat platform.Platform, opts Options, i int) *core.Agent {
-	devSeed := opts.Seed + int64(i+1)*7919
-	scn := scenario.MustGet(opts.Scenarios[i%len(opts.Scenarios)]) // validated in Run
-	res.Scenario = scn.Name
-	if d := scn.DurS(); opts.SessionSecs > 0 && d > 0 {
-		scn = scenario.Scaled(scn, opts.SessionSecs/d)
-	}
-	cfg := exp.DefaultAgentConfigFor(plat)
-	cfg.Seed = devSeed
-	cfg.Learner = opts.Learner
-	cfg.Explorer = opts.Explorer
-	agent := core.NewAgent(cfg)
-	for s := 1; s <= opts.Sessions; s++ {
-		seed := devSeed + int64(s)
-		if _, err := exp.RunScenarioOn(opts.Platform, scn, seed, agent); err != nil {
-			res.Err = err.Error()
-			return nil
+// sessionConfig builds training session s of device i under agent: the
+// options app for SessionSecs, or the device's scenario preset scaled
+// to SessionSecs. The engine always runs at the session's own seed;
+// the session's structure (timeline, environment schedules) comes from
+// structSeed, which is the same seed for a private session and one
+// seed shared by every lane of a lockstep cohort.
+func sessionConfig(plat platform.Platform, opts Options, i, s int, structSeed int64, agent *core.Agent) (sim.Config, error) {
+	seed := deviceSeed(opts, i) + int64(s)
+	var cfg sim.Config
+	if len(opts.Scenarios) > 0 {
+		scn := scenario.ScaledTo(scenario.MustGet(opts.Scenarios[i%len(opts.Scenarios)]), opts.SessionSecs) // validated in Run
+		var err error
+		if cfg, err = exp.ScenarioConfig(scn, plat, structSeed, seed); err != nil {
+			return sim.Config{}, err
 		}
+	} else {
+		cfg = plat.Config(session.AppTimeline(workload.ByName(opts.App), opts.SessionSecs, structSeed), seed)
+	}
+	cfg.Controller = agent
+	return cfg, nil
+}
+
+// trainSessions runs sessions from..to of device i on its agent, one
+// scalar engine each.
+func trainSessions(plat platform.Platform, opts Options, i int, agent *core.Agent, from, to int) error {
+	for s := from; s <= to; s++ {
+		cfg, err := sessionConfig(plat, opts, i, s, deviceSeed(opts, i)+int64(s), agent)
+		if err != nil {
+			return err
+		}
+		eng, err := sim.New(cfg)
+		if err != nil {
+			return err
+		}
+		eng.Run()
+	}
+	return nil
+}
+
+// harvest snapshots what the agent trained into res — the options app's
+// table as Uploaded, or every non-empty per-app table of a scenario
+// device as Tables — and reports whether there was anything to upload
+// (res.Err says why not).
+func harvest(res *DeviceResult, agent *core.Agent, opts Options) bool {
+	if len(opts.Scenarios) == 0 {
+		tab := agent.TableFor(opts.App)
+		if tab == nil || tab.Table == nil {
+			res.Err = "training produced no table"
+			return false
+		}
+		res.States = tab.Table.States()
+		res.Steps = tab.Table.Steps
+		res.Uploaded = tab.Table.Clone()
+		return true
 	}
 	res.Tables = make(map[string]*core.QTable)
 	for _, app := range agent.Apps() { // sorted
@@ -467,9 +492,38 @@ func trainScenarioDevice(res *DeviceResult, plat platform.Platform, opts Options
 	}
 	if len(res.Tables) == 0 {
 		res.Err = "scenario training produced no tables"
-		return nil
+		return false
 	}
-	return agent
+	return true
+}
+
+// trainFleet is phase 1 of every mode: each device trains a fresh
+// agent on sessions 1..Sessions — independent jobs on the worker pool,
+// or, with Lockstep, same-scenario cohorts that step one shared tick
+// loop per session round. It returns the agents, nil for devices that
+// failed (recorded in their results).
+func trainFleet(report *Report, plat platform.Platform) []*core.Agent {
+	opts := report.Options
+	agents := make([]*core.Agent, opts.Devices)
+	start := time.Now()
+	if opts.Lockstep {
+		cohorts := lockstepCohorts(opts)
+		batch.Map(len(cohorts), opts.Parallel, func(ci int) {
+			trainCohort(report.Devices, agents, plat, opts, cohorts[ci])
+		})
+	} else {
+		batch.Map(opts.Devices, opts.Parallel, func(i int) {
+			res := &report.Devices[i]
+			agent := newDevice(res, plat, opts, i)
+			if err := trainSessions(plat, opts, i, agent, 1, opts.Sessions); err != nil {
+				res.Err = err.Error()
+			} else if harvest(res, agent, opts) {
+				agents[i] = agent
+			}
+		})
+	}
+	report.TrainWallS = time.Since(start).Seconds()
+	return agents
 }
 
 // lockstepCohorts partitions device indices into same-structure groups:
@@ -500,50 +554,19 @@ func lockstepCohorts(opts Options) [][]int {
 // controller), own engine seed, shared compiled session structure from
 // the round's structural seed.
 func trainCohort(devices []DeviceResult, agents []*core.Agent, plat platform.Platform, opts Options, devs []int) {
-	var scn scenario.Scenario
-	scenarioCohort := len(opts.Scenarios) > 0
-	if scenarioCohort {
-		scn = scenario.MustGet(opts.Scenarios[devs[0]%len(opts.Scenarios)]) // validated in Run
-		if d := scn.DurS(); opts.SessionSecs > 0 && d > 0 {
-			scn = scenario.Scaled(scn, opts.SessionSecs/d)
-		}
-	}
 	laneAgents := make([]*core.Agent, len(devs))
 	for r, i := range devs {
-		devices[i] = DeviceResult{Device: deviceName(i)}
-		if scenarioCohort {
-			devices[i].Scenario = scn.Name
-		}
-		cfg := exp.DefaultAgentConfigFor(plat)
-		cfg.Seed = opts.Seed + int64(i+1)*7919
-		cfg.Learner = opts.Learner
-		cfg.Explorer = opts.Explorer
-		laneAgents[r] = core.NewAgent(cfg)
+		laneAgents[r] = newDevice(&devices[i], plat, opts, i)
 	}
-
 	for s := 1; s <= opts.Sessions; s++ {
 		structSeed := opts.Seed + int64(s)*9973
 		cfgs := make([]sim.Config, len(devs))
 		for r, i := range devs {
-			devSeed := opts.Seed + int64(i+1)*7919
-			var cfg sim.Config
-			if scenarioCohort {
-				compiled, err := scenario.Compile(scn, structSeed, plat.AmbientC)
-				if err != nil {
-					failCohort(devices, devs, err)
-					return
-				}
-				cfg = plat.Config(compiled.Timeline, devSeed+int64(s))
-				cfg.Ambient = compiled.Ambient
-				cfg.Refresh = compiled.Refresh
-			} else {
-				rng := rand.New(rand.NewSource(structSeed))
-				tl := &session.Timeline{Scripts: []session.Script{
-					session.ForApp(workload.ByName(opts.App), session.Seconds(opts.SessionSecs), rng),
-				}}
-				cfg = plat.Config(tl, devSeed+int64(s))
+			cfg, err := sessionConfig(plat, opts, i, s, structSeed, laneAgents[r])
+			if err != nil {
+				failCohort(devices, devs, err)
+				return
 			}
-			cfg.Controller = laneAgents[r]
 			cfgs[r] = cfg
 		}
 		// Every lane compiles the same session structure, so NewBatch
@@ -555,36 +578,10 @@ func trainCohort(devices []DeviceResult, agents []*core.Agent, plat platform.Pla
 		}
 		be.Run()
 	}
-
 	for r, i := range devs {
-		agent := laneAgents[r]
-		if scenarioCohort {
-			res := &devices[i]
-			res.Tables = make(map[string]*core.QTable)
-			for _, app := range agent.Apps() { // sorted
-				tab := agent.TableFor(app)
-				if tab == nil || tab.Table == nil || tab.Table.States() == 0 {
-					continue
-				}
-				res.Tables[app] = tab.Table.Clone()
-				res.States += tab.Table.States()
-				res.Steps += tab.Table.Steps
-			}
-			if len(res.Tables) == 0 {
-				res.Err = "scenario training produced no tables"
-				continue
-			}
-		} else {
-			tab := agent.TableFor(opts.App)
-			if tab == nil || tab.Table == nil {
-				devices[i].Err = "training produced no table"
-				continue
-			}
-			devices[i].States = tab.Table.States()
-			devices[i].Steps = tab.Table.Steps
-			devices[i].Uploaded = tab.Table.Clone()
+		if harvest(&devices[i], laneAgents[r], opts) {
+			agents[i] = laneAgents[r]
 		}
-		agents[i] = agent
 	}
 }
 

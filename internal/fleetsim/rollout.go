@@ -2,17 +2,17 @@ package fleetsim
 
 import (
 	"fmt"
-	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"nextdvfs/internal/batch"
-	"nextdvfs/internal/core"
 	"nextdvfs/internal/exp"
 	"nextdvfs/internal/fleetd"
 	"nextdvfs/internal/learner"
 	"nextdvfs/internal/platform"
 	"nextdvfs/internal/rollout"
 	"nextdvfs/internal/session"
+	"nextdvfs/internal/sim"
 	"nextdvfs/internal/workload"
 )
 
@@ -50,9 +50,6 @@ func (o *RolloutOptions) defaults(opts *Options) {
 // RolloutRound is one judged evaluation round of an A/B run.
 type RolloutRound struct {
 	Round int
-	// StageBps is the canary stage that was active while this round's
-	// evidence was gathered.
-	StageBps uint32
 	// Action/Reason echo the server's Decision for the round.
 	Action  string
 	Reason  string
@@ -84,35 +81,17 @@ type RolloutReport struct {
 // evaluation rounds replay one shared per-round seed across the whole
 // fleet (so canary and control trajectories differ only by the policy
 // they run), and all traffic is sequential in device order.
-func runRollout(baseURL string, opts Options) (Report, error) {
+func runRollout(client *fleetd.Client, plat platform.Platform, report Report) (Report, error) {
+	opts := report.Options
 	ro := *opts.Rollout
 	ro.defaults(&opts)
-	if len(opts.Scenarios) > 0 || opts.Lockstep {
-		return Report{}, fmt.Errorf("fleetsim: rollout mode is single-app and scalar (no -scenarios / -lockstep)")
-	}
-	plat, err := platform.Get(opts.Platform)
-	if err != nil {
-		return Report{}, fmt.Errorf("fleetsim: %w", err)
-	}
-	client := fleetd.NewClient(baseURL)
-	if _, err := client.Healthz(); err != nil {
-		return Report{}, fmt.Errorf("fleetsim: server not reachable: %w", err)
-	}
-
-	report := Report{Options: opts, Devices: make([]DeviceResult, opts.Devices)}
 	rr := &RolloutReport{}
 	report.Rollout = rr
-	var requests int64
+	var requests atomic.Int64
 
 	// Generation 1 — every device trains and uploads; one merge mints
 	// the bootstrap artifact, which promotes straight to stable.
-	agents := make([]*core.Agent, opts.Devices)
-	trainStart := time.Now()
-	batch.Map(opts.Devices, opts.Parallel, func(i int) {
-		report.Devices[i] = DeviceResult{Device: deviceName(i)}
-		agents[i] = trainDevice(&report.Devices[i], plat, opts, i)
-	})
-	report.TrainWallS = time.Since(trainStart).Seconds()
+	agents := trainFleet(&report, plat)
 	trafficStart := time.Now()
 	for i := range agents {
 		if agents[i] == nil {
@@ -124,13 +103,13 @@ func runRollout(baseURL string, opts Options) (Report, error) {
 		if _, err := client.UploadTableSet(deviceName(i), opts.Platform, opts.App, agents[i].SnapshotFor(opts.App), 0); err != nil {
 			return report, fmt.Errorf("fleetsim: %w", err)
 		}
-		requests += 2
+		requests.Add(2)
 	}
 	info, err := client.Merge(opts.App, opts.Platform)
 	if err != nil {
 		return report, fmt.Errorf("fleetsim: bootstrap merge: %w", err)
 	}
-	requests++
+	requests.Add(1)
 	if info.Version == 0 {
 		return report, fmt.Errorf("fleetsim: server did not mint an artifact version — rollout lifecycle not enabled?")
 	}
@@ -139,9 +118,14 @@ func runRollout(baseURL string, opts Options) (Report, error) {
 	// Generation 2 — training continues (sessions S+1..2S), so the
 	// re-merged fleet table differs and the server mints a candidate.
 	// Sabotage corrupts the uploads into a GPU-floor-clock policy.
-	trainStart = time.Now()
+	trainStart := time.Now()
 	batch.Map(opts.Devices, opts.Parallel, func(i int) {
-		continueTraining(&report.Devices[i], agents[i], opts, i)
+		res := &report.Devices[i]
+		if err := trainSessions(plat, opts, i, agents[i], opts.Sessions+1, 2*opts.Sessions); err != nil {
+			res.Err = err.Error()
+		} else {
+			harvest(res, agents[i], opts)
+		}
 	})
 	report.TrainWallS += time.Since(trainStart).Seconds()
 	for i := range agents {
@@ -155,13 +139,13 @@ func runRollout(baseURL string, opts Options) (Report, error) {
 		if _, err := client.UploadTableSet(deviceName(i), opts.Platform, opts.App, up, 0); err != nil {
 			return report, fmt.Errorf("fleetsim: %w", err)
 		}
-		requests++
+		requests.Add(1)
 	}
 	info, err = client.Merge(opts.App, opts.Platform)
 	if err != nil {
 		return report, fmt.Errorf("fleetsim: candidate merge: %w", err)
 	}
-	requests++
+	requests.Add(1)
 	report.Merge = info
 	rr.CandidateVersion = info.Version
 	if rr.CandidateVersion == rr.StableVersion {
@@ -180,7 +164,7 @@ func runRollout(baseURL string, opts Options) (Report, error) {
 			if err != nil {
 				return report, fmt.Errorf("fleetsim: round %d policy pull: %w", r, err)
 			}
-			requests++
+			requests.Add(1)
 			if modified {
 				cached[i], etags[i] = set, meta.ETag
 			} else {
@@ -196,15 +180,15 @@ func runRollout(baseURL string, opts Options) (Report, error) {
 			}); err != nil {
 				return report, fmt.Errorf("fleetsim: round %d report from %s: %w", r, deviceName(i), err)
 			}
-			requests++
+			requests.Add(1)
 		}
 		d, err := client.RolloutAdvance(opts.App, opts.Platform)
 		if err != nil {
 			return report, fmt.Errorf("fleetsim: round %d advance: %w", r, err)
 		}
-		requests++
+		requests.Add(1)
 		rr.Rounds = append(rr.Rounds, RolloutRound{
-			Round: r, StageBps: stageBefore(d), Action: d.Action, Reason: d.Reason,
+			Round: r, Action: d.Action, Reason: d.Reason,
 			Canary: d.Canary, Control: d.Control,
 		})
 		if d.Action == "promote" || d.Action == "rollback" {
@@ -219,53 +203,19 @@ func runRollout(baseURL string, opts Options) (Report, error) {
 	if err != nil {
 		return report, fmt.Errorf("fleetsim: final status: %w", err)
 	}
-	requests++
+	requests.Add(1)
 	if st.Stable != nil {
 		rr.FinalVersion = st.Stable.Version
 	}
 	rr.Rollbacks = st.Rollbacks
 	report.TrafficWallS = time.Since(trafficStart).Seconds()
-	report.Requests = requests
-	if report.TrafficWallS > 0 {
-		report.CheckinsPerSec = float64(opts.Devices) / report.TrafficWallS
-		report.RequestsPerSec = float64(report.Requests) / report.TrafficWallS
+	// The report counts the lifecycle's traffic; the final pull below
+	// only reads back the stable policy.
+	report.tally(requests.Load(), 1)
+	if err := report.pullFinal(client, opts.App, report.Merge, &requests); err != nil {
+		return report, err
 	}
-	pulled, _, err := client.PolicySet(opts.App, opts.Platform)
-	if err != nil {
-		return report, fmt.Errorf("fleetsim: final policy pull: %w", err)
-	}
-	merged := pulled.Primary()
-	report.Merged = merged
 	return report, nil
-}
-
-// stageBefore recovers the stage a Decision judged: after an advance
-// the status already shows the NEXT stage, so the judged one is in the
-// reason; simplest is to report the post-decision stage for advances
-// and 0 for terminal actions (the status no longer has a stage).
-func stageBefore(d rollout.Decision) uint32 { return d.Status.StageBps }
-
-// continueTraining runs a device's second training generation, sessions
-// S+1..2S, on the same agent — the natural "fleet kept learning" path
-// that produces a candidate artifact.
-func continueTraining(res *DeviceResult, agent *core.Agent, opts Options, i int) {
-	devSeed := opts.Seed + int64(i+1)*7919
-	for s := opts.Sessions + 1; s <= 2*opts.Sessions; s++ {
-		seed := devSeed + int64(s)
-		rng := rand.New(rand.NewSource(seed))
-		tl := &session.Timeline{Scripts: []session.Script{
-			session.ForApp(workload.ByName(opts.App), session.Seconds(opts.SessionSecs), rng),
-		}}
-		if _, err := exp.RunTimelineOn(opts.Platform, tl, seed, agent); err != nil {
-			res.Err = err.Error()
-			return
-		}
-	}
-	if tab := agent.TableFor(opts.App); tab != nil && tab.Table != nil {
-		res.States = tab.Table.States()
-		res.Steps = tab.Table.Steps
-		res.Uploaded = tab.Table.Clone()
-	}
 }
 
 // sabotageSet returns a degraded deep copy of an upload: every state's
@@ -301,22 +251,17 @@ func sabotageSet(set *learner.TableSet) *learner.TableSet {
 // device's trajectory differs only by the policy it runs) exploits the
 // installed table set greedily for EvalSecs simulated seconds.
 func evalPolicy(plat platform.Platform, opts Options, set *learner.TableSet, roundSeed int64, evalSecs float64) (res evalResult, err error) {
-	cfg := exp.DefaultAgentConfigFor(plat)
-	cfg.Seed = roundSeed
-	cfg.Learner = opts.Learner
-	cfg.Explorer = opts.Explorer
-	agent := core.NewAgent(cfg)
+	agent := exp.NewDefaultAgent(plat, roundSeed, opts.Learner, opts.Explorer)
 	// Clone: the agent's online update keeps learning during the replay
 	// and must never write through to the shared cached download.
 	agent.InstallTableSet(opts.App, set.Clone(), true)
-	rng := rand.New(rand.NewSource(roundSeed))
-	tl := &session.Timeline{Scripts: []session.Script{
-		session.ForApp(workload.ByName(opts.App), session.Seconds(evalSecs), rng),
-	}}
-	r, err := exp.RunTimelineOn(opts.Platform, tl, roundSeed, agent)
+	cfg := plat.Config(session.AppTimeline(workload.ByName(opts.App), evalSecs, roundSeed), roundSeed)
+	cfg.Controller = agent
+	eng, err := sim.New(cfg)
 	if err != nil {
 		return evalResult{}, err
 	}
+	r := eng.Run()
 	return evalResult{EnergyJ: r.EnergyJ, ActiveAvgFPS: r.ActiveAvgFPS}, nil
 }
 

@@ -2,10 +2,13 @@ package fleetsim
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
+	"nextdvfs/internal/core"
 	"nextdvfs/internal/fleetd"
 	"nextdvfs/internal/rollout"
 )
@@ -156,5 +159,45 @@ func TestSummaryDefaultUnchanged(t *testing.T) {
 	Report{Options: Options{Devices: 2}, Devices: make([]DeviceResult, 2)}.WriteSummary(&buf)
 	if strings.Contains(buf.String(), "rollout") {
 		t.Fatalf("plain summary mentions rollout:\n%s", buf.String())
+	}
+}
+
+// TestRolloutHonoursBinary pins that an A/B run with Binary set ships
+// every table upload in the binary codec, as every other mode does.
+func TestRolloutHonoursBinary(t *testing.T) {
+	srv, err := fleetd.NewServer(fleetd.Config{Rollout: &rollout.Config{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	types := map[string]int{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/table" {
+			mu.Lock()
+			types[r.Header.Get("Content-Type")]++
+			mu.Unlock()
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	opts := abOptions(false)
+	opts.Binary = true
+	if _, err := Run(ts.URL, opts); err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * opts.Devices; len(types) != 1 || types[core.TableSetMediaType] != want {
+		t.Fatalf("upload content types = %v, want %d uploads of %s", types, want, core.TableSetMediaType)
+	}
+}
+
+// TestRolloutRejectsEpochs pins that Options.Epochs, which does not
+// apply to A/B runs, is rejected instead of silently ignored.
+func TestRolloutRejectsEpochs(t *testing.T) {
+	url, done := newRolloutServer(t)
+	defer done()
+	opts := abOptions(false)
+	opts.Epochs = 3
+	if _, err := Run(url, opts); err == nil || !strings.Contains(err.Error(), "epochs") {
+		t.Fatalf("A/B run with Epochs 3 = %v, want rejection", err)
 	}
 }

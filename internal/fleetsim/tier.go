@@ -112,13 +112,12 @@ func uploadWithBackpressure(client *fleetd.Client, device, platform, app string,
 // (aggregator-local merges → flush upward → root joins), then the
 // final policies pulled from the root — the table every device would
 // get on its next check-in, pinned byte-identical to a flat merge.
-func runEpochPhase(rootClient *fleetd.Client, tier *aggTier, report *Report,
-	opts Options, requests, retries *atomic.Int64) error {
+func runEpochPhase(rootClient *fleetd.Client, tier *aggTier, report *Report, requests, retries *atomic.Int64) error {
 	coord := &aggregator.Coordinator{Root: rootClient, Aggs: tier.aggs}
-	apps := finalApps(report, opts)
+	apps := finalApps(report)
 	keys := make([]fleetd.Key, len(apps))
 	for i, app := range apps {
-		keys[i] = fleetd.Key{App: app, Platform: opts.Platform}
+		keys[i] = fleetd.Key{App: app, Platform: report.Options.Platform}
 	}
 	rep, err := coord.RunEpoch(keys)
 	if err != nil {
@@ -126,7 +125,7 @@ func runEpochPhase(rootClient *fleetd.Client, tier *aggTier, report *Report,
 	}
 	requests.Add(int64(len(rep.Merges)))
 	report.Federation = &FederationReport{
-		Aggregators: opts.Aggregators,
+		Aggregators: report.Options.Aggregators,
 		Flushed:     rep.Flushed,
 		LocalMerges: rep.LocalMerges,
 		Late:        rep.Late,
@@ -141,18 +140,8 @@ func runEpochPhase(rootClient *fleetd.Client, tier *aggTier, report *Report,
 		if !ok {
 			return fmt.Errorf("fleetsim: federation epoch produced no root merge for %s", app)
 		}
-		pulled, _, err := rootClient.PolicySet(app, opts.Platform)
-		if err != nil {
-			return fmt.Errorf("fleetsim: final policy pull of %s: %w", app, err)
-		}
-		merged := pulled.Primary()
-		requests.Add(1)
-		if len(opts.Scenarios) > 0 {
-			report.PerApp = append(report.PerApp, AppMerge{App: app, Merge: info, Merged: merged})
-		}
-		if report.Merged == nil || app == opts.App {
-			report.Merge = info
-			report.Merged = merged
+		if err := report.pullFinal(rootClient, app, info, requests); err != nil {
+			return err
 		}
 	}
 	return nil

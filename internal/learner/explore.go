@@ -309,17 +309,6 @@ func ExplorerNames() []string {
 	return names
 }
 
-// ExplorerInfos lists name/description for every registered explorer,
-// sorted by name.
-func ExplorerInfos() []ExplorerInfo {
-	names := ExplorerNames()
-	infos := make([]ExplorerInfo, 0, len(names))
-	for _, n := range names {
-		infos = append(infos, explorers[n].info)
-	}
-	return infos
-}
-
 // KnownExplorer reports whether name is registered ("" counts: it
 // resolves to the default).
 func KnownExplorer(name string) bool {

@@ -95,6 +95,21 @@ func Known(name string) bool {
 	return ok
 }
 
+// CheckNames validates a learner and an explorer name against their
+// registries — the one name check every driver runs before building
+// agents. "" names the default and always passes, so a caller checks
+// one name alone by passing "" for the other. The error lists the live
+// registry; callers prefix it with their package name.
+func CheckNames(learnerName, explorer string) error {
+	if !Known(learnerName) {
+		return fmt.Errorf("unknown learner %q (have: %s)", learnerName, joinNames(Names()))
+	}
+	if !KnownExplorer(explorer) {
+		return fmt.Errorf("unknown explorer %q (have: %s)", explorer, joinNames(ExplorerNames()))
+	}
+	return nil
+}
+
 // Normalize maps the empty name to the default learner.
 func Normalize(name string) string {
 	if name == "" {

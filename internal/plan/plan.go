@@ -49,9 +49,6 @@ type SLO struct {
 	MinCheckinsPerSec float64 `json:"min_checkins_per_sec,omitempty"`
 }
 
-// Enforced reports whether any dimension is armed.
-func (s SLO) Enforced() bool { return s != SLO{} }
-
 // Grid declares the configuration axes. Every empty axis defaults to
 // the live registry (platforms, scenarios, schemes, learners) or the
 // canonical fleet shape (64 devices, merge every upload), so an empty
@@ -152,8 +149,8 @@ func (p *Plan) Validate() error {
 	}
 	learners := make([]string, 0, len(p.Grid.Learners))
 	for _, n := range p.Grid.Learners {
-		if !learner.Known(n) {
-			return fmt.Errorf("plan: grid learner: unknown learner %q (have: %s)", n, strings.Join(learner.Names(), ", "))
+		if err := learner.CheckNames(n, ""); err != nil {
+			return fmt.Errorf("plan: grid learner: %w", err)
 		}
 		learners = append(learners, learner.Normalize(n))
 	}
@@ -169,8 +166,8 @@ func (p *Plan) Validate() error {
 	if err := dupe("learner", learners); err != nil {
 		return err
 	}
-	if !learner.KnownExplorer(p.Explorer) {
-		return fmt.Errorf("plan: unknown explorer %q (have: %s)", p.Explorer, strings.Join(learner.ExplorerNames(), ", "))
+	if err := learner.CheckNames("", p.Explorer); err != nil {
+		return fmt.Errorf("plan: %w", err)
 	}
 	fleetSeen := make(map[int]bool)
 	for _, f := range p.Grid.Fleets {

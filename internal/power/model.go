@@ -201,16 +201,6 @@ func Mid6Model() *Model {
 	})
 }
 
-// GenericPhoneModel returns coefficients for the soc.GenericPhone test
-// platform.
-func GenericPhoneModel() *Model {
-	return NewModel(0.7, map[string]Coeff{
-		soc.ClusterBig:    {CdynWPerGHzV2: 1.8, LeakWAtRef: 0.35, VRef: 1.10, LeakTempCo: 0.011, IdleW: 0.10},
-		soc.ClusterLITTLE: {CdynWPerGHzV2: 0.7, LeakWAtRef: 0.07, VRef: 0.90, LeakTempCo: 0.009, IdleW: 0.05},
-		soc.ClusterGPU:    {CdynWPerGHzV2: 5.0, LeakWAtRef: 0.25, VRef: 0.85, LeakTempCo: 0.010, IdleW: 0.07},
-	})
-}
-
 // Meter integrates power over time into energy and tracks the running
 // average. The zero value is ready to use.
 type Meter struct {

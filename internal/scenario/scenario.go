@@ -132,6 +132,15 @@ func Scaled(s Scenario, factor float64) Scenario {
 	return v
 }
 
+// ScaledTo rescales the scenario to a total of secs seconds (secs <= 0,
+// or a scenario with no duration, leaves it unchanged).
+func ScaledTo(s Scenario, secs float64) Scenario {
+	if d := s.DurS(); secs > 0 && d > 0 {
+		return Scaled(s, secs/d)
+	}
+	return s
+}
+
 // Compiled is a scenario lowered to the simulator's inputs.
 type Compiled struct {
 	Scenario Scenario

@@ -33,6 +33,14 @@ func ForApp(app workload.App, durUS int64, rng *rand.Rand) Script {
 	return Script{App: app, Phases: truncate(phases, durUS)}
 }
 
+// AppTimeline is the single-app session every training and replay
+// driver runs: one ForApp script of secs seconds, drawn from a fresh
+// rng at seed.
+func AppTimeline(app workload.App, secs float64, seed int64) *Timeline {
+	rng := rand.New(rand.NewSource(seed))
+	return &Timeline{Scripts: []Script{ForApp(app, Seconds(secs), rng)}}
+}
+
 func truncate(phases []Phase, durUS int64) []Phase {
 	var out []Phase
 	var acc int64

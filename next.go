@@ -195,16 +195,10 @@ func Run(opts RunOptions) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("nextdvfs: %w", err)
 		}
-		if d := scn.DurS(); opts.Seconds > 0 && d > 0 {
-			scn = scenario.Scaled(scn, opts.Seconds/d)
-		}
-		compiled, err := scenario.Compile(scn, opts.Seed, plat.AmbientC)
+		cfg, err = exp.ScenarioConfig(scenario.ScaledTo(scn, opts.Seconds), plat, opts.Seed, opts.Seed)
 		if err != nil {
 			return Result{}, fmt.Errorf("nextdvfs: %w", err)
 		}
-		cfg = plat.Config(compiled.Timeline, opts.Seed)
-		cfg.Ambient = compiled.Ambient
-		cfg.Refresh = compiled.Refresh
 	} else {
 		tl, err := timelineFor(opts)
 		if err != nil {
@@ -226,17 +220,10 @@ func Run(opts RunOptions) (Result, error) {
 	if spec.TrainsAgent {
 		agent = opts.Agent
 		if agent == nil {
-			if !learner.Known(opts.Learner) {
-				return Result{}, fmt.Errorf("nextdvfs: unknown learner %q (see Learners())", opts.Learner)
+			if err := learner.CheckNames(opts.Learner, opts.Explorer); err != nil {
+				return Result{}, fmt.Errorf("nextdvfs: %w", err)
 			}
-			if !learner.KnownExplorer(opts.Explorer) {
-				return Result{}, fmt.Errorf("nextdvfs: unknown explorer %q (see Explorers())", opts.Explorer)
-			}
-			c := exp.DefaultAgentConfigFor(plat)
-			c.Seed = opts.Seed
-			c.Learner = opts.Learner
-			c.Explorer = opts.Explorer
-			agent = core.NewAgent(c)
+			agent = exp.NewDefaultAgent(plat, opts.Seed, opts.Learner, opts.Explorer)
 		}
 	}
 	spec.Configure(&cfg, plat, agent)
@@ -257,9 +244,7 @@ func timelineFor(opts RunOptions) (*session.Timeline, error) {
 		return nil, fmt.Errorf("nextdvfs: unknown app %q (see Apps())", opts.App)
 	}
 	if opts.Seconds > 0 {
-		return &session.Timeline{Scripts: []session.Script{
-			session.ForApp(app, session.Seconds(opts.Seconds), rng),
-		}}, nil
+		return session.AppTimeline(app, opts.Seconds, opts.Seed), nil
 	}
 	return session.EvalTimeline(app, rng), nil
 }
@@ -360,11 +345,8 @@ func TrainAgent(app string, opts TrainOptions) (*Agent, TrainStats, error) {
 	if _, err := platform.Get(opts.Platform); err != nil {
 		return nil, TrainStats{}, fmt.Errorf("nextdvfs: %w (see Platforms())", err)
 	}
-	if !learner.Known(opts.Learner) {
-		return nil, TrainStats{}, fmt.Errorf("nextdvfs: unknown learner %q (see Learners())", opts.Learner)
-	}
-	if !learner.KnownExplorer(opts.Explorer) {
-		return nil, TrainStats{}, fmt.Errorf("nextdvfs: unknown explorer %q (see Explorers())", opts.Explorer)
+	if err := learner.CheckNames(opts.Learner, opts.Explorer); err != nil {
+		return nil, TrainStats{}, fmt.Errorf("nextdvfs: %w", err)
 	}
 	agent, stats := exp.Train(func() *workload.ProfileApp { return workload.ByName(app) }, exp.TrainOptions{
 		MaxSessions: opts.Sessions,
@@ -384,6 +366,10 @@ func TrainAgentOn(agent *Agent, app string, opts TrainOptions) (TrainStats, erro
 	if workload.ByName(app) == nil {
 		return TrainStats{}, fmt.Errorf("nextdvfs: unknown app %q (see Apps())", app)
 	}
+	plat, err := platform.Get(opts.Platform)
+	if err != nil {
+		return TrainStats{}, fmt.Errorf("nextdvfs: %w (see Platforms())", err)
+	}
 	if opts.Sessions <= 0 {
 		opts.Sessions = 16
 	}
@@ -392,13 +378,13 @@ func TrainAgentOn(agent *Agent, app string, opts TrainOptions) (TrainStats, erro
 	}
 	for i := 1; i <= opts.Sessions; i++ {
 		seed := opts.Seed + int64(i)
-		rng := rand.New(rand.NewSource(seed))
-		tl := &session.Timeline{Scripts: []session.Script{
-			session.ForApp(workload.ByName(app), session.Seconds(opts.SessionSeconds), rng),
-		}}
-		if _, err := exp.RunTimelineOn(opts.Platform, tl, seed, agent); err != nil {
-			return TrainStats{}, fmt.Errorf("nextdvfs: %w (see Platforms())", err)
+		cfg := plat.Config(session.AppTimeline(workload.ByName(app), opts.SessionSeconds, seed), seed)
+		cfg.Controller = agent
+		eng, err := sim.New(cfg)
+		if err != nil {
+			return TrainStats{}, fmt.Errorf("nextdvfs: %w", err)
 		}
+		eng.Run()
 	}
 	stats := TrainStats{App: app, Sessions: opts.Sessions}
 	if tab := agent.TableFor(app); tab != nil && tab.Table != nil {
