@@ -16,7 +16,9 @@ package nextdvfs
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -457,6 +459,66 @@ func BenchmarkPolicyResolve(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "resolves/s")
+}
+
+// BenchmarkPolicyPull measures the download half of a check-in round:
+// one op is a binary GET /v1/policy over loopback HTTP of a merged
+// 1024-state policy (16 devices x 64 distinct states over the Note 9's
+// 9-action space, about the size fleet-ingest serves). A published
+// policy is encoded once per encoding and every pull writes the cached
+// bytes, so the op is HTTP plus a memo read; BENCH_fleet.json gates
+// pulls/s and an allocs/op ceiling that a return to encoding on every
+// pull would exceed.
+func BenchmarkPolicyPull(b *testing.B) {
+	srv, err := fleetd.NewServer(fleetd.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := fleetd.NewClient(ts.URL)
+	client.UseBinary = true
+	rng := rand.New(rand.NewSource(42))
+	for d := 0; d < 16; d++ {
+		t := core.NewQTable(9)
+		for s := 0; s < 64; s++ {
+			row := make([]float64, 9)
+			for a := range row {
+				row[a] = rng.NormFloat64()
+			}
+			t.Q[core.StateKey(d*64+s)] = row
+			t.Visits[core.StateKey(d*64+s)] = rng.Intn(200) + 1
+		}
+		if _, err := client.UploadTableSet(fmt.Sprintf("dev-%03d", d), "note9", "spotify", learner.SingleTableSet(t), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := client.Merge("spotify", "note9"); err != nil {
+		b.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/policy?app=spotify&platform=note9", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req.Header.Set("Accept", core.TableSetMediaType)
+	hc := ts.Client()
+	var wire int64
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := hc.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wire, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("pull: status %d, err %v", resp.StatusCode, err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pulls/s")
+	b.ReportMetric(float64(wire), "wire_B/pull")
 }
 
 // BenchmarkScenarioStep measures the scenario engine's hot path: one op

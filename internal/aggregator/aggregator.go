@@ -397,23 +397,20 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) int {
 			return status
 		}
 	}
-	set, round, ok := s.store.PolicySetRef(k)
-	if !ok {
+	// The edge fallback honors the same Accept negotiation as the root,
+	// so a binary-mode device keeps its encoding when the root is down,
+	// and serves the regional policy's cached bytes the same way.
+	data, ct, round, err := s.store.PolicyBody(k, fleetd.AcceptsBinary(r))
+	if errors.Is(err, fleetd.ErrNoPolicy) {
 		return fleetd.WriteErr(w, http.StatusNotFound, fmt.Errorf("aggregator %s: no policy for %s at root or edge", s.cfg.ID, k))
 	}
-	// The edge fallback honors the same Accept negotiation as the root,
-	// so a binary-mode device keeps its encoding when the root is down.
-	data, ct, err := fleetd.EncodePolicy(k.App, set, fleetd.AcceptsBinary(r))
 	if err != nil {
 		return fleetd.WriteErr(w, http.StatusInternalServerError, err)
 	}
 	s.metrics.proxyFallbacks.Add(1)
-	w.Header().Set("Content-Type", ct)
 	w.Header().Set("X-Fleet-Round", strconv.FormatInt(round, 10))
 	w.Header().Set("X-Fleet-Source", "edge")
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
-	return http.StatusOK
+	return fleetd.WriteBody(w, ct, data)
 }
 
 // proxiedPolicyHeaders are copied verbatim from the root's policy

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -25,6 +26,16 @@ func WriteJSON(w http.ResponseWriter, status int, v any) int {
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 	return status
+}
+
+// WriteBody answers 200 with a prebuilt body, such as a cached policy
+// encoding, returning the status for HandlerFunc.
+func WriteBody(w http.ResponseWriter, contentType string, body []byte) int {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
+	return http.StatusOK
 }
 
 // WriteErr answers with status and the {"error": "..."} envelope that

@@ -24,6 +24,13 @@
 // cloud.Fleet.MergeApp of the same uploads produces (pinned by the
 // end-to-end test in internal/fleetsim).
 //
+// Published policies are immutable, so the store installs each merged
+// set together with a memo of its wire bodies: a policy is encoded at
+// most once per encoding (compact JSON, NXTB), on the first pull that
+// asks for it, and every later GET /v1/policy writes the cached bytes.
+// Rollout artifacts carry the same memo, and fleetd_policy_encodes_total
+// on /metrics counts the encodes.
+//
 // When configured with a snapshot directory the server persists each
 // merged table through core.Store (atomic temp-file + rename writes)
 // after every merge round, and a restarted server warms itself from the

@@ -84,9 +84,10 @@ func (m *Metrics) MergeLatency() (count, sumUS, maxUS int64) {
 	return m.mergeCount.Load(), m.mergeSumUS.Load(), m.mergeMaxUS.Load()
 }
 
-// write renders the Prometheus text exposition. Store-level gauges are
-// passed in so the metrics page reflects the live table store.
-func (m *Metrics) write(w io.Writer, keys, merged, uploads, devices, untracked int) {
+// write renders the Prometheus text exposition. The store is read
+// here, so the metrics page reflects the live table store.
+func (m *Metrics) write(w io.Writer, st *Store, devices, untracked int) {
+	keys, merged, uploads := st.Stats()
 	m.RequestMetrics.Write(w)
 
 	count, sumUS, maxUS := m.MergeLatency()
@@ -105,6 +106,10 @@ func (m *Metrics) write(w io.Writer, keys, merged, uploads, devices, untracked i
 	fmt.Fprintf(w, "# TYPE fleetd_policies gauge\n")
 	fmt.Fprintf(w, "fleetd_policies{state=\"known\"} %d\n", keys)
 	fmt.Fprintf(w, "fleetd_policies{state=\"merged\"} %d\n", merged)
+	fmt.Fprintf(w, "# HELP fleetd_policy_encodes_total Policy bodies encoded for serving, by encoding: one per published policy and encoding, not one per pull.\n")
+	fmt.Fprintf(w, "# TYPE fleetd_policy_encodes_total counter\n")
+	fmt.Fprintf(w, "fleetd_policy_encodes_total{encoding=\"binary\"} %d\n", st.encodes[encBinary].Load())
+	fmt.Fprintf(w, "fleetd_policy_encodes_total{encoding=\"json\"} %d\n", st.encodes[encJSON].Load())
 	fmt.Fprintf(w, "# HELP fleetd_device_tables Device tables currently held for merging.\n")
 	fmt.Fprintf(w, "# TYPE fleetd_device_tables gauge\n")
 	fmt.Fprintf(w, "fleetd_device_tables %d\n", uploads)

@@ -354,7 +354,9 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) int {
 	}
 	// Accept-negotiated encoding. The ETag hashes the table content,
 	// not the transfer encoding, so a client may switch encodings
-	// between polls without invalidating its cache.
+	// between polls without invalidating its cache. Each artifact, like
+	// each store policy, encodes once per encoding: its memo lives in
+	// the artifact's Derived slot, shared by every copy.
 	binary := AcceptsBinary(r)
 	if s.rollout != nil {
 		if art, cohort, ok := s.rollout.Resolve(k.String(), device); ok {
@@ -370,36 +372,29 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) int {
 				w.WriteHeader(http.StatusNotModified)
 				return http.StatusNotModified
 			}
-			data, ct, err := EncodePolicy(k.App, art.Set, binary)
+			p := art.Derived(func() any { return s.store.publish(k.App, art.Set) }).(*published)
+			data, ct, err := p.body(binary)
 			if err != nil {
 				return WriteErr(w, http.StatusInternalServerError, err)
 			}
-			w.Header().Set("Content-Type", ct)
-			w.WriteHeader(http.StatusOK)
-			w.Write(data)
-			return http.StatusOK
+			return WriteBody(w, ct, data)
 		}
 		// No artifact yet for this key (e.g. lifecycle enabled over a
 		// pre-rollout snapshot dir): fall through to the legacy path.
 	}
-	// PolicySetRef + compact marshal keeps the download path symmetric
-	// with the optimized upload path: published sets are immutable, so
-	// no defensive clone, and the wire needs no indentation. Multi-table
+	// Published sets are immutable, so each is encoded once per
+	// encoding and every pull writes the cached bytes. Multi-table
 	// policies travel whole (aux roles under "aux"), so a Double-Q fleet
 	// round-trips both estimators.
-	set, round, ok := s.store.PolicySetRef(k)
-	if !ok {
-		return WriteErr(w, http.StatusNotFound, fmt.Errorf("fleetd: no merged policy for %s", k))
+	data, ct, round, err := s.store.PolicyBody(k, binary)
+	if errors.Is(err, ErrNoPolicy) {
+		return WriteErr(w, http.StatusNotFound, err)
 	}
-	data, ct, err := EncodePolicy(k.App, set, binary)
 	if err != nil {
 		return WriteErr(w, http.StatusInternalServerError, err)
 	}
-	w.Header().Set("Content-Type", ct)
 	w.Header().Set(roundHeader, strconv.FormatInt(round, 10))
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
-	return http.StatusOK
+	return WriteBody(w, ct, data)
 }
 
 // errRolloutDisabled answers lifecycle endpoints on servers running
@@ -523,12 +518,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
-	keys, merged, uploads := s.store.Stats()
 	s.devMu.Lock()
 	devices, untracked := len(s.devices), s.devOverflow
 	s.devMu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, keys, merged, uploads, devices, untracked)
+	s.metrics.write(w, s.store, devices, untracked)
 	if s.rollout != nil {
 		writeRolloutMetrics(w, s.rollout.Statuses(), s.rollout.RollbacksTotal())
 	}

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"nextdvfs/internal/cloud"
 	"nextdvfs/internal/core"
@@ -147,6 +148,8 @@ type Store struct {
 	// it via NewStoreMaxDevices — see docs/operations.md, "Capacity
 	// limits".
 	maxDevices int
+	// encodes counts policy-body encodes (memo fills) per encoding.
+	encodes [numEncodings]atomic.Int64
 }
 
 type storeShard struct {
@@ -161,10 +164,11 @@ type entry struct {
 	// merge round may snapshot references and drop the shard lock while
 	// it computes.
 	uploads map[string]*learner.TableSet
-	// merged is the current served policy, nil until the first merge
+	// pub is the current served policy — the merged set and its
+	// encoded bodies, installed together — nil until the first merge
 	// round (or snapshot restore); round counts merge rounds.
-	merged *learner.TableSet
-	round  int64
+	pub   *published
+	round int64
 	// uploadGen counts uploads; installedGen records the uploadGen the
 	// currently installed merged set was computed from. Together they
 	// let the phased merge run lock-free: a slow round whose snapshot
@@ -400,8 +404,8 @@ func (e *entry) actions() int {
 	for _, set := range e.uploads {
 		return set.Primary().Actions
 	}
-	if e.merged != nil {
-		return e.merged.Primary().Actions
+	if e.pub != nil {
+		return e.pub.set.Primary().Actions
 	}
 	return 0
 }
@@ -412,7 +416,10 @@ func (e *entry) anySet() *learner.TableSet {
 	for _, set := range e.uploads {
 		return set
 	}
-	return e.merged
+	if e.pub != nil {
+		return e.pub.set
+	}
+	return nil
 }
 
 // MergeInfo summarizes one federated merge round.
@@ -453,6 +460,11 @@ type MergeInfo struct {
 //     generation — a slow round whose snapshot predates the installed
 //     set returns the newer installed set instead of overwriting it
 //     backwards.
+//
+// Every install puts the merged set in place together with a fresh,
+// still empty body memo (see PolicyBody), and a round that finds a
+// newer set installed keeps that set with its memo, so a pull never
+// sees one round's bytes beside another round's set.
 func (s *Store) MergeSet(k Key) (MergeInfo, *learner.TableSet, error) {
 	if err := k.validate(); err != nil {
 		return MergeInfo{}, nil, err
@@ -468,7 +480,7 @@ func (s *Store) MergeSet(k Key) (MergeInfo, *learner.TableSet, error) {
 	sh.mu.Lock()
 	if e := sh.entries[k]; e != nil && e.merger != nil && len(e.uploads) > 0 {
 		merged := e.merger.Merge()
-		e.merged = merged
+		e.pub = s.publish(k.App, merged)
 		e.installedGen = e.uploadGen
 		e.round++
 		info := MergeInfo{
@@ -509,10 +521,10 @@ func (s *Store) MergeSet(k Key) (MergeInfo, *learner.TableSet, error) {
 	// Join.
 	sh.mu.Lock()
 	if gen >= e.installedGen {
-		e.merged = merged
+		e.pub = s.publish(k.App, merged)
 		e.installedGen = gen
 	} else {
-		merged = e.merged // a round over newer uploads already installed
+		merged = e.pub.set // a round over newer uploads already installed
 	}
 	// Adopt the arena only if no upload landed while the join computed
 	// (it reflects exactly the snapshot's generation) and no concurrent
@@ -540,10 +552,10 @@ func (s *Store) PolicySetRef(k Key) (set *learner.TableSet, round int64, ok bool
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	e := sh.entries[k]
-	if e == nil || e.merged == nil {
+	if e == nil || e.pub == nil {
 		return nil, 0, false
 	}
-	return e.merged, e.round, true
+	return e.pub.set, e.round, true
 }
 
 // KeyInfo describes one stored policy for listings and check-ins.
@@ -566,8 +578,8 @@ func (s *Store) Infos(platform string) []KeyInfo {
 				continue
 			}
 			info := KeyInfo{Key: k, Devices: len(e.uploads), Round: e.round}
-			if e.merged != nil {
-				info.States = e.merged.Primary().States()
+			if e.pub != nil {
+				info.States = e.pub.set.Primary().States()
 			}
 			infos = append(infos, info)
 		}
@@ -591,7 +603,7 @@ func (s *Store) Stats() (keys, merged, uploads int) {
 		for _, e := range sh.entries {
 			keys++
 			uploads += len(e.uploads)
-			if e.merged != nil {
+			if e.pub != nil {
 				merged++
 			}
 		}
@@ -681,7 +693,7 @@ func (s *Store) Restore(dir string) (int, error) {
 			sh.mu.Lock()
 			sh.entries[k] = &entry{
 				uploads: make(map[string]*learner.TableSet),
-				merged:  set,
+				pub:     s.publish(k.App, set),
 				round:   1,
 			}
 			sh.mu.Unlock()

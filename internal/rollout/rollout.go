@@ -112,6 +112,30 @@ func (c *Config) defaults() error {
 type Artifact struct {
 	core.ArtifactMeta
 	Set *learner.TableSet
+	// derived holds what the serving tier computes from Set once (see
+	// Derived). Artifacts are copied by value, so it sits behind a
+	// pointer: every copy of a submitted artifact shares it.
+	derived *derivedValue
+}
+
+// derivedValue is an artifact's fill-once slot.
+type derivedValue struct {
+	once sync.Once
+	v    any
+}
+
+// Derived returns the value fill computes from the artifact, calling
+// fill at most once per artifact the Manager holds: Submit and Restore
+// give each one a slot that every copy shares. fleetd keeps the
+// artifact's encoded policy bodies here. An artifact that never went
+// through a Manager has no slot, and fill runs on every call.
+func (a *Artifact) Derived(fill func() any) any {
+	d := a.derived
+	if d == nil {
+		return fill()
+	}
+	d.once.Do(func() { d.v = fill() })
+	return d.v
 }
 
 // EvalReport is one device's measured evaluation of the policy version
@@ -300,6 +324,7 @@ func (m *Manager) Submit(key string, a Artifact) (Artifact, error) {
 	if e.stable != nil {
 		a.Parent = e.stable.Version
 	}
+	a.derived = new(derivedValue)
 	art := &a
 	e.artifacts = append(e.artifacts, art)
 	if e.stable == nil {

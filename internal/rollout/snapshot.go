@@ -162,7 +162,7 @@ func (m *Manager) Restore(dir string) (int, error) {
 			if err != nil {
 				return n, fmt.Errorf("rollout: restoring %s: %w", f.Name(), err)
 			}
-			a := &Artifact{ArtifactMeta: meta, Set: set}
+			a := &Artifact{ArtifactMeta: meta, Set: set, derived: new(derivedValue)}
 			e.artifacts = append(e.artifacts, a)
 			if meta.Version > e.nextVersion {
 				e.nextVersion = meta.Version

@@ -1,16 +1,10 @@
 package sim_test
 
 import (
-	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
+	"nextdvfs/internal/golden"
 	"nextdvfs/internal/platform"
 	"nextdvfs/internal/scenario"
 	"nextdvfs/internal/sim"
@@ -23,6 +17,10 @@ import (
 // output, so a change in code the engines share cannot slip through.
 const goldenFile = "testdata/golden_results.txt"
 
+// goldenHeader is the comment block of a regenerated goldenFile.
+const goldenHeader = `SHA-256 of fmt.Sprintf("%+v", sim.Result) per platform/scenario (2% scale,
+struct seed 42) and engine seed; see TestGoldenResults.`
+
 // Golden runs use the differential matrix's shape: 2% scenarios at
 // struct seed 42. Scalar engines run goldenScalarSeeds; one lockstep
 // batch runs goldenBatchSeeds as its lanes (four lanes, so the AVX2
@@ -32,38 +30,7 @@ var (
 	goldenBatchSeeds  = []int64{100, 101, 102, 103}
 )
 
-func resultHash(r sim.Result) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", r)))
-	return hex.EncodeToString(sum[:])
-}
-
 func goldenKey(cell string, seed int64) string { return fmt.Sprintf("%s seed=%d", cell, seed) }
-
-func loadGolden(t *testing.T) map[string]string {
-	t.Helper()
-	f, err := os.Open(filepath.FromSlash(goldenFile))
-	if err != nil {
-		t.Fatalf("open golden pins: %v", err)
-	}
-	defer f.Close()
-	pins := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			t.Fatalf("malformed golden line %q", line)
-		}
-		pins[line[:i]] = line[i+1:]
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return pins
-}
 
 // TestGoldenResults pins every scalar run and every batch lane of the
 // platform × scenario matrix to its recorded Result hash. On a
@@ -71,27 +38,20 @@ func loadGolden(t *testing.T) map[string]string {
 // output change is re-pinned by pasting it into testdata.
 func TestGoldenResults(t *testing.T) {
 	const structSeed = 42
-	pins := loadGolden(t)
 	got := map[string]string{}
-	failed := false
 	check := func(t *testing.T, key, engine string, r sim.Result) {
 		t.Helper()
-		h := resultHash(r)
+		h := golden.Hash(r)
 		if prev, ok := got[key]; ok && prev != h {
 			t.Errorf("%s: %s hash %s differs from the other engine's %s", key, engine, h, prev)
 		}
 		got[key] = h
-		if want, ok := pins[key]; !ok {
-			t.Errorf("%s: no golden pin", key)
-		} else if want != h {
-			t.Errorf("%s: %s hash %s, pinned %s", key, engine, h, want)
-		}
 	}
 	for _, pname := range platform.Names() {
 		plat := platform.MustGet(pname)
 		for _, sname := range scenario.Names() {
 			cell := pname + "/" + sname
-			ok := t.Run(cell, func(t *testing.T) {
+			t.Run(cell, func(t *testing.T) {
 				scn := scenario.Scaled(scenario.MustGet(sname), 0.02)
 				for _, seed := range goldenScalarSeeds {
 					e, err := sim.New(sweepConfig(t, scn, plat, structSeed, seed))
@@ -112,19 +72,7 @@ func TestGoldenResults(t *testing.T) {
 					check(t, goldenKey(cell, goldenBatchSeeds[r]), "batch lane", res)
 				}
 			})
-			failed = failed || !ok
 		}
 	}
-	if failed {
-		keys := make([]string, 0, len(got))
-		for k := range got {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var sb strings.Builder
-		for _, k := range keys {
-			fmt.Fprintf(&sb, "%s %s\n", k, got[k])
-		}
-		t.Logf("regenerated %s:\n%s", goldenFile, sb.String())
-	}
+	golden.Check(t, goldenFile, goldenHeader, got)
 }
