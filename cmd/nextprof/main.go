@@ -1,7 +1,8 @@
 // Command nextprof is the performance-work harness: it runs a scenario
 // or figure workload under CPU and heap profiling and prints the top-N
-// hotspot tables straight away (via the dependency-free pprof parser in
-// internal/prof), so "what do we optimize next?" is one command:
+// hotspot tables straight away (through `go tool pprof -top`, which
+// ships with the toolchain), so "what do we optimize next?" is one
+// command:
 //
 //	nextprof                              # mixed-day scenario, top 15
 //	nextprof -scenario gaming-marathon -top 20
@@ -13,12 +14,16 @@
 //
 // The raw profiles are kept on disk (paths printed at the end) so a
 // deeper dive with `go tool pprof` can pick up where the table stops.
+// If the tables cannot be printed (no `go` on PATH), nextprof names
+// both profiles and exits 1.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -26,7 +31,6 @@ import (
 
 	"nextdvfs/internal/exp"
 	"nextdvfs/internal/platform"
-	"nextdvfs/internal/prof"
 	"nextdvfs/internal/scenario"
 	"nextdvfs/internal/sim"
 )
@@ -67,64 +71,60 @@ func main() {
 		os.Exit(2)
 	}
 
-	cpuF, err := os.Create(*cpuOut)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nextprof:", err)
-		os.Exit(1)
-	}
-	if err := pprof.StartCPUProfile(cpuF); err != nil {
-		fmt.Fprintln(os.Stderr, "nextprof:", err)
-		os.Exit(1)
-	}
 	fmt.Printf("profiling %s for at least %s ...\n", desc, *benchtime)
-	// Always at least one iteration, so -benchtime 0 still profiles a
-	// full workload pass instead of handing an empty profile to the
-	// parser.
-	iters := 0
-	start := time.Now()
-	for {
-		run()
-		iters++
-		if time.Since(start) >= *benchtime {
-			break
-		}
-	}
-	elapsed := time.Since(start)
-	pprof.StopCPUProfile()
-	if err := cpuF.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "nextprof:", err)
-		os.Exit(1)
-	}
-
-	memF, err := os.Create(*memOut)
+	iters, elapsed, err := writeProfiles(run, *benchtime, *cpuOut, *memOut)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nextprof:", err)
 		os.Exit(1)
 	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(memF); err != nil {
-		fmt.Fprintln(os.Stderr, "nextprof:", err)
-		os.Exit(1)
-	}
-	if err := memF.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "nextprof:", err)
-		os.Exit(1)
-	}
-
-	fmt.Printf("%d iterations in %s (%.1f ms/iteration)\n\n",
+	fmt.Printf("%d iterations in %s (%.1f ms/iteration)\n",
 		iters, elapsed.Round(time.Millisecond), float64(elapsed.Milliseconds())/float64(iters))
 
-	if err := printProfile("CPU", *cpuOut, "cpu", *topN); err != nil {
-		fmt.Fprintln(os.Stderr, "nextprof:", err)
-		os.Exit(1)
-	}
-	fmt.Println()
-	if err := printProfile("heap (alloc_space over the whole run)", *memOut, "alloc_space", *topN); err != nil {
-		fmt.Fprintln(os.Stderr, "nextprof:", err)
+	if err := printTables(os.Stdout, os.Stderr, *cpuOut, *memOut, *topN); err != nil {
+		fmt.Fprintf(os.Stderr, "nextprof: %v (raw profiles kept: %s %s)\n", err, *cpuOut, *memOut)
 		os.Exit(1)
 	}
 	fmt.Printf("\nraw profiles: %s %s\n", *cpuOut, *memOut)
 	fmt.Println("deeper dive: go tool pprof <binary|-> <profile>")
+}
+
+// writeProfiles runs the workload under the CPU profiler until
+// benchtime has passed, then writes the heap profile after a GC. It
+// always runs at least one iteration, so -benchtime 0 still profiles a
+// full workload pass.
+func writeProfiles(run func(), benchtime time.Duration, cpuPath, memPath string) (iters int, elapsed time.Duration, err error) {
+	cpuF, err := os.Create(cpuPath)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := pprof.StartCPUProfile(cpuF); err != nil {
+		cpuF.Close()
+		return 0, 0, err
+	}
+	start := time.Now()
+	for {
+		run()
+		iters++
+		if time.Since(start) >= benchtime {
+			break
+		}
+	}
+	elapsed = time.Since(start)
+	pprof.StopCPUProfile()
+	if err := cpuF.Close(); err != nil {
+		return 0, 0, err
+	}
+
+	memF, err := os.Create(memPath)
+	if err != nil {
+		return 0, 0, err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(memF); err != nil {
+		memF.Close()
+		return 0, 0, err
+	}
+	return iters, elapsed, memF.Close()
 }
 
 // buildWorkload resolves the profiled workload: one closure per
@@ -197,22 +197,20 @@ func buildWorkload(fig, scen, plat string, seed int64, scale float64, sweep int)
 	}, desc, nil
 }
 
-func printProfile(title, path, sampleType string, topN int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+// printTables prints the top-N table of the CPU profile and the
+// alloc_space table of the heap profile by running `go tool pprof -top`
+// on each, with the tool's stdout and stderr going to stdout and stderr.
+func printTables(stdout, stderr io.Writer, cpuPath, memPath string, topN int) error {
+	for _, p := range []struct{ path, sampleIndex string }{
+		{cpuPath, "cpu"},
+		{memPath, "alloc_space"},
+	} {
+		fmt.Fprintln(stdout)
+		cmd := exec.Command("go", "tool", "pprof", "-top", fmt.Sprintf("-nodecount=%d", topN), "-sample_index="+p.sampleIndex, p.path)
+		cmd.Stdout, cmd.Stderr = stdout, stderr
+		if err := cmd.Run(); err != nil {
+			return fmt.Errorf("go tool pprof %s: %w", p.path, err)
+		}
 	}
-	defer f.Close()
-	p, err := prof.Parse(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	si := p.SampleIndex(sampleType)
-	if si < 0 {
-		// Fall back to the last sample type (cpu profiles put the
-		// meaningful dimension last).
-		si = len(p.SampleTypes) - 1
-	}
-	fmt.Printf("== %s ==\n", title)
-	return prof.WriteTop(os.Stdout, p, si, topN)
+	return nil
 }

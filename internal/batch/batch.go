@@ -198,57 +198,3 @@ func Map(n, parallel int, fn func(i int)) {
 	close(idx)
 	wg.Wait()
 }
-
-// Aggregate summarizes a grid: unweighted per-job means and grid-wide
-// peaks of the headline quantities (each job counts once regardless of
-// its session length).
-type Aggregate struct {
-	Jobs   int
-	Errors int
-	// MeanAvgPowerW / MeanAvgFPS / MeanActiveFPS average the per-session
-	// averages over the successful jobs.
-	MeanAvgPowerW float64
-	MeanAvgFPS    float64
-	MeanActiveFPS float64
-	// PeakPowerW / PeakTempBigC / PeakTempDevC are grid-wide maxima.
-	PeakPowerW   float64
-	PeakTempBigC float64
-	PeakTempDevC float64
-	// TotalEnergyJ and TotalSimS integrate across the grid.
-	TotalEnergyJ float64
-	TotalSimS    float64
-}
-
-// Aggregated folds a result slice into an Aggregate.
-func Aggregated(results []RunResult) Aggregate {
-	var a Aggregate
-	a.Jobs = len(results)
-	ok := 0
-	for _, r := range results {
-		if r.Err != "" {
-			a.Errors++
-			continue
-		}
-		ok++
-		a.MeanAvgPowerW += r.Result.AvgPowerW
-		a.MeanAvgFPS += r.Result.AvgFPS
-		a.MeanActiveFPS += r.Result.ActiveAvgFPS
-		if r.Result.PeakPowerW > a.PeakPowerW {
-			a.PeakPowerW = r.Result.PeakPowerW
-		}
-		if r.Result.PeakTempBigC > a.PeakTempBigC {
-			a.PeakTempBigC = r.Result.PeakTempBigC
-		}
-		if r.Result.PeakTempDevC > a.PeakTempDevC {
-			a.PeakTempDevC = r.Result.PeakTempDevC
-		}
-		a.TotalEnergyJ += r.Result.EnergyJ
-		a.TotalSimS += r.Result.DurationS
-	}
-	if ok > 0 {
-		a.MeanAvgPowerW /= float64(ok)
-		a.MeanAvgFPS /= float64(ok)
-		a.MeanActiveFPS /= float64(ok)
-	}
-	return a
-}

@@ -237,46 +237,3 @@ func TestRunOrderWithMoreWorkersThanJobs(t *testing.T) {
 		}
 	}
 }
-
-func TestAggregatedEdgeCases(t *testing.T) {
-	empty := Aggregated(nil)
-	if empty.Jobs != 0 || empty.Errors != 0 {
-		t.Fatalf("nil slice: %+v", empty)
-	}
-	if empty.MeanAvgPowerW != 0 || empty.TotalEnergyJ != 0 {
-		t.Fatalf("nil slice must aggregate to zeros: %+v", empty)
-	}
-
-	allErr := Aggregated([]RunResult{{Err: "a"}, {Err: "b"}})
-	if allErr.Jobs != 2 || allErr.Errors != 2 {
-		t.Fatalf("all-error slice: %+v", allErr)
-	}
-	// No successful job ⇒ means stay zero, never NaN from 0/0.
-	if allErr.MeanAvgPowerW != 0 || allErr.MeanAvgFPS != 0 || allErr.MeanActiveFPS != 0 {
-		t.Fatalf("all-error means must be zero: %+v", allErr)
-	}
-}
-
-func TestAggregated(t *testing.T) {
-	results := []RunResult{
-		{Result: sim.Result{AvgPowerW: 2, PeakPowerW: 5, AvgFPS: 30, ActiveAvgFPS: 50, PeakTempBigC: 60, PeakTempDevC: 35, EnergyJ: 100, DurationS: 50}},
-		{Result: sim.Result{AvgPowerW: 4, PeakPowerW: 9, AvgFPS: 50, ActiveAvgFPS: 60, PeakTempBigC: 40, PeakTempDevC: 45, EnergyJ: 300, DurationS: 70}},
-		{Err: "boom"},
-	}
-	a := Aggregated(results)
-	if a.Jobs != 3 || a.Errors != 1 {
-		t.Fatalf("jobs/errors = %d/%d", a.Jobs, a.Errors)
-	}
-	if a.MeanAvgPowerW != 3 || a.PeakPowerW != 9 {
-		t.Fatalf("power agg = %g/%g", a.MeanAvgPowerW, a.PeakPowerW)
-	}
-	if a.MeanAvgFPS != 40 || a.MeanActiveFPS != 55 {
-		t.Fatalf("fps agg = %g/%g", a.MeanAvgFPS, a.MeanActiveFPS)
-	}
-	if a.PeakTempBigC != 60 || a.PeakTempDevC != 45 {
-		t.Fatalf("temp agg = %g/%g", a.PeakTempBigC, a.PeakTempDevC)
-	}
-	if a.TotalEnergyJ != 400 || a.TotalSimS != 120 {
-		t.Fatalf("totals = %g/%g", a.TotalEnergyJ, a.TotalSimS)
-	}
-}

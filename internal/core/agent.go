@@ -409,13 +409,6 @@ func (a *Agent) Reset() {
 	}
 }
 
-// ForgetAll drops every learned table (a factory-reset test hook).
-func (a *Agent) ForgetAll() {
-	a.tables = make(map[string]*AppTable)
-	a.cur = nil
-	a.prevValid = false
-}
-
 // TableFor exposes the app's table (nil if the app was never seen).
 func (a *Agent) TableFor(app string) *AppTable {
 	return a.tables[app]

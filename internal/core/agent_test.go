@@ -149,10 +149,6 @@ func TestAgentResetKeepsTables(t *testing.T) {
 	if a.TableFor("app") == nil || a.TableFor("app").Table.Steps != steps {
 		t.Fatal("Reset must keep learned tables (training happens once per app)")
 	}
-	a.ForgetAll()
-	if a.TableFor("app") != nil {
-		t.Fatal("ForgetAll should drop tables")
-	}
 }
 
 func TestAgentControlWithoutAppChangedUsesSnapshotApp(t *testing.T) {

@@ -94,23 +94,6 @@ func (m *Model) PowerAt(c *soc.Cluster, idx int, util, tempC float64) float64 {
 	return dyn + leak + co.IdleW
 }
 
-// MaxClusterPower returns the worst-case power of the cluster: top OPP,
-// full utilization, at the given temperature. Used for PPDW_worst.
-func (m *Model) MaxClusterPower(c *soc.Cluster, tempC float64) float64 {
-	co, ok := m.coeffs[c.Name]
-	if !ok {
-		panic(fmt.Sprintf("power: no coefficients for cluster %q", c.Name))
-	}
-	opp := c.MaxOPP()
-	v := opp.Volts()
-	dyn := co.CdynWPerGHzV2 * opp.FreqGHz() * v * v
-	leak := co.LeakWAtRef * (v / co.VRef) * (1 + co.LeakTempCo*(tempC-25))
-	if leak < 0 {
-		leak = 0
-	}
-	return dyn + leak + co.IdleW
-}
-
 // Exynos9810Model returns coefficients calibrated for the Exynos 9810
 // preset: big cluster peaks near 8 W, GPU near 3.5 W, LITTLE near 1.2 W,
 // with a ~0.9 W device floor — matching the Note 9 envelope the paper's

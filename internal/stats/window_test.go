@@ -98,31 +98,3 @@ func TestEWMAConvergesToConstant(t *testing.T) {
 		t.Fatalf("EWMA did not converge: %g", e.Value())
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(NewQuantizer(0, 60, 3))
-	for _, v := range []float64{0, 1, 2, 30, 59, 60} {
-		h.Push(v)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 3 || h.Counts[1] != 1 || h.Counts[2] != 2 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if h.ArgMax() != 0 {
-		t.Fatalf("argmax = %d, want 0", h.ArgMax())
-	}
-	if got := h.Fraction(0); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("fraction(0) = %g", got)
-	}
-}
-
-func TestClampHelpers(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Fatal("Clamp wrong")
-	}
-	if ClampInt(5, 0, 3) != 3 || ClampInt(-1, 0, 3) != 0 || ClampInt(2, 0, 3) != 2 {
-		t.Fatal("ClampInt wrong")
-	}
-}
