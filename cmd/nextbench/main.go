@@ -3,7 +3,7 @@
 // Note 9 by default) and prints the rows/series the paper reports.
 // Optionally writes the underlying traces as CSV. The experiment grids
 // fan out across a worker pool; -parallel 1 and -parallel 8 print
-// identical numbers.
+// identical numbers. The fleet serving benchmark is nextfleetd -bench.
 //
 // Usage:
 //
@@ -11,8 +11,6 @@
 //	nextbench -fig 7                       # just the Fig. 7 power matrix
 //	nextbench -fig 7 -platform sd855       # same matrix on another SoC
 //	nextbench -fig 78 -parallel 8          # fan the grid across 8 workers
-//	nextbench -fleet 64                    # serving benchmark: 64-device fleet vs fleetd
-//	nextbench -fleet 16 -rollout           # staged-rollout A/B lifecycle on the fleet
 //	nextbench -platforms                   # list the registry
 //	nextbench -scenarios                   # scenario × platform × scheme grid
 //	nextbench -scenarios -schemes schedutil,powersave,next -scale 0.1
@@ -31,7 +29,6 @@ import (
 
 	"nextdvfs"
 	"nextdvfs/internal/exp"
-	"nextdvfs/internal/fleetsim"
 	"nextdvfs/internal/platform"
 	"nextdvfs/internal/sim"
 	"nextdvfs/internal/trace"
@@ -43,12 +40,6 @@ func main() {
 	out := flag.String("out", "", "directory for CSV traces (optional)")
 	plat := flag.String("platform", platform.DefaultName, "simulated device: "+strings.Join(platform.Names(), ", "))
 	parallel := flag.Int("parallel", 0, "worker-pool size for experiment grids (0 = GOMAXPROCS, 1 = sequential)")
-	fleet := flag.Int("fleet", 0, "serving benchmark: drive an in-process fleetd with N simulated devices and report throughput")
-	fleetRollout := flag.Bool("rollout", false, "for -fleet: run a staged-rollout A/B lifecycle (canary → promote/rollback) instead of plain training rounds")
-	fleetAggs := flag.Int("aggregators", 0, "for -fleet: route devices through this many in-process edge aggregators (two-tier topology)")
-	fleetBinary := flag.Bool("binary", false, "for -fleet: devices speak the binary table wire codec")
-	fleetDelta := flag.Bool("delta", false, "for -fleet: re-uploads send X-Fleet-Base-Gen deltas (pair with -epochs)")
-	fleetEpochs := flag.Int("epochs", 0, "for -fleet: repeat the check-in cycle this many times, one extra training session per device between epochs")
 	listPlats := flag.Bool("platforms", false, "list registered platforms and exit")
 	scenarios := flag.Bool("scenarios", false, "run the scenario × platform × scheme grid instead of a figure")
 	schemes := flag.String("schemes", "schedutil,next", "for -scenarios: comma-separated schemes ("+strings.Join(nextdvfs.Schemes(), ", ")+")")
@@ -68,11 +59,6 @@ func main() {
 	if _, err := platform.Get(*plat); err != nil {
 		fmt.Fprintln(os.Stderr, "nextbench:", err)
 		os.Exit(2)
-	}
-
-	if *fleet > 0 {
-		runFleet(*fleet, *plat, *seed, *parallel, *fleetRollout, *fleetAggs, *fleetBinary, *fleetDelta, *fleetEpochs)
-		return
 	}
 
 	if *sweep > 0 {
@@ -119,30 +105,6 @@ func main() {
 	if *fig == "refresh" || *fig == "all" {
 		runHighRefresh(*plat, *seed, *parallel)
 	}
-}
-
-func runFleet(devices int, plat string, seed int64, parallel int, withRollout bool, aggregators int, binary, delta bool, epochs int) {
-	opts := fleetsim.Options{
-		Devices: devices, Platform: plat, Seed: seed, Parallel: parallel,
-		Aggregators: aggregators,
-		Binary:      binary, DeltaUploads: delta, Epochs: epochs,
-	}
-	switch {
-	case withRollout:
-		opts.Rollout = &fleetsim.RolloutOptions{}
-		fmt.Printf("== Staged-rollout A/B: %d-device fleet against an in-process fleetd ==\n", devices)
-	case aggregators > 0:
-		fmt.Printf("== Serving benchmark: %d-device fleet through %d aggregators against an in-process fleetd ==\n", devices, aggregators)
-	default:
-		fmt.Printf("== Serving benchmark: %d-device fleet against an in-process fleetd ==\n", devices)
-	}
-	report, err := nextdvfs.BenchFleet(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nextbench:", err)
-		os.Exit(1)
-	}
-	report.WriteSummary(os.Stdout)
-	fmt.Println()
 }
 
 // learnerList expands the -learners flag: "" → nil (each grid's

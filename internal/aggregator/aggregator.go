@@ -21,7 +21,6 @@
 package aggregator
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -35,9 +34,18 @@ import (
 	"nextdvfs/internal/learner"
 )
 
-// maxTrackedDevices bounds the distinct-device set (same rationale as
-// fleetd's: check-ins are unauthenticated).
-const maxTrackedDevices = 1 << 16
+// Backpressure and federation batching (docs/operations.md, "Fixed
+// limits").
+const (
+	// softLimitPct is the queue fill percentage from which upload
+	// replies carry an advisory backoff hint.
+	softLimitPct = 75
+	// retryAfterS is the delay, in seconds, advertised on queue-overflow
+	// rejections and as the advisory backoff.
+	retryAfterS = 1
+	// flushBatch caps device tables per federation push.
+	flushBatch = 256
+)
 
 // Config tunes an edge aggregator.
 type Config struct {
@@ -51,20 +59,10 @@ type Config struct {
 	// federation (0 → 4096). Past it, uploads are rejected with 429 +
 	// Retry-After until a flush drains the queue.
 	QueueLimit int
-	// SoftLimitPct is the queue fill percentage past which upload
-	// replies carry an advisory backoff hint (0 → 75).
-	SoftLimitPct int
-	// RetryAfterS is the delay advertised on queue-overflow rejections
-	// (0 → 1 second).
-	RetryAfterS int
-	// FlushBatch caps device tables per federation push (0 → 256).
-	FlushBatch int
 	// FlushEvery is the background flush cadence (0 → 500ms; < 0
 	// disables the background flusher — flushes then run only via
 	// Flush, POST /v1/flush, or an epoch coordinator).
 	FlushEvery time.Duration
-	// MaxBodyBytes bounds device upload bodies (0 → 16 MiB).
-	MaxBodyBytes int64
 	// MaxDevicesPerKey bounds distinct devices per policy in the local
 	// store (0 → the fleetd store default of 4096).
 	MaxDevicesPerKey int
@@ -81,11 +79,11 @@ type Server struct {
 	rootURL string
 	queue   *queue
 	metrics *Metrics
+	door    *fleetd.FrontDoor
 	mux     *http.ServeMux
 
-	devMu          sync.Mutex
-	devices        map[string]struct{}
-	pendingDevices map[string]struct{} // checked in since the last successful flush
+	// pending holds devices checked in since the last successful flush.
+	pending fleetd.DeviceSet
 
 	flushMu sync.Mutex // serializes Flush (handlers never hold it)
 
@@ -106,43 +104,34 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 4096
 	}
-	if cfg.SoftLimitPct <= 0 {
-		cfg.SoftLimitPct = 75
-	}
-	if cfg.RetryAfterS <= 0 {
-		cfg.RetryAfterS = 1
-	}
-	if cfg.FlushBatch <= 0 {
-		cfg.FlushBatch = 256
-	}
 	if cfg.FlushEvery == 0 {
 		cfg.FlushEvery = 500 * time.Millisecond
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 16 << 20
-	}
 	s := &Server{
-		cfg:            cfg,
-		store:          fleetd.NewStoreMaxDevices(cfg.MaxDevicesPerKey),
-		queue:          newQueue(cfg.QueueLimit),
-		metrics:        &Metrics{RequestMetrics: fleetd.NewRequestMetrics("agg", "aggregator")},
-		devices:        make(map[string]struct{}),
-		pendingDevices: make(map[string]struct{}),
-		stop:           make(chan struct{}),
-		done:           make(chan struct{}),
+		cfg:     cfg,
+		store:   fleetd.NewStoreMaxDevices(cfg.MaxDevicesPerKey),
+		queue:   newQueue(cfg.QueueLimit),
+		metrics: &Metrics{RequestMetrics: fleetd.NewRequestMetrics("agg", "aggregator")},
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
+	var register func(string)
 	if cfg.Root != "" {
 		s.rootURL = cfg.Root
 		s.root = fleetd.NewClient(cfg.Root)
 		s.proxy = &http.Client{Timeout: 10 * time.Second}
+		// Registration rides the next flush so the root's device set and
+		// rollout cohorts cover the whole fleet, not the aggregators.
+		register = s.pending.Add
 	}
+	s.door = fleetd.NewFrontDoor("aggregator", s.store, register)
 	mux := http.NewServeMux()
 	m := s.metrics
-	mux.HandleFunc("POST /v1/checkin", m.Handle("checkin", s.handleCheckin))
+	mux.HandleFunc("POST /v1/checkin", m.Handle("checkin", s.door.HandleCheckin))
 	mux.HandleFunc("PUT /v1/table", m.Handle("upload", s.handleUpload))
 	mux.HandleFunc("POST /v1/merge", m.Handle("merge", s.handleMerge))
 	mux.HandleFunc("GET /v1/policy", m.Handle("policy", s.handlePolicy))
-	mux.HandleFunc("GET /v1/apps", m.Handle("apps", s.handleApps))
+	mux.HandleFunc("GET /v1/apps", m.Handle("apps", s.door.HandleApps))
 	mux.HandleFunc("POST /v1/flush", m.Handle("flush", s.handleFlush))
 	mux.HandleFunc("GET /healthz", m.Handle("healthz", s.handleHealthz))
 	mux.HandleFunc("GET /metrics", m.Handle("metrics", s.handleMetrics))
@@ -196,7 +185,7 @@ func (s *Server) Close() {
 }
 
 // Flush drains pending device registrations and queued uploads to the
-// root in FlushBatch-sized federation pushes until the queue is empty,
+// root in flushBatch-sized federation pushes until the queue is empty,
 // returning how many tables the root accepted. On a push failure the
 // batch returns to the queue and Flush stops — the next flush (or
 // epoch) retries from where it left off.
@@ -207,8 +196,8 @@ func (s *Server) Flush() (forwarded int, err error) {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	for {
-		devices := s.takePendingDevices()
-		batch := s.queue.take(s.cfg.FlushBatch)
+		devices := s.pending.Take()
+		batch := s.queue.take(flushBatch)
 		if len(devices) == 0 && len(batch) == 0 {
 			return forwarded, nil
 		}
@@ -221,7 +210,9 @@ func (s *Server) Flush() (forwarded int, err error) {
 		reply, ferr := s.root.Federate(req)
 		if ferr != nil {
 			s.queue.putBack(batch)
-			s.restorePendingDevices(devices)
+			for _, d := range devices {
+				s.pending.Add(d)
+			}
 			s.metrics.flushFailures.Add(1)
 			return forwarded, fmt.Errorf("aggregator %s: federation push: %w", s.cfg.ID, ferr)
 		}
@@ -229,28 +220,6 @@ func (s *Server) Flush() (forwarded int, err error) {
 		s.metrics.forwarded.Add(int64(reply.Accepted))
 		s.metrics.dropped.Add(int64(reply.Rejected)) // root refused: poisoned, not retried
 		forwarded += reply.Accepted
-	}
-}
-
-func (s *Server) takePendingDevices() []string {
-	s.devMu.Lock()
-	defer s.devMu.Unlock()
-	if len(s.pendingDevices) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(s.pendingDevices))
-	for d := range s.pendingDevices {
-		out = append(out, d)
-	}
-	s.pendingDevices = make(map[string]struct{})
-	return out
-}
-
-func (s *Server) restorePendingDevices(devices []string) {
-	s.devMu.Lock()
-	defer s.devMu.Unlock()
-	for _, d := range devices {
-		s.pendingDevices[d] = struct{}{}
 	}
 }
 
@@ -267,34 +236,6 @@ func (s *Server) MergeLocal(k fleetd.Key) (fleetd.MergeInfo, error) {
 	return info, nil
 }
 
-func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) int {
-	var req fleetd.CheckinRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		return fleetd.WriteErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: bad check-in body: %w", err))
-	}
-	if !fleetd.SafeName(req.Device) || !fleetd.SafeName(req.Platform) {
-		return fleetd.WriteErr(w, http.StatusBadRequest,
-			fmt.Errorf("aggregator: check-in needs device and platform as single [a-zA-Z0-9._-] segments"))
-	}
-	s.devMu.Lock()
-	if _, seen := s.devices[req.Device]; !seen && len(s.devices) < maxTrackedDevices {
-		s.devices[req.Device] = struct{}{}
-	}
-	if s.root != nil && len(s.pendingDevices) < maxTrackedDevices {
-		// Registration rides the next flush so the root's device set and
-		// rollout cohorts cover the whole fleet, not the aggregators.
-		s.pendingDevices[req.Device] = struct{}{}
-	}
-	s.devMu.Unlock()
-	reply := fleetd.CheckinReply{Device: req.Device, Platform: req.Platform, Policies: []fleetd.KeyInfo{}}
-	for _, info := range s.store.Infos(req.Platform) {
-		if info.Round > 0 {
-			reply.Policies = append(reply.Policies, info)
-		}
-	}
-	return fleetd.WriteJSON(w, http.StatusOK, reply)
-}
-
 // UploadReply is fleetd's upload acknowledgment plus the edge tier's
 // backpressure signal: the upward-queue depth after the upload and,
 // once the queue passes the soft watermark, an advisory delay the
@@ -309,14 +250,9 @@ type UploadReply struct {
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 	device := r.URL.Query().Get("device")
 	platform := r.URL.Query().Get("platform")
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return fleetd.WriteErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("aggregator: upload exceeds %d bytes", tooBig.Limit))
-		}
-		return fleetd.WriteErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: reading upload: %w", err))
+	data, status := s.door.ReadUpload(w, r)
+	if status != http.StatusOK {
+		return status
 	}
 	if r.Header.Get("X-Fleet-Base-Gen") != "" {
 		// Edges don't track per-device upload generations (the queue
@@ -346,14 +282,14 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 		prev, depth, ok = s.queue.put(pk, data)
 		if !ok {
 			s.metrics.rejected.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterS))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterS))
 			return fleetd.WriteErr(w, http.StatusTooManyRequests,
 				fmt.Errorf("aggregator %s: upload queue full (%d pending); retry after %ds",
-					s.cfg.ID, depth, s.cfg.RetryAfterS))
+					s.cfg.ID, depth, retryAfterS))
 		}
 		reply.Pending = depth
-		if depth*100 >= s.cfg.QueueLimit*s.cfg.SoftLimitPct {
-			reply.BackoffS = float64(s.cfg.RetryAfterS)
+		if depth*100 >= s.cfg.QueueLimit*softLimitPct {
+			reply.BackoffS = retryAfterS
 		}
 	}
 	n, _, err := s.store.UploadSetGen(k, device, set)
@@ -459,14 +395,6 @@ func (s *Server) proxyPolicy(w http.ResponseWriter, r *http.Request) (status int
 	return resp.StatusCode, true
 }
 
-func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) int {
-	infos := s.store.Infos(r.URL.Query().Get("platform"))
-	if infos == nil {
-		infos = []fleetd.KeyInfo{}
-	}
-	return fleetd.WriteJSON(w, http.StatusOK, infos)
-}
-
 // FlushReply is the POST /v1/flush body: how many tables the root
 // accepted in this drain and how many remain queued.
 type FlushReply struct {
@@ -500,9 +428,7 @@ type HealthReply struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
 	keys, merged, uploads := s.store.Stats()
-	s.devMu.Lock()
-	devices := len(s.devices)
-	s.devMu.Unlock()
+	devices, _ := s.door.Devices()
 	return fleetd.WriteJSON(w, http.StatusOK, HealthReply{
 		Status: "ok", Agg: s.cfg.ID, Root: s.rootURL,
 		UptimeS:  s.metrics.Uptime().Seconds(),
@@ -513,9 +439,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 	keys, merged, uploads := s.store.Stats()
-	s.devMu.Lock()
-	devices := len(s.devices)
-	s.devMu.Unlock()
+	devices, _ := s.door.Devices()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.write(w, s.queue.depth(), s.cfg.QueueLimit, keys, merged, uploads, devices)
 	return http.StatusOK

@@ -215,7 +215,7 @@ func TestQueueOverflowRetryAfterAndDedup(t *testing.T) {
 	rootTS := httptest.NewServer(down)
 	defer rootTS.Close()
 
-	agg, client := newEdge(t, Config{ID: "agg-x", Root: rootTS.URL, QueueLimit: 2, RetryAfterS: 3})
+	agg, client := newEdge(t, Config{ID: "agg-x", Root: rootTS.URL, QueueLimit: 2})
 
 	if _, err := client.UploadTableSet("dev-000", "note9", "spotify", learner.SingleTableSet(devTable(1)), 0); err != nil {
 		t.Fatal(err)
@@ -229,8 +229,8 @@ func TestQueueOverflowRetryAfterAndDedup(t *testing.T) {
 	if !errors.As(err, &ra) {
 		t.Fatalf("overflow error = %v, want RetryAfterError", err)
 	}
-	if ra.Seconds != 3 {
-		t.Fatalf("retry-after = %v, want 3", ra.Seconds)
+	if ra.Seconds != retryAfterS {
+		t.Fatalf("retry-after = %v, want %d", ra.Seconds, retryAfterS)
 	}
 	if agg.Metrics().Rejected() != 1 {
 		t.Fatalf("rejected = %d", agg.Metrics().Rejected())
@@ -445,7 +445,7 @@ func TestUploadReplyCarriesBackpressureHint(t *testing.T) {
 	down := &flakyRoot{h: http.NotFoundHandler()}
 	rootTS := httptest.NewServer(down)
 	defer rootTS.Close()
-	agg, _ := newEdge(t, Config{ID: "agg-soft", Root: rootTS.URL, QueueLimit: 4, SoftLimitPct: 50, RetryAfterS: 2})
+	agg, _ := newEdge(t, Config{ID: "agg-soft", Root: rootTS.URL, QueueLimit: 4})
 
 	put := func(dev string) UploadReply {
 		t.Helper()
@@ -465,11 +465,15 @@ func TestUploadReplyCarriesBackpressureHint(t *testing.T) {
 		}
 		return reply
 	}
-	if r := put("dev-000"); r.BackoffS != 0 || r.Pending != 1 {
-		t.Fatalf("below watermark reply = %+v", r)
+	// The soft watermark is softLimitPct (75%) of the 4-deep queue: the
+	// third pending table reaches it.
+	for i, dev := range []string{"dev-000", "dev-001"} {
+		if r := put(dev); r.BackoffS != 0 || r.Pending != i+1 {
+			t.Fatalf("below watermark reply = %+v", r)
+		}
 	}
-	if r := put("dev-001"); r.BackoffS != 2 || r.Pending != 2 {
-		t.Fatalf("at watermark reply = %+v (want backoff_s=2)", r)
+	if r := put("dev-002"); r.BackoffS != retryAfterS || r.Pending != 3 {
+		t.Fatalf("at watermark reply = %+v (want backoff_s=%d)", r, retryAfterS)
 	}
 }
 

@@ -1,6 +1,8 @@
 package cloud
 
 import (
+	"slices"
+
 	"nextdvfs/internal/core"
 	"nextdvfs/internal/learner"
 )
@@ -186,7 +188,7 @@ func (m *Merger) Upload(device string, next *learner.TableSet) bool {
 			if old == nil {
 				slot.n++
 				ra.dirty[s] = struct{}{}
-			} else if slot.weights[idx] != w || !equalRow(old, row) {
+			} else if slot.weights[idx] != w || !slices.Equal(old, row) {
 				ra.dirty[s] = struct{}{}
 			}
 			copy(slot.flat[idx*m.actions:], row)
@@ -203,18 +205,6 @@ func (m *Merger) Upload(device string, next *learner.TableSet) bool {
 			slot.weights[idx] = 0
 			slot.n--
 			ra.dirty[s] = struct{}{}
-		}
-	}
-	return true
-}
-
-func equalRow(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
 		}
 	}
 	return true

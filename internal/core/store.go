@@ -226,32 +226,38 @@ func (s Store) SaveSet(app string, set *TableSet, trained bool) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
+	return WriteFileAtomic(s.Dir, app+".qtable.*.tmp", s.path(app), data)
+}
+
+// WriteFileAtomic writes data to path so that a reader sees the old
+// file or the new one, never a torn write: data goes to a temp file in
+// dir named after tmpPattern (os.CreateTemp's pattern), mode 0644,
+// which is then renamed onto path, a file in dir. dir is created if
+// missing; on any error the temp file is removed. It does not fsync:
+// the write is atomic for concurrent readers, not durable across a
+// crash.
+func WriteFileAtomic(dir, tmpPattern, path string, data []byte) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.Dir, app+".qtable.*.tmp")
+	tmp, err := os.CreateTemp(dir, tmpPattern)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
 	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), s.path(app)); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
-		return err
 	}
-	return nil
+	return err
 }
 
 // Load reads the app's primary table; os.IsNotExist(err) distinguishes

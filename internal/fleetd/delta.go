@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"errors"
+	"slices"
 
 	"nextdvfs/internal/core"
 	"nextdvfs/internal/learner"
@@ -117,7 +118,7 @@ func diffTableSet(prev, next *core.TableSet) (*core.TableSet, bool) {
 				}
 				continue
 			}
-			if p.Table.Visits[s] != r.Table.Visits[s] || !equalActionRow(old, row) {
+			if p.Table.Visits[s] != r.Table.Visits[s] || !slices.Equal(old, row) {
 				dt.Q[s] = row
 				if v, ok := r.Table.Visits[s]; ok {
 					dt.Visits[s] = v
@@ -140,16 +141,4 @@ func diffTableSet(prev, next *core.TableSet) (*core.TableSet, bool) {
 		delta.Roles[i] = learner.RoleTable{Role: r.Role, Table: dt}
 	}
 	return delta, true
-}
-
-func equalActionRow(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

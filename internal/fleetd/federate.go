@@ -2,9 +2,7 @@ package fleetd
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"nextdvfs/internal/core"
@@ -64,14 +62,9 @@ func (s *Server) handleFederate(w http.ResponseWriter, r *http.Request) int {
 		return WriteErr(w, http.StatusUnsupportedMediaType,
 			fmt.Errorf("fleetd: federation push must be %s, got %q", FederateMediaType, ct))
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxFederateBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return WriteErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("fleetd: federation push exceeds %d bytes", tooBig.Limit))
-		}
-		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: reading federation body: %w", err))
+	data, status := s.door.readBody(w, r, maxFederateBytes, "federation push")
+	if status != http.StatusOK {
+		return status
 	}
 	req, err := UnmarshalFederateRequest(data)
 	if err != nil {
@@ -84,7 +77,7 @@ func (s *Server) handleFederate(w http.ResponseWriter, r *http.Request) int {
 	reply := FederateReply{Agg: req.Agg}
 	for _, d := range req.Devices {
 		if safeName(d) {
-			s.noteDevice(d)
+			s.door.note(d)
 			reply.Registered++
 		}
 	}
@@ -106,8 +99,8 @@ func (s *Server) handleFederate(w http.ResponseWriter, r *http.Request) int {
 // sniffed per upload (UnmarshalTableSetAny) because one envelope may
 // relay a mixed fleet of binary and legacy-JSON devices.
 func (s *Server) acceptFederated(up FederatedUpload) error {
-	if int64(len(up.Body)) > s.cfg.MaxBodyBytes {
-		return fmt.Errorf("fleetd: federated upload from %q exceeds %d bytes", up.Device, s.cfg.MaxBodyBytes)
+	if len(up.Body) > maxUploadBytes {
+		return fmt.Errorf("fleetd: federated upload from %q exceeds %d bytes", up.Device, maxUploadBytes)
 	}
 	app, set, _, err := core.UnmarshalTableSetAny(up.Body)
 	if err != nil {

@@ -207,7 +207,7 @@ func TestRolloutArtifactBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		warm.noteDevice(fmt.Sprintf("dev-%08d", i))
+		warm.door.note(fmt.Sprintf("dev-%08d", i))
 	}
 	check(warm)
 }

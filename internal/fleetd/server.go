@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"nextdvfs/internal/cloud"
@@ -35,24 +34,12 @@ const (
 	cohortHeader  = "X-Fleet-Cohort"
 )
 
-// maxTrackedDevices bounds the distinct-device set behind the
-// fleetd_devices_seen gauge. Check-ins are unauthenticated, so an
-// unbounded set would be a memory leak under ID-spraying traffic; past
-// the cap new IDs are counted, not stored, and the gauge becomes a
-// lower bound on distinct devices.
-const maxTrackedDevices = 1 << 16
-
 // Config tunes a Server.
 type Config struct {
 	// SnapshotDir, when set, is restored from at construction and
 	// written to after every merge round (one atomic file per merged
 	// app×platform policy). Empty disables persistence.
 	SnapshotDir string
-	// MaxBodyBytes bounds upload bodies (0 → 16 MiB).
-	MaxBodyBytes int64
-	// MaxFederateBytes bounds aggregator federation pushes, which batch
-	// many device tables per request (0 → 64 MiB).
-	MaxFederateBytes int64
 	// MaxDevicesPerKey raises the distinct-devices-per-policy cap for
 	// root servers that absorb whole aggregator regions of raw device
 	// tables (0 → the store default of 4096).
@@ -70,27 +57,17 @@ type Server struct {
 	store   *Store
 	metrics *Metrics
 	rollout *rollout.Manager // nil unless Config.Rollout is set
+	door    *FrontDoor
 	mux     *http.ServeMux
-
-	devMu       sync.Mutex
-	devices     map[string]struct{}
-	devOverflow int
 }
 
 // NewServer builds a server, warm-starting from cfg.SnapshotDir when
 // one is configured and present.
 func NewServer(cfg Config) (*Server, error) {
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 16 << 20
-	}
-	if cfg.MaxFederateBytes <= 0 {
-		cfg.MaxFederateBytes = 64 << 20
-	}
 	s := &Server{
 		cfg:     cfg,
 		store:   NewStoreMaxDevices(cfg.MaxDevicesPerKey),
 		metrics: &Metrics{RequestMetrics: NewRequestMetrics("fleetd", "server")},
-		devices: make(map[string]struct{}),
 	}
 	if cfg.SnapshotDir != "" {
 		n, err := s.store.Restore(cfg.SnapshotDir)
@@ -107,14 +84,22 @@ func NewServer(cfg Config) (*Server, error) {
 			}
 		}
 	}
+	// Check-ins and federation pushes register devices with the rollout
+	// lifecycle, so cohort floors count edge devices too: the canary
+	// stage widens until it covers at least MinCanary of them.
+	var register func(string)
+	if s.rollout != nil {
+		register = s.rollout.RegisterDevice
+	}
+	s.door = NewFrontDoor("fleetd", s.store, register)
 	mux := http.NewServeMux()
 	m := s.metrics
-	mux.HandleFunc("POST /v1/checkin", m.Handle("checkin", s.handleCheckin))
+	mux.HandleFunc("POST /v1/checkin", m.Handle("checkin", s.door.HandleCheckin))
 	mux.HandleFunc("PUT /v1/table", m.Handle("upload", s.handleUpload))
 	mux.HandleFunc("POST /v1/merge", m.Handle("merge", s.handleMerge))
 	mux.HandleFunc("POST /v1/federate", m.Handle("federate", s.handleFederate))
 	mux.HandleFunc("GET /v1/policy", m.Handle("policy", s.handlePolicy))
-	mux.HandleFunc("GET /v1/apps", m.Handle("apps", s.handleApps))
+	mux.HandleFunc("GET /v1/apps", m.Handle("apps", s.door.HandleApps))
 	mux.HandleFunc("GET /v1/rollout", m.Handle("rollout", s.handleRolloutStatus))
 	mux.HandleFunc("POST /v1/rollout/advance", m.Handle("rollout", s.handleRolloutAdvance))
 	mux.HandleFunc("POST /v1/rollout/rollback", m.Handle("rollout", s.handleRolloutRollback))
@@ -142,59 +127,6 @@ func (s *Server) Store() *Store { return s.store }
 
 // Metrics exposes the server's instrumentation.
 func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// CheckinRequest is a device's periodic announcement.
-type CheckinRequest struct {
-	Device   string `json:"device"`
-	Platform string `json:"platform"`
-}
-
-// CheckinReply tells the device which merged policies exist for its
-// platform, so it knows what to download and what still needs training.
-type CheckinReply struct {
-	Device   string    `json:"device"`
-	Platform string    `json:"platform"`
-	Policies []KeyInfo `json:"policies"`
-}
-
-func (s *Server) handleCheckin(w http.ResponseWriter, r *http.Request) int {
-	var req CheckinRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad check-in body: %w", err))
-	}
-	if !safeName(req.Device) || !safeName(req.Platform) {
-		return WriteErr(w, http.StatusBadRequest,
-			fmt.Errorf("fleetd: check-in needs device and platform as single [a-zA-Z0-9._-] segments"))
-	}
-	s.noteDevice(req.Device)
-	reply := CheckinReply{Device: req.Device, Platform: req.Platform, Policies: []KeyInfo{}}
-	for _, info := range s.store.Infos(req.Platform) {
-		if info.Round > 0 {
-			reply.Policies = append(reply.Policies, info)
-		}
-	}
-	return WriteJSON(w, http.StatusOK, reply)
-}
-
-// noteDevice records a device in the bounded distinct-device set and
-// registers it with the rollout lifecycle — the canary stage widens
-// until it covers at least MinCanary registered devices. Check-ins and
-// aggregator federation pushes share this path, so cohort floors count
-// edge devices too.
-func (s *Server) noteDevice(device string) {
-	s.devMu.Lock()
-	if _, seen := s.devices[device]; !seen {
-		if len(s.devices) < maxTrackedDevices {
-			s.devices[device] = struct{}{}
-		} else {
-			s.devOverflow++ // counted, not stored (lower-bound gauge)
-		}
-	}
-	s.devMu.Unlock()
-	if s.rollout != nil {
-		s.rollout.RegisterDevice(device)
-	}
-}
 
 // UploadReply acknowledges a table upload. Gen is the device's upload
 // generation — echo it in the X-Fleet-Base-Gen header to send the next
@@ -253,14 +185,9 @@ func EncodePolicy(app string, set *core.TableSet, binary bool) ([]byte, string, 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 	device := r.URL.Query().Get("device")
 	platform := r.URL.Query().Get("platform")
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return WriteErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("fleetd: upload exceeds %d bytes", tooBig.Limit))
-		}
-		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: reading upload: %w", err))
+	data, status := s.door.ReadUpload(w, r)
+	if status != http.StatusOK {
+		return status
 	}
 	app, set, _, err := DecodeTableSet(r.Header.Get("Content-Type"), data)
 	if err != nil {
@@ -488,14 +415,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) int {
 	return WriteJSON(w, http.StatusOK, ReportReply{Device: rep.Device, Version: rep.Version, Cohort: cohort})
 }
 
-func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) int {
-	infos := s.store.Infos(r.URL.Query().Get("platform"))
-	if infos == nil {
-		infos = []KeyInfo{}
-	}
-	return WriteJSON(w, http.StatusOK, infos)
-}
-
 // HealthReply is the /healthz body.
 type HealthReply struct {
 	Status       string  `json:"status"`
@@ -508,9 +427,7 @@ type HealthReply struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
 	keys, merged, uploads := s.store.Stats()
-	s.devMu.Lock()
-	devices := len(s.devices)
-	s.devMu.Unlock()
+	devices, _ := s.door.Devices()
 	return WriteJSON(w, http.StatusOK, HealthReply{
 		Status: "ok", UptimeS: s.metrics.Uptime().Seconds(),
 		Policies: keys, Merged: merged, DeviceTables: uploads, Devices: devices,
@@ -518,9 +435,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) int {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
-	s.devMu.Lock()
-	devices, untracked := len(s.devices), s.devOverflow
-	s.devMu.Unlock()
+	devices, untracked := s.door.Devices()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.write(w, s.store, devices, untracked)
 	if s.rollout != nil {

@@ -198,9 +198,8 @@ type Report struct {
 	Federation *FederationReport
 }
 
-// WriteSummary prints the human-readable run report — the one printer
-// both nextfleetd -bench and nextbench -fleet share, so the two CLIs
-// can never drift apart on which fields they show.
+// WriteSummary prints the human-readable run report of
+// nextfleetd -bench.
 func (r Report) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "devices: %d ok, %d failed\n", len(r.Devices)-r.Errors, r.Errors)
 	fmt.Fprintf(w, "training: %.2f s wall (simulated sessions, worker pool)\n", r.TrainWallS)

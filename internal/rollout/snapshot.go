@@ -50,9 +50,8 @@ func safeKeyFile(key string) bool {
 }
 
 // SnapshotKey persists one key's rollout state under
-// dir/<key>.rollout.json with the same atomic temp-file + rename
-// discipline as the table store, so a concurrent reader never sees a
-// torn state file.
+// dir/<key>.rollout.json through core.WriteFileAtomic, the table
+// store's writer, so a concurrent reader never sees a torn state file.
 func (m *Manager) SnapshotKey(dir, key string) error {
 	if !safeKeyFile(key) {
 		return fmt.Errorf("rollout: unsafe snapshot key %q", key)
@@ -92,32 +91,7 @@ func (m *Manager) SnapshotKey(dir, key string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, key+".rollout.*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, key+snapshotExt)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return core.WriteFileAtomic(dir, key+".rollout.*.tmp", filepath.Join(dir, key+snapshotExt), data)
 }
 
 // Restore warm-starts the manager from a snapshot directory, returning

@@ -576,7 +576,7 @@ func (s *AggregatorServer) Close() error {
 // port, drives it with a simulated device fleet (training through the
 // sim engine, then check-in → upload → merge → policy pull per device)
 // and reports the run — the serving benchmark behind
-// `nextbench -fleet N`.
+// `nextfleetd -bench N`.
 func BenchFleet(opts FleetSimOptions) (FleetSimReport, error) {
 	serve := FleetServeOptions{Addr: "127.0.0.1:0"}
 	if opts.Rollout != nil {
