@@ -323,10 +323,9 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) int {
 // (stale-if-error regional serving). The X-Fleet-Source header names
 // which tier answered.
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) int {
-	k := fleetd.Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
-	if !fleetd.SafeName(k.App) || !fleetd.SafeName(k.Platform) {
-		return fleetd.WriteErr(w, http.StatusBadRequest,
-			fmt.Errorf("aggregator: policy needs app and platform as single [a-zA-Z0-9._-] segments"))
+	k, _, status := s.door.PolicyQuery(w, r)
+	if status != http.StatusOK {
+		return status
 	}
 	if s.root != nil {
 		if status, ok := s.proxyPolicy(w, r); ok {

@@ -147,7 +147,7 @@ func TestAggregatorEndToEnd(t *testing.T) {
 	}
 
 	// Two-tier result == flat merge of the same uploads.
-	flat := fleetd.NewStore()
+	flat := fleetd.NewStoreMaxDevices(0)
 	k := fleetd.Key{App: "spotify", Platform: "note9"}
 	for i, seed := range []int{1, 2} {
 		if _, _, err := flat.UploadSetGen(k, fmt.Sprintf("dev-%03d", i), learner.SingleTableSet(devTable(seed))); err != nil {
@@ -169,7 +169,7 @@ func TestAggregatorEndToEnd(t *testing.T) {
 func TestTwoTierByteIdenticalToFlat(t *testing.T) {
 	rootSrv, rootTS := newRoot(t, fleetd.Config{})
 	k := fleetd.Key{App: "game", Platform: "sd855"}
-	flat := fleetd.NewStore()
+	flat := fleetd.NewStoreMaxDevices(0)
 
 	var aggs []*Server
 	for a := 0; a < 4; a++ {
@@ -346,7 +346,7 @@ func TestEpochPartialRoundAndCatchUp(t *testing.T) {
 	if len(rep.Late) != 0 || rep.Flushed != 1 || rep.Merges[0].Devices != 2 {
 		t.Fatalf("catch-up epoch = %+v", rep)
 	}
-	flat := fleetd.NewStore()
+	flat := fleetd.NewStoreMaxDevices(0)
 	for i, seed := range []int{1, 2} {
 		if _, _, err := flat.UploadSetGen(k, fmt.Sprintf("dev-%08d", i+1), learner.SingleTableSet(devTable(seed))); err != nil {
 			t.Fatal(err)

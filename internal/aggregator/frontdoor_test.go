@@ -156,3 +156,45 @@ func TestRootAndEdgeFrontDoorsAnswerAlike(t *testing.T) {
 		t.Fatalf("apps = %+v, want chrome and spotify", apps)
 	}
 }
+
+// TestPolicyQueryCheckedOnEveryTier sends malformed policy queries to a
+// root, to an edge whose root is up and to a standalone edge, each
+// holding a merged spotify@note9 policy: a bad app, platform or device
+// gets a 400 naming the tier that answered, never the policy.
+func TestPolicyQueryCheckedOnEveryTier(t *testing.T) {
+	rootSrv, rootTS := newRoot(t, fleetd.Config{})
+	proxied, _ := newEdge(t, Config{Root: rootTS.URL})
+	standalone := newStandaloneEdge(t)
+	tiers := []struct {
+		name, tier string
+		h          http.Handler
+	}{
+		{"root", "fleetd", rootSrv.Handler()},
+		{"edge with root", "aggregator", proxied.Handler()},
+		{"standalone edge", "aggregator", standalone.Handler()},
+	}
+	body := tableBody(t, 1)
+	for _, tier := range tiers {
+		expectStatus(t, serve(t, tier.h, http.MethodPut, "/v1/table?device=dev-000&platform=note9", "", body),
+			http.StatusOK, tier.name+" upload")
+		expectStatus(t, serve(t, tier.h, http.MethodPost, "/v1/merge?app=spotify&platform=note9", "", nil),
+			http.StatusOK, tier.name+" merge")
+	}
+	for _, tier := range tiers {
+		expectStatus(t, serve(t, tier.h, http.MethodGet, "/v1/policy?app=spotify&platform=note9&device=dev-000", "", nil),
+			http.StatusOK, tier.name+" good query")
+		for _, query := range []string{
+			"app=..&platform=note9&device=dev-000",
+			"platform=note9&device=dev-000",
+			"app=spotify&platform=a%2Fb&device=dev-000",
+			"app=spotify&platform=note9&device=..%2Fx",
+			"app=spotify&platform=note9&device=..",
+		} {
+			rec := serve(t, tier.h, http.MethodGet, "/v1/policy?"+query, "", nil)
+			expectStatus(t, rec, http.StatusBadRequest, tier.name+" "+query)
+			if !strings.Contains(rec.Body.String(), `"`+tier.tier+": ") {
+				t.Fatalf("%s %s: error %s does not name the %s tier", tier.name, query, rec.Body, tier.tier)
+			}
+		}
+	}
+}

@@ -178,7 +178,7 @@ func TestRunLockstepFallsBackOnIncompatibleSpan(t *testing.T) {
 		orig := jobs[1].Build
 		jobs[1].Build = func() (sim.Config, error) {
 			cfg, err := orig()
-			cfg.TickUS = 2000
+			cfg.Display.SetRefresh(120, 0)
 			return cfg, err
 		}
 		return jobs

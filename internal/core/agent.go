@@ -95,8 +95,7 @@ func DefaultAgentConfig() AgentConfig {
 }
 
 // ExplorerConfig derives the explorer-construction parameters from the
-// agent configuration (the ε schedule feeds ε-greedy; UCB/softmax use
-// their registry defaults unless the caller tunes them post-hoc).
+// agent configuration: its ε schedule.
 func (c AgentConfig) ExplorerConfig() learner.ExplorerConfig {
 	return learner.ExplorerConfig{
 		EpsilonStart: c.EpsilonStart,

@@ -34,7 +34,6 @@ type Fig6Options struct {
 	// Repeats averages the training time over this many seeds per level
 	// (tabular RL convergence is noisy; the paper reports averages).
 	Repeats int
-	Trainer cloud.TrainerConfig
 	// Platform names the registry device to sweep on ("" = note9).
 	Platform string
 	// Parallel sizes the batch worker pool for the level×repeat grid
@@ -57,9 +56,6 @@ func (o *Fig6Options) defaults() {
 	}
 	if o.Repeats <= 0 {
 		o.Repeats = 3
-	}
-	if o.Trainer.Speedup == 0 {
-		o.Trainer = cloud.DefaultTrainerConfig()
 	}
 }
 
@@ -99,7 +95,7 @@ func Fig6(opts Fig6Options) []Fig6Point {
 		points = append(points, Fig6Point{
 			FPSLevels: levels,
 			OnlineS:   float64(onlineUS) / 1e6,
-			CloudS:    float64(opts.Trainer.WallTimeUS(onlineUS)) / 1e6,
+			CloudS:    float64(cloud.DefaultTrainerConfig().WallTimeUS(onlineUS)) / 1e6,
 			Converged: converged,
 		})
 	}
@@ -139,7 +135,7 @@ func fig6Level(plat platform.Platform, levels int, seedOffset int64, opts *Fig6O
 	return Fig6Point{
 		FPSLevels: levels,
 		OnlineS:   float64(onlineUS) / 1e6,
-		CloudS:    float64(opts.Trainer.WallTimeUS(onlineUS)) / 1e6,
+		CloudS:    float64(cloud.DefaultTrainerConfig().WallTimeUS(onlineUS)) / 1e6,
 		Converged: converged,
 	}
 }

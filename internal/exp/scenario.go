@@ -72,6 +72,14 @@ type ScenarioRow struct {
 	Result   sim.Result
 }
 
+// PairSeed derives the base seed of scenario si × platform pi in a
+// grid seeded with base. It depends on the pair only, so every scheme
+// and learner of a pair replays the identical evaluation timeline (and
+// their jobs can share one lockstep span).
+func PairSeed(base int64, si, pi int) int64 {
+	return base + int64(si)*100_003 + int64(pi)*1_009
+}
+
 // ScenarioGrid evaluates every (scenario, platform, scheme, learner)
 // cell of the options across the batch pool and returns rows in fixed
 // scenario-major, platform, scheme, learner-minor order. All cells of a
@@ -95,10 +103,7 @@ func ScenarioGrid(opts ScenarioOptions) ([]ScenarioRow, error) {
 	var jobs []batch.Job
 	for si, sn := range opts.Scenarios {
 		for pi, pn := range opts.Platforms {
-			// Seeds derive from the (scenario, platform) pair only, so
-			// every scheme and learner replays the identical evaluation
-			// timeline.
-			base := opts.Seed + int64(si)*100_003 + int64(pi)*1_009
+			base := PairSeed(opts.Seed, si, pi)
 			for _, sch := range opts.Schemes {
 				spec, err := GetScheme(sch)
 				if err != nil {

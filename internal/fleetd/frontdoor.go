@@ -11,8 +11,9 @@ import (
 
 // This file is the device front door both fleet tiers share: the root
 // (Server) and the edge (internal/aggregator) decode check-ins, bound
-// request bodies, list policies and track devices through the same
-// code, so a device gets the same answers from either tier. Each tier
+// request bodies, check policy queries, list policies and track
+// devices through the same code, so a device gets the same answers
+// from either tier. Each tier
 // keeps only its own registration step and what follows a body read.
 
 // Intake limits, the same on both tiers (docs/operations.md, "Fixed
@@ -152,6 +153,25 @@ func (d *FrontDoor) HandleApps(w http.ResponseWriter, r *http.Request) int {
 		infos = []KeyInfo{}
 	}
 	return WriteJSON(w, http.StatusOK, infos)
+}
+
+// PolicyQuery reads the key and device of a GET /v1/policy request and
+// checks them: app and platform must be single [a-zA-Z0-9._-] segments,
+// and so must the device when one is given. On success the status is
+// 200 and nothing has been written; otherwise the 400 is already
+// answered and the handler returns the status.
+func (d *FrontDoor) PolicyQuery(w http.ResponseWriter, r *http.Request) (k Key, device string, status int) {
+	q := r.URL.Query()
+	k = Key{App: q.Get("app"), Platform: q.Get("platform")}
+	device = q.Get("device")
+	err := k.validate(d.tier)
+	if err == nil && device != "" && !safeName(device) {
+		err = fmt.Errorf("%s: device must be a single [a-zA-Z0-9._-] segment", d.tier)
+	}
+	if err != nil {
+		return k, device, WriteErr(w, http.StatusBadRequest, err)
+	}
+	return k, device, http.StatusOK
 }
 
 // ReadUpload reads a device table upload body. See readBody.

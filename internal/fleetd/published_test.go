@@ -59,7 +59,7 @@ func checkBodies(t *testing.T, s *Store, k Key) {
 // each install costs exactly one encode per encoding however many
 // reads follow.
 func TestPolicyBodyMemo(t *testing.T) {
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "spotify", Platform: "note9"}
 	if _, _, _, err := s.PolicyBody(k, false); !errors.Is(err, ErrNoPolicy) {
 		t.Fatalf("policy read before any merge: %v, want ErrNoPolicy", err)
@@ -110,12 +110,12 @@ func TestPolicyBodyMemo(t *testing.T) {
 
 	// Restore installs a policy from disk over the live one.
 	dir := t.TempDir()
-	other := NewStore()
+	other := NewStoreMaxDevices(0)
 	upload(other, k, "dev-100", devTable(7))
 	if _, err := merge(other, k); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.Snapshot(dir); err != nil {
+	if err := other.SnapshotKey(dir, k); err != nil {
 		t.Fatal(err)
 	}
 	step("restore", func() {
@@ -171,14 +171,14 @@ func TestRolloutArtifactBodies(t *testing.T) {
 
 	check := func(srv *Server) {
 		t.Helper()
-		stable, _ := srv.Rollout().Version(key, 1)
-		candidate, _ := srv.Rollout().Version(key, 2)
-		if stable == nil || candidate == nil {
+		// dev-00000011 is the sole canary of this 16-device fleet (see
+		// TestRolloutLifecycleE2E); dev-00000000 is control.
+		candidate, _, _ := srv.Rollout().Resolve(key, "dev-00000011")
+		stable, _, _ := srv.Rollout().Resolve(key, "dev-00000000")
+		if stable == nil || candidate == nil || stable.Version != 1 || candidate.Version != 2 {
 			t.Fatal("expected stable v1 and candidate v2")
 		}
 		j0, b0 := encodes(srv.Store())
-		// dev-00000011 is the sole canary of this 16-device fleet (see
-		// TestRolloutLifecycleE2E); dev-00000000 is control.
 		for _, c := range []struct {
 			device string
 			art    *rollout.Artifact

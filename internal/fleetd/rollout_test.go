@@ -90,7 +90,7 @@ func TestRolloutLifecycleE2E(t *testing.T) {
 	if st.StageBps != 100 || st.EffectiveBps != 350 {
 		// 16 registered fleetsim devices: the lowest bucket is
 		// dev-00000011 at 349, so the 1% stage widens to 350 bps to
-		// cover the MinCanary=1 floor (pinned by the bucket golden test).
+		// cover the one-device canary floor (pinned by the bucket golden test).
 		t.Fatalf("stage = %d/%d bps, want 100/350", st.StageBps, st.EffectiveBps)
 	}
 

@@ -86,7 +86,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	// Check-ins and federation pushes register devices with the rollout
 	// lifecycle, so cohort floors count edge devices too: the canary
-	// stage widens until it covers at least MinCanary of them.
+	// stage widens until it covers at least one of them.
 	var register func(string)
 	if s.rollout != nil {
 		register = s.rollout.RegisterDevice
@@ -270,14 +270,9 @@ func artifactETag(meta core.ArtifactMeta) string {
 }
 
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) int {
-	k := Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
-	if err := k.validate(); err != nil {
-		return WriteErr(w, http.StatusBadRequest, err)
-	}
-	device := r.URL.Query().Get("device")
-	if device != "" && !safeName(device) {
-		return WriteErr(w, http.StatusBadRequest,
-			fmt.Errorf("fleetd: device must be a single [a-zA-Z0-9._-] segment"))
+	k, device, status := s.door.PolicyQuery(w, r)
+	if status != http.StatusOK {
+		return status
 	}
 	// Accept-negotiated encoding. The ETag hashes the table content,
 	// not the transfer encoding, so a client may switch encodings
@@ -337,7 +332,7 @@ func (s *Server) handleRolloutStatus(w http.ResponseWriter, r *http.Request) int
 		return WriteJSON(w, http.StatusOK, s.rollout.Statuses())
 	}
 	k := Key{App: app, Platform: platform}
-	if err := k.validate(); err != nil {
+	if err := k.validate("fleetd"); err != nil {
 		return WriteErr(w, http.StatusBadRequest, err)
 	}
 	st, ok := s.rollout.Status(k.String())
@@ -355,7 +350,7 @@ func (s *Server) rolloutAction(w http.ResponseWriter, r *http.Request,
 		return WriteErr(w, http.StatusNotFound, errRolloutDisabled)
 	}
 	k := Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
-	if err := k.validate(); err != nil {
+	if err := k.validate("fleetd"); err != nil {
 		return WriteErr(w, http.StatusBadRequest, err)
 	}
 	d, err := act(k.String())
@@ -397,7 +392,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) int {
 		return WriteErr(w, http.StatusNotFound, errRolloutDisabled)
 	}
 	k := Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
-	if err := k.validate(); err != nil {
+	if err := k.validate("fleetd"); err != nil {
 		return WriteErr(w, http.StatusBadRequest, err)
 	}
 	var rep rollout.EvalReport

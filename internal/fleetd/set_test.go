@@ -81,7 +81,7 @@ func deviceName(i int) string {
 // averaging a Double-Q estimator into single-table uploads would
 // corrupt both.
 func TestUploadRejectsMixedLearnersPerKey(t *testing.T) {
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "spotify", Platform: "note9"}
 	if _, _, err := s.UploadSetGen(k, "dev-a", mkDoubleQSet(1)); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestUploadRejectsMixedLearnersPerKey(t *testing.T) {
 // otherwise it would pin an unmatchable layout onto the key and lock
 // out every legitimate device.
 func TestUploadRejectsUnregisteredLayouts(t *testing.T) {
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "spotify", Platform: "note9"}
 	bogus := &learner.TableSet{
 		Learner: "zzz",
@@ -126,7 +126,7 @@ func TestUploadRejectsUnregisteredLayouts(t *testing.T) {
 // dir round trip with both estimators.
 func TestDoubleQSnapshotRestore(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "pubgmobile", Platform: "note9"}
 	if _, _, err := s.UploadSetGen(k, "dev-a", mkDoubleQSet(5)); err != nil {
 		t.Fatal(err)
@@ -134,10 +134,10 @@ func TestDoubleQSnapshotRestore(t *testing.T) {
 	if _, err := merge(s, k); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Snapshot(dir); err != nil {
+	if err := s.SnapshotKey(dir, k); err != nil {
 		t.Fatal(err)
 	}
-	warm := NewStore()
+	warm := NewStoreMaxDevices(0)
 	if n, err := warm.Restore(dir); err != nil || n != 1 {
 		t.Fatalf("restore: n=%d err=%v", n, err)
 	}

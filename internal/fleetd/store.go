@@ -53,12 +53,14 @@ func safeName(s string) bool {
 // for upward federation).
 func SafeName(s string) bool { return safeName(s) }
 
-func (k Key) validate() error {
+// validate checks both names of the key; tier names the fleet tier in
+// the error.
+func (k Key) validate(tier string) error {
 	if !safeName(k.App) {
-		return fmt.Errorf("fleetd: bad app name %q (want a single [a-zA-Z0-9._-] segment)", k.App)
+		return fmt.Errorf("%s: bad app name %q (want a single [a-zA-Z0-9._-] segment)", tier, k.App)
 	}
 	if !safeName(k.Platform) {
-		return fmt.Errorf("fleetd: bad platform name %q (want a single [a-zA-Z0-9._-] segment)", k.Platform)
+		return fmt.Errorf("%s: bad platform name %q (want a single [a-zA-Z0-9._-] segment)", tier, k.Platform)
 	}
 	return nil
 }
@@ -187,9 +189,6 @@ type entry struct {
 	devGen map[string]int64
 }
 
-// NewStore returns an empty store with the default per-key device cap.
-func NewStore() *Store { return NewStoreMaxDevices(0) }
-
 // NewStoreMaxDevices returns an empty store accepting up to maxDevices
 // distinct devices per policy key (≤ 0 → the default cap). The root of
 // a hierarchical fleet holds the raw per-device tables of every region
@@ -222,7 +221,7 @@ func (s *Store) shardFor(k Key) *storeShard {
 // names) would otherwise pin an unmatchable layout onto the key and
 // lock out every legitimate device. kind names the upload in errors.
 func admit(k Key, device string, set *learner.TableSet, kind string) error {
-	if err := k.validate(); err != nil {
+	if err := k.validate("fleetd"); err != nil {
 		return err
 	}
 	if !safeName(device) {
@@ -466,7 +465,7 @@ type MergeInfo struct {
 // newer set installed keeps that set with its memo, so a pull never
 // sees one round's bytes beside another round's set.
 func (s *Store) MergeSet(k Key) (MergeInfo, *learner.TableSet, error) {
-	if err := k.validate(); err != nil {
+	if err := k.validate("fleetd"); err != nil {
 		return MergeInfo{}, nil, err
 	}
 	sh := s.shardFor(k)
@@ -625,22 +624,6 @@ func (s *Store) SnapshotKey(dir string, k Key) error {
 	return st.SaveSet(k.App, set, true)
 }
 
-// Snapshot persists every merged table and returns how many were
-// written.
-func (s *Store) Snapshot(dir string) (int, error) {
-	n := 0
-	for _, info := range s.Infos("") {
-		if info.Round == 0 {
-			continue
-		}
-		if err := s.SnapshotKey(dir, info.Key); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
 // Restore warm-starts the store from a snapshot directory: every
 // dir/<platform>/<app>.qtable.json becomes a served policy at round 1.
 // Restored policies carry no device uploads — the next merge round
@@ -686,7 +669,7 @@ func (s *Store) Restore(dir string) (int, error) {
 			// an unsafe embedded app name would otherwise create a
 			// policy the API advertises but can never serve — and
 			// escape the snapshot dir on the next Snapshot.
-			if err := k.validate(); err != nil {
+			if err := k.validate("fleetd"); err != nil {
 				return n, fmt.Errorf("fleetd: restoring %s/%s: %w", p.Name(), f.Name(), err)
 			}
 			sh := s.shardFor(k)

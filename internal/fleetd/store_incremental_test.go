@@ -32,7 +32,7 @@ func policyBytes(t *testing.T, s *Store, k Key) string {
 // the same uploads.
 func TestStoreIncrementalMergeMatchesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "spotify", Platform: "note9"}
 	shadow := make(map[string]*learner.TableSet)
 
@@ -84,7 +84,7 @@ func TestStoreIncrementalMergeMatchesScratch(t *testing.T) {
 // a stale or missing base fails with ErrDeltaBase without touching the
 // store, and a layout change is rejected outright.
 func TestStoreUploadDelta(t *testing.T) {
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "game", Platform: "note9"}
 
 	full := devTable(3)
@@ -145,7 +145,7 @@ func TestStoreUploadDelta(t *testing.T) {
 	deltaPolicy := policyBytes(t, s, k)
 
 	// Reference store: same traffic as full uploads.
-	ref := NewStore()
+	ref := NewStoreMaxDevices(0)
 	if _, _, err := ref.UploadSetGen(k, "dev-a", learner.SingleTableSet(next)); err != nil {
 		t.Fatal(err)
 	}
@@ -167,18 +167,18 @@ func TestStoreUploadDelta(t *testing.T) {
 func TestStoreDeltaAfterRestoreFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	k := Key{App: "maps", Platform: "note9"}
-	a := NewStore()
+	a := NewStoreMaxDevices(0)
 	if _, gen, err := a.UploadSetGen(k, "dev-a", learner.SingleTableSet(devTable(2))); err != nil || gen != 1 {
 		t.Fatalf("gen=%d err=%v", gen, err)
 	}
 	if _, err := merge(a, k); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Snapshot(dir); err != nil {
+	if err := a.SnapshotKey(dir, k); err != nil {
 		t.Fatal(err)
 	}
 
-	b := NewStore()
+	b := NewStoreMaxDevices(0)
 	if n, err := b.Restore(dir); err != nil || n != 1 {
 		t.Fatalf("restore n=%d err=%v", n, err)
 	}
@@ -199,7 +199,7 @@ func TestStoreDeltaAfterRestoreFallsBack(t *testing.T) {
 // concurrency is pinned by the deterministic tests above.
 func TestStoreSnapshotRestoreConcurrentWithTraffic(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "spotify", Platform: "note9"}
 	if _, _, err := s.UploadSetGen(k, "dev-000", learner.SingleTableSet(devTable(1))); err != nil {
 		t.Fatal(err)
@@ -252,11 +252,11 @@ func TestStoreSnapshotRestoreConcurrentWithTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters/3; i++ {
-			if _, err := s.Snapshot(dir); err != nil {
+			if err := s.SnapshotKey(dir, k); err != nil {
 				t.Error(err)
 				return
 			}
-			other := NewStore()
+			other := NewStoreMaxDevices(0)
 			if _, err := other.Restore(dir); err != nil {
 				t.Error(err)
 				return

@@ -56,7 +56,7 @@ func policy(s *Store, k Key) (*core.QTable, int64, bool) {
 }
 
 func TestStoreUploadMergePolicy(t *testing.T) {
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "spotify", Platform: "note9"}
 	for i := 0; i < 4; i++ {
 		n, err := upload(s, k, fmt.Sprintf("dev-%03d", i), devTable(i+1))
@@ -100,7 +100,7 @@ func TestStoreUploadMergePolicy(t *testing.T) {
 }
 
 func TestStoreReUploadReplaces(t *testing.T) {
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "chrome", Platform: "note9"}
 	if _, err := upload(s, k, "d0", devTable(1)); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestStoreReUploadReplaces(t *testing.T) {
 // reference, so a published set must never change after the fact — a
 // later re-upload and merge round install a fresh set instead.
 func TestStoreCloneSemantics(t *testing.T) {
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "spotify", Platform: "note9"}
 	for _, d := range []string{"d0", "d1"} {
 		if _, err := upload(s, k, d, devTable(1)); err != nil {
@@ -158,7 +158,7 @@ func TestStoreCloneSemantics(t *testing.T) {
 }
 
 func TestStoreValidation(t *testing.T) {
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "spotify", Platform: "note9"}
 	if _, err := upload(s, Key{}, "d0", devTable(1)); err == nil {
 		t.Fatal("empty key should fail")
@@ -185,7 +185,7 @@ func TestStoreValidation(t *testing.T) {
 // escape the snapshot directory (or smuggle a separator) must be
 // rejected before it reaches filepath.Join.
 func TestStoreRejectsPathTraversalNames(t *testing.T) {
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	evil := []string{"../../../../tmp/pwn", "a/b", `a\b`, "..", ".", "", "name with spaces", "x\x00y"}
 	for _, name := range evil {
 		if _, err := upload(s, Key{App: name, Platform: "note9"}, "d0", devTable(1)); err == nil {
@@ -209,7 +209,7 @@ func TestStoreRejectsPathTraversalNames(t *testing.T) {
 // accumulator (json.Marshal refuses Inf, which would brick the policy
 // download and snapshot path for the key).
 func TestStoreClampsHostileUploads(t *testing.T) {
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "spotify", Platform: "note9"}
 	for _, dev := range []string{"d0", "d1"} {
 		evil := core.NewQTable(9)
@@ -262,14 +262,14 @@ func TestStoreRestoreRejectsUnsafeNames(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "note9", "evil.qtable.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStore().Restore(dir); err == nil {
+	if _, err := NewStoreMaxDevices(0).Restore(dir); err == nil {
 		t.Fatal("unsafe embedded app name restored silently")
 	}
 }
 
 // Unauthenticated uploads must not grow the store without bound.
 func TestStoreBoundsDevicesPerKey(t *testing.T) {
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	k := Key{App: "spotify", Platform: "note9"}
 	small := func() *core.QTable {
 		t := core.NewQTable(9)
@@ -294,7 +294,7 @@ func TestStoreBoundsDevicesPerKey(t *testing.T) {
 // Concurrent uploads and merges across many keys: exercised under
 // -race in CI; also asserts every key ends up mergeable.
 func TestStoreConcurrent(t *testing.T) {
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	apps := []string{"spotify", "chrome", "pubgmobile", "youtube"}
 	const devices = 16
 	var wg sync.WaitGroup
@@ -332,7 +332,7 @@ func TestStoreConcurrent(t *testing.T) {
 
 func TestStoreSnapshotRestore(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStore()
+	s := NewStoreMaxDevices(0)
 	for _, k := range []Key{
 		{App: "spotify", Platform: "note9"},
 		{App: "pubgmobile", Platform: "sd855"},
@@ -343,14 +343,17 @@ func TestStoreSnapshotRestore(t *testing.T) {
 		if _, err := merge(s, k); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.SnapshotKey(dir, k); err != nil {
+			t.Fatalf("snapshot %s: %v", k, err)
+		}
 	}
-	n, err := s.Snapshot(dir)
-	if err != nil || n != 2 {
-		t.Fatalf("snapshot: n=%d err=%v", n, err)
+	// A key with no merged policy writes nothing.
+	if err := s.SnapshotKey(dir, Key{App: "youtube", Platform: "note9"}); err != nil {
+		t.Fatalf("snapshot of an unmerged key: %v", err)
 	}
 
-	warm := NewStore()
-	n, err = warm.Restore(dir)
+	warm := NewStoreMaxDevices(0)
+	n, err := warm.Restore(dir)
 	if err != nil || n != 2 {
 		t.Fatalf("restore: n=%d err=%v", n, err)
 	}
@@ -371,7 +374,7 @@ func TestStoreSnapshotRestore(t *testing.T) {
 	}
 
 	// Restoring from a directory that never existed is a cold start.
-	if n, err := NewStore().Restore(dir + "/nope"); err != nil || n != 0 {
+	if n, err := NewStoreMaxDevices(0).Restore(dir + "/nope"); err != nil || n != 0 {
 		t.Fatalf("missing dir: n=%d err=%v", n, err)
 	}
 }

@@ -19,9 +19,9 @@ import (
 // RolloutOptions switches a fleet run into the A/B policy-lifecycle
 // mode: two training generations produce a stable artifact and a
 // candidate, then the fleet replays deterministic evaluation sessions —
-// canary devices on the candidate, control devices on stable — and
-// feeds the measured energy/QoS back until the server promotes or rolls
-// back.
+// canary devices on the candidate, control devices on stable, each
+// SessionSecs long — and feeds the measured energy/QoS back until the
+// server promotes or rolls back, for at most maxEvalRounds rounds.
 type RolloutOptions struct {
 	// Sabotage degrades the second generation's uploads (every state's
 	// greedy action becomes "GPU frequency down", walking the render
@@ -30,22 +30,11 @@ type RolloutOptions struct {
 	// candidate back. Default off: the candidate is the honestly
 	// continued training and promotes.
 	Sabotage bool
-	// MaxRounds bounds evaluation rounds before giving up undecided
-	// (0 → 8).
-	MaxRounds int
-	// EvalSecs is each evaluation replay's simulated length
-	// (0 → SessionSecs).
-	EvalSecs float64
 }
 
-func (o *RolloutOptions) defaults(opts *Options) {
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 8
-	}
-	if o.EvalSecs <= 0 {
-		o.EvalSecs = opts.SessionSecs
-	}
-}
+// maxEvalRounds bounds an A/B run's evaluation rounds before it gives up
+// undecided.
+const maxEvalRounds = 8
 
 // RolloutRound is one judged evaluation round of an A/B run.
 type RolloutRound struct {
@@ -64,8 +53,8 @@ type RolloutReport struct {
 	StableVersion    int64
 	CandidateVersion int64
 	Rounds           []RolloutRound
-	// Outcome is "promote", "rollback", or "undecided" when MaxRounds
-	// ran out.
+	// Outcome is "promote", "rollback", or "undecided" when
+	// maxEvalRounds ran out.
 	Outcome string
 	// FinalVersion is the stable artifact the whole fleet runs at the
 	// end; Rollbacks the server's rollback count.
@@ -83,8 +72,6 @@ type RolloutReport struct {
 // they run), and all traffic is sequential in device order.
 func runRollout(client *fleetd.Client, plat platform.Platform, report Report) (Report, error) {
 	opts := report.Options
-	ro := *opts.Rollout
-	ro.defaults(&opts)
 	rr := &RolloutReport{}
 	report.Rollout = rr
 	var requests atomic.Int64
@@ -133,7 +120,7 @@ func runRollout(client *fleetd.Client, plat platform.Platform, report Report) (R
 			return report, fmt.Errorf("fleetsim: device %s failed training: %s", deviceName(i), report.Devices[i].Err)
 		}
 		up := agents[i].SnapshotFor(opts.App)
-		if ro.Sabotage {
+		if opts.Rollout.Sabotage {
 			up = sabotageSet(up)
 		}
 		if _, err := client.UploadTableSet(deviceName(i), opts.Platform, opts.App, up, 0); err != nil {
@@ -157,7 +144,7 @@ func runRollout(client *fleetd.Client, plat platform.Platform, report Report) (R
 	// reports the measured energy/QoS; one Advance judges the stage.
 	cached := make([]*learner.TableSet, opts.Devices)
 	etags := make([]string, opts.Devices)
-	for r := 1; r <= ro.MaxRounds; r++ {
+	for r := 1; r <= maxEvalRounds; r++ {
 		roundSeed := opts.Seed + int64(r)*1_000_003
 		for i := range agents {
 			set, meta, modified, err := client.PolicyForDevice(deviceName(i), opts.App, opts.Platform, etags[i])
@@ -170,13 +157,13 @@ func runRollout(client *fleetd.Client, plat platform.Platform, report Report) (R
 			} else {
 				rr.Skipped304++
 			}
-			res, err := evalPolicy(plat, opts, cached[i], roundSeed, ro.EvalSecs)
+			res, err := evalPolicy(plat, opts, cached[i], roundSeed)
 			if err != nil {
 				return report, fmt.Errorf("fleetsim: round %d eval on %s: %w", r, deviceName(i), err)
 			}
 			if _, err := client.ReportEval(opts.App, opts.Platform, rollout.EvalReport{
 				Device: deviceName(i), Version: meta.Version,
-				EnergyJ: res.EnergyJ, QoSFPS: res.ActiveAvgFPS, DurS: ro.EvalSecs,
+				EnergyJ: res.EnergyJ, QoSFPS: res.ActiveAvgFPS, DurS: opts.SessionSecs,
 			}); err != nil {
 				return report, fmt.Errorf("fleetsim: round %d report from %s: %w", r, deviceName(i), err)
 			}
@@ -249,13 +236,13 @@ func sabotageSet(set *learner.TableSet) *learner.TableSet {
 // evalPolicy replays one deterministic evaluation session on a frozen
 // policy: a fresh agent (seeded by the shared round seed, so every
 // device's trajectory differs only by the policy it runs) exploits the
-// installed table set greedily for EvalSecs simulated seconds.
-func evalPolicy(plat platform.Platform, opts Options, set *learner.TableSet, roundSeed int64, evalSecs float64) (res evalResult, err error) {
+// installed table set greedily for SessionSecs simulated seconds.
+func evalPolicy(plat platform.Platform, opts Options, set *learner.TableSet, roundSeed int64) (res evalResult, err error) {
 	agent := exp.NewDefaultAgent(plat, roundSeed, opts.Learner, opts.Explorer)
 	// Clone: the agent's online update keeps learning during the replay
 	// and must never write through to the shared cached download.
 	agent.InstallTableSet(opts.App, set.Clone(), true)
-	cfg := plat.Config(session.AppTimeline(workload.ByName(opts.App), evalSecs, roundSeed), roundSeed)
+	cfg := plat.Config(session.AppTimeline(workload.ByName(opts.App), opts.SessionSecs, roundSeed), roundSeed)
 	cfg.Controller = agent
 	eng, err := sim.New(cfg)
 	if err != nil {

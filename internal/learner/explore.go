@@ -78,11 +78,11 @@ func (p *EpsilonGreedy) Select(t *QTable, s StateKey, rng *rand.Rand) int {
 // explorer keeps its own per-state action counts (the Q-table only
 // tracks per-state visit totals for federated merging).
 type UCB1 struct {
-	// C scales the confidence bonus (classic UCB1 uses sqrt(2)).
-	C float64
-
 	counts map[StateKey][]int
 }
+
+// ucbC scales UCB1's confidence bonus (the classic sqrt(2)).
+const ucbC = math.Sqrt2
 
 // Name implements Explorer.
 func (u *UCB1) Name() string { return "ucb" }
@@ -120,7 +120,7 @@ func (u *UCB1) Select(t *QTable, s StateKey, rng *rand.Rand) int {
 		if row != nil {
 			q = row[a]
 		}
-		v := q + u.C*math.Sqrt(math.Log(float64(total))/float64(cnt[a]))
+		v := q + ucbC*math.Sqrt(math.Log(float64(total))/float64(cnt[a]))
 		if v > bestV {
 			best, bestV = a, v
 		}
@@ -214,22 +214,20 @@ func (b *Softmax) Select(t *QTable, s StateKey, rng *rand.Rand) int {
 	return pick
 }
 
-// ExplorerConfig parameterizes explorer construction. The ε fields
-// come straight from the agent configuration; the UCB and softmax
-// fields have sensible zero-value defaults applied by the factories.
+// ExplorerConfig parameterizes explorer construction with the agent's
+// ε schedule: EpsilonStart/Min/Decay drive ε-greedy (the paper's
+// schedule), and softmax cools at the ε decay rate.
 type ExplorerConfig struct {
-	// EpsilonStart/Min/Decay drive ε-greedy (the paper's schedule).
 	EpsilonStart float64
 	EpsilonMin   float64
 	EpsilonDecay float64
-	// UCBC scales UCB1's confidence bonus (0 → sqrt(2)).
-	UCBC float64
-	// Tau/TauMin/TauDecay drive softmax cooling (0 → 1.0 / 0.05 / the
-	// ε decay rate).
-	Tau      float64
-	TauMin   float64
-	TauDecay float64
 }
+
+// Softmax cooling starts at softmaxTau and stops at softmaxTauMin.
+const (
+	softmaxTau    = 1.0
+	softmaxTauMin = 0.05
+)
 
 // ExplorerInfo describes one registered explorer.
 type ExplorerInfo struct {
@@ -272,30 +270,14 @@ func init() {
 	registerExplorer(ExplorerInfo{
 		Name:        "ucb",
 		Description: "UCB1 upper-confidence-bound exploration (uncertainty-directed)",
-	}, func(cfg ExplorerConfig) Explorer {
-		c := cfg.UCBC
-		if c <= 0 {
-			c = math.Sqrt2
-		}
-		return &UCB1{C: c}
+	}, func(ExplorerConfig) Explorer {
+		return &UCB1{}
 	})
 	registerExplorer(ExplorerInfo{
 		Name:        "softmax",
 		Description: "Boltzmann softmax with temperature cooling",
 	}, func(cfg ExplorerConfig) Explorer {
-		tau := cfg.Tau
-		if tau <= 0 {
-			tau = 1.0
-		}
-		tauMin := cfg.TauMin
-		if tauMin <= 0 {
-			tauMin = 0.05
-		}
-		decay := cfg.TauDecay
-		if decay <= 0 {
-			decay = cfg.EpsilonDecay
-		}
-		return &Softmax{Tau: tau, TauMin: tauMin, Decay: decay}
+		return &Softmax{Tau: softmaxTau, TauMin: softmaxTauMin, Decay: cfg.EpsilonDecay}
 	})
 }
 

@@ -248,14 +248,6 @@ func (c CellConfig) SimKey() string {
 	return fmt.Sprintf("%s|%s|%s|%s|%d", c.Scenario, c.Platform, c.Scheme, c.Learner, c.Seed)
 }
 
-// cellSeed derives the cell's base seed the way ScenarioGrid does:
-// from the (scenario, platform) pair only, so every scheme and learner
-// of a pair replays the identical evaluation timeline (and their jobs
-// can share one lockstep span).
-func cellSeed(base int64, si, pi int) int64 {
-	return base + int64(si)*100_003 + int64(pi)*1_009
-}
-
 // Cells expands the grid into resolved cell configs in canonical sweep
 // order: scenario-major, then platform, scheme, learner, fleet, merge
 // cadence minor. The order is part of the determinism contract — the
@@ -315,7 +307,7 @@ func (p *Plan) Cells() []CellConfig {
 								Explorer:   explorer,
 								Fleet:      fl,
 								MergeEvery: me,
-								Seed:       cellSeed(seed, si, pi),
+								Seed:       exp.PairSeed(seed, si, pi),
 								Scale:      p.DurationScale,
 								Train:      p.TrainSessions,
 							})

@@ -37,72 +37,39 @@ const (
 	maxReportsPerKey     = 1 << 16
 )
 
-// Config tunes a Manager. The zero value means defaults throughout.
-type Config struct {
-	// Stages are the canary cohort sizes in basis points, strictly
-	// ascending and ending at CohortBasis (nil → 1%, 10%, 100%).
-	// Advancing into the final stage promotes the candidate to stable.
-	Stages []uint32
-	// MaxVersions bounds the per-key artifact history (0 → 8). The
-	// stable and candidate artifacts are never evicted.
-	MaxVersions int
-	// MinCanary is the minimum number of registered devices the canary
-	// cohort must cover (0 → 1): for fleets too small for 1% to reach
-	// any device, the effective threshold widens to the MinCanary
+// The staged-rollout policy is fixed (docs/operations.md, "Fixed
+// limits").
+const (
+	// maxVersions bounds the per-key artifact history. The stable and
+	// candidate artifacts are never evicted.
+	maxVersions = 8
+	// minCanary is the minimum number of registered devices the canary
+	// cohort must cover: for fleets too small for 1% to reach any
+	// device, the effective threshold widens to the minCanary
 	// registered devices with the lowest buckets.
-	MinCanary int
-	// MinReports is how many evaluation reports each cohort needs
-	// before Advance will judge the stage (0 → 1).
-	MinReports int
-	// MaxEnergyRegressPct rolls the candidate back when the canary
+	minCanary = 1
+	// minReports is how many evaluation reports each cohort needs
+	// before Advance will judge the stage.
+	minReports = 1
+	// maxEnergyRegressPct rolls the candidate back when the canary
 	// cohort's mean energy exceeds control's by more than this many
-	// percent (0 → 5).
-	MaxEnergyRegressPct float64
-	// MaxQoSDropPct rolls the candidate back when the canary cohort's
+	// percent.
+	maxEnergyRegressPct = 5.0
+	// maxQoSDropPct rolls the candidate back when the canary cohort's
 	// mean QoS (active-session FPS) falls short of control's by more
-	// than this many percent (0 → 5).
-	MaxQoSDropPct float64
+	// than this many percent.
+	maxQoSDropPct = 5.0
+)
+
+// stages are the canary cohort sizes in basis points. Advancing into
+// the final, full-fleet stage promotes the candidate to stable.
+var stages = [...]uint32{100, 1000, CohortBasis}
+
+// Config sets up a Manager. The zero value is the production setup.
+type Config struct {
 	// NowUS supplies artifact creation timestamps (nil → wall clock);
 	// tests pin it for deterministic metadata.
 	NowUS func() int64
-}
-
-func (c *Config) defaults() error {
-	if len(c.Stages) == 0 {
-		c.Stages = []uint32{100, 1000, CohortBasis}
-	}
-	for i, s := range c.Stages {
-		if s == 0 || s > CohortBasis || (i > 0 && s <= c.Stages[i-1]) {
-			return fmt.Errorf("rollout: stages must be ascending basis points in (0, %d], got %v", CohortBasis, c.Stages)
-		}
-	}
-	if c.Stages[len(c.Stages)-1] != CohortBasis {
-		return fmt.Errorf("rollout: final stage must be %d bps (full fleet), got %v", CohortBasis, c.Stages)
-	}
-	if len(c.Stages) < 2 {
-		// A single full-fleet stage leaves no control cohort to judge
-		// the candidate against — that's "no rollout", not a rollout.
-		return fmt.Errorf("rollout: need at least one canary stage before the full-fleet stage, got %v", c.Stages)
-	}
-	if c.MaxVersions <= 0 {
-		c.MaxVersions = 8
-	}
-	if c.MinCanary <= 0 {
-		c.MinCanary = 1
-	}
-	if c.MinReports <= 0 {
-		c.MinReports = 1
-	}
-	if c.MaxEnergyRegressPct <= 0 {
-		c.MaxEnergyRegressPct = 5
-	}
-	if c.MaxQoSDropPct <= 0 {
-		c.MaxQoSDropPct = 5
-	}
-	if c.NowUS == nil {
-		c.NowUS = func() int64 { return time.Now().UnixMicro() }
-	}
-	return nil
 }
 
 // Artifact is one versioned, immutable policy: its metadata plus the
@@ -165,7 +132,7 @@ type Status struct {
 	Stable    *core.ArtifactMeta `json:"stable,omitempty"`
 	Candidate *core.ArtifactMeta `json:"candidate,omitempty"`
 	// StageBps is the active stage's canary size; EffectiveBps widens
-	// it to cover the MinCanary cohort floor (both 0 when no rollout is
+	// it to cover the canary cohort floor (both 0 when no rollout is
 	// active).
 	StageBps     uint32 `json:"stage_bps"`
 	EffectiveBps uint32 `json:"effective_bps"`
@@ -196,7 +163,7 @@ type keyState struct {
 	artifacts []*Artifact // ascending version order
 	stable    *Artifact
 	candidate *Artifact
-	// stageIdx indexes Config.Stages while candidate != nil.
+	// stageIdx indexes stages while candidate != nil.
 	stageIdx    int
 	reports     map[string]EvalReport
 	rollbacks   int64
@@ -207,26 +174,26 @@ type keyState struct {
 // Manager is the rollout controller: an artifact version store plus
 // the staged-cohort state machine, one instance per fleetd server.
 type Manager struct {
-	cfg Config
+	nowUS func() int64
 
 	mu   sync.RWMutex
 	keys map[string]*keyState
-	// devices / bucketCount back the MinCanary cohort floor: every
+	// devices / bucketCount back the minCanary cohort floor: every
 	// checked-in device registers its bucket, and floorBps is the
-	// smallest threshold covering the MinCanary lowest buckets.
+	// smallest threshold covering the minCanary lowest buckets.
 	devices     map[string]struct{}
 	bucketCount [CohortBasis]int32
 	floorBps    uint32
 }
 
-// New builds a Manager; invalid stage configuration panics (rollout
-// wiring is code, not input).
+// New builds a Manager.
 func New(cfg Config) *Manager {
-	if err := cfg.defaults(); err != nil {
-		panic(err)
+	now := cfg.NowUS
+	if now == nil {
+		now = func() int64 { return time.Now().UnixMicro() }
 	}
 	return &Manager{
-		cfg:     cfg,
+		nowUS:   now,
 		keys:    make(map[string]*keyState),
 		devices: make(map[string]struct{}),
 	}
@@ -251,11 +218,11 @@ func (m *Manager) RegisterDevice(device string) {
 }
 
 // computeFloor returns the smallest threshold in basis points whose
-// buckets cover at least MinCanary registered devices (0 when too few
+// buckets cover at least minCanary registered devices (0 when too few
 // devices are registered to satisfy the floor at all). Callers hold
 // the write lock.
 func (m *Manager) computeFloor() uint32 {
-	need := int32(m.cfg.MinCanary)
+	need := int32(minCanary)
 	var seen int32
 	for b := 0; b < CohortBasis; b++ {
 		seen += m.bucketCount[b]
@@ -267,9 +234,9 @@ func (m *Manager) computeFloor() uint32 {
 }
 
 // effectiveBps is the active stage's canary threshold widened to the
-// MinCanary floor. Callers hold at least the read lock.
+// minCanary floor. Callers hold at least the read lock.
 func (m *Manager) effectiveBps(e *keyState) uint32 {
-	thr := m.cfg.Stages[e.stageIdx]
+	thr := stages[e.stageIdx]
 	if m.floorBps > thr {
 		thr = m.floorBps
 	}
@@ -319,7 +286,7 @@ func (m *Manager) Submit(key string, a Artifact) (Artifact, error) {
 	}
 	e.nextVersion++
 	a.Version = e.nextVersion
-	a.CreatedUS = m.cfg.NowUS()
+	a.CreatedUS = m.nowUS()
 	a.Parent = 0
 	if e.stable != nil {
 		a.Parent = e.stable.Version
@@ -336,15 +303,15 @@ func (m *Manager) Submit(key string, a Artifact) (Artifact, error) {
 		e.lastAction = "submitted"
 		clear(e.reports)
 	}
-	e.evict(m.cfg.MaxVersions)
+	e.evict()
 	return *art, nil
 }
 
-// evict trims the artifact history to the version bound, oldest first,
-// never dropping the stable or candidate artifact. Callers hold the
-// write lock.
-func (e *keyState) evict(max int) {
-	for len(e.artifacts) > max {
+// evict trims the artifact history to maxVersions, oldest first, never
+// dropping the stable or candidate artifact. Callers hold the write
+// lock.
+func (e *keyState) evict() {
+	for len(e.artifacts) > maxVersions {
 		dropped := false
 		for i, a := range e.artifacts {
 			if a == e.stable || a == e.candidate {
@@ -381,23 +348,6 @@ func (m *Manager) Resolve(key, device string) (*Artifact, string, bool) {
 		return e.stable, CohortControl, true
 	}
 	return e.stable, CohortStable, true
-}
-
-// Version returns the key's artifact by version number (admin
-// inspection, warm-restart verification).
-func (m *Manager) Version(key string, version int64) (*Artifact, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	e := m.keys[key]
-	if e == nil {
-		return nil, false
-	}
-	for _, a := range e.artifacts {
-		if a.Version == version {
-			return a, true
-		}
-	}
-	return nil, false
 }
 
 // Report records one device's evaluation of the version it ran. The
@@ -477,26 +427,26 @@ func (m *Manager) Advance(key string) (Decision, error) {
 		return Decision{}, fmt.Errorf("rollout: %s: no active rollout", key)
 	}
 	canary, control := e.cohortStats()
-	if canary.Devices < m.cfg.MinReports || control.Devices < m.cfg.MinReports {
+	if canary.Devices < minReports || control.Devices < minReports {
 		return Decision{}, fmt.Errorf("rollout: %s: need %d reports per cohort, have canary %d / control %d",
-			key, m.cfg.MinReports, canary.Devices, control.Devices)
+			key, minReports, canary.Devices, control.Devices)
 	}
 	d := Decision{Canary: canary, Control: control}
 	switch {
-	case control.AvgEnergyJ > 0 && canary.AvgEnergyJ > control.AvgEnergyJ*(1+m.cfg.MaxEnergyRegressPct/100):
+	case control.AvgEnergyJ > 0 && canary.AvgEnergyJ > control.AvgEnergyJ*(1+maxEnergyRegressPct/100):
 		d.Action = "rollback"
 		d.Reason = fmt.Sprintf("canary energy %.2f J exceeds control %.2f J by more than %.1f%%",
-			canary.AvgEnergyJ, control.AvgEnergyJ, m.cfg.MaxEnergyRegressPct)
+			canary.AvgEnergyJ, control.AvgEnergyJ, maxEnergyRegressPct)
 		m.rollbackLocked(e)
-	case control.AvgQoSFPS > 0 && canary.AvgQoSFPS < control.AvgQoSFPS*(1-m.cfg.MaxQoSDropPct/100):
+	case control.AvgQoSFPS > 0 && canary.AvgQoSFPS < control.AvgQoSFPS*(1-maxQoSDropPct/100):
 		d.Action = "rollback"
 		d.Reason = fmt.Sprintf("canary QoS %.2f fps falls short of control %.2f fps by more than %.1f%%",
-			canary.AvgQoSFPS, control.AvgQoSFPS, m.cfg.MaxQoSDropPct)
+			canary.AvgQoSFPS, control.AvgQoSFPS, maxQoSDropPct)
 		m.rollbackLocked(e)
-	case e.stageIdx+1 >= len(m.cfg.Stages)-1:
+	case e.stageIdx+1 >= len(stages)-1:
 		// The next stage is the full fleet: promotion, not another canary.
 		d.Action = "promote"
-		d.Reason = fmt.Sprintf("candidate v%d healthy through %d bps; promoted to stable", e.candidate.Version, m.cfg.Stages[e.stageIdx])
+		d.Reason = fmt.Sprintf("candidate v%d healthy through %d bps; promoted to stable", e.candidate.Version, stages[e.stageIdx])
 		e.stable = e.candidate
 		e.candidate = nil
 		e.stageIdx = 0
@@ -506,7 +456,7 @@ func (m *Manager) Advance(key string) (Decision, error) {
 		e.stageIdx++
 		d.Action = "advance"
 		d.Reason = fmt.Sprintf("candidate v%d healthy at %d bps; advancing to %d bps",
-			e.candidate.Version, m.cfg.Stages[e.stageIdx-1], m.cfg.Stages[e.stageIdx])
+			e.candidate.Version, stages[e.stageIdx-1], stages[e.stageIdx])
 		e.lastAction = "advance"
 		clear(e.reports)
 	}
@@ -579,7 +529,7 @@ func (m *Manager) statusLocked(key string, e *keyState) Status {
 	if e.candidate != nil {
 		meta := e.candidate.ArtifactMeta
 		st.Candidate = &meta
-		st.StageBps = m.cfg.Stages[e.stageIdx]
+		st.StageBps = stages[e.stageIdx]
 		st.EffectiveBps = m.effectiveBps(e)
 		canary, control := e.cohortStats()
 		st.CanaryReports = canary.Devices

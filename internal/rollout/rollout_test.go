@@ -2,6 +2,7 @@ package rollout
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,8 +96,8 @@ func TestLifecyclePromote(t *testing.T) {
 		t.Fatalf("candidate = %+v, want version 2, parent 1", v2.ArtifactMeta)
 	}
 
-	// Stage 1: 100 bps widened by the MinCanary floor to cover the
-	// lowest-bucket registered device — dev-00000011 (bucket 349).
+	// Stage 1: 100 bps widened by the one-device canary floor to cover
+	// the lowest-bucket registered device — dev-00000011 (bucket 349).
 	st, ok := m.Status(key)
 	if !ok || st.StageBps != 100 || st.EffectiveBps != 350 {
 		t.Fatalf("status = %+v, want stage 100 bps, effective 350", st)
@@ -166,15 +167,23 @@ func TestLifecyclePromote(t *testing.T) {
 	}
 }
 
+// TestLifecycleRollback drives the two rollback guards from both sides
+// of their 5% thresholds: a canary 4% worse than control advances, one
+// 6% worse (or far worse) rolls back.
 func TestLifecycleRollback(t *testing.T) {
 	for _, tc := range []struct {
 		name               string
 		canaryE, canaryQ   float64
 		controlE, controlQ float64
+		wantAction         string
 		wantReasonContains string
 	}{
-		{"energy-regress", 110, 60, 100, 60, "energy"},
-		{"qos-drop", 100, 50, 100, 60, "QoS"},
+		{"energy-regress", 110, 60, 100, 60, "rollback", "energy"},
+		{"energy+4%", 104, 60, 100, 60, "advance", ""},
+		{"energy+6%", 106, 60, 100, 60, "rollback", "energy"},
+		{"qos-drop", 100, 50, 100, 60, "rollback", "QoS"},
+		{"qos-4%", 100, 57.6, 100, 60, "advance", ""},
+		{"qos-6%", 100, 56.4, 100, 60, "rollback", "QoS"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := testManager()
@@ -197,10 +206,16 @@ func TestLifecycleRollback(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Advance: %v", err)
 			}
-			if dec.Action != "rollback" || !strings.Contains(dec.Reason, tc.wantReasonContains) {
-				t.Fatalf("decision = %s (%s), want rollback mentioning %q", dec.Action, dec.Reason, tc.wantReasonContains)
+			if dec.Action != tc.wantAction || !strings.Contains(dec.Reason, tc.wantReasonContains) {
+				t.Fatalf("decision = %s (%s), want %s mentioning %q", dec.Action, dec.Reason, tc.wantAction, tc.wantReasonContains)
 			}
 			st, _ := m.Status(key)
+			if tc.wantAction == "advance" {
+				if st.Candidate == nil || st.Candidate.Version != 2 || st.StageBps != 1000 || st.Rollbacks != 0 {
+					t.Fatalf("after advance: %+v, want candidate v2 at 1000 bps, no rollback", st)
+				}
+				return
+			}
 			if st.Stable.Version != 1 || st.Candidate != nil || st.Rollbacks != 1 {
 				t.Fatalf("after rollback: %+v, want stable v1, no candidate, 1 rollback", st)
 			}
@@ -213,9 +228,9 @@ func TestLifecycleRollback(t *testing.T) {
 					t.Fatalf("%s resolved v%d %q after rollback, want v1 %q", d, art.Version, cohort, CohortStable)
 				}
 			}
-			// The rolled-back artifact stays inspectable until evicted.
-			if _, ok := m.Version(key, 2); !ok {
-				t.Fatalf("rolled-back v2 missing from the version store")
+			// The rolled-back artifact stays in the history until evicted.
+			if !slices.Equal(st.Versions, []int64{1, 2}) {
+				t.Fatalf("versions after rollback = %v, want [1 2]", st.Versions)
 			}
 		})
 	}
@@ -287,11 +302,14 @@ func TestAdvanceNeedsReports(t *testing.T) {
 	}
 }
 
+// TestVersionStoreBounded promotes more artifacts than the history
+// holds: the oldest go first, and the store keeps the last maxVersions.
 func TestVersionStoreBounded(t *testing.T) {
-	m := New(Config{MaxVersions: 3, NowUS: func() int64 { return 1 }})
+	m := testManager()
 	const key = "spotify@note9"
 	registerFleet(m, 16)
-	for i := 0; i < 6; i++ {
+	const submits = maxVersions + 3
+	for i := 0; i < submits; i++ {
 		if _, err := m.Submit(key, testArtifact(t, float64(i), int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
@@ -312,29 +330,46 @@ func TestVersionStoreBounded(t *testing.T) {
 		}
 	}
 	st, _ := m.Status(key)
-	if len(st.Versions) > 3 {
-		t.Fatalf("version store holds %v, want at most 3", st.Versions)
+	want := make([]int64, 0, maxVersions)
+	for v := int64(submits - maxVersions + 1); v <= submits; v++ {
+		want = append(want, v)
 	}
-	if st.Stable.Version != 6 {
-		t.Fatalf("stable = v%d, want v6", st.Stable.Version)
+	if !slices.Equal(st.Versions, want) {
+		t.Fatalf("version store holds %v, want %v", st.Versions, want)
+	}
+	if st.Stable.Version != submits {
+		t.Fatalf("stable = v%d, want v%d", st.Stable.Version, submits)
 	}
 }
 
+// TestRegisterDeviceFloor follows the one-device canary floor as
+// devices register: with none registered the stage's 100 bps stands;
+// each registration can only lower the floor to the lowest registered
+// bucket, and repeat or empty registrations change nothing.
 func TestRegisterDeviceFloor(t *testing.T) {
-	m := New(Config{MinCanary: 2, NowUS: func() int64 { return 1 }})
+	m := testManager()
 	const key = "spotify@note9"
 	if _, err := m.Submit(key, testArtifact(t, 1.0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	registerFleet(m, 16)
 	if _, err := m.Submit(key, testArtifact(t, 2.0, 2)); err != nil {
 		t.Fatal(err)
 	}
-	// MinCanary 2 → floor covers the two lowest buckets among the first
-	// 16 devices: dev-00000011 (349) and dev-00000005 (1116).
-	st, _ := m.Status(key)
-	if st.EffectiveBps != 1117 {
-		t.Fatalf("effective = %d bps, want 1117 (two-device floor)", st.EffectiveBps)
+	for _, step := range []struct {
+		register string
+		want     uint32
+	}{
+		{"", 100},              // nothing registered: the raw stage
+		{"dev-00000005", 1117}, // bucket 1116
+		{"dev-00000011", 350},  // bucket 349 is lower
+		{"dev-00000005", 350},  // re-registering changes nothing
+		{"", 350},
+	} {
+		m.RegisterDevice(step.register)
+		if st, _ := m.Status(key); st.StageBps != 100 || st.EffectiveBps != step.want {
+			t.Fatalf("after registering %q: stage %d bps, effective %d; want 100, %d",
+				step.register, st.StageBps, st.EffectiveBps, step.want)
+		}
 	}
 	canaries := 0
 	for i := 0; i < 16; i++ {
@@ -342,7 +377,7 @@ func TestRegisterDeviceFloor(t *testing.T) {
 			canaries++
 		}
 	}
-	if canaries != 2 {
-		t.Fatalf("canary cohort = %d devices, want 2", canaries)
+	if canaries != 1 {
+		t.Fatalf("canary cohort = %d devices, want 1 (dev-00000011)", canaries)
 	}
 }

@@ -154,7 +154,11 @@ func (m *Manager) Restore(dir string) (int, error) {
 		if dto.Candidate != 0 && e.candidate == nil {
 			return n, fmt.Errorf("rollout: restoring %s: candidate version %d not among artifacts", f.Name(), dto.Candidate)
 		}
-		if e.stageIdx < 0 || e.stageIdx >= len(m.cfg.Stages) {
+		// A live candidate never sits at the final, full-fleet stage:
+		// advancing into it promotes. Restored there, every device would
+		// resolve to the unvetted candidate and, with no control cohort
+		// left to report, the stage could never be judged.
+		if e.stageIdx < 0 || e.stageIdx >= len(stages)-1 {
 			return n, fmt.Errorf("rollout: restoring %s: stage index %d out of range", f.Name(), e.stageIdx)
 		}
 		if err := validateArtifacts(e.artifacts); err != nil {

@@ -3,6 +3,7 @@ package rollout
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -104,5 +105,47 @@ func TestRestoreRejectsForeignKey(t *testing.T) {
 	}
 	if err := m.SnapshotKey(dir, "../escape"); err == nil {
 		t.Fatal("SnapshotKey accepted a path-escaping key")
+	}
+}
+
+// TestRestoreRejectsStageOutOfRange feeds Restore a snapshot whose
+// stage index is not a canary stage: outside the fixed stage list (the
+// first policy pull would index past it), or at the final full-fleet
+// stage (every device would run the unvetted candidate, and with no
+// control cohort the stage could never be judged). The restart must
+// fail instead.
+func TestRestoreRejectsStageOutOfRange(t *testing.T) {
+	dir := t.TempDir()
+	m := testManager()
+	const key = "spotify@note9"
+	if _, err := m.Submit(key, testArtifact(t, 1.0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	registerFleet(m, 16)
+	if _, err := m.Submit(key, testArtifact(t, 2.0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SnapshotKey(dir, key); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, key+snapshotExt)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := testManager().Restore(dir); err != nil {
+		t.Fatalf("Restore of the untouched snapshot: %v", err)
+	}
+	for _, idx := range []string{"-1", strconv.Itoa(len(stages) - 1), strconv.Itoa(len(stages))} {
+		bad := strings.Replace(string(data), `"stage_idx":0`, `"stage_idx":`+idx, 1)
+		if bad == string(data) {
+			t.Fatalf("stage_idx not found in snapshot: %s", data)
+		}
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := testManager().Restore(dir); err == nil || !strings.Contains(err.Error(), "stage index") {
+			t.Fatalf("Restore with stage_idx %s = %v, want a stage-index error", idx, err)
+		}
 	}
 }

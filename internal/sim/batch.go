@@ -27,11 +27,10 @@ import (
 // for every platform × scenario preset.
 //
 // Lanes may differ in seed, governor/controller (scheme), record
-// cadence, base-power fractions and fault hooks; NewBatch rejects
-// configs whose shared structure (chip OPP tables, power constants,
-// thermal network, timeline shape, schedules, panel rate, tick) is not
-// identical, so callers can attempt batching and fall back to scalar
-// engines on error.
+// cadence and fault hooks; NewBatch rejects configs whose shared
+// structure (chip OPP tables, power constants, thermal network,
+// timeline shape, schedules, panel rate) is not identical, so callers
+// can attempt batching and fall back to scalar engines on error.
 type BatchEngine struct {
 	lanes
 	therm  *thermal.Batch
@@ -46,9 +45,7 @@ type BatchEngine struct {
 	pApps []*workload.ProfileApp // [nScripts*k], like apps
 
 	// per-lane hot-loop constants mirrored out of cfgs, [k].
-	baseW    []float64
-	skinFrac []float64
-	offFrac  []float64
+	baseW []float64
 
 	// per-tick lane scratch, [k]. The demand fields are mirrored into
 	// struct-of-arrays form (demBig/demLittle/demGPU) so integratePower's
@@ -133,12 +130,8 @@ func NewBatch(cfgs []Config) (*BatchEngine, error) {
 	}
 
 	b.baseW = make([]float64, k)
-	b.skinFrac = make([]float64, k)
-	b.offFrac = make([]float64, k)
 	for r := range local {
 		b.baseW[r] = local[r].Power.BaseW
-		b.skinFrac[r] = local[r].SkinPowerFrac
-		b.offFrac[r] = local[r].ScreenOffBaseFrac
 	}
 	b.demand = make([]workload.Demand, k)
 	b.demBig = make([]float64, k)
@@ -230,8 +223,6 @@ func (b *BatchEngine) Run() []Result {
 	b.begin()
 	b.therm.Reset()
 
-	dt := b.tickUS
-	dtSec := b.dtSec
 	now := int64(0)
 
 	// Hot-loop state, hoisted once and cut to length k so the per-lane
@@ -247,7 +238,7 @@ func (b *BatchEngine) Run() []Result {
 	tbRow := b.therm.Temps()[b.bigTempI*k:][:k:k]
 
 	for {
-		now += dt
+		now += tickUS
 		si, inter, ok := b.enter(now)
 		if !ok {
 			break
@@ -260,7 +251,7 @@ func (b *BatchEngine) Run() []Result {
 		if b.fast {
 			papps := b.pApps[si*k:][:k:k]
 			for r := 0; r < k; r++ {
-				d := papps[r].TickFast(now, dt, inter, b.frngs[r])
+				d := papps[r].TickFast(now, tickUS, inter, b.frngs[r])
 				demand[r] = d
 				demBig[r], demLittle[r], demGPU[r] = d.BigBg, d.LittleBg, d.GPUBg
 				if b.frameSlot(r, d.WantFrame) {
@@ -270,7 +261,7 @@ func (b *BatchEngine) Run() []Result {
 			}
 		} else {
 			for r := 0; r < k; r++ {
-				d := apps[r].Tick(now, dt, inter, b.lane[r].rng)
+				d := apps[r].Tick(now, tickUS, inter, b.lane[r].rng)
 				demand[r] = d
 				demBig[r], demLittle[r], demGPU[r] = d.BigBg, d.LittleBg, d.GPUBg
 				if b.frameSlot(r, d.WantFrame) {
@@ -309,11 +300,10 @@ func (b *BatchEngine) integratePower(screenOff bool) {
 	k := b.k
 	total := b.tickPower[:k:k]
 	baseW := b.baseW[:k:k]
-	offFrac := b.offFrac[:k:k]
 	for r := range total {
 		bw := baseW[r]
 		if screenOff {
-			bw *= offFrac[r]
+			bw *= screenOffBaseFrac
 		}
 		total[r] = bw
 	}
@@ -325,9 +315,8 @@ func (b *BatchEngine) integratePower(screenOff bool) {
 	}
 	if b.skinIdx >= 0 {
 		skin := b.powerBuf[b.skinIdx*k:][:k:k]
-		skinFrac := b.skinFrac[:k:k]
 		for r := range total {
-			skin[r] = total[r] * skinFrac[r]
+			skin[r] = total[r] * skinPowerFrac
 		}
 	}
 	if b.needAmb {

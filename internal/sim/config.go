@@ -12,7 +12,24 @@ import (
 	"nextdvfs/internal/thermal"
 )
 
-// Config assembles one simulation run.
+// The integration step and the base-power split are the same for every
+// run.
+const (
+	// tickUS is the integration step.
+	tickUS = 1000
+	// dtSec is tickUS in seconds.
+	dtSec = tickUS / 1e6
+	// skinPowerFrac is the share of the base (display/rest-of-device)
+	// power deposited into the skin thermal node.
+	skinPowerFrac = 0.7
+	// screenOffBaseFrac is the fraction of power.Model.BaseW still
+	// drawn while the screen is off (workload.InterOff phases): the
+	// display is the bulk of base power on a handset.
+	screenOffBaseFrac = 0.25
+)
+
+// Config assembles one simulation run at the tick and base-power split
+// above.
 type Config struct {
 	Chip     *soc.Chip
 	Power    *power.Model
@@ -23,16 +40,11 @@ type Config struct {
 	Governor governor.Governor
 	// Controller is the optional management layer (Next, Int. QoS PM).
 	Controller ctrl.Controller
-	// TickUS is the integration step (default 1000 µs).
-	TickUS int64
 	// Seed drives all stochastic draws in the run.
 	Seed int64
 	// RecordIntervalUS is the trace sampling period (default 1 s;
 	// set smaller for figure-resolution traces).
 	RecordIntervalUS int64
-	// SkinPowerFrac is the share of the base (display/rest-of-device)
-	// power deposited into the skin thermal node.
-	SkinPowerFrac float64
 	// Ambient optionally drives the thermal model's ambient temperature
 	// over the run (scenario phases that move between environments). Nil
 	// keeps the model's fixed ambient.
@@ -41,10 +53,6 @@ type Config struct {
 	// refresh; scenario phases that change panel mode). Nil keeps the
 	// pipeline's native rate.
 	Refresh *display.RefreshSchedule
-	// ScreenOffBaseFrac is the fraction of Power.BaseW still drawn while
-	// the screen is off (workload.InterOff phases): the display is the
-	// bulk of base power on a handset. Default 0.25.
-	ScreenOffBaseFrac float64
 	// SnapshotFault optionally corrupts controller observations before
 	// delivery — the failure-injection hook (sensor dropout, FPS jitter).
 	SnapshotFault func(*ctrl.Snapshot)
@@ -75,17 +83,8 @@ func (c *Config) Validate() error {
 }
 
 func (c *Config) applyDefaults() {
-	if c.TickUS <= 0 {
-		c.TickUS = 1000
-	}
 	if c.RecordIntervalUS <= 0 {
 		c.RecordIntervalUS = 1_000_000
-	}
-	if c.SkinPowerFrac <= 0 {
-		c.SkinPowerFrac = 0.7
-	}
-	if c.ScreenOffBaseFrac <= 0 {
-		c.ScreenOffBaseFrac = 0.25
 	}
 	if c.DevSense == nil {
 		c.DevSense = thermal.Note9DeviceSensor(c.Thermal)

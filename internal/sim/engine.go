@@ -34,24 +34,23 @@ func (e *Engine) Run() Result {
 	e.begin()
 	cfg.Thermal.Reset()
 
-	dt := e.tickUS
 	now := int64(0)
 	rng := e.lane[0].rng
 	for {
-		now += dt
+		now += tickUS
 		si, inter, ok := e.enter(now)
 		if !ok {
 			break
 		}
 		app := e.apps[si] // one lane: script si's app sits at index si
-		demand := app.Tick(now, dt, inter, rng)
+		demand := app.Tick(now, tickUS, inter, rng)
 		if e.frameSlot(0, demand.WantFrame) {
 			e.startFrame(0, app.StartFrame(inter, rng))
 		}
 		rendering := e.render(0)
 
 		p := e.integratePower(demand, inter == workload.InterOff)
-		cfg.Thermal.Step(e.dtSec, e.powerBuf)
+		cfg.Thermal.Step(dtSec, e.powerBuf)
 		tb := cfg.Thermal.TempC(e.bigTempI)
 		td := cfg.DevSense.ReadC()
 		e.finishTick(0, now, app, inter, p, tb, td, rendering || demand.WantFrame)
@@ -68,12 +67,12 @@ func (e *Engine) integratePower(demand workload.Demand, screenOff bool) float64 
 	if screenOff {
 		// The panel and its rail dominate base power; screen-off sheds
 		// most of it (the remainder is radios, sensors, always-on logic).
-		baseW *= cfg.ScreenOffBaseFrac
+		baseW *= screenOffBaseFrac
 	}
 	total := baseW
 	clear(e.powerBuf)
 	if e.skinIdx >= 0 {
-		e.powerBuf[e.skinIdx] = baseW * cfg.SkinPowerFrac
+		e.powerBuf[e.skinIdx] = baseW * skinPowerFrac
 	}
 
 	for i, c := range e.clusters {

@@ -52,8 +52,6 @@ type lanes struct {
 	amb        *thermal.AmbientSchedule
 	ref        *display.RefreshSchedule
 	nativeHz   int
-	tickUS     int64
-	dtSec      float64
 	// ambientC points at the ambient the engine's thermal kernel reads;
 	// the ambient schedule writes through it and snapshots read it.
 	ambientC *float64
@@ -150,8 +148,6 @@ func (l *lanes) init(cfgs []Config, ambientC *float64) {
 	base := &cfgs[0]
 	nc := len(base.Chip.Clusters)
 	l.k, l.nc = k, nc
-	l.tickUS = base.TickUS
-	l.dtSec = float64(base.TickUS) / 1e6
 	l.nativeHz = base.Display.RefreshHz
 	l.cursor = session.NewCursor(base.Timeline)
 	l.amb, l.ref = base.Ambient, base.Refresh
@@ -192,7 +188,7 @@ func (l *lanes) init(cfgs []Config, ambientC *float64) {
 		caps := make([]float64, c.NumOPPs())
 		khz := make([]int, c.NumOPPs())
 		for j := range caps {
-			caps[j] = float64(c.OPPAt(j).FreqKHz) * 1e3 * c.IPC * float64(c.Cores) * l.dtSec
+			caps[j] = float64(c.OPPAt(j).FreqKHz) * 1e3 * c.IPC * float64(c.Cores) * dtSec
 			khz[j] = c.OPPAt(j).FreqKHz
 		}
 		l.capPerTick[i] = caps
@@ -230,7 +226,7 @@ func (l *lanes) init(cfgs []Config, ambientC *float64) {
 	if gpu != nil {
 		l.gpuDrain = make([]float64, gpu.NumOPPs())
 		for j := range l.gpuDrain {
-			l.gpuDrain[j] = float64(gpu.OPPAt(j).FreqKHz) * 1e3 * gpu.IPC * float64(gpu.Cores) * l.dtSec
+			l.gpuDrain[j] = float64(gpu.OPPAt(j).FreqKHz) * 1e3 * gpu.IPC * float64(gpu.Cores) * dtSec
 		}
 	}
 	if skin, ok := base.Thermal.Index(thermal.NodeSkin); ok {
@@ -418,7 +414,7 @@ func (l *lanes) render(r int) bool {
 		if limit := l.bigCoresF; cores > limit {
 			cores = limit
 		}
-		used := ln.bigDrain * cores * l.dtSec
+		used := ln.bigDrain * cores * dtSec
 		if used > rs.cpuRemaining {
 			used = rs.cpuRemaining
 		}
@@ -487,7 +483,7 @@ func (l *lanes) finishTick(r int, now int64, app workload.App, inter workload.In
 	ln.lastPowerW = p
 	ln.ctlPowerSum += p
 	ln.ctlPowerN++
-	ln.meter.Accumulate(p, l.dtSec)
+	ln.meter.Accumulate(p, dtSec)
 	acc.power.Push(p)
 	acc.tempBig.Push(tb)
 	acc.tempDev.Push(td)
@@ -696,13 +692,10 @@ func (l *lanes) sample(r int, nowUS int64, app workload.App, inter workload.Inte
 
 // lockstepCompatible reports why cfg cannot share a lockstep structure
 // with base: any divergence in timeline shape, chip OPP tables, power
-// constants, thermal network, sensor blend, panel rate, schedules or
-// tick step. Seeds, governors/controllers, cadences, base-power
-// fractions and fault hooks are free to differ per lane.
+// constants, thermal network, sensor blend, panel rate or schedules.
+// Seeds, governors/controllers, cadences and fault hooks are free to
+// differ per lane; every lane shares the fixed tick.
 func lockstepCompatible(base, cfg *Config) error {
-	if cfg.TickUS != base.TickUS {
-		return fmt.Errorf("tick %dµs differs from lane 0's %dµs", cfg.TickUS, base.TickUS)
-	}
 	if err := timelinesStructEqual(base.Timeline, cfg.Timeline); err != nil {
 		return err
 	}

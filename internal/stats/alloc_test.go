@@ -17,19 +17,6 @@ func TestEWMAPushZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestRollingPushZeroAlloc(t *testing.T) {
-	r := NewRolling(64)
-	v := 0.0
-	allocs := testing.AllocsPerRun(1000, func() {
-		v += 1
-		r.Push(v)
-		r.Mean()
-	})
-	if allocs != 0 {
-		t.Fatalf("Rolling.Push/Mean allocates %v per call, want 0", allocs)
-	}
-}
-
 func TestSummaryPushZeroAlloc(t *testing.T) {
 	var s Summary
 	v := 0.0

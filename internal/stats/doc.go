@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit shared by the
 // simulator and the Next agent: streaming mode computation over sliding
 // windows, uniform quantizers, exponentially weighted moving averages and
-// rolling aggregates.
+// streaming summaries.
 //
 // Everything in this package is allocation-conscious: the agent calls into
 // it every 25 ms of simulated time, and the paper's overhead analysis

@@ -1,96 +1,5 @@
 package stats
 
-// Rolling is a fixed-capacity sliding window over float64 samples that
-// maintains the running sum, so mean queries are O(1). Max and Min are
-// O(n) but the windows used by the simulator are small (tens of entries).
-//
-// The zero value is not usable; construct with NewRolling.
-type Rolling struct {
-	buf    []float64
-	head   int
-	filled bool
-	sum    float64
-}
-
-// NewRolling returns a rolling window with capacity n (n > 0).
-func NewRolling(n int) *Rolling {
-	if n <= 0 {
-		panic("stats: Rolling window size must be positive")
-	}
-	return &Rolling{buf: make([]float64, n)}
-}
-
-// Push adds a sample, evicting the oldest if full.
-func (r *Rolling) Push(v float64) {
-	if r.filled {
-		r.sum -= r.buf[r.head]
-	}
-	r.buf[r.head] = v
-	r.sum += v
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-		r.filled = true
-	}
-}
-
-// Len reports the number of samples currently held.
-func (r *Rolling) Len() int {
-	if r.filled {
-		return len(r.buf)
-	}
-	return r.head
-}
-
-// Full reports whether the window is at capacity.
-func (r *Rolling) Full() bool { return r.filled }
-
-// Mean returns the average of the samples in the window (0 when empty).
-func (r *Rolling) Mean() float64 {
-	n := r.Len()
-	if n == 0 {
-		return 0
-	}
-	return r.sum / float64(n)
-}
-
-// Max returns the largest sample in the window (0 when empty).
-func (r *Rolling) Max() float64 {
-	n := r.Len()
-	if n == 0 {
-		return 0
-	}
-	hi := r.buf[0]
-	for i := 1; i < n; i++ {
-		if r.buf[i] > hi {
-			hi = r.buf[i]
-		}
-	}
-	return hi
-}
-
-// Min returns the smallest sample in the window (0 when empty).
-func (r *Rolling) Min() float64 {
-	n := r.Len()
-	if n == 0 {
-		return 0
-	}
-	lo := r.buf[0]
-	for i := 1; i < n; i++ {
-		if r.buf[i] < lo {
-			lo = r.buf[i]
-		}
-	}
-	return lo
-}
-
-// Reset empties the window.
-func (r *Rolling) Reset() {
-	r.head = 0
-	r.filled = false
-	r.sum = 0
-}
-
 // Summary accumulates count/sum/min/max/peak statistics over an unbounded
 // stream. It is used by the metrics recorder for per-session aggregates
 // (average power, peak temperature, ...). The zero value is ready to use.

@@ -5,53 +5,6 @@ import (
 	"testing"
 )
 
-func TestRollingMean(t *testing.T) {
-	r := NewRolling(4)
-	if r.Mean() != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-	for _, v := range []float64{1, 2, 3, 4} {
-		r.Push(v)
-	}
-	if got := r.Mean(); math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("mean = %g, want 2.5", got)
-	}
-	r.Push(5) // evicts 1 -> window {2,3,4,5}
-	if got := r.Mean(); math.Abs(got-3.5) > 1e-12 {
-		t.Fatalf("mean after eviction = %g, want 3.5", got)
-	}
-}
-
-func TestRollingMinMax(t *testing.T) {
-	r := NewRolling(3)
-	r.Push(7)
-	r.Push(-2)
-	r.Push(4)
-	if r.Max() != 7 || r.Min() != -2 {
-		t.Fatalf("min/max = %g/%g, want -2/7", r.Min(), r.Max())
-	}
-	r.Push(0) // evicts 7
-	if r.Max() != 4 {
-		t.Fatalf("max after eviction = %g, want 4", r.Max())
-	}
-}
-
-func TestRollingResetAndLen(t *testing.T) {
-	r := NewRolling(2)
-	r.Push(1)
-	if r.Len() != 1 || r.Full() {
-		t.Fatal("len/full wrong after one push")
-	}
-	r.Push(1)
-	if !r.Full() {
-		t.Fatal("should be full")
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Mean() != 0 {
-		t.Fatal("reset did not clear window")
-	}
-}
-
 func TestSummary(t *testing.T) {
 	var s Summary
 	for _, v := range []float64{3.5, 1.0, 2.5} {

@@ -444,9 +444,10 @@ type FleetServeOptions struct {
 	MaxDevicesPerKey int
 }
 
-// RolloutConfig tunes the staged-rollout lifecycle (stage ramp, minimum
-// canary cohort, QoS/energy rollback guards, version retention). The
-// zero value selects the defaults documented on the fields.
+// RolloutConfig enables the staged-rollout lifecycle. Its zero value is
+// the production setup: the stage ramp, canary floor, QoS/energy
+// rollback guards and version retention are fixed (docs/operations.md,
+// "Fixed limits").
 type RolloutConfig = rollout.Config
 
 // FleetServer is a running fleet policy server (Section IV-C as a
