@@ -15,11 +15,14 @@ package nextdvfs
 //	BenchmarkAblation*            — design-choice ablations
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"nextdvfs/internal/aggregator"
@@ -285,6 +288,91 @@ func BenchmarkFleetCheckin(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "checkins/s")
 	b.ReportMetric(float64(len(wire)), "wire_B/checkin")
+}
+
+// BenchmarkFleetCheckinDelta gates the delta check-in: one known device
+// of a 256-device fleet holds a 2800-state table and sends a delta of
+// 1400 states x 9 actions (the size fleet-ingest's deltas reach) as a
+// pre-encoded NXTB body over loopback HTTP, echoing its upload
+// generation, and a merge round follows. Its 255 peers hold the
+// 64-state tables of BenchmarkFleetCheckin. The two deltas alternate,
+// so every op rewrites every row it sends and the merge recomputes
+// those 1400 states. The store applies a merged-in device's delta to
+// the merge arena in O(states in the delta); a store that copies or
+// re-diffs the device's whole table per delta fails the floor and the
+// B/op ceiling.
+func BenchmarkFleetCheckinDelta(b *testing.B) {
+	srv, err := fleetd.NewServer(fleetd.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := fleetd.NewClient(ts.URL)
+	client.UseBinary = true
+
+	const fleetDevices, tableStates, deltaStates = 256, 2800, 1400
+	rng := rand.New(rand.NewSource(42))
+	for d := 1; d < fleetDevices; d++ {
+		if _, err := client.UploadTableSet(fmt.Sprintf("dev-%03d", d), "note9", "spotify", learner.SingleTableSet(benchFleetTable(rng)), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	table := func(states int, steps int64) *learner.TableSet {
+		t := core.NewQTable(9)
+		for s := 0; s < states; s++ {
+			row := make([]float64, 9)
+			for a := range row {
+				row[a] = rng.NormFloat64()
+			}
+			t.Q[core.StateKey(s)] = row
+			t.Visits[core.StateKey(s)] = rng.Intn(200) + 1
+		}
+		t.Steps = steps
+		return learner.SingleTableSet(t)
+	}
+	// The device's first upload is full; the untimed merge takes it and
+	// every peer into the arena.
+	reply, err := client.UploadTableSet("dev-000", "note9", "spotify", table(tableStates, 1000), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := client.Merge("spotify", "note9"); err != nil {
+		b.Fatal(err)
+	}
+	var bodies [2][]byte
+	for i := range bodies {
+		if bodies[i], err = core.MarshalTableSetBinary("spotify", table(deltaStates, int64(2000+i)), false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hc := ts.Client()
+	target := ts.URL + "/v1/table?device=dev-000&platform=note9"
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req, err := http.NewRequest(http.MethodPut, target, bytes.NewReader(bodies[i%2]))
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.Header.Set("Content-Type", core.TableSetMediaType)
+		req.Header.Set("X-Fleet-Base-Gen", strconv.FormatInt(reply.Gen, 10))
+		resp, err := hc.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("delta upload: status %d, err %v", resp.StatusCode, err)
+		}
+		if _, err := client.Merge("spotify", "note9"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "checkins/s")
+	b.ReportMetric(float64(len(bodies[0])), "wire_B/checkin")
 }
 
 // benchFleetTable builds the realistic device table the fleet benches

@@ -108,7 +108,7 @@ func TestMergerDifferentialByteIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(devices) != fleet || m.Devices() != fleet {
+				if len(devices) != fleet {
 					t.Fatalf("rebuild saw %d devices, want %d", len(devices), fleet)
 				}
 				want, _, err := JoinDevices(uploads)
@@ -268,5 +268,125 @@ func TestMergerAliasesCleanRows(t *testing.T) {
 	}
 	if setBytes(t, second) != setBytes(t, want) {
 		t.Fatal("single-state merge diverges")
+	}
+}
+
+// overlayDelta is the reference delta rule: the delta's rows and visit
+// counts replace the base's, everything else carries over, and the
+// delta's metadata is absolute.
+func overlayDelta(base, delta *learner.TableSet) *learner.TableSet {
+	next := base.Clone()
+	for i, r := range delta.Roles {
+		nt := next.Roles[i].Table
+		for s, row := range r.Table.Q {
+			nt.Q[s] = row
+		}
+		for s, v := range r.Table.Visits {
+			nt.Visits[s] = v
+		}
+		nt.Steps, nt.TrainedUS = r.Table.Steps, r.Table.TrainedUS
+	}
+	return next
+}
+
+// randDelta builds a delta over the learner's layout: rewritten or new
+// rows with and without a visit count, and visit counts without a row
+// (re-weighting an existing row, or remembered for a later one).
+func randDelta(rng *rand.Rand, name string, actions int) *learner.TableSet {
+	set := learner.Must(name, actions).Snapshot()
+	for _, r := range set.Roles {
+		t := r.Table
+		for i := rng.Intn(6); i > 0; i-- {
+			s := core.StateKey(rng.Intn(40))
+			kind := rng.Intn(3)
+			if kind != 2 {
+				row := make([]float64, actions)
+				for j := range row {
+					row[j] = rng.NormFloat64()
+				}
+				t.Q[s] = row
+			}
+			if kind != 1 {
+				t.Visits[s] = rng.Intn(5) // 0 included: floored to weight 1
+			}
+		}
+		t.Steps = int64(rng.Intn(10_000))
+		t.TrainedUS = int64(rng.Intn(1_000_000))
+	}
+	return set
+}
+
+// TestMergerUploadDeltaMatchesOverlay pins UploadDelta to the reference
+// delta rule: after random deltas, full re-uploads and merges, Merge is
+// byte-identical to JoinDevices over the overlaid tables, and so are
+// JoinDevices over Tables() and a Rebuild from Tables() (the path a
+// store takes when new devices join).
+func TestMergerUploadDeltaMatchesOverlay(t *testing.T) {
+	for _, name := range learner.Names() {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(name))))
+			uploads := make(map[string]*learner.TableSet)
+			for i := 0; i < 5; i++ {
+				set := learner.Must(name, 4).Snapshot()
+				for _, r := range set.Roles {
+					randFillTable(rng, r.Table, 3+rng.Intn(8))
+				}
+				uploads[fmt.Sprintf("dev-%d", i)] = set
+			}
+			m := NewMerger()
+			if _, _, err := m.Rebuild(uploads); err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, got *learner.TableSet) {
+				t.Helper()
+				want, _, err := JoinDevices(uploads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if setBytes(t, got) != setBytes(t, want) {
+					t.Fatalf("%s diverges from JoinDevices over the overlaid tables", what)
+				}
+			}
+			for epoch := 0; epoch < 40; epoch++ {
+				for j := 1 + rng.Intn(4); j > 0; j-- {
+					d := fmt.Sprintf("dev-%d", rng.Intn(5))
+					if rng.Intn(6) == 0 {
+						next := randDeviceSet(rng, name, 4)
+						uploads[d] = next
+						if !m.Upload(d, next) {
+							t.Fatal("full re-upload refused")
+						}
+						continue
+					}
+					delta := randDelta(rng, name, 4)
+					uploads[d] = overlayDelta(uploads[d], delta)
+					if !m.UploadDelta(d, delta) {
+						t.Fatal("delta refused")
+					}
+				}
+				check(fmt.Sprintf("epoch %d merge", epoch), m.Merge())
+				tables := m.Tables()
+				joined, _, err := JoinDevices(tables)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("epoch %d join over Tables", epoch), joined)
+				if epoch%10 == 9 {
+					rebuilt := NewMerger()
+					if _, _, err := rebuilt.Rebuild(tables); err != nil {
+						t.Fatal(err)
+					}
+					m = rebuilt
+				}
+			}
+			// Refusals leave the arena as it was.
+			if m.UploadDelta("dev-new", randDelta(rng, name, 4)) {
+				t.Fatal("delta from an unknown device accepted")
+			}
+			if m.UploadDelta("dev-0", randDelta(rng, name, 5)) {
+				t.Fatal("delta with a different action count accepted")
+			}
+			check("merge after refusals", m.Merge())
+		})
 	}
 }

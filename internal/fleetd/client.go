@@ -292,27 +292,10 @@ func (c *Client) RolloutStatus(app, platform string) (rollout.Status, error) {
 	return st, err
 }
 
-// RolloutStatuses lists rollout state for every policy key.
-func (c *Client) RolloutStatuses() ([]rollout.Status, error) {
-	resp, err := c.http.Get(c.base + "/v1/rollout")
-	if err != nil {
-		return nil, err
-	}
-	var sts []rollout.Status
-	err = c.decode(resp, &sts)
-	return sts, err
-}
-
 // RolloutAdvance asks the server to judge the active stage: promote,
 // advance, or automatically roll back on a QoS/energy regression.
 func (c *Client) RolloutAdvance(app, platform string) (rollout.Decision, error) {
 	return c.rolloutAction("advance", app, platform)
-}
-
-// RolloutRollback is the operator override: drop the candidate and
-// return the whole fleet to the stable artifact.
-func (c *Client) RolloutRollback(app, platform string) (rollout.Decision, error) {
-	return c.rolloutAction("rollback", app, platform)
 }
 
 func (c *Client) rolloutAction(action, app, platform string) (rollout.Decision, error) {
@@ -352,18 +335,4 @@ func (c *Client) Healthz() (HealthReply, error) {
 	var reply HealthReply
 	err = c.decode(resp, &reply)
 	return reply, err
-}
-
-// MetricsText fetches the raw Prometheus exposition.
-func (c *Client) MetricsText() (string, error) {
-	resp, err := c.http.Get(c.base + "/metrics")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", apiErrorOf(resp)
-	}
-	data, err := io.ReadAll(resp.Body)
-	return string(data), err
 }

@@ -22,7 +22,11 @@
 // served policy is a deterministic function of the upload set — a fleet
 // driven concurrently converges to the byte-identical table a serial
 // cloud.Fleet.MergeApp of the same uploads produces (pinned by the
-// end-to-end test in internal/fleetsim).
+// end-to-end test in internal/fleetsim). Each key's merge arena
+// (cloud.Merger) is the store's only copy of its merged-in devices'
+// tables: a delta upload updates it in O(states in the delta), and a
+// merge round recomputes only the states uploads dirtied, unless new
+// devices joined, which rebuilds it.
 //
 // Published policies are immutable, so the store installs each merged
 // set together with a memo of its wire bodies: a policy is encoded at

@@ -36,6 +36,8 @@ type Metrics struct {
 
 	snapshots atomic.Int64
 	restored  atomic.Int64
+	// deltaConflicts counts delta uploads answered 409.
+	deltaConflicts atomic.Int64
 }
 
 func (m *Metrics) snapshotWritten() { m.snapshots.Add(1) }
@@ -101,6 +103,13 @@ func (m *Metrics) write(w io.Writer, st *Store, devices, untracked int) {
 	fmt.Fprintf(w, "fleetd_merge_latency_us_count %d\n", count)
 	fmt.Fprintf(w, "fleetd_merge_latency_us_sum %d\n", sumUS)
 	fmt.Fprintf(w, "fleetd_merge_latency_us_max %d\n", maxUS)
+	fmt.Fprintf(w, "# HELP fleetd_merges_total Merge rounds by path: incremental recomputes the states uploads dirtied, rebuild re-joins every table after new devices joined.\n")
+	fmt.Fprintf(w, "# TYPE fleetd_merges_total counter\n")
+	fmt.Fprintf(w, "fleetd_merges_total{path=\"incremental\"} %d\n", st.merges[mergeIncremental].Load())
+	fmt.Fprintf(w, "fleetd_merges_total{path=\"rebuild\"} %d\n", st.merges[mergeRebuild].Load())
+	fmt.Fprintf(w, "# HELP fleetd_delta_conflicts_total Delta uploads answered 409 because the store held no base at the echoed generation; each device falls back to a full upload.\n")
+	fmt.Fprintf(w, "# TYPE fleetd_delta_conflicts_total counter\n")
+	fmt.Fprintf(w, "fleetd_delta_conflicts_total %d\n", m.deltaConflicts.Load())
 
 	fmt.Fprintf(w, "# HELP fleetd_policies Known app-platform policies (merged = with a served table).\n")
 	fmt.Fprintf(w, "# TYPE fleetd_policies gauge\n")

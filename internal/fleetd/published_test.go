@@ -85,7 +85,8 @@ func TestPolicyBodyMemo(t *testing.T) {
 		return func() {
 			sh := s.shardFor(k)
 			sh.mu.RLock()
-			live := sh.entries[k].merger != nil
+			e := sh.entries[k]
+			live := e.arena != nil && len(e.pending) == 0
 			sh.mu.RUnlock()
 			if live != incremental {
 				t.Fatalf("%s: merge arena live = %v, want %v", what, live, incremental)
@@ -96,7 +97,7 @@ func TestPolicyBodyMemo(t *testing.T) {
 		}
 	}
 
-	// First round: no arena yet, so the phased from-scratch join installs.
+	// First round: no arena yet, so the round rebuilds from scratch.
 	upload(s, k, "dev-000", devTable(1))
 	upload(s, k, "dev-001", devTable(2))
 	step("from-scratch merge", mergeVia("from-scratch merge", false))
@@ -104,7 +105,7 @@ func TestPolicyBodyMemo(t *testing.T) {
 	// an incremental dirty-state recompute.
 	upload(s, k, "dev-000", devTable(3))
 	step("incremental merge", mergeVia("incremental merge", true))
-	// A new device drops the arena: from scratch again.
+	// A new device waits in pending: the round rebuilds again.
 	upload(s, k, "dev-002", devTable(4))
 	step("second from-scratch merge", mergeVia("second from-scratch merge", false))
 

@@ -38,6 +38,17 @@ func checkinFleet(t *testing.T, client *Client, n int) {
 	}
 }
 
+// rolloutStatuses lists every policy's rollout state (GET /v1/rollout).
+func rolloutStatuses(c *Client) ([]rollout.Status, error) {
+	resp, err := c.http.Get(c.base + "/v1/rollout")
+	if err != nil {
+		return nil, err
+	}
+	var sts []rollout.Status
+	err = c.decode(resp, &sts)
+	return sts, err
+}
+
 // trainAndMerge uploads tables from two devices and runs a merge round.
 func trainAndMerge(t *testing.T, client *Client, seedA, seedB int) MergeInfo {
 	t.Helper()
@@ -227,7 +238,7 @@ func TestRolloutAutoRollbackE2E(t *testing.T) {
 	}
 
 	// Operator rollback needs an active candidate too.
-	if _, err := client.RolloutRollback("spotify", "note9"); err == nil {
+	if _, err := client.rolloutAction("rollback", "spotify", "note9"); err == nil {
 		t.Fatal("rollback accepted with no active candidate")
 	}
 }
@@ -305,7 +316,7 @@ func TestRolloutDisabledByDefault(t *testing.T) {
 	if info.Version != 0 {
 		t.Fatalf("merge on plain server minted version %d", info.Version)
 	}
-	if _, err := client.RolloutStatuses(); err == nil || !strings.Contains(err.Error(), "not enabled") {
+	if _, err := rolloutStatuses(client); err == nil || !strings.Contains(err.Error(), "not enabled") {
 		t.Fatalf("rollout status on plain server = %v, want not-enabled error", err)
 	}
 	if _, err := client.RolloutAdvance("spotify", "note9"); err == nil {
@@ -314,7 +325,7 @@ func TestRolloutDisabledByDefault(t *testing.T) {
 	if _, err := client.ReportEval("spotify", "note9", rollout.EvalReport{Device: "d0", Version: 1}); err == nil {
 		t.Fatal("report accepted on plain server")
 	}
-	text, err := client.MetricsText()
+	text, err := metricsText(client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +349,7 @@ func TestRolloutMetricsExposition(t *testing.T) {
 		t.Fatalf("advance = %+v, %v", d, err)
 	}
 
-	text, err := client.MetricsText()
+	text, err := metricsText(client)
 	if err != nil {
 		t.Fatal(err)
 	}

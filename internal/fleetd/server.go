@@ -203,6 +203,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 		n, gen, err := s.store.UploadDelta(k, device, set, baseGen)
 		if err != nil {
 			if errors.Is(err, ErrDeltaBase) {
+				s.metrics.deltaConflicts.Add(1)
 				return WriteErr(w, http.StatusConflict, err)
 			}
 			return WriteErr(w, http.StatusBadRequest, err)

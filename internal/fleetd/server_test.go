@@ -1,6 +1,8 @@
 package fleetd
 
 import (
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -120,6 +122,20 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 }
 
+// metricsText scrapes the raw Prometheus exposition through c.
+func metricsText(c *Client) (string, error) {
+	resp, err := c.http.Get(c.base + "/metrics")
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return "", apiErrorOf(resp)
+	}
+	data, err := io.ReadAll(resp.Body)
+	return string(data), err
+}
+
 func TestServerMetricsExposition(t *testing.T) {
 	_, client, done := newTestServer(t, Config{})
 	defer done()
@@ -130,7 +146,7 @@ func TestServerMetricsExposition(t *testing.T) {
 	client.PolicySet("spotify", "note9")
 	client.Merge("nosuchapp", "note9") // counted as a merge error
 
-	text, err := client.MetricsText()
+	text, err := metricsText(client)
 	if err != nil {
 		t.Fatal(err)
 	}

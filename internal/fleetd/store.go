@@ -141,8 +141,9 @@ func sanitizeTable(t *core.QTable) {
 }
 
 // Store is fleetd's in-memory table store: a fixed array of shards,
-// each a mutex-striped map from Key to the per-policy entry (latest
-// upload per device plus the current merged table).
+// each a mutex-striped map from Key to the per-policy entry (every
+// device's latest table, held in the merge arena, plus the current
+// merged table).
 type Store struct {
 	shards [numShards]storeShard
 	// maxDevices bounds distinct devices per key (maxDevicesPerKey by
@@ -152,7 +153,17 @@ type Store struct {
 	maxDevices int
 	// encodes counts policy-body encodes (memo fills) per encoding.
 	encodes [numEncodings]atomic.Int64
+	// merges counts merge rounds per path (fleetd_merges_total).
+	merges [numMergePaths]atomic.Int64
 }
+
+// A merge round either recomputes the arena's dirty states or rebuilds
+// the arena from scratch; merges counts each path.
+const (
+	mergeIncremental = iota
+	mergeRebuild
+	numMergePaths
+)
 
 type storeShard struct {
 	mu      sync.RWMutex
@@ -160,32 +171,24 @@ type storeShard struct {
 }
 
 type entry struct {
-	// uploads holds the latest learner table set per device ID, owned
-	// by the store (see UploadSetGen). Stored sets are immutable once
-	// inserted: re-uploads replace the map entry with a fresh set, so a
-	// merge round may snapshot references and drop the shard lock while
-	// it computes.
-	uploads map[string]*learner.TableSet
+	// arena is the incremental merge arena over every merged-in device:
+	// the store's only copy of those devices' tables. Nil until the
+	// first merge round.
+	arena *cloud.Merger
+	// pending holds the sanitized full uploads of devices the arena
+	// does not have yet, owned by the store (see UploadSetGen). A
+	// pending set overrides the device's arena column; the next merge
+	// round rebuilds the arena over both and empties it.
+	pending map[string]*learner.TableSet
 	// pub is the current served policy — the merged set and its
 	// encoded bodies, installed together — nil until the first merge
 	// round (or snapshot restore); round counts merge rounds.
 	pub   *published
 	round int64
-	// uploadGen counts uploads; installedGen records the uploadGen the
-	// currently installed merged set was computed from. Together they
-	// let the phased merge run lock-free: a slow round whose snapshot
-	// predates the installed one never overwrites it backwards.
-	uploadGen    int64
-	installedGen int64
-	// merger is the incremental dirty-state merge arena. Non-nil means
-	// it reflects exactly the current uploads (every accepted upload
-	// either updated it in place or nilled it), so a merge round can
-	// recompute only what changed. Nil means the next round runs the
-	// phased from-scratch path, which rebuilds it.
-	merger *cloud.Merger
 	// devGen counts accepted uploads per device — the generation a
-	// delta upload must echo to prove its base is the set the store
-	// holds (see UploadDelta).
+	// delta upload must echo to prove its base is the table the store
+	// holds (see UploadDelta). Its keys are exactly the devices in
+	// pending or the arena.
 	devGen map[string]int64
 }
 
@@ -262,8 +265,13 @@ func (s *Store) UploadSetGen(k Key, device string, set *learner.TableSet) (devic
 		return 0, 0, err
 	}
 	sanitizeSet(set)
-	gen = e.install(device, set)
-	return len(e.uploads), gen, nil
+	// A merged-in device's upload replaces its arena column; any other
+	// waits in pending for the next round's rebuild.
+	if _, ok := e.pending[device]; ok || e.arena == nil || !e.arena.Upload(device, set) {
+		e.pending[device] = set
+	}
+	gen = e.bumpGen(device)
+	return len(e.devGen), gen, nil
 }
 
 // entryForUpload runs the per-entry admission checks (key/device caps,
@@ -275,41 +283,30 @@ func (s *Store) entryForUpload(sh *storeShard, k Key, device string, set *learne
 		if len(sh.entries) >= maxKeysPerShard {
 			return nil, fmt.Errorf("fleetd: %s: policy-key limit reached (%d per shard)", k, maxKeysPerShard)
 		}
-		e = &entry{uploads: make(map[string]*learner.TableSet)}
+		e = &entry{pending: make(map[string]*learner.TableSet), devGen: make(map[string]int64)}
 		sh.entries[k] = e
 	}
-	if want := e.actions(); want > 0 && set.Primary().Actions != want {
-		return nil, fmt.Errorf("fleetd: %s: upload from %q has %d actions, fleet has %d", k, device, set.Primary().Actions, want)
-	}
 	// ValidateSet already pinned the role layout to the learner name,
-	// so cross-upload consistency reduces to the name itself.
-	if ref := e.anySet(); ref != nil && learner.Normalize(ref.Learner) != learner.Normalize(set.Learner) {
-		return nil, fmt.Errorf("fleetd: %s: upload from %q: learner %q does not match the fleet's %q",
-			k, device, learner.Normalize(set.Learner), learner.Normalize(ref.Learner))
+	// so cross-upload consistency reduces to the name and action count.
+	if ref := e.anySet(); ref != nil {
+		if want := ref.Primary().Actions; set.Primary().Actions != want {
+			return nil, fmt.Errorf("fleetd: %s: upload from %q has %d actions, fleet has %d", k, device, set.Primary().Actions, want)
+		}
+		if learner.Normalize(ref.Learner) != learner.Normalize(set.Learner) {
+			return nil, fmt.Errorf("fleetd: %s: upload from %q: learner %q does not match the fleet's %q",
+				k, device, learner.Normalize(set.Learner), learner.Normalize(ref.Learner))
+		}
 	}
-	if _, seen := e.uploads[device]; !seen && len(e.uploads) >= s.maxDevices {
+	if _, seen := e.devGen[device]; !seen && len(e.devGen) >= s.maxDevices {
 		return nil, fmt.Errorf("fleetd: %s: device limit reached (%d)", k, s.maxDevices)
 	}
 	return e, nil
 }
 
-// install records a sanitized set as the device's latest upload, bumps
-// the generations, and keeps the incremental merge arena in step: a
-// re-upload from a known device updates it in place; anything
-// structural (first upload from a new device, layout change) drops it,
-// and the next merge's from-scratch rebuild recreates it. Callers hold
-// the shard write lock.
-func (e *entry) install(device string, set *learner.TableSet) (gen int64) {
-	_, known := e.uploads[device]
-	e.uploads[device] = set
-	e.uploadGen++
-	if e.devGen == nil {
-		e.devGen = make(map[string]int64)
-	}
+// bumpGen advances the device's upload generation and returns it.
+// Callers hold the shard write lock.
+func (e *entry) bumpGen(device string) int64 {
 	e.devGen[device]++
-	if e.merger != nil && (!known || !e.merger.Upload(device, set)) {
-		e.merger = nil
-	}
 	return e.devGen[device]
 }
 
@@ -324,10 +321,12 @@ var ErrDeltaBase = errors.New("fleetd: delta base generation mismatch")
 // states changed since the device's last accepted upload (plus
 // absolute metadata), guarded by the generation echo from that upload.
 // The delta's layout must match the stored base exactly; states in the
-// delta replace the base's, states absent carry over. On success it
-// returns the device count and the new generation for the next delta.
-// A missing base or a stale baseGen fails with ErrDeltaBase (full
-// upload required); the store is never modified on error.
+// delta replace the base's, states absent carry over. A merged-in
+// device's delta goes straight into the merge arena and costs
+// O(states in the delta). On success it returns the device count and
+// the new generation for the next delta. A missing base or a stale
+// baseGen fails with ErrDeltaBase (full upload required); the store is
+// never modified on error.
 func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseGen int64) (devices int, gen int64, err error) {
 	if err := admit(k, device, delta, "delta"); err != nil {
 		return 0, 0, err
@@ -339,35 +338,56 @@ func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseG
 	if e == nil {
 		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w (no uploads for key)", k, device, ErrDeltaBase)
 	}
-	prev := e.uploads[device]
-	if prev == nil {
+	have, ok := e.devGen[device]
+	if !ok {
 		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w (no base upload)", k, device, ErrDeltaBase)
 	}
-	if have := e.devGen[device]; have != baseGen {
+	if have != baseGen {
 		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w (base %d, store at %d)", k, device, ErrDeltaBase, baseGen, have)
 	}
-	if learner.Normalize(delta.Learner) != learner.Normalize(prev.Learner) ||
-		delta.Primary().Actions != prev.Primary().Actions ||
-		len(delta.Roles) != len(prev.Roles) {
-		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q does not match the stored base layout", k, device)
+	badLayout := func() error {
+		return fmt.Errorf("fleetd: %s: delta from %q does not match the stored base layout", k, device)
 	}
-	for i, r := range delta.Roles {
-		if r.Role != prev.Roles[i].Role {
-			return 0, 0, fmt.Errorf("fleetd: %s: delta from %q does not match the stored base layout", k, device)
+	if prev, ok := e.pending[device]; ok {
+		if !sameLayout(prev, delta) {
+			return 0, 0, badLayout()
+		}
+		// The pending base is sanitized and owned by the store; the
+		// overlay shares its unchanged rows.
+		sanitizeSet(delta)
+		e.pending[device] = applyDelta(prev, delta)
+	} else {
+		// UploadDelta checks the layout before it touches the arena, and
+		// sanitizing first leaves the store as it was when it refuses.
+		sanitizeSet(delta)
+		if !e.arena.UploadDelta(device, delta) {
+			return 0, 0, badLayout()
 		}
 	}
-	// Sanitize the delta, then overlay it on the (already sanitized,
-	// immutable) base into a fresh set: unchanged rows are shared, never
-	// copied — the base stays untouched for in-flight merge snapshots.
-	sanitizeSet(delta)
-	next := applyDelta(prev, delta)
-	gen = e.install(device, next)
-	return len(e.uploads), gen, nil
+	gen = e.bumpGen(device)
+	return len(e.devGen), gen, nil
 }
 
-// applyDelta overlays a delta set on its base role-by-role. The result
-// is a fresh set whose unchanged rows alias the base (both are
-// immutable in the store); metadata is absolute from the delta.
+// sameLayout reports whether a delta has its base's learner, action
+// count and role layout.
+func sameLayout(base, delta *learner.TableSet) bool {
+	if learner.Normalize(delta.Learner) != learner.Normalize(base.Learner) ||
+		delta.Primary().Actions != base.Primary().Actions ||
+		len(delta.Roles) != len(base.Roles) {
+		return false
+	}
+	for i, r := range delta.Roles {
+		if r.Role != base.Roles[i].Role {
+			return false
+		}
+	}
+	return true
+}
+
+// applyDelta overlays a delta set on a pending base role-by-role. The
+// result is a fresh set whose unchanged rows alias the base; metadata
+// is absolute from the delta. Merger.UploadDelta applies the same rule
+// to merged-in devices.
 func applyDelta(base, delta *learner.TableSet) *learner.TableSet {
 	next := &learner.TableSet{Learner: base.Learner, Roles: make([]learner.RoleTable, len(base.Roles))}
 	for i := range base.Roles {
@@ -397,26 +417,16 @@ func applyDelta(base, delta *learner.TableSet) *learner.TableSet {
 	return next
 }
 
-// actions returns the entry's established action-space size (0 if the
-// entry is still empty). Callers hold the shard lock.
-func (e *entry) actions() int {
-	for _, set := range e.uploads {
-		return set.Primary().Actions
-	}
-	if e.pub != nil {
-		return e.pub.set.Primary().Actions
-	}
-	return 0
-}
-
-// anySet returns any established set of the entry (an upload, else the
-// merged policy) for learner-layout validation. Callers hold the lock.
+// anySet returns an established set of the entry for layout checks:
+// the merged policy, else any pending upload (nil while empty). Every
+// upload matches the first one's learner and action count, and the
+// merged policy has their layout. Callers hold the lock.
 func (e *entry) anySet() *learner.TableSet {
-	for _, set := range e.uploads {
-		return set
-	}
 	if e.pub != nil {
 		return e.pub.set
+	}
+	for _, set := range e.pending {
+		return set
 	}
 	return nil
 }
@@ -444,101 +454,60 @@ type MergeInfo struct {
 // policy artifact without re-locking the shard (and without racing a
 // concurrent round for "which set did my round produce").
 //
-// MergeSet runs as a phased epoch — split → local-merge → join, the
-// doppel coordinator/worker decomposition — so no lock spans the whole
-// round:
+// The round runs under the shard write lock and takes one of two
+// paths:
 //
-//   - split: snapshot the device→set references and the upload
-//     generation they represent under a brief read lock. Stored sets
-//     are immutable once inserted, so the references stay valid after
-//     the lock drops.
-//   - local-merge: the expensive federated join (cloud.JoinDevices,
-//     sorted-device order) computes with no lock held; uploads and
-//     rounds for other keys proceed concurrently.
-//   - join: install under a brief write lock, guarded by the snapshot's
-//     generation — a slow round whose snapshot predates the installed
-//     set returns the newer installed set instead of overwriting it
-//     backwards.
+//   - incremental: with no device pending, the arena holds every
+//     device's latest table, and the round recomputes only the states
+//     uploads dirtied since the last round — O(changed state), not
+//     O(fleet).
+//   - rebuild: after new devices joined (or a device's upload did not
+//     fit the arena), the round runs Merger.Rebuild — JoinDevices, the
+//     pinned reference path — over the arena's columns plus the
+//     pending uploads, and the new arena takes them all in. Same-key
+//     uploads and pulls wait while it runs; other keys proceed.
 //
 // Every install puts the merged set in place together with a fresh,
-// still empty body memo (see PolicyBody), and a round that finds a
-// newer set installed keeps that set with its memo, so a pull never
-// sees one round's bytes beside another round's set.
+// still empty body memo (see PolicyBody), so a pull never sees one
+// round's bytes beside another round's set.
 func (s *Store) MergeSet(k Key) (MergeInfo, *learner.TableSet, error) {
 	if err := k.validate("fleetd"); err != nil {
 		return MergeInfo{}, nil, err
 	}
 	sh := s.shardFor(k)
-
-	// Incremental fast path: when the arena is live it reflects exactly
-	// the current uploads, so the round is a dirty-state recompute —
-	// O(changed state), not O(fleet). It runs under the shard write
-	// lock: the work is milliseconds even at 10k devices, and holding
-	// the lock is what lets the arena absorb the round without the
-	// generation dance the from-scratch path needs.
 	sh.mu.Lock()
-	if e := sh.entries[k]; e != nil && e.merger != nil && len(e.uploads) > 0 {
-		merged := e.merger.Merge()
-		e.pub = s.publish(k.App, merged)
-		e.installedGen = e.uploadGen
-		e.round++
-		info := MergeInfo{
-			App: k.App, Platform: k.Platform,
-			Round: e.round, Devices: len(e.uploads), States: merged.Primary().States(),
-		}
-		sh.mu.Unlock()
-		return info, merged, nil
-	}
-	sh.mu.Unlock()
-
-	// Split.
-	sh.mu.RLock()
+	defer sh.mu.Unlock()
 	e := sh.entries[k]
-	var snap map[string]*learner.TableSet
-	var gen int64
-	if e != nil {
-		gen = e.uploadGen
-		snap = make(map[string]*learner.TableSet, len(e.uploads))
-		for d, set := range e.uploads {
-			snap[d] = set
-		}
-	}
-	sh.mu.RUnlock()
-	if len(snap) == 0 {
+	if e == nil || len(e.devGen) == 0 {
 		return MergeInfo{}, nil, fmt.Errorf("fleetd: %s: no device tables to merge", k)
 	}
-
-	// Local-merge (no lock held): the from-scratch join also builds the
-	// incremental arena for future rounds (Rebuild IS JoinDevices plus
-	// arena construction, so this phase's output is unchanged).
-	m := cloud.NewMerger()
-	merged, devices, err := m.Rebuild(snap)
-	if err != nil {
-		return MergeInfo{}, nil, fmt.Errorf("fleetd: %s: %w", k, err)
-	}
-
-	// Join.
-	sh.mu.Lock()
-	if gen >= e.installedGen {
-		e.pub = s.publish(k.App, merged)
-		e.installedGen = gen
+	var merged *learner.TableSet
+	if len(e.pending) == 0 {
+		merged = e.arena.Merge()
+		s.merges[mergeIncremental].Add(1)
 	} else {
-		merged = e.pub.set // a round over newer uploads already installed
+		tables := e.pending
+		if e.arena != nil {
+			tables = e.arena.Tables()
+			for d, set := range e.pending {
+				tables[d] = set
+			}
+		}
+		arena := cloud.NewMerger()
+		var err error
+		if merged, _, err = arena.Rebuild(tables); err != nil {
+			return MergeInfo{}, nil, fmt.Errorf("fleetd: %s: %w", k, err)
+		}
+		e.arena = arena
+		clear(e.pending)
+		s.merges[mergeRebuild].Add(1)
 	}
-	// Adopt the arena only if no upload landed while the join computed
-	// (it reflects exactly the snapshot's generation) and no concurrent
-	// round already installed a live one — which uploads since have
-	// been keeping current, making it strictly fresher than ours.
-	if gen == e.uploadGen && e.merger == nil {
-		e.merger = m
-	}
+	e.pub = s.publish(k.App, merged)
 	e.round++
-	info := MergeInfo{
+	return MergeInfo{
 		App: k.App, Platform: k.Platform,
-		Round: e.round, Devices: len(devices), States: merged.Primary().States(),
-	}
-	sh.mu.Unlock()
-	return info, merged, nil
+		Round: e.round, Devices: len(e.devGen), States: merged.Primary().States(),
+	}, merged, nil
 }
 
 // PolicySetRef returns the key's current merged learner table set and
@@ -576,7 +545,7 @@ func (s *Store) Infos(platform string) []KeyInfo {
 			if platform != "" && k.Platform != platform {
 				continue
 			}
-			info := KeyInfo{Key: k, Devices: len(e.uploads), Round: e.round}
+			info := KeyInfo{Key: k, Devices: len(e.devGen), Round: e.round}
 			if e.pub != nil {
 				info.States = e.pub.set.Primary().States()
 			}
@@ -601,7 +570,7 @@ func (s *Store) Stats() (keys, merged, uploads int) {
 		sh.mu.RLock()
 		for _, e := range sh.entries {
 			keys++
-			uploads += len(e.uploads)
+			uploads += len(e.devGen)
 			if e.pub != nil {
 				merged++
 			}
@@ -675,7 +644,8 @@ func (s *Store) Restore(dir string) (int, error) {
 			sh := s.shardFor(k)
 			sh.mu.Lock()
 			sh.entries[k] = &entry{
-				uploads: make(map[string]*learner.TableSet),
+				pending: make(map[string]*learner.TableSet),
+				devGen:  make(map[string]int64),
 				pub:     s.publish(k.App, set),
 				round:   1,
 			}
