@@ -214,11 +214,11 @@ func BenchmarkAblationMeanTarget(b *testing.B) {
 
 func BenchmarkAblationWindow1s(b *testing.B) {
 	// 1 s frame window (40 samples) vs the paper's empirically best 4 s.
-	ablationEval(b, func(c *core.AgentConfig) { c.WindowSamples = 40; c.WarmupSamples = 10 })
+	ablationEval(b, func(c *core.AgentConfig) { c.WindowSamples = 40 })
 }
 
 func BenchmarkAblationWindow8s(b *testing.B) {
-	ablationEval(b, func(c *core.AgentConfig) { c.WindowSamples = 320; c.WarmupSamples = 80 })
+	ablationEval(b, func(c *core.AgentConfig) { c.WindowSamples = 320 })
 }
 
 func BenchmarkAblationCoarseFPSState(b *testing.B) {
@@ -782,7 +782,7 @@ func BenchmarkAgentSelect(b *testing.B) {
 	for i := 0; i < 2000; i++ {
 		l.Update(core.StateKey(i%64), i%9, rng.Float64()-0.5, core.StateKey((i+1)%64), i%9, 0.3, 0.9, rng)
 	}
-	ex := learner.MustExplorer("egreedy", learner.ExplorerConfig{EpsilonStart: 0.08, EpsilonMin: 0.08})
+	ex := &learner.EpsilonGreedy{Epsilon: 0.08, EpsilonMin: 0.08}
 	var sink int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

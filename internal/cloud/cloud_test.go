@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nextdvfs/internal/core"
+	"nextdvfs/internal/learner"
 )
 
 func TestWallTimeMatchesPaperScale(t *testing.T) {
@@ -182,13 +183,13 @@ func TestFleetMergeApp(t *testing.T) {
 	t1.Q[core.StateKey(7)][2] = 1
 	t1.Visits[core.StateKey(7)] = 10
 	t1.TrainedUS = 100_000_000
-	d1.InstallTable("pubgmobile", t1, false)
+	d1.InstallTableSet("pubgmobile", learner.SingleTableSet(t1), false)
 
 	t2 := core.NewQTable(9)
 	t2.Q[core.StateKey(8)] = make([]float64, 9)
 	t2.Visits[core.StateKey(8)] = 4
 	t2.TrainedUS = 150_000_000
-	d2.InstallTable("pubgmobile", t2, false)
+	d2.InstallTableSet("pubgmobile", learner.SingleTableSet(t2), false)
 
 	fleet := &Fleet{Devices: []*core.Agent{d1, d2, d3}, Trainer: DefaultTrainerConfig()}
 	merged, wallUS, err := fleet.MergeApp("pubgmobile")

@@ -8,6 +8,30 @@ import (
 	"nextdvfs/internal/learner"
 )
 
+// The paper's fixed agent constants (Section IV): FPS sampling every
+// 25 ms, a decision every 100 ms, the Eq. 3 learning rate, and the
+// exploit ε a trained table runs at. The training-time ε schedule lives
+// in internal/learner.
+const (
+	observeUS      = 25_000
+	controlUS      = 100_000
+	alpha          = 0.30
+	exploitEpsilon = 0.02
+)
+
+// Convergence: training is declared complete when the exponentially
+// averaged rate of greedy-action flips (how often an update changes a
+// state's argmax) drops below convergeFlipTol after at least
+// convergeMinSteps updates. Unlike a raw TD-error threshold, the flip
+// rate is robust to the reward spikes at interaction-phase boundaries,
+// and it naturally scales with the state-space size — which is exactly
+// the training-time-vs-quantization trade-off the paper's Fig. 6
+// sweeps.
+const (
+	convergeFlipTol  = 0.015
+	convergeMinSteps = 3500
+)
+
 // AgentConfig parameterizes the Next agent. Defaults follow the paper:
 // 25 ms FPS sampling into a 4 s window, 100 ms control period,
 // Q-learning with PPDW reward over the quantized state space.
@@ -15,29 +39,12 @@ type AgentConfig struct {
 	State  StateSpaceConfig
 	Reward RewardConfig
 
-	// Alpha is the learning rate, Gamma the discount (Eq. 3).
-	Alpha float64
+	// Gamma is the discount (Eq. 3).
 	Gamma float64
 
-	// EpsilonStart/Min/Decay drive ε-greedy exploration during
-	// training; ExploitEpsilon is used once a table is trained.
-	EpsilonStart   float64
-	EpsilonMin     float64
-	EpsilonDecay   float64
-	ExploitEpsilon float64
-
-	// ObserveUS is the FPS sampling period (25 ms), ControlUS the
-	// decision period (100 ms).
-	ObserveUS int64
-	ControlUS int64
-
-	// WindowSamples is the frame-window length (160 = 4 s / 25 ms);
-	// WarmupSamples gates the mode until the window has context.
+	// WindowSamples is the frame-window length (160 = 4 s / 25 ms). The
+	// mode is trusted once a quarter of the window has filled.
 	WindowSamples int
-	WarmupSamples int
-
-	// Frozen stops Q-updates (deploy a trained table verbatim).
-	Frozen bool
 
 	// UseMeanTarget replaces the paper's mode-of-window target with the
 	// window mean (ablation).
@@ -53,23 +60,6 @@ type AgentConfig struct {
 	// learner.ExplorerNames().
 	Explorer string
 
-	// EmergencyTempC is a safety layer above the learned policy: when
-	// the big-cluster sensor exceeds it, the agent force-lowers the big
-	// and GPU caps instead of consulting the Q-table, like a thermal
-	// zone's last-resort trip point. 0 disables (default — the paper's
-	// agent relies on the reward alone).
-	EmergencyTempC float64
-
-	// Convergence: training is declared complete when the exponentially
-	// averaged rate of greedy-action flips (how often an update changes
-	// a state's argmax) drops below ConvergeFlipTol after at least
-	// ConvergeMinSteps updates. Unlike a raw TD-error threshold, the
-	// flip rate is robust to the reward spikes at interaction-phase
-	// boundaries, and it naturally scales with the state-space size —
-	// which is exactly the training-time-vs-quantization trade-off the
-	// paper's Fig. 6 sweeps.
-	ConvergeFlipTol  float64
-	ConvergeMinSteps int
 	// Seed drives exploration.
 	Seed int64
 }
@@ -77,30 +67,10 @@ type AgentConfig struct {
 // DefaultAgentConfig returns the paper-faithful configuration.
 func DefaultAgentConfig() AgentConfig {
 	return AgentConfig{
-		State:            DefaultStateSpaceConfig(),
-		Reward:           DefaultRewardConfig(),
-		Alpha:            0.30,
-		Gamma:            0.90,
-		EpsilonStart:     0.80,
-		EpsilonMin:       0.08,
-		EpsilonDecay:     0.9997,
-		ExploitEpsilon:   0.02,
-		ObserveUS:        25_000,
-		ControlUS:        100_000,
-		WindowSamples:    160,
-		WarmupSamples:    40,
-		ConvergeFlipTol:  0.015,
-		ConvergeMinSteps: 3500,
-	}
-}
-
-// ExplorerConfig derives the explorer-construction parameters from the
-// agent configuration: its ε schedule.
-func (c AgentConfig) ExplorerConfig() learner.ExplorerConfig {
-	return learner.ExplorerConfig{
-		EpsilonStart: c.EpsilonStart,
-		EpsilonMin:   c.EpsilonMin,
-		EpsilonDecay: c.EpsilonDecay,
+		State:         DefaultStateSpaceConfig(),
+		Reward:        DefaultRewardConfig(),
+		Gamma:         0.90,
+		WindowSamples: 160,
 	}
 }
 
@@ -135,8 +105,8 @@ type AppTable struct {
 	// Table is the primary Q-table (the learner's Tables()[0]) — the
 	// view persistence metadata, fleet merging and reporting use.
 	Table *QTable
-	// Trained is latched once convergence is detected (or set by
-	// LoadTrained); a trained table runs at ExploitEpsilon.
+	// Trained is latched once convergence is detected (or set when a
+	// trained table is installed); a trained table runs at the exploit ε.
 	Trained bool
 
 	learner  learner.Learner
@@ -160,15 +130,6 @@ func (t *AppTable) Learner() learner.Learner { return t.learner }
 // input surface (facade options, CLI flags, grids) validates names
 // against the registries before constructing an agent.
 func NewAgent(cfg AgentConfig) *Agent {
-	if cfg.ObserveUS <= 0 {
-		cfg.ObserveUS = 25_000
-	}
-	if cfg.ControlUS <= 0 {
-		cfg.ControlUS = 100_000
-	}
-	if cfg.WindowSamples <= 0 {
-		cfg.WindowSamples = 160
-	}
 	if !learner.Known(cfg.Learner) {
 		panic("core: unknown learner " + cfg.Learner)
 	}
@@ -178,9 +139,9 @@ func NewAgent(cfg AgentConfig) *Agent {
 	return &Agent{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		window:  NewFrameWindow(cfg.WindowSamples, cfg.WarmupSamples),
+		window:  NewFrameWindow(cfg.WindowSamples, cfg.WindowSamples/4),
 		tables:  make(map[string]*AppTable),
-		exploit: learner.EpsilonGreedy{Epsilon: cfg.ExploitEpsilon, EpsilonMin: cfg.ExploitEpsilon},
+		exploit: learner.EpsilonGreedy{Epsilon: exploitEpsilon, EpsilonMin: exploitEpsilon},
 	}
 }
 
@@ -188,10 +149,10 @@ func NewAgent(cfg AgentConfig) *Agent {
 func (a *Agent) Name() string { return "next" }
 
 // ObserveIntervalUS implements ctrl.Controller.
-func (a *Agent) ObserveIntervalUS() int64 { return a.cfg.ObserveUS }
+func (a *Agent) ObserveIntervalUS() int64 { return observeUS }
 
 // ControlIntervalUS implements ctrl.Controller.
-func (a *Agent) ControlIntervalUS() int64 { return a.cfg.ControlUS }
+func (a *Agent) ControlIntervalUS() int64 { return controlUS }
 
 // Observe implements ctrl.Controller: push the 25 ms FPS sample into
 // the frame window.
@@ -222,7 +183,7 @@ func (a *Agent) tableFor(name string) *AppTable {
 	}
 	t := &AppTable{
 		App:      name,
-		explorer: learner.MustExplorer(a.cfg.Explorer, a.cfg.ExplorerConfig()),
+		explorer: learner.MustExplorer(a.cfg.Explorer),
 	}
 	a.tables[name] = t
 	return t
@@ -286,7 +247,7 @@ func (a *Agent) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 	// action set would take thousands of steps to reach. Gated on the
 	// exploration schedule so a mostly-learned policy (or a live user
 	// session) never gets a random frequency jolt.
-	if !a.prevValid && !t.Trained && !a.cfg.Frozen && t.explorer.Rate() > 0.15 {
+	if !a.prevValid && !t.Trained && t.explorer.Rate() > 0.15 {
 		for _, c := range snap.Clusters {
 			act.SetCap(c.Name, a.rng.Intn(c.NumOPPs))
 		}
@@ -304,24 +265,16 @@ func (a *Agent) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 	// Choose the next action first (SARSA's update needs the executed
 	// successor action; for Q-learning the order is immaterial).
 	var action int
-	emergency := a.cfg.EmergencyTempC > 0 && snap.TempBigC >= a.cfg.EmergencyTempC
-	switch {
-	case emergency:
-		action = -1 // safety override, no policy action
-	case t.Trained:
+	if t.Trained {
 		action = t.learner.SelectAction(&a.exploit, state, a.rng)
-	default:
+	} else {
 		action = t.learner.SelectAction(t.explorer, state, a.rng)
 	}
 
 	// Learn from the transition that produced this observation. Online
 	// RL keeps refining after convergence (at exploit ε); "trained" only
 	// stops the training-time accounting and the exploration schedule.
-	if a.prevValid && !a.cfg.Frozen {
-		nextAction := action
-		if nextAction < 0 {
-			nextAction, _ = t.learner.Greedy(state)
-		}
+	if a.prevValid {
 		// The convergence signal measures greedy-action flips at the
 		// state the update actually modifies — a.prevState for one-step
 		// rules, the oldest buffered transition for n-step returns
@@ -335,7 +288,7 @@ func (a *Agent) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 		if applies {
 			bestBefore, _ = t.learner.Greedy(flipState)
 		}
-		t.learner.Update(a.prevState, a.prevAction, reward, state, nextAction, a.cfg.Alpha, a.cfg.Gamma, a.rng)
+		t.learner.Update(a.prevState, a.prevAction, reward, state, action, alpha, a.cfg.Gamma, a.rng)
 		if applies && !t.Trained {
 			bestAfter, _ := t.learner.Greedy(flipState)
 			a.trackConvergence(t, bestBefore != bestAfter)
@@ -347,19 +300,6 @@ func (a *Agent) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 		t.Table.TrainedUS += snap.NowUS - a.lastCtlUS
 	}
 	a.lastCtlUS = snap.NowUS
-
-	if emergency {
-		// Thermal trip: pull the hot clusters down two OPPs regardless
-		// of what the table says, and do not learn from the forced
-		// transition (it is not the policy's doing).
-		for _, c := range snap.Clusters {
-			if c.Name == "big" || c.IsGPU {
-				act.SetCap(c.Name, c.CurIdx-2)
-			}
-		}
-		a.prevValid = false
-		return
-	}
 
 	Action(action).Apply(snap, act)
 	a.prevState = state
@@ -381,10 +321,7 @@ func (a *Agent) trackConvergence(t *AppTable, flipped bool) {
 	}
 	t.flipEWMA += flipAlpha * (f - t.flipEWMA)
 
-	if a.cfg.ConvergeFlipTol <= 0 || a.cfg.ConvergeMinSteps <= 0 {
-		return
-	}
-	if t.Table.Steps >= int64(a.cfg.ConvergeMinSteps) && t.flipEWMA < a.cfg.ConvergeFlipTol && !t.Trained {
+	if t.Table.Steps >= convergeMinSteps && t.flipEWMA < convergeFlipTol && !t.Trained {
 		t.Trained = true
 		if t.Table.ConvergedAtUS == 0 {
 			t.Table.ConvergedAtUS = t.Table.TrainedUS
@@ -454,23 +391,6 @@ func (a *Agent) InstallTableSet(app string, set *learner.TableSet, trained bool)
 	t.Table = set.Primary()
 	t.learner = nil // re-wrapped lazily around the new set
 	t.Trained = trained
-}
-
-// InstallTable installs a single (primary) table for an app — the
-// historical single-table entry point, kept for plain federated
-// policies and legacy snapshot files.
-func (a *Agent) InstallTable(app string, table *QTable, trained bool) {
-	a.InstallTableSet(app, learner.SingleTableSet(table), trained)
-}
-
-// MarkTrained force-latches an app's table as trained (used when an
-// external process — cloud training — decides convergence).
-func (a *Agent) MarkTrained(app string) {
-	t := a.tableFor(app)
-	t.Trained = true
-	if t.Table != nil && t.Table.ConvergedAtUS == 0 {
-		t.Table.ConvergedAtUS = t.Table.TrainedUS
-	}
 }
 
 // Config returns the agent's configuration (read-only copy).

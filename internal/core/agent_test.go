@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nextdvfs/internal/ctrl"
+	"nextdvfs/internal/learner"
 )
 
 // stepAgent drives one Observe+Control cycle with a synthetic snapshot.
@@ -77,63 +78,85 @@ func TestAgentLearnsFromTransitions(t *testing.T) {
 func TestAgentActsOnCaps(t *testing.T) {
 	cfg := DefaultAgentConfig()
 	cfg.Seed = 7
-	cfg.EpsilonStart = 1.0 // force exploration so cap actions fire
-	cfg.EpsilonMin = 1.0
 	a := NewAgent(cfg)
 	a.AppChanged("game", true)
 	act := &recordActuator{caps: map[string]int{}}
-	for i := 1; i <= 30; i++ {
+	stepAgent(a, act, 100_000, 60, 5, 50, 42, [3]int{9, 5, 3})
+	// The first step's caps come from exploring starts; only the
+	// policy's own actions count from here on.
+	act.caps = map[string]int{}
+	for i := 2; i <= 30; i++ {
 		stepAgent(a, act, int64(i)*100_000, 60, 5, 50, 42, [3]int{9, 5, 3})
 	}
 	if len(act.caps) == 0 {
-		t.Fatal("agent never moved a cap in 30 fully-exploratory steps")
-	}
-}
-
-func TestAgentFrozenDoesNotLearn(t *testing.T) {
-	cfg := DefaultAgentConfig()
-	cfg.Frozen = true
-	a := NewAgent(cfg)
-	a.AppChanged("app", false)
-	act := &recordActuator{caps: map[string]int{}}
-	for i := 1; i <= 20; i++ {
-		stepAgent(a, act, int64(i)*100_000, 30, 4, 45, 38, [3]int{9, 5, 3})
-	}
-	if steps := a.TableFor("app").Table.Steps; steps != 0 {
-		t.Fatalf("frozen agent performed %d updates", steps)
+		t.Fatal("agent never moved a cap in 29 exploratory steps")
 	}
 }
 
 func TestAgentConvergenceLatch(t *testing.T) {
 	cfg := DefaultAgentConfig()
 	cfg.Seed = 3
-	cfg.ConvergeFlipTol = 1.1 // generous: any flip rate counts as stable
-	cfg.ConvergeMinSteps = 5
 	a := NewAgent(cfg)
 	a.AppChanged("quick", false)
 	act := &recordActuator{caps: map[string]int{}}
-	for i := 1; i <= 10; i++ {
-		stepAgent(a, act, int64(i)*100_000, 30, 4, 45, 38, [3]int{9, 5, 3})
+	tab := func() *AppTable { return a.TableFor("quick") }
+	i := 0
+	for ; i < 2*convergeMinSteps && !tab().Trained; i++ {
+		stepAgent(a, act, int64(i+1)*100_000, 30, 4, 45, 38, [3]int{9, 5, 3})
 	}
-	tab := a.TableFor("quick")
-	if !tab.Trained {
-		t.Fatal("convergence latch never fired")
+	if !tab().Trained {
+		t.Fatalf("convergence latch never fired in %d steps", i)
 	}
-	if tab.Table.ConvergedAtUS == 0 {
+	if tab().Table.Steps < convergeMinSteps {
+		t.Fatalf("latched after %d updates, before the %d-step minimum", tab().Table.Steps, convergeMinSteps)
+	}
+	if tab().Table.ConvergedAtUS == 0 {
 		t.Fatal("convergence time not recorded")
 	}
 	// Once trained, the training-time accounting stops (online learning
 	// itself continues at exploit ε).
-	trainedUS := tab.Table.TrainedUS
-	before := tab.Table.Steps
-	for i := 11; i <= 20; i++ {
-		stepAgent(a, act, int64(i)*100_000, 30, 4, 45, 38, [3]int{9, 5, 3})
+	trainedUS := tab().Table.TrainedUS
+	before := tab().Table.Steps
+	for end := i + 10; i < end; i++ {
+		stepAgent(a, act, int64(i+1)*100_000, 30, 4, 45, 38, [3]int{9, 5, 3})
 	}
-	if tab.Table.TrainedUS != trainedUS {
+	if tab().Table.TrainedUS != trainedUS {
 		t.Fatal("training time kept accumulating after convergence")
 	}
-	if tab.Table.Steps == before {
+	if tab().Table.Steps == before {
 		t.Fatal("online learning should continue after convergence")
+	}
+}
+
+// The agent has no thermal trip of its own (the paper's relies on the
+// PPDW reward alone; thermalcap is the thermal safety path): even a
+// 99 °C big-cluster sensor moves no cap more than one OPP.
+func TestAgentHasNoThermalTrip(t *testing.T) {
+	a := NewAgent(DefaultAgentConfig())
+	// A table installed as trained rules out exploring starts, which
+	// would set random caps on the first step.
+	a.InstallTableSet("x", learner.SingleTableSet(NewQTable(9)), true)
+	a.AppChanged("x", false)
+	act := &recordActuator{caps: map[string]int{}}
+	snap, _ := snapWith([3]int{9, 5, 3}, 60, 0, 8, 99, 70)
+	snap.AppName = "x"
+	a.Control(snap, act)
+	if v, ok := act.caps["big"]; ok && v < 8 {
+		t.Fatalf("a 99 °C sensor forced the big cap to %d (want >= cur-1)", v)
+	}
+	if v, ok := act.caps["GPU"]; ok && v < 2 {
+		t.Fatalf("a 99 °C sensor forced the GPU cap to %d (want >= cur-1)", v)
+	}
+}
+
+// The frame window trusts its mode once a quarter of it has filled.
+func TestAgentWarmupIsQuarterWindow(t *testing.T) {
+	for n, want := range map[int]int{40: 10, 160: 40, 320: 80} {
+		cfg := DefaultAgentConfig()
+		cfg.WindowSamples = n
+		if got := NewAgent(cfg).window.warmup; got != want {
+			t.Errorf("window %d: warmup %d, want %d", n, got, want)
+		}
 	}
 }
 
@@ -216,7 +239,7 @@ func TestStoreAgentRoundTrip(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		stepAgent(a, act, int64(i)*100_000, 30, 3, 40, 35, [3]int{9, 5, 3})
 	}
-	a.MarkTrained("youtube")
+	a.InstallTableSet("youtube", a.SnapshotFor("youtube"), true)
 	if err := store.SaveAgent(a); err != nil {
 		t.Fatal(err)
 	}
@@ -243,16 +266,16 @@ func TestStoreLoadMissing(t *testing.T) {
 }
 
 func TestUnmarshalRejectsCorruptTables(t *testing.T) {
-	if _, _, _, err := UnmarshalTable([]byte("{")); err == nil {
+	if _, _, _, err := UnmarshalTableSet([]byte("{")); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
-	if _, _, _, err := UnmarshalTable([]byte(`{"actions":0}`)); err == nil {
+	if _, _, _, err := UnmarshalTableSet([]byte(`{"actions":0}`)); err == nil {
 		t.Fatal("zero actions accepted")
 	}
-	if _, _, _, err := UnmarshalTable([]byte(`{"actions":9,"q":{"x":[1]}}`)); err == nil {
+	if _, _, _, err := UnmarshalTableSet([]byte(`{"actions":9,"q":{"x":[1]}}`)); err == nil {
 		t.Fatal("bad state key accepted")
 	}
-	if _, _, _, err := UnmarshalTable([]byte(`{"actions":9,"q":{"1":[1]}}`)); err == nil {
+	if _, _, _, err := UnmarshalTableSet([]byte(`{"actions":9,"q":{"1":[1]}}`)); err == nil {
 		t.Fatal("wrong row width accepted")
 	}
 }

@@ -21,6 +21,10 @@
 //   - actions move the chosen cluster's maxfreq cap one OPP, leaving the
 //     stock governor free to choose any frequency below the cap.
 //
+// As in the paper, the agent has no thermal trip: temperature reaches
+// it only through the PPDW reward. A thermal safety limit is a separate
+// controller (governor.ThermalCap, the "thermalcap" scheme).
+//
 // Q-tables are kept per application and can be persisted and reloaded
 // (the paper trains each new app once, ~3 min 27 s, then reuses the
 // table), merged across devices (federated learning, Section IV-C), and

@@ -39,12 +39,6 @@ func NewBounds(fpsMax, pMaxW, pLeastW, tMaxC, tLeastC, ambientC float64) Bounds 
 	}
 }
 
-// InRange reports whether v satisfies Eq. 2's ordering:
-// best ≥ v > worst.
-func (b Bounds) InRange(v float64) bool {
-	return v > b.Worst && v <= b.Best
-}
-
 // RewardConfig shapes the scalar reward from PPDW and the target-FPS
 // goal. Eq. 4 asks the agent to maximize PPDW while achieving
 // FPS_current = TargetFPS; raw PPDW is zero at FPS 0 (no gradient at

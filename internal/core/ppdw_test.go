@@ -56,14 +56,8 @@ func TestBoundsOrdering(t *testing.T) {
 	}
 	// A typical operating point sits inside Eq. 2's range.
 	typical := PPDW(60, 5, 55, 21)
-	if !b.InRange(typical) {
-		t.Fatalf("typical PPDW %g outside [%g, %g]", typical, b.Worst, b.Best)
-	}
-	if b.InRange(b.Worst) {
-		t.Fatal("range excludes worst (strict inequality)")
-	}
-	if !b.InRange(b.Best) {
-		t.Fatal("range includes best")
+	if !(typical > b.Worst && typical <= b.Best) {
+		t.Fatalf("typical PPDW %g outside (%g, %g]", typical, b.Worst, b.Best)
 	}
 }
 

@@ -107,18 +107,6 @@ func (ss *StateSpace) Key(snap ctrl.Snapshot, targetFPS float64) StateKey {
 	return StateKey(key)
 }
 
-// MaxStates returns the cardinality of the full product space — the
-// upper bound the sparse table never comes close to occupying.
-func (ss *StateSpace) MaxStates() uint64 {
-	n := uint64(1)
-	for _, c := range ss.clusterCard {
-		n *= uint64(c)
-	}
-	n *= uint64(ss.fpsQ.Levels) * uint64(ss.targetQ.Levels)
-	n *= uint64(ss.powerQ.Levels) * uint64(ss.tempQ.Levels) * uint64(ss.tempQ.Levels)
-	return n
-}
-
 // Action encodes the paper's per-cluster action list: for cluster j the
 // actions are 3j (frequency up), 3j+1 (frequency down) and 3j+2 (do
 // nothing). Exactly one action fires per control step.

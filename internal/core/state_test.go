@@ -69,7 +69,12 @@ func TestStateKeyQuantizesFPS(t *testing.T) {
 
 func TestStateKeyWithinMaxStates(t *testing.T) {
 	ss := exynosSpace()
-	maxStates := ss.MaxStates()
+	// The cardinality of the full product space.
+	maxStates := uint64(ss.fpsQ.Levels) * uint64(ss.targetQ.Levels) *
+		uint64(ss.powerQ.Levels) * uint64(ss.tempQ.Levels) * uint64(ss.tempQ.Levels)
+	for _, c := range ss.clusterCard {
+		maxStates *= uint64(c)
+	}
 	rng := rand.New(rand.NewSource(15))
 	f := func(b, l, g, fpsS, tgS, pS, tbS, tdS uint8) bool {
 		snap, target := snapWith(

@@ -38,16 +38,6 @@ type tableDTO struct {
 	Aux           map[string]roleDTO   `json:"aux,omitempty"`
 }
 
-// MarshalTable serializes a single-table policy for storage ("the
-// Q-table results are stored on the memory so that later ... the agent
-// is able to refer to the Q-table").
-func MarshalTable(app string, t *QTable, trained bool) ([]byte, error) {
-	if t == nil {
-		return nil, fmt.Errorf("core: nil table for %q", app)
-	}
-	return MarshalTableSet(app, learner.SingleTableSet(t), trained)
-}
-
 // MarshalTableSet serializes a learner's complete table state.
 func MarshalTableSet(app string, set *TableSet, trained bool) ([]byte, error) {
 	dto, err := setToDTO(app, set, trained)
@@ -138,16 +128,6 @@ func wireToTable(actions int, q map[string][]float64, visits map[string]int) (*Q
 		t.Visits[StateKey(key)] = v
 	}
 	return t, nil
-}
-
-// UnmarshalTable parses a persisted table, returning the primary table
-// only (multi-table sets collapse to their primary — the policy view).
-func UnmarshalTable(data []byte) (app string, t *QTable, trained bool, err error) {
-	app, set, trained, err := UnmarshalTableSet(data)
-	if err != nil {
-		return "", nil, false, err
-	}
-	return app, set.Primary(), trained, nil
 }
 
 // UnmarshalTableSet parses a persisted learner table set. Legacy

@@ -109,7 +109,7 @@ func TestDoubleQStoreRoundTrip(t *testing.T) {
 func TestLegacySingleTableFileLoadsAsWatkinsSet(t *testing.T) {
 	q := NewQTable(9)
 	q.Update(StateKey(11), 3, 0.5, StateKey(12), 0.2, 0.9)
-	legacy, err := MarshalTable("spotify", q, true)
+	legacy, err := MarshalTableSet("spotify", learner.SingleTableSet(q), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestIncompatibleSnapshotFallsBackToFreshTraining(t *testing.T) {
 	a := NewAgent(DefaultAgentConfig())
 	stale := NewQTable(6) // trained elsewhere: 6 actions vs this chip's 9
 	stale.Update(StateKey(1), 2, 1, StateKey(2), 0.5, 0.9)
-	a.InstallTable("game", stale, true)
+	a.InstallTableSet("game", learner.SingleTableSet(stale), true)
 
 	act := &recordActuator{caps: map[string]int{}}
 	a.AppChanged("game", true)

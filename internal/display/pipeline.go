@@ -56,9 +56,6 @@ func NewPipeline(refreshHz int) *Pipeline {
 	return p
 }
 
-// PeriodUS returns the VSync period in microseconds (16 666 at 60 Hz).
-func (p *Pipeline) PeriodUS() int64 { return p.periodUS }
-
 // BackBufferFree reports whether a renderer may start another frame.
 func (p *Pipeline) BackBufferFree() bool { return p.queued < BackBuffers }
 

@@ -8,8 +8,8 @@ import (
 
 func TestVSyncCadence60Hz(t *testing.T) {
 	p := NewPipeline(60)
-	if p.PeriodUS() != 16_666 {
-		t.Fatalf("period = %d µs, want 16666", p.PeriodUS())
+	if p.periodUS != 16_666 {
+		t.Fatalf("period = %d µs, want 16666", p.periodUS)
 	}
 	// One second of 1 ms ticks → 60 VSyncs (with the integer period,
 	// 1e6/16666 = 60.0024 → 60).

@@ -4,14 +4,14 @@ import "testing"
 
 func TestSetRefreshReArmsVSync(t *testing.T) {
 	p := NewPipeline(60)
-	if p.PeriodUS() != 16_666 {
-		t.Fatalf("60 Hz period = %d", p.PeriodUS())
+	if p.periodUS != 16_666 {
+		t.Fatalf("60 Hz period = %d", p.periodUS)
 	}
 	// Run a few VSyncs at 60 Hz with frames queued.
 	now := int64(0)
 	for i := 0; i < 5; i++ {
 		p.OfferFrame()
-		now += p.PeriodUS()
+		now += p.periodUS
 		p.Tick(now, true)
 	}
 	if p.Displayed() != 5 {
@@ -19,8 +19,8 @@ func TestSetRefreshReArmsVSync(t *testing.T) {
 	}
 
 	p.SetRefresh(120, now)
-	if p.RefreshHz != 120 || p.PeriodUS() != 8_333 {
-		t.Fatalf("after switch: %d Hz, period %d", p.RefreshHz, p.PeriodUS())
+	if p.RefreshHz != 120 || p.periodUS != 8_333 {
+		t.Fatalf("after switch: %d Hz, period %d", p.RefreshHz, p.periodUS)
 	}
 	// Flip history survives the switch: FPS still sees the 60 Hz frames.
 	if fps := p.FPS(now); fps != 5 {
@@ -52,7 +52,7 @@ func TestSetRefreshGrowsFlipRing(t *testing.T) {
 	now := int64(0)
 	for i := 0; i < 70; i++ {
 		p.OfferFrame()
-		now += p.PeriodUS()
+		now += p.periodUS
 		p.Tick(now, true)
 	}
 	fpsBefore := p.FPS(now)

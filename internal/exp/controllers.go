@@ -42,5 +42,5 @@ func NewIntQoSOn(p platform.Platform) ctrl.Controller {
 		}
 		return pm.PowerAt(c, idx, util, 50)
 	}
-	return governor.NewIntQoSPM(governor.DefaultIntQoSPMConfig(), est)
+	return governor.NewIntQoSPM(est)
 }

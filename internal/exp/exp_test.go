@@ -119,7 +119,7 @@ func TestFig4ShapeMatchesPaper(t *testing.T) {
 	if !(worst[1].PPDW < worst[2].PPDW && worst[2].PPDW < lo.PPDW) {
 		t.Fatalf("worst ordering wrong: %v", worst)
 	}
-	if !r.Bounds.InRange(hi.PPDW) {
+	if !(hi.PPDW > r.Bounds.Worst && hi.PPDW <= r.Bounds.Best) {
 		t.Fatalf("best frontier PPDW %.3f outside Eq. 2 bounds [%g, %g]", hi.PPDW, r.Bounds.Worst, r.Bounds.Best)
 	}
 }

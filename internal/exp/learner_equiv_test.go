@@ -24,6 +24,22 @@ import (
 // identical sessions and require byte-identical results and tables —
 // the pin that extracting the rule behind the interface changed no
 // behavior.
+// The paper's agent constants, written out here rather than read from
+// core, so the reference stays independent of the agent it checks.
+const (
+	refObserveUS        = 25_000
+	refControlUS        = 100_000
+	refWindowSamples    = 160
+	refWarmupSamples    = 40
+	refAlpha            = 0.30
+	refEpsilonStart     = 0.80
+	refEpsilonMin       = 0.08
+	refEpsilonDecay     = 0.9997
+	refExploitEpsilon   = 0.02
+	refConvergeFlipTol  = 0.015
+	refConvergeMinSteps = 3500
+)
+
 type refAgent struct {
 	cfg    core.AgentConfig
 	rng    *rand.Rand
@@ -54,14 +70,14 @@ func newRefAgent(cfg core.AgentConfig) *refAgent {
 	return &refAgent{
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		window: core.NewFrameWindow(cfg.WindowSamples, cfg.WarmupSamples),
+		window: core.NewFrameWindow(refWindowSamples, refWarmupSamples),
 		tables: make(map[string]*refTable),
 	}
 }
 
 func (a *refAgent) Name() string             { return "next" }
-func (a *refAgent) ObserveIntervalUS() int64 { return a.cfg.ObserveUS }
-func (a *refAgent) ControlIntervalUS() int64 { return a.cfg.ControlUS }
+func (a *refAgent) ObserveIntervalUS() int64 { return refObserveUS }
+func (a *refAgent) ControlIntervalUS() int64 { return refControlUS }
 func (a *refAgent) Observe(s ctrl.Snapshot)  { a.window.Push(s.FPS) }
 func (a *refAgent) AppChanged(n string, _ bool) {
 	a.cur = a.tableFor(n)
@@ -75,9 +91,9 @@ func (a *refAgent) tableFor(name string) *refTable {
 		return t
 	}
 	t := &refTable{policy: core.Policy{
-		Epsilon:    a.cfg.EpsilonStart,
-		EpsilonMin: a.cfg.EpsilonMin,
-		Decay:      a.cfg.EpsilonDecay,
+		Epsilon:    refEpsilonStart,
+		EpsilonMin: refEpsilonMin,
+		Decay:      refEpsilonDecay,
 	}}
 	a.tables[name] = t
 	return t
@@ -99,7 +115,7 @@ func (a *refAgent) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 		t.table = core.NewQTable(a.space.Actions())
 	}
 
-	if !a.prevValid && !t.trained && !a.cfg.Frozen && t.policy.Epsilon > 0.15 {
+	if !a.prevValid && !t.trained && t.policy.Epsilon > 0.15 {
 		for _, c := range snap.Clusters {
 			act.SetCap(c.Name, a.rng.Intn(c.NumOPPs))
 		}
@@ -111,15 +127,15 @@ func (a *refAgent) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 
 	var action int
 	if t.trained {
-		exploit := core.Policy{Epsilon: a.cfg.ExploitEpsilon, EpsilonMin: a.cfg.ExploitEpsilon}
+		exploit := core.Policy{Epsilon: refExploitEpsilon, EpsilonMin: refExploitEpsilon}
 		action = exploit.Select(t.table, state, a.rng)
 	} else {
 		action = t.policy.Select(t.table, state, a.rng)
 	}
 
-	if a.prevValid && !a.cfg.Frozen {
+	if a.prevValid {
 		bestBefore, _ := t.table.Best(a.prevState)
-		td := t.table.Update(a.prevState, a.prevAction, reward, state, a.cfg.Alpha, a.cfg.Gamma)
+		td := t.table.Update(a.prevState, a.prevAction, reward, state, refAlpha, a.cfg.Gamma)
 		bestAfter, _ := t.table.Best(a.prevState)
 		if !t.trained {
 			a.trackConvergence(t, td, bestBefore != bestAfter)
@@ -156,10 +172,7 @@ func (a *refAgent) trackConvergence(t *refTable, td float64, flipped bool) {
 		t.flipEWMA, t.flipSeeded = 1, true
 	}
 	t.flipEWMA += flipAlpha * (f - t.flipEWMA)
-	if a.cfg.ConvergeFlipTol <= 0 || a.cfg.ConvergeMinSteps <= 0 {
-		return
-	}
-	if t.table.Steps >= int64(a.cfg.ConvergeMinSteps) && t.flipEWMA < a.cfg.ConvergeFlipTol && !t.trained {
+	if t.table.Steps >= refConvergeMinSteps && t.flipEWMA < refConvergeFlipTol && !t.trained {
 		t.trained = true
 		if t.table.ConvergedAtUS == 0 {
 			t.table.ConvergedAtUS = t.table.TrainedUS

@@ -61,7 +61,7 @@ func init() {
 		Name:        "thermalcap",
 		Description: "kernel-thermal-zone-style capping on the big sensor's trip point",
 		Configure: func(cfg *sim.Config, _ platform.Platform, _ *core.Agent) {
-			cfg.Controller = governor.NewThermalCap(governor.DefaultThermalCapConfig())
+			cfg.Controller = governor.NewThermalCap()
 		},
 	})
 	registerScheme(SchemeSpec{

@@ -92,8 +92,8 @@ func TestStoreUploadMergePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotJSON, _ := core.MarshalTable(k.App, got, true)
-	wantJSON, _ := core.MarshalTable(k.App, want.Primary(), true)
+	gotJSON, _ := core.MarshalTableSet(k.App, learner.SingleTableSet(got), true)
+	wantJSON, _ := core.MarshalTableSet(k.App, learner.SingleTableSet(want.Primary()), true)
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Fatal("store merge differs from serial cloud.MergeTableSets")
 	}
@@ -133,7 +133,7 @@ func TestStoreCloneSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	first, _, _ := policy(s, k)
-	before, err := core.MarshalTable(k.App, first, true)
+	before, err := core.MarshalTableSet(k.App, learner.SingleTableSet(first), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestStoreCloneSemantics(t *testing.T) {
 	if _, err := merge(s, k); err != nil {
 		t.Fatal(err)
 	}
-	after, err := core.MarshalTable(k.App, first, true)
+	after, err := core.MarshalTableSet(k.App, learner.SingleTableSet(first), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestStoreClampsHostileUploads(t *testing.T) {
 // re-snapshot-escaping) ghost policy.
 func TestStoreRestoreRejectsUnsafeNames(t *testing.T) {
 	dir := t.TempDir()
-	data, err := core.MarshalTable("../escape", devTable(1), true)
+	data, err := core.MarshalTableSet("../escape", learner.SingleTableSet(devTable(1)), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,8 +366,8 @@ func TestStoreSnapshotRestore(t *testing.T) {
 		if !ok || round != 1 {
 			t.Fatalf("%s not restored", k)
 		}
-		coldJSON, _ := core.MarshalTable(k.App, cold, true)
-		hotJSON, _ := core.MarshalTable(k.App, hot, true)
+		coldJSON, _ := core.MarshalTableSet(k.App, learner.SingleTableSet(cold), true)
+		hotJSON, _ := core.MarshalTableSet(k.App, learner.SingleTableSet(hot), true)
 		if !bytes.Equal(coldJSON, hotJSON) {
 			t.Fatalf("%s: restored table differs from snapshotted", k)
 		}

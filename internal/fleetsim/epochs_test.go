@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nextdvfs/internal/core"
+	"nextdvfs/internal/learner"
 )
 
 // runEpochs runs a phased fleet against a fresh server and returns the
@@ -25,7 +26,7 @@ func runEpochs(t *testing.T, opts Options) (Report, []byte) {
 		}
 		t.Fatalf("%d devices failed", report.Errors)
 	}
-	data, err := core.MarshalTable(report.Options.App, report.Merged, true)
+	data, err := core.MarshalTableSet(report.Options.App, learner.SingleTableSet(report.Merged), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestFleet64DevicesConvergeToSerialMerge(t *testing.T) {
 	fleet := &cloud.Fleet{Trainer: cloud.DefaultTrainerConfig()}
 	for _, d := range report.Devices {
 		a := core.NewAgent(core.DefaultAgentConfig())
-		a.InstallTable(opts.App, d.Uploaded.Clone(), false)
+		a.InstallTableSet(opts.App, learner.SingleTableSet(d.Uploaded.Clone()), false)
 		fleet.Devices = append(fleet.Devices, a)
 	}
 	serial, _, err := fleet.MergeApp(opts.App)
@@ -79,11 +79,11 @@ func TestFleet64DevicesConvergeToSerialMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gotJSON, err := core.MarshalTable(opts.App, report.Merged, true)
+	gotJSON, err := core.MarshalTableSet(opts.App, learner.SingleTableSet(report.Merged), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJSON, err := core.MarshalTable(opts.App, serial, true)
+	wantJSON, err := core.MarshalTableSet(opts.App, learner.SingleTableSet(serial), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestFleet64DevicesConvergeToSerialMerge(t *testing.T) {
 
 	// Distinct seeds must produce genuinely different device tables —
 	// otherwise the merge proves nothing.
-	a, _ := core.MarshalTable(opts.App, report.Devices[0].Uploaded, false)
-	b, _ := core.MarshalTable(opts.App, report.Devices[1].Uploaded, false)
+	a, _ := core.MarshalTableSet(opts.App, learner.SingleTableSet(report.Devices[0].Uploaded), false)
+	b, _ := core.MarshalTableSet(opts.App, learner.SingleTableSet(report.Devices[1].Uploaded), false)
 	if bytes.Equal(a, b) {
 		t.Fatal("devices 0 and 1 trained identical tables; seeds not independent")
 	}
@@ -118,7 +118,7 @@ func TestFleetRunDeterministic(t *testing.T) {
 		if report.Errors != 0 {
 			t.Fatalf("run %d: %d device errors", i, report.Errors)
 		}
-		data, err := core.MarshalTable(report.Options.App, report.Merged, true)
+		data, err := core.MarshalTableSet(report.Options.App, learner.SingleTableSet(report.Merged), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestFleetLockstepDeterministic(t *testing.T) {
 			}
 			t.Fatalf("run %d: %d device errors", i, report.Errors)
 		}
-		data, err := core.MarshalTable(report.Options.App, report.Merged, true)
+		data, err := core.MarshalTableSet(report.Options.App, learner.SingleTableSet(report.Merged), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,8 +164,8 @@ func TestFleetLockstepDeterministic(t *testing.T) {
 	if !bytes.Equal(tables[0], tables[1]) {
 		t.Fatal("same seeds, different lockstep merged tables")
 	}
-	a, _ := core.MarshalTable(first.Options.App, first.Devices[0].Uploaded, false)
-	b, _ := core.MarshalTable(first.Options.App, first.Devices[1].Uploaded, false)
+	a, _ := core.MarshalTableSet(first.Options.App, learner.SingleTableSet(first.Devices[0].Uploaded), false)
+	b, _ := core.MarshalTableSet(first.Options.App, learner.SingleTableSet(first.Devices[1].Uploaded), false)
 	if bytes.Equal(a, b) {
 		t.Fatal("lockstep lanes 0 and 1 trained identical tables; engine seeds not independent")
 	}
@@ -304,11 +304,11 @@ func TestFleetScenarioHeterogeneousMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotJSON, err := core.MarshalTable(am.App, am.Merged, true)
+		gotJSON, err := core.MarshalTableSet(am.App, learner.SingleTableSet(am.Merged), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantJSON, err := core.MarshalTable(am.App, serial.Primary(), true)
+		wantJSON, err := core.MarshalTableSet(am.App, learner.SingleTableSet(serial.Primary()), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +357,7 @@ func TestFleetScenarioRunDeterministic(t *testing.T) {
 		}
 		var blob bytes.Buffer
 		for _, am := range report.PerApp {
-			data, err := core.MarshalTable(am.App, am.Merged, true)
+			data, err := core.MarshalTableSet(am.App, learner.SingleTableSet(am.Merged), true)
 			if err != nil {
 				t.Fatal(err)
 			}

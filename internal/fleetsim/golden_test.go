@@ -8,6 +8,7 @@ import (
 
 	"nextdvfs/internal/core"
 	"nextdvfs/internal/golden"
+	"nextdvfs/internal/learner"
 )
 
 // fleetFingerprint renders the deterministic part of a report: the
@@ -23,7 +24,7 @@ func fleetFingerprint(t *testing.T, rep Report, phased bool) string {
 			sb.WriteString(" <nil>\n")
 			return
 		}
-		data, err := core.MarshalTable(app, q, true)
+		data, err := core.MarshalTableSet(app, learner.SingleTableSet(q), true)
 		if err != nil {
 			t.Fatal(err)
 		}

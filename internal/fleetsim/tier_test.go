@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nextdvfs/internal/core"
+	"nextdvfs/internal/learner"
 )
 
 // The two-tier acceptance pin: a fleet routed through an edge
@@ -60,11 +61,11 @@ func TestTwoTierFleetMatchesFlatRun(t *testing.T) {
 		t.Fatalf("root joined %d devices, want %d", report.Merge.Devices, opts.Devices)
 	}
 
-	got, err := core.MarshalTable(opts.App, report.Merged, true)
+	got, err := core.MarshalTableSet(opts.App, learner.SingleTableSet(report.Merged), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.MarshalTable(opts.App, flat.Merged, true)
+	want, err := core.MarshalTableSet(opts.App, learner.SingleTableSet(flat.Merged), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +112,11 @@ func TestTwoTierScenarioFleetMatchesFlatPerApp(t *testing.T) {
 		if am.App != want.App {
 			t.Fatalf("app order diverged: tiered %s, flat %s", am.App, want.App)
 		}
-		gotJSON, err := core.MarshalTable(am.App, am.Merged, true)
+		gotJSON, err := core.MarshalTableSet(am.App, learner.SingleTableSet(am.Merged), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantJSON, err := core.MarshalTable(want.App, want.Merged, true)
+		wantJSON, err := core.MarshalTableSet(want.App, learner.SingleTableSet(want.Merged), true)
 		if err != nil {
 			t.Fatal(err)
 		}

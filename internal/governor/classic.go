@@ -1,14 +1,18 @@
 package governor
 
+// classicIntervalUS is the decision period of the performance and
+// powersave governors.
+const classicIntervalUS = 10_000
+
 // Performance always runs every cluster at its cap — the kernel
 // "performance" governor.
-type Performance struct{ Interval int64 }
+type Performance struct{}
 
 // Name implements Governor.
 func (Performance) Name() string { return "performance" }
 
 // IntervalUS implements Governor.
-func (g Performance) IntervalUS() int64 { return nonzero(g.Interval) }
+func (Performance) IntervalUS() int64 { return classicIntervalUS }
 
 // Decide implements Governor.
 func (Performance) Decide(_ int64, obs []Observation) {
@@ -21,13 +25,13 @@ func (Performance) Decide(_ int64, obs []Observation) {
 func (Performance) Reset() {}
 
 // Powersave always runs every cluster at its floor.
-type Powersave struct{ Interval int64 }
+type Powersave struct{}
 
 // Name implements Governor.
 func (Powersave) Name() string { return "powersave" }
 
 // IntervalUS implements Governor.
-func (g Powersave) IntervalUS() int64 { return nonzero(g.Interval) }
+func (Powersave) IntervalUS() int64 { return classicIntervalUS }
 
 // Decide implements Governor.
 func (Powersave) Decide(_ int64, obs []Observation) {
@@ -38,111 +42,3 @@ func (Powersave) Decide(_ int64, obs []Observation) {
 
 // Reset implements Governor.
 func (Powersave) Reset() {}
-
-// Ondemand is the classic threshold governor: jump to max above the up
-// threshold, otherwise scale proportionally to utilization.
-type Ondemand struct {
-	Interval    int64
-	UpThreshold float64 // default 0.80
-}
-
-// Name implements Governor.
-func (Ondemand) Name() string { return "ondemand" }
-
-// IntervalUS implements Governor.
-func (g Ondemand) IntervalUS() int64 { return nonzero(g.Interval) }
-
-// Decide implements Governor.
-func (g Ondemand) Decide(_ int64, obs []Observation) {
-	up := g.UpThreshold
-	if up <= 0 {
-		up = 0.80
-	}
-	for _, o := range obs {
-		c := o.Cluster
-		if o.Util >= up {
-			c.SetCur(c.Cap())
-			continue
-		}
-		// Proportional: enough capacity that util lands near the
-		// threshold at the new frequency.
-		targetKHz := int(float64(c.CurOPP().FreqKHz) * o.Util / up)
-		c.SetCur(c.IndexForFreqKHz(targetKHz))
-	}
-}
-
-// Reset implements Governor.
-func (Ondemand) Reset() {}
-
-// Conservative steps one OPP at a time toward the demand, like the
-// kernel governor of the same name.
-type Conservative struct {
-	Interval      int64
-	UpThreshold   float64 // default 0.75
-	DownThreshold float64 // default 0.35
-}
-
-// Name implements Governor.
-func (Conservative) Name() string { return "conservative" }
-
-// IntervalUS implements Governor.
-func (g Conservative) IntervalUS() int64 { return nonzero(g.Interval) }
-
-// Decide implements Governor.
-func (g Conservative) Decide(_ int64, obs []Observation) {
-	up, down := g.UpThreshold, g.DownThreshold
-	if up <= 0 {
-		up = 0.75
-	}
-	if down <= 0 {
-		down = 0.35
-	}
-	for _, o := range obs {
-		c := o.Cluster
-		switch {
-		case o.Util >= up:
-			c.SetCur(c.Cur() + 1)
-		case o.Util <= down:
-			c.SetCur(c.Cur() - 1)
-		}
-	}
-}
-
-// Reset implements Governor.
-func (Conservative) Reset() {}
-
-// Userspace pins every cluster at a fixed OPP index (like echoing a
-// frequency into scaling_setspeed). Useful for sweeps such as the
-// Fig. 4 PPDW trend.
-type Userspace struct {
-	Interval int64
-	// Indices maps cluster name → OPP index; missing clusters hold cap.
-	Indices map[string]int
-}
-
-// Name implements Governor.
-func (Userspace) Name() string { return "userspace" }
-
-// IntervalUS implements Governor.
-func (g Userspace) IntervalUS() int64 { return nonzero(g.Interval) }
-
-// Decide implements Governor.
-func (g Userspace) Decide(_ int64, obs []Observation) {
-	for _, o := range obs {
-		if idx, ok := g.Indices[o.Cluster.Name]; ok {
-			o.Cluster.SetCur(idx)
-		} else {
-			o.Cluster.SetCur(o.Cluster.Cap())
-		}
-	}
-}
-
-// Reset implements Governor.
-func (Userspace) Reset() {}
-
-func nonzero(v int64) int64 {
-	if v <= 0 {
-		return 10_000
-	}
-	return v
-}

@@ -19,7 +19,7 @@ func TestPerformanceGovernor(t *testing.T) {
 		}
 	}
 	// Honors a lowered cap.
-	big := chip.MustCluster(soc.ClusterBig)
+	big := chip.Cluster(soc.ClusterBig)
 	big.SetCap(1)
 	g.Decide(0, obsFor(chip, nil))
 	if big.Cur() != 1 {
@@ -38,72 +38,9 @@ func TestPowersaveGovernor(t *testing.T) {
 	}
 }
 
-func TestOndemandJumpsToMaxAboveThreshold(t *testing.T) {
-	chip := soc.GenericPhone()
-	g := Ondemand{}
-	big := chip.MustCluster(soc.ClusterBig)
-	big.SetCur(1)
-	obs := []Observation{{Cluster: big, Util: 0.9, NormUtil: 0.4}}
-	g.Decide(0, obs)
-	if big.Cur() != big.Cap() {
-		t.Fatal("ondemand should jump to max above up threshold")
-	}
-}
-
-func TestOndemandScalesDownProportionally(t *testing.T) {
-	chip := soc.GenericPhone()
-	g := Ondemand{}
-	big := chip.MustCluster(soc.ClusterBig)
-	big.SetCur(big.NumOPPs() - 1) // 2200 MHz
-	obs := []Observation{{Cluster: big, Util: 0.2, NormUtil: 0.2}}
-	g.Decide(0, obs)
-	// target = 2200 * 0.2/0.8 = 550 MHz → first OPP >= 550 is 600.
-	if got := big.CurOPP().FreqMHz(); got != 600 {
-		t.Fatalf("ondemand scaled to %g MHz, want 600", got)
-	}
-}
-
-func TestConservativeStepsOneAtATime(t *testing.T) {
-	chip := soc.GenericPhone()
-	g := Conservative{}
-	big := chip.MustCluster(soc.ClusterBig)
-	big.SetCur(2)
-	g.Decide(0, []Observation{{Cluster: big, Util: 0.9}})
-	if big.Cur() != 3 {
-		t.Fatalf("conservative up-step to %d, want 3", big.Cur())
-	}
-	g.Decide(0, []Observation{{Cluster: big, Util: 0.1}})
-	g.Decide(0, []Observation{{Cluster: big, Util: 0.1}})
-	if big.Cur() != 1 {
-		t.Fatalf("conservative down-steps to %d, want 1", big.Cur())
-	}
-	// Mid-band: hold.
-	g.Decide(0, []Observation{{Cluster: big, Util: 0.5}})
-	if big.Cur() != 1 {
-		t.Fatal("conservative should hold in the middle band")
-	}
-}
-
-func TestUserspacePinsIndices(t *testing.T) {
-	chip := soc.GenericPhone()
-	g := Userspace{Indices: map[string]int{soc.ClusterBig: 2, soc.ClusterGPU: 0}}
-	g.Decide(0, obsFor(chip, nil))
-	if chip.MustCluster(soc.ClusterBig).Cur() != 2 {
-		t.Error("big not pinned")
-	}
-	if chip.MustCluster(soc.ClusterGPU).Cur() != 0 {
-		t.Error("gpu not pinned")
-	}
-	// Unlisted cluster runs at cap.
-	if lit := chip.MustCluster(soc.ClusterLITTLE); lit.Cur() != lit.Cap() {
-		t.Error("unlisted cluster should sit at cap")
-	}
-}
-
 func TestGovernorNamesAndIntervals(t *testing.T) {
 	for _, g := range []Governor{
-		NewSchedutil(DefaultSchedutilConfig()),
-		Performance{}, Powersave{}, Ondemand{}, Conservative{}, Userspace{},
+		&Schedutil{}, Performance{}, Powersave{},
 	} {
 		if g.Name() == "" {
 			t.Error("governor missing name")

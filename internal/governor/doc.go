@@ -10,7 +10,9 @@
 // input. The boost plus utilization-chasing is exactly the behaviour
 // the paper's Fig. 1 shows wasting power at near-zero FPS.
 //
-// The classic cpufreq governors (performance, powersave, ondemand,
-// conservative, userspace) are included both as additional baselines
-// and to validate the engine against known-simple policies.
+// The performance and powersave cpufreq governors are included as
+// additional baselines and to validate the engine against known-simple
+// policies. ThermalCap, a kernel-thermal-zone-style controller, is the
+// system's one thermal safety path: the Next agent has no trip point of
+// its own.
 package governor

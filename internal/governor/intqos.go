@@ -11,33 +11,24 @@ import (
 // the baseline is as well-informed as it was on the authors' testbed.
 type PowerEstimator func(cluster string, idx int, util float64) float64
 
-// IntQoSPMConfig tunes the baseline.
-type IntQoSPMConfig struct {
-	// EpochUS is the averaging window (the paper critiques exactly this
-	// averaging: "the FPS range ... is averaged over a time period").
-	EpochUS int64
-	// SampleUS is the FPS/util sampling period inside an epoch.
-	SampleUS int64
-	// TargetCapFPS caps the inferred target (display refresh rate).
-	TargetCapFPS float64
-	// QoSPenaltyWPerFPS converts predicted FPS shortfall into cost-model
-	// watts so the pair search trades power against QoS.
-	QoSPenaltyWPerFPS float64
-	// Headroom keeps utilization off the ceiling (0.9 → plan for 90 %).
-	Headroom float64
-}
-
-// DefaultIntQoSPMConfig returns the configuration used for the paper's
-// comparison.
-func DefaultIntQoSPMConfig() IntQoSPMConfig {
-	return IntQoSPMConfig{
-		EpochUS:           500_000,
-		SampleUS:          50_000,
-		TargetCapFPS:      60,
-		QoSPenaltyWPerFPS: 0.5,
-		Headroom:          0.9,
-	}
-}
+// The baseline's tuning, as used for the paper's comparison.
+const (
+	// intqosEpochUS is the averaging window (the paper critiques exactly
+	// this averaging: "the FPS range ... is averaged over a time
+	// period").
+	intqosEpochUS = 500_000
+	// intqosSampleUS is the FPS/util sampling period inside an epoch.
+	intqosSampleUS = 50_000
+	// intqosTargetCapFPS caps the inferred target at 60 FPS on every
+	// panel, whatever its refresh rate.
+	intqosTargetCapFPS = 60
+	// intqosQoSPenaltyWPerFPS converts predicted FPS shortfall into
+	// cost-model watts so the pair search trades power against QoS.
+	intqosQoSPenaltyWPerFPS = 0.5
+	// intqosHeadroom keeps utilization off the ceiling (0.9 → plan for
+	// 90 %).
+	intqosHeadroom = 0.9
+)
 
 // IntQoSPM reimplements the integrated CPU-GPU power manager for 3D
 // mobile games of Pathania et al. (DAC'14) from its published
@@ -48,7 +39,6 @@ func DefaultIntQoSPMConfig() IntQoSPMConfig {
 // control to the stock governor (the paper could evaluate it only on
 // Lineage and PubG for the same reason).
 type IntQoSPM struct {
-	cfg      IntQoSPMConfig
 	estimate PowerEstimator
 
 	isGame bool
@@ -69,33 +59,21 @@ type IntQoSPM struct {
 }
 
 // NewIntQoSPM builds the baseline with a power estimator.
-func NewIntQoSPM(cfg IntQoSPMConfig, est PowerEstimator) *IntQoSPM {
-	if cfg.EpochUS <= 0 {
-		cfg.EpochUS = 500_000
-	}
-	if cfg.SampleUS <= 0 {
-		cfg.SampleUS = 50_000
-	}
-	if cfg.TargetCapFPS <= 0 {
-		cfg.TargetCapFPS = 60
-	}
-	if cfg.Headroom <= 0 || cfg.Headroom > 1 {
-		cfg.Headroom = 0.9
-	}
+func NewIntQoSPM(est PowerEstimator) *IntQoSPM {
 	if est == nil {
 		panic("governor: IntQoSPM needs a power estimator")
 	}
-	return &IntQoSPM{cfg: cfg, estimate: est}
+	return &IntQoSPM{estimate: est}
 }
 
 // Name implements ctrl.Controller.
 func (g *IntQoSPM) Name() string { return "intqospm" }
 
 // ObserveIntervalUS implements ctrl.Controller.
-func (g *IntQoSPM) ObserveIntervalUS() int64 { return g.cfg.SampleUS }
+func (g *IntQoSPM) ObserveIntervalUS() int64 { return intqosSampleUS }
 
 // ControlIntervalUS implements ctrl.Controller.
-func (g *IntQoSPM) ControlIntervalUS() int64 { return g.cfg.EpochUS }
+func (g *IntQoSPM) ControlIntervalUS() int64 { return intqosEpochUS }
 
 // AppChanged implements ctrl.Controller.
 func (g *IntQoSPM) AppChanged(_ string, isGame bool) {
@@ -161,8 +139,8 @@ func (g *IntQoSPM) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 		g.stickyTarget = fps
 	}
 	target := g.stickyTarget
-	if target > g.cfg.TargetCapFPS {
-		target = g.cfg.TargetCapFPS
+	if target > intqosTargetCapFPS {
+		target = intqosTargetCapFPS
 	}
 
 	var bigView, gpuView, litView *ctrl.ClusterView
@@ -186,8 +164,8 @@ func (g *IntQoSPM) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 	if effFPS < 1 {
 		effFPS = 1
 	}
-	needBig := bigNorm * target / effFPS / g.cfg.Headroom
-	needGPU := gpuNorm * target / effFPS / g.cfg.Headroom
+	needBig := bigNorm * target / effFPS / intqosHeadroom
+	needGPU := gpuNorm * target / effFPS / intqosHeadroom
 
 	bestBig, bestGPU := g.searchPair(bigView, gpuView, needBig, needGPU, target)
 	act.Pin(bigView.Name, bestBig)
@@ -196,7 +174,7 @@ func (g *IntQoSPM) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 	// LITTLE is not part of the published CPU-GPU pair search; pin it
 	// proportionally to its own load with the same headroom.
 	if litView != nil {
-		idx := minIndexForCapacity(litView, litNorm/g.cfg.Headroom)
+		idx := minIndexForCapacity(litView, litNorm/intqosHeadroom)
 		act.Pin(litView.Name, idx)
 	}
 }
@@ -208,11 +186,11 @@ func (g *IntQoSPM) searchPair(big, gpu *ctrl.ClusterView, needBig, needGPU, targ
 	bestB, bestG := big.NumOPPs-1, gpu.NumOPPs-1
 	for ib := 0; ib < big.NumOPPs; ib++ {
 		capB := capacityFrac(big, ib)
-		utilB := clamp01(safeDiv(needBig*g.cfg.Headroom, capB))
+		utilB := clamp01(safeDiv(needBig*intqosHeadroom, capB))
 		pb := g.estimate(big.Name, ib, utilB)
 		for ig := 0; ig < gpu.NumOPPs; ig++ {
 			capG := capacityFrac(gpu, ig)
-			utilG := clamp01(safeDiv(needGPU*g.cfg.Headroom, capG))
+			utilG := clamp01(safeDiv(needGPU*intqosHeadroom, capG))
 			pg := g.estimate(gpu.Name, ig, utilG)
 
 			pred := target
@@ -230,7 +208,7 @@ func (g *IntQoSPM) searchPair(big, gpu *ctrl.ClusterView, needBig, needGPU, targ
 			if shortfall < 0 {
 				shortfall = 0
 			}
-			cost := pb + pg + g.cfg.QoSPenaltyWPerFPS*shortfall
+			cost := pb + pg + intqosQoSPenaltyWPerFPS*shortfall
 			if bestCost < 0 || cost < bestCost {
 				bestCost = cost
 				bestB, bestG = ib, ig

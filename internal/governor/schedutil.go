@@ -2,43 +2,30 @@ package governor
 
 import "nextdvfs/internal/soc"
 
-// SchedutilConfig tunes the schedutil model.
-type SchedutilConfig struct {
-	// Headroom is the util multiplier (kernel uses 1.25: "go 25 % above
-	// the measured utilization so there is room to grow").
-	Headroom float64
-	// IntervalUS is the decision period (10 ms models the kernel's
+// The schedutil model's tuning: the stock-Android-like configuration of
+// the paper's baseline.
+const (
+	// schedHeadroom is the util multiplier (the kernel uses 1.25: "go
+	// 25 % above the measured utilization so there is room to grow").
+	schedHeadroom = 1.25
+	// schedIntervalUS is the decision period (10 ms models the kernel's
 	// rate-limited update path).
-	IntervalUS int64
-	// DownRateLimitUS delays frequency drops: a cluster only scales
+	schedIntervalUS = 10_000
+	// schedDownRateLimitUS delays frequency drops: a cluster only scales
 	// down after this long below the current choice, mimicking the
 	// kernel's down_rate_limit and contributing to post-burst waste.
-	DownRateLimitUS int64
-	// BoostDurationUS is how long a touch boost holds the floors up.
-	// Zero disables input boost.
-	BoostDurationUS int64
-	// BoostFloorFrac is the fraction of the OPP table (0..1) the CPU
-	// floors jump to during a boost (Android vendors commonly floor the
-	// big cluster around 60-70 % of the table on touch).
-	BoostFloorFrac float64
-}
+	schedDownRateLimitUS = 120_000
+	// schedBoostUS is how long a touch boost holds the floors up.
+	schedBoostUS = 250_000
+	// schedBoostFloorFrac is the fraction of the OPP table (0..1) the
+	// CPU floors jump to during a boost (Android vendors commonly floor
+	// the big cluster around 60-70 % of the table on touch).
+	schedBoostFloorFrac = 0.70
+)
 
-// DefaultSchedutilConfig returns the stock-Android-like configuration
-// used for the paper's schedutil baseline.
-func DefaultSchedutilConfig() SchedutilConfig {
-	return SchedutilConfig{
-		Headroom:        1.25,
-		IntervalUS:      10_000,
-		DownRateLimitUS: 120_000,
-		BoostDurationUS: 250_000,
-		BoostFloorFrac:  0.70,
-	}
-}
-
-// Schedutil is the utilization-driven default governor.
+// Schedutil is the utilization-driven default governor. The zero value
+// is ready to use.
 type Schedutil struct {
-	cfg SchedutilConfig
-
 	boostUntilUS int64
 	// Per-cluster state lives in tiny linear-scanned slices rather than
 	// maps: a chip has a handful of clusters, so the scan beats hashing
@@ -56,17 +43,6 @@ type downEntry struct {
 type floorEntry struct {
 	name  string
 	floor int
-}
-
-// NewSchedutil returns a schedutil governor with the given config.
-func NewSchedutil(cfg SchedutilConfig) *Schedutil {
-	if cfg.Headroom <= 0 {
-		cfg.Headroom = 1.25
-	}
-	if cfg.IntervalUS <= 0 {
-		cfg.IntervalUS = 10_000
-	}
-	return &Schedutil{cfg: cfg}
 }
 
 func (s *Schedutil) downIdx(name string) int {
@@ -91,20 +67,17 @@ func (s *Schedutil) floorIdx(name string) int {
 func (s *Schedutil) Name() string { return "schedutil" }
 
 // IntervalUS implements Governor.
-func (s *Schedutil) IntervalUS() int64 { return s.cfg.IntervalUS }
+func (s *Schedutil) IntervalUS() int64 { return schedIntervalUS }
 
 // OnInput implements InputBooster: raise CPU floors for the boost
 // window. GPU is not boosted (Android input boost is a CPU mechanism).
 func (s *Schedutil) OnInput(nowUS int64) {
-	if s.cfg.BoostDurationUS <= 0 {
-		return
-	}
-	s.boostUntilUS = nowUS + s.cfg.BoostDurationUS
+	s.boostUntilUS = nowUS + schedBoostUS
 }
 
 // Decide implements Governor.
 func (s *Schedutil) Decide(nowUS int64, obs []Observation) {
-	boosting := s.cfg.BoostDurationUS > 0 && nowUS < s.boostUntilUS
+	boosting := nowUS < s.boostUntilUS
 	for _, o := range obs {
 		c := o.Cluster
 
@@ -115,7 +88,7 @@ func (s *Schedutil) Decide(nowUS int64, obs []Observation) {
 				if s.floorIdx(c.Name) < 0 {
 					s.savedFloors = append(s.savedFloors, floorEntry{c.Name, c.Floor()})
 				}
-				boostIdx := int(float64(c.NumOPPs()-1) * s.cfg.BoostFloorFrac)
+				boostIdx := int(float64(c.NumOPPs()-1) * schedBoostFloorFrac)
 				c.SetFloor(boostIdx)
 			} else if fi := s.floorIdx(c.Name); fi >= 0 {
 				c.SetFloor(s.savedFloors[fi].floor)
@@ -126,25 +99,18 @@ func (s *Schedutil) Decide(nowUS int64, obs []Observation) {
 		}
 
 		// Kernel formula: next_freq = headroom * f_max * util_norm.
-		targetKHz := int(s.cfg.Headroom * float64(c.MaxOPP().FreqKHz) * o.NormUtil)
+		targetKHz := int(schedHeadroom * float64(c.MaxOPP().FreqKHz) * o.NormUtil)
 		idx := c.IndexForFreqKHz(targetKHz)
 
 		if idx < c.Cur() {
 			// Down-switches are rate limited.
-			if s.cfg.DownRateLimitUS > 0 {
-				di := s.downIdx(c.Name)
-				if di < 0 {
-					s.lastDownOK = append(s.lastDownOK, downEntry{c.Name, nowUS})
-					continue
-				} else if nowUS-s.lastDownOK[di].sinceUS < s.cfg.DownRateLimitUS {
-					continue
-				}
+			di := s.downIdx(c.Name)
+			if di < 0 {
+				s.lastDownOK = append(s.lastDownOK, downEntry{c.Name, nowUS})
+			} else if nowUS-s.lastDownOK[di].sinceUS >= schedDownRateLimitUS {
 				c.SetCur(idx)
 				s.lastDownOK[di].sinceUS = nowUS
-				continue
 			}
-			c.SetCur(idx)
-			s.setDown(c.Name, nowUS)
 		} else if idx > c.Cur() {
 			c.SetCur(idx)
 			s.dropDown(c.Name)
@@ -152,14 +118,6 @@ func (s *Schedutil) Decide(nowUS int64, obs []Observation) {
 			s.dropDown(c.Name)
 		}
 	}
-}
-
-func (s *Schedutil) setDown(name string, nowUS int64) {
-	if di := s.downIdx(name); di >= 0 {
-		s.lastDownOK[di].sinceUS = nowUS
-		return
-	}
-	s.lastDownOK = append(s.lastDownOK, downEntry{name, nowUS})
 }
 
 func (s *Schedutil) dropDown(name string) {

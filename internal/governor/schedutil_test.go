@@ -24,25 +24,23 @@ func obsFor(chip *soc.Chip, norm map[string]float64) []Observation {
 
 func TestSchedutilFormulaPicksHeadroomFrequency(t *testing.T) {
 	chip := soc.Exynos9810()
-	cfg := DefaultSchedutilConfig()
-	cfg.BoostDurationUS = 0
-	cfg.DownRateLimitUS = 0
-	g := NewSchedutil(cfg)
-	big := chip.MustCluster(soc.ClusterBig)
+	g := &Schedutil{}
+	big := chip.Cluster(soc.ClusterBig)
 
 	// normUtil 0.5 → target = 1.25*0.5*2704 = 1690 MHz exactly on an OPP.
-	g.Decide(0, obsFor(chip, map[string]float64{soc.ClusterBig: 0.5}))
-	if got := big.CurOPP().FreqMHz(); got != 1690 {
-		t.Fatalf("big freq = %g MHz, want 1690", got)
+	// The drop from the boot OPP lands once the down-rate limit expires.
+	obs := obsFor(chip, map[string]float64{soc.ClusterBig: 0.5})
+	g.Decide(0, obs)
+	g.Decide(schedDownRateLimitUS, obs)
+	if got := big.CurOPP().FreqKHz; got != 1_690_000 {
+		t.Fatalf("big freq = %d kHz, want 1690000", got)
 	}
 }
 
 func TestSchedutilZeroUtilGoesToFloorEventually(t *testing.T) {
 	chip := soc.Exynos9810()
-	cfg := DefaultSchedutilConfig()
-	cfg.BoostDurationUS = 0
-	g := NewSchedutil(cfg)
-	big := chip.MustCluster(soc.ClusterBig)
+	g := &Schedutil{}
+	big := chip.Cluster(soc.ClusterBig)
 	// Start hot.
 	g.Decide(0, obsFor(chip, map[string]float64{soc.ClusterBig: 1.0}))
 	if big.Cur() != big.NumOPPs()-1 {
@@ -60,21 +58,20 @@ func TestSchedutilZeroUtilGoesToFloorEventually(t *testing.T) {
 
 func TestSchedutilDownRateLimitDelaysDrop(t *testing.T) {
 	chip := soc.Exynos9810()
-	cfg := DefaultSchedutilConfig()
-	cfg.BoostDurationUS = 0
-	cfg.DownRateLimitUS = 40_000
-	g := NewSchedutil(cfg)
-	big := chip.MustCluster(soc.ClusterBig)
+	g := &Schedutil{}
+	big := chip.Cluster(soc.ClusterBig)
 
 	g.Decide(0, obsFor(chip, map[string]float64{soc.ClusterBig: 1.0}))
 	top := big.Cur()
-	// 10 ms later the load vanishes: must still hold (rate limit).
+	// 10 ms later the load vanishes: must still hold (rate limit), up
+	// to the last decision before the limit expires.
 	g.Decide(10_000, obsFor(chip, map[string]float64{soc.ClusterBig: 0.0}))
+	g.Decide(10_000+schedDownRateLimitUS-1, obsFor(chip, map[string]float64{soc.ClusterBig: 0.0}))
 	if big.Cur() != top {
 		t.Fatal("down-switch should be rate limited")
 	}
-	// After the limit expires it may drop.
-	g.Decide(60_000, obsFor(chip, map[string]float64{soc.ClusterBig: 0.0}))
+	// Once the limit expires it may drop.
+	g.Decide(10_000+schedDownRateLimitUS, obsFor(chip, map[string]float64{soc.ClusterBig: 0.0}))
 	if big.Cur() == top {
 		t.Fatal("down-switch should have happened after the rate limit")
 	}
@@ -82,10 +79,8 @@ func TestSchedutilDownRateLimitDelaysDrop(t *testing.T) {
 
 func TestSchedutilRespectsCap(t *testing.T) {
 	chip := soc.Exynos9810()
-	cfg := DefaultSchedutilConfig()
-	cfg.BoostDurationUS = 0
-	g := NewSchedutil(cfg)
-	big := chip.MustCluster(soc.ClusterBig)
+	g := &Schedutil{}
+	big := chip.Cluster(soc.ClusterBig)
 	big.SetCap(5) // the Next agent capped the cluster
 	g.Decide(0, obsFor(chip, map[string]float64{soc.ClusterBig: 1.0}))
 	if big.Cur() > 5 {
@@ -95,12 +90,12 @@ func TestSchedutilRespectsCap(t *testing.T) {
 
 func TestInputBoostRaisesCPUFloorsOnly(t *testing.T) {
 	chip := soc.Exynos9810()
-	g := NewSchedutil(DefaultSchedutilConfig())
+	g := &Schedutil{}
 	g.OnInput(0)
 	g.Decide(1000, obsFor(chip, nil))
-	big := chip.MustCluster(soc.ClusterBig)
-	little := chip.MustCluster(soc.ClusterLITTLE)
-	gpu := chip.MustCluster(soc.ClusterGPU)
+	big := chip.Cluster(soc.ClusterBig)
+	little := chip.Cluster(soc.ClusterLITTLE)
+	gpu := chip.Cluster(soc.ClusterGPU)
 	if big.Floor() == 0 || little.Floor() == 0 {
 		t.Fatal("boost should raise CPU floors")
 	}
@@ -118,20 +113,20 @@ func TestInputBoostKeepsFrequencyHighAtZeroLoad(t *testing.T) {
 	// The waste the paper measures: touches keep frequency up while FPS
 	// may be near zero.
 	chip := soc.Exynos9810()
-	g := NewSchedutil(DefaultSchedutilConfig())
-	big := chip.MustCluster(soc.ClusterBig)
+	g := &Schedutil{}
+	big := chip.Cluster(soc.ClusterBig)
 	g.OnInput(0)
 	for now := int64(1000); now <= 150_000; now += 10_000 {
 		g.Decide(now, obsFor(chip, map[string]float64{soc.ClusterBig: 0.05}))
 	}
-	if big.CurOPP().FreqMHz() < 1000 {
-		t.Fatalf("boosted big freq = %g MHz, expected >= boost floor", big.CurOPP().FreqMHz())
+	if big.CurOPP().FreqKHz < 1_000_000 {
+		t.Fatalf("boosted big freq = %d kHz, expected >= boost floor", big.CurOPP().FreqKHz)
 	}
 }
 
 func TestSchedutilReset(t *testing.T) {
 	chip := soc.Exynos9810()
-	g := NewSchedutil(DefaultSchedutilConfig())
+	g := &Schedutil{}
 	g.OnInput(0)
 	g.Decide(1000, obsFor(chip, nil))
 	// Reset pairs with a chip DVFS reset (as the engine does).
@@ -140,7 +135,7 @@ func TestSchedutilReset(t *testing.T) {
 	// No boost state may survive: a decide long after must not raise
 	// floors again.
 	g.Decide(10_000_000, obsFor(chip, map[string]float64{}))
-	if chip.MustCluster(soc.ClusterBig).Floor() != 0 {
+	if chip.Cluster(soc.ClusterBig).Floor() != 0 {
 		t.Fatal("reset should clear boost state")
 	}
 }

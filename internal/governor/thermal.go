@@ -4,22 +4,15 @@ import (
 	"nextdvfs/internal/ctrl"
 )
 
-// ThermalCapConfig tunes the thermal-zone controller.
-type ThermalCapConfig struct {
-	// TripC is the big-sensor temperature above which capping begins.
-	TripC float64
-	// ReleaseC is the hysteresis release temperature (caps lift one
-	// step at a time below it).
-	ReleaseC float64
-	// IntervalUS is the control period.
-	IntervalUS int64
-}
-
-// DefaultThermalCapConfig mirrors a typical handset thermal zone:
-// trip at 75 °C on the big sensor, release below 65 °C.
-func DefaultThermalCapConfig() ThermalCapConfig {
-	return ThermalCapConfig{TripC: 75, ReleaseC: 65, IntervalUS: 500_000}
-}
+// The thermal zone mirrors a typical handset's: capping begins at
+// thermalTripC on the big sensor, caps lift one step at a time below
+// thermalReleaseC (hysteresis), and the controller acts every
+// thermalCapIntervalUS.
+const (
+	thermalTripC         = 75
+	thermalReleaseC      = 65
+	thermalCapIntervalUS = 500_000
+)
 
 // ThermalCap is a kernel-thermal-zone-style controller (an
 // IPA-simplified baseline): it runs on top of any frequency governor
@@ -28,23 +21,13 @@ func DefaultThermalCapConfig() ThermalCapConfig {
 // about the user, frames or QoS — it exists as the "thermal-only"
 // reference against which user-aware management is worth comparing.
 type ThermalCap struct {
-	cfg ThermalCapConfig
 	// capped tracks how many steps each cluster has been pulled down.
 	capped map[string]int
 }
 
 // NewThermalCap builds the controller.
-func NewThermalCap(cfg ThermalCapConfig) *ThermalCap {
-	if cfg.TripC <= 0 {
-		cfg.TripC = 75
-	}
-	if cfg.ReleaseC <= 0 || cfg.ReleaseC >= cfg.TripC {
-		cfg.ReleaseC = cfg.TripC - 10
-	}
-	if cfg.IntervalUS <= 0 {
-		cfg.IntervalUS = 500_000
-	}
-	return &ThermalCap{cfg: cfg, capped: make(map[string]int)}
+func NewThermalCap() *ThermalCap {
+	return &ThermalCap{capped: make(map[string]int)}
 }
 
 // Name implements ctrl.Controller.
@@ -54,7 +37,7 @@ func (g *ThermalCap) Name() string { return "thermalcap" }
 func (g *ThermalCap) ObserveIntervalUS() int64 { return 0 }
 
 // ControlIntervalUS implements ctrl.Controller.
-func (g *ThermalCap) ControlIntervalUS() int64 { return g.cfg.IntervalUS }
+func (g *ThermalCap) ControlIntervalUS() int64 { return thermalCapIntervalUS }
 
 // Observe implements ctrl.Controller.
 func (g *ThermalCap) Observe(ctrl.Snapshot) {}
@@ -65,7 +48,7 @@ func (g *ThermalCap) AppChanged(string, bool) {}
 // Control implements ctrl.Controller.
 func (g *ThermalCap) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 	switch {
-	case snap.TempBigC >= g.cfg.TripC:
+	case snap.TempBigC >= thermalTripC:
 		// Step the hot clusters down one OPP per period.
 		for _, c := range snap.Clusters {
 			if c.Name != "big" && !c.IsGPU {
@@ -76,7 +59,7 @@ func (g *ThermalCap) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 				g.capped[c.Name]++
 			}
 		}
-	case snap.TempBigC <= g.cfg.ReleaseC:
+	case snap.TempBigC <= thermalReleaseC:
 		// Release one step of capping per period.
 		for _, c := range snap.Clusters {
 			if g.capped[c.Name] > 0 {

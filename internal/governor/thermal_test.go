@@ -18,7 +18,7 @@ func thermalSnap(tempBig float64, bigCur, gpuCur int) ctrl.Snapshot {
 }
 
 func TestThermalCapTripsAboveThreshold(t *testing.T) {
-	g := NewThermalCap(DefaultThermalCapConfig())
+	g := NewThermalCap()
 	act := newFakeActuator()
 	g.Control(thermalSnap(80, 12, 4), act)
 	if act.caps["big"] != 11 {
@@ -33,7 +33,7 @@ func TestThermalCapTripsAboveThreshold(t *testing.T) {
 }
 
 func TestThermalCapHysteresis(t *testing.T) {
-	g := NewThermalCap(DefaultThermalCapConfig())
+	g := NewThermalCap()
 	act := newFakeActuator()
 	// Between release and trip: hold (no actuation at all).
 	g.Control(thermalSnap(70, 12, 4), act)
@@ -43,7 +43,7 @@ func TestThermalCapHysteresis(t *testing.T) {
 }
 
 func TestThermalCapReleasesBelowRelease(t *testing.T) {
-	g := NewThermalCap(DefaultThermalCapConfig())
+	g := NewThermalCap()
 	hot := newFakeActuator()
 	g.Control(thermalSnap(80, 12, 4), hot) // capped once
 	cool := newFakeActuator()
@@ -56,7 +56,7 @@ func TestThermalCapReleasesBelowRelease(t *testing.T) {
 }
 
 func TestThermalCapNeverBelowBottom(t *testing.T) {
-	g := NewThermalCap(DefaultThermalCapConfig())
+	g := NewThermalCap()
 	act := newFakeActuator()
 	g.Control(thermalSnap(90, 0, 0), act)
 	if len(act.caps) != 0 {
@@ -65,8 +65,8 @@ func TestThermalCapNeverBelowBottom(t *testing.T) {
 }
 
 func TestThermalCapDefaultsAndReset(t *testing.T) {
-	g := NewThermalCap(ThermalCapConfig{})
-	if g.Name() != "thermalcap" || g.ControlIntervalUS() <= 0 {
+	g := NewThermalCap()
+	if g.Name() != "thermalcap" || g.ControlIntervalUS() != 500_000 {
 		t.Fatal("bad defaults")
 	}
 	act := newFakeActuator()

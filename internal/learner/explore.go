@@ -214,17 +214,14 @@ func (b *Softmax) Select(t *QTable, s StateKey, rng *rand.Rand) int {
 	return pick
 }
 
-// ExplorerConfig parameterizes explorer construction with the agent's
-// ε schedule: EpsilonStart/Min/Decay drive ε-greedy (the paper's
-// schedule), and softmax cools at the ε decay rate.
-type ExplorerConfig struct {
-	EpsilonStart float64
-	EpsilonMin   float64
-	EpsilonDecay float64
-}
-
-// Softmax cooling starts at softmaxTau and stops at softmaxTauMin.
+// The paper's training-time ε schedule: ε starts at epsilonStart and
+// decays by epsilonDecay per selection down to epsilonMin. Softmax
+// cooling starts at softmaxTau, stops at softmaxTauMin and cools at the
+// same rate.
 const (
+	epsilonStart  = 0.80
+	epsilonMin    = 0.08
+	epsilonDecay  = 0.9997
 	softmaxTau    = 1.0
 	softmaxTauMin = 0.05
 )
@@ -235,8 +232,8 @@ type ExplorerInfo struct {
 	Description string
 }
 
-// explorerFactory builds a fresh explorer instance from a config.
-type explorerFactory func(cfg ExplorerConfig) Explorer
+// explorerFactory builds a fresh explorer instance.
+type explorerFactory func() Explorer
 
 var explorers = map[string]struct {
 	info    ExplorerInfo
@@ -260,24 +257,20 @@ func init() {
 	registerExplorer(ExplorerInfo{
 		Name:        "egreedy",
 		Description: "ε-greedy with multiplicative decay (the paper's schedule)",
-	}, func(cfg ExplorerConfig) Explorer {
-		return &EpsilonGreedy{
-			Epsilon:    cfg.EpsilonStart,
-			EpsilonMin: cfg.EpsilonMin,
-			Decay:      cfg.EpsilonDecay,
-		}
+	}, func() Explorer {
+		return &EpsilonGreedy{Epsilon: epsilonStart, EpsilonMin: epsilonMin, Decay: epsilonDecay}
 	})
 	registerExplorer(ExplorerInfo{
 		Name:        "ucb",
 		Description: "UCB1 upper-confidence-bound exploration (uncertainty-directed)",
-	}, func(ExplorerConfig) Explorer {
+	}, func() Explorer {
 		return &UCB1{}
 	})
 	registerExplorer(ExplorerInfo{
 		Name:        "softmax",
 		Description: "Boltzmann softmax with temperature cooling",
-	}, func(cfg ExplorerConfig) Explorer {
-		return &Softmax{Tau: softmaxTau, TauMin: softmaxTauMin, Decay: cfg.EpsilonDecay}
+	}, func() Explorer {
+		return &Softmax{Tau: softmaxTau, TauMin: softmaxTauMin, Decay: epsilonDecay}
 	})
 }
 
@@ -303,7 +296,7 @@ func KnownExplorer(name string) bool {
 
 // NewExplorer builds a fresh explorer by registry name ("" = the
 // default ε-greedy).
-func NewExplorer(name string, cfg ExplorerConfig) (Explorer, error) {
+func NewExplorer(name string) (Explorer, error) {
 	if name == "" {
 		name = DefaultExplorer
 	}
@@ -311,12 +304,12 @@ func NewExplorer(name string, cfg ExplorerConfig) (Explorer, error) {
 	if !ok {
 		return nil, fmt.Errorf("learner: unknown explorer %q (have: %s)", name, joinNames(ExplorerNames()))
 	}
-	return e.factory(cfg), nil
+	return e.factory(), nil
 }
 
 // MustExplorer is NewExplorer for wiring that is code, not input.
-func MustExplorer(name string, cfg ExplorerConfig) Explorer {
-	e, err := NewExplorer(name, cfg)
+func MustExplorer(name string) Explorer {
+	e, err := NewExplorer(name)
 	if err != nil {
 		panic(err)
 	}

@@ -97,7 +97,7 @@ type Learner interface {
 	// explorer over the learner's selection view.
 	SelectAction(ex Explorer, s StateKey, rng *rand.Rand) int
 	// Greedy returns the greedy action and value under the learner's
-	// selection view (convergence tracking, emergency fallbacks).
+	// selection view (convergence tracking).
 	Greedy(s StateKey) (action int, value float64)
 	// Update applies one TD step for the transition (s, a, reward, next)
 	// and returns the TD error before the step.
@@ -328,33 +328,6 @@ func (l *doubleQ) Update(s StateKey, a int, reward float64, next StateKey, _ int
 	upd.Visits[s]++
 	l.A.Steps++
 	return td
-}
-
-// CombinedBest returns the greedy action under the averaged estimate
-// (A+B)/2 — the lower-bias value view, exposed for analysis.
-func (l *doubleQ) CombinedBest(s StateKey) (int, float64) {
-	ra, okA := l.A.Q[s]
-	rb, okB := l.B.Q[s]
-	if !okA && !okB {
-		return 0, 0
-	}
-	combined := func(a int) float64 {
-		var v float64
-		if ra != nil {
-			v += ra[a] / 2
-		}
-		if rb != nil {
-			v += rb[a] / 2
-		}
-		return v
-	}
-	best, bestV := 0, combined(0)
-	for a := 1; a < l.A.Actions; a++ {
-		if v := combined(a); v > bestV {
-			best, bestV = a, v
-		}
-	}
-	return best, bestV
 }
 
 func (l *doubleQ) Tables() []RoleTable {

@@ -31,7 +31,7 @@ func TestRegistryRejectsUnknownNames(t *testing.T) {
 	if _, err := New("nope", 4); err == nil {
 		t.Fatal("unknown learner accepted")
 	}
-	if _, err := NewExplorer("nope", ExplorerConfig{}); err == nil {
+	if _, err := NewExplorer("nope"); err == nil {
 		t.Fatal("unknown explorer accepted")
 	}
 	if Known("nope") || KnownExplorer("nope") {
@@ -140,7 +140,7 @@ func TestDoubleQMaintainsTwoEstimators(t *testing.T) {
 	if len(l.A.Q) == 0 || len(l.B.Q) == 0 {
 		t.Fatal("both estimators should receive updates")
 	}
-	if a, _ := l.CombinedBest(StateKey(0)); a < 0 || a > 2 {
+	if a, _ := combinedBest(l, StateKey(0)); a < 0 || a > 2 {
 		t.Fatalf("combined best out of range: %d", a)
 	}
 	if l.A.Steps != 2000 {
@@ -176,7 +176,7 @@ func TestDoubleQReducesOverestimationUnderNoise(t *testing.T) {
 			l.Update(s, a, r, s, rng.Intn(8), 0.1, 0.9, rng)
 		}
 		if dq, ok := l.(*doubleQ); ok {
-			_, v := dq.CombinedBest(s)
+			_, v := combinedBest(dq, s)
 			return v
 		}
 		_, v := l.Greedy(s)
@@ -187,6 +187,33 @@ func TestDoubleQReducesOverestimationUnderNoise(t *testing.T) {
 	if dq >= q {
 		t.Fatalf("double Q value (%g) should be below Q-learning's optimistic estimate (%g)", dq, q)
 	}
+}
+
+// combinedBest returns the greedy action under Double Q's averaged
+// estimate (A+B)/2 — the lower-bias value view the bias test checks.
+func combinedBest(l *doubleQ, s StateKey) (int, float64) {
+	ra, okA := l.A.Q[s]
+	rb, okB := l.B.Q[s]
+	if !okA && !okB {
+		return 0, 0
+	}
+	combined := func(a int) float64 {
+		var v float64
+		if ra != nil {
+			v += ra[a] / 2
+		}
+		if rb != nil {
+			v += rb[a] / 2
+		}
+		return v
+	}
+	best, bestV := 0, combined(0)
+	for a := 1; a < l.A.Actions; a++ {
+		if v := combined(a); v > bestV {
+			best, bestV = a, v
+		}
+	}
+	return best, bestV
 }
 
 func TestNStepAppliesDelayedReturns(t *testing.T) {
@@ -229,7 +256,7 @@ func TestEveryLearnerIsDeterministic(t *testing.T) {
 		runOnce := func() []RoleTable {
 			rng := rand.New(rand.NewSource(77))
 			l := Must(name, 6)
-			ex := MustExplorer("egreedy", ExplorerConfig{EpsilonStart: 0.8, EpsilonMin: 0.08, EpsilonDecay: 0.999})
+			ex := MustExplorer("egreedy")
 			s := StateKey(0)
 			for i := 0; i < 3000; i++ {
 				a := l.SelectAction(ex, s, rng)
@@ -312,7 +339,7 @@ func TestRestoreRejectsActionMismatch(t *testing.T) {
 }
 
 func TestUCBTriesEveryActionFirst(t *testing.T) {
-	ex := MustExplorer("ucb", ExplorerConfig{})
+	ex := MustExplorer("ucb")
 	q := NewQTable(4)
 	rng := rand.New(rand.NewSource(6))
 	seen := map[int]bool{}

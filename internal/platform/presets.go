@@ -8,7 +8,7 @@ import (
 )
 
 func stockGovernor() governor.Governor {
-	return governor.NewSchedutil(governor.DefaultSchedutilConfig())
+	return &governor.Schedutil{}
 }
 
 func init() {

@@ -26,7 +26,7 @@ func TestClusterPowerMonotoneInFrequency(t *testing.T) {
 func TestClusterPowerMonotoneInUtil(t *testing.T) {
 	chip := soc.Exynos9810()
 	m := Exynos9810Model()
-	big := chip.MustCluster(soc.ClusterBig)
+	big := chip.Cluster(soc.ClusterBig)
 	big.SetCur(10)
 	prev := -1.0
 	for u := 0.0; u <= 1.0; u += 0.1 {
@@ -41,7 +41,7 @@ func TestClusterPowerMonotoneInUtil(t *testing.T) {
 func TestLeakageGrowsWithTemperature(t *testing.T) {
 	chip := soc.Exynos9810()
 	m := Exynos9810Model()
-	big := chip.MustCluster(soc.ClusterBig)
+	big := chip.Cluster(soc.ClusterBig)
 	big.SetCur(0)
 	cold := m.ClusterPower(big, 0, 25)
 	hot := m.ClusterPower(big, 0, 85)
@@ -57,7 +57,7 @@ func TestLeakageGrowsWithTemperature(t *testing.T) {
 func TestUtilizationClamped(t *testing.T) {
 	chip := soc.Exynos9810()
 	m := Exynos9810Model()
-	big := chip.MustCluster(soc.ClusterBig)
+	big := chip.Cluster(soc.ClusterBig)
 	if m.ClusterPower(big, -0.5, 40) != m.ClusterPower(big, 0, 40) {
 		t.Error("negative util should clamp to 0")
 	}
@@ -96,8 +96,8 @@ func TestBigClusterDominates(t *testing.T) {
 	// Paper: "the big CPU cores consume the most energy" among CPUs.
 	chip := soc.Exynos9810()
 	m := Exynos9810Model()
-	big := chip.MustCluster(soc.ClusterBig)
-	little := chip.MustCluster(soc.ClusterLITTLE)
+	big := chip.Cluster(soc.ClusterBig)
+	little := chip.Cluster(soc.ClusterLITTLE)
 	big.SetCur(big.NumOPPs() - 1)
 	little.SetCur(little.NumOPPs() - 1)
 	if m.ClusterPower(big, 1, 50) <= m.ClusterPower(little, 1, 50)*2 {

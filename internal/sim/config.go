@@ -104,7 +104,7 @@ func Note9Config(tl *session.Timeline, seed int64) Config {
 		DevSense: thermal.Note9DeviceSensor(th),
 		Display:  display.NewPipeline(60),
 		Timeline: tl,
-		Governor: governor.NewSchedutil(governor.DefaultSchedutilConfig()),
+		Governor: &governor.Schedutil{},
 		Seed:     seed,
 	}
 }

@@ -1,7 +1,5 @@
 package soc
 
-import "fmt"
-
 // Canonical cluster names used by the Exynos 9810 preset and expected by
 // the Next agent's default configuration.
 const (
@@ -26,16 +24,6 @@ func (ch *Chip) Cluster(name string) *Cluster {
 		}
 	}
 	return nil
-}
-
-// MustCluster is Cluster but panics when the name is unknown; used where
-// a missing cluster means the platform preset is inconsistent.
-func (ch *Chip) MustCluster(name string) *Cluster {
-	c := ch.Cluster(name)
-	if c == nil {
-		panic(fmt.Sprintf("soc: chip %q has no cluster %q", ch.Name, name))
-	}
-	return c
 }
 
 // ResetDVFS restores every cluster to boot state.

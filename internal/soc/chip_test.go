@@ -8,34 +8,34 @@ func TestExynos9810MatchesPaperTables(t *testing.T) {
 		t.Fatalf("clusters = %d, want 3", len(chip.Clusters))
 	}
 
-	big := chip.MustCluster(ClusterBig)
+	big := chip.Cluster(ClusterBig)
 	if big.NumOPPs() != 18 {
 		t.Errorf("big OPPs = %d, want 18 (paper: 18 levels)", big.NumOPPs())
 	}
-	if big.MinOPP().FreqKHz != 650_000 || big.MaxOPP().FreqKHz != 2_704_000 {
+	if big.OPPAt(0).FreqKHz != 650_000 || big.MaxOPP().FreqKHz != 2_704_000 {
 		t.Errorf("big range = %d..%d kHz, want 650000..2704000",
-			big.MinOPP().FreqKHz, big.MaxOPP().FreqKHz)
+			big.OPPAt(0).FreqKHz, big.MaxOPP().FreqKHz)
 	}
 	if big.Cores != 4 {
 		t.Errorf("big cores = %d, want 4 (Mongoose 3)", big.Cores)
 	}
 
-	little := chip.MustCluster(ClusterLITTLE)
+	little := chip.Cluster(ClusterLITTLE)
 	if little.NumOPPs() != 10 {
 		t.Errorf("LITTLE OPPs = %d, want 10", little.NumOPPs())
 	}
-	if little.MinOPP().FreqKHz != 455_000 || little.MaxOPP().FreqKHz != 1_794_000 {
+	if little.OPPAt(0).FreqKHz != 455_000 || little.MaxOPP().FreqKHz != 1_794_000 {
 		t.Errorf("LITTLE range = %d..%d kHz, want 455000..1794000",
-			little.MinOPP().FreqKHz, little.MaxOPP().FreqKHz)
+			little.OPPAt(0).FreqKHz, little.MaxOPP().FreqKHz)
 	}
 
-	gpu := chip.MustCluster(ClusterGPU)
+	gpu := chip.Cluster(ClusterGPU)
 	if gpu.NumOPPs() != 6 {
 		t.Errorf("GPU OPPs = %d, want 6", gpu.NumOPPs())
 	}
-	if gpu.MinOPP().FreqKHz != 260_000 || gpu.MaxOPP().FreqKHz != 572_000 {
+	if gpu.OPPAt(0).FreqKHz != 260_000 || gpu.MaxOPP().FreqKHz != 572_000 {
 		t.Errorf("GPU range = %d..%d kHz, want 260000..572000",
-			gpu.MinOPP().FreqKHz, gpu.MaxOPP().FreqKHz)
+			gpu.OPPAt(0).FreqKHz, gpu.MaxOPP().FreqKHz)
 	}
 	if gpu.Cores != 18 {
 		t.Errorf("GPU cores = %d, want 18 (Mali-G72 MP18)", gpu.Cores)
@@ -71,7 +71,7 @@ func TestVoltageCurveMonotone(t *testing.T) {
 				}
 				prev = v
 			}
-			lo, hi := c.MinOPP().Volts(), c.MaxOPP().Volts()
+			lo, hi := c.OPPAt(0).Volts(), c.MaxOPP().Volts()
 			if lo < 0.4 || hi > 1.3 {
 				t.Errorf("%s/%s: voltage range %.2f–%.2f V implausible for mobile silicon",
 					chip.Name, c.Name, lo, hi)
@@ -82,15 +82,12 @@ func TestVoltageCurveMonotone(t *testing.T) {
 
 func TestChipClusterLookup(t *testing.T) {
 	chip := Exynos9810()
+	if c := chip.Cluster(ClusterGPU); c == nil || c.Name != ClusterGPU {
+		t.Fatalf("Cluster(%q) = %v", ClusterGPU, c)
+	}
 	if chip.Cluster("nope") != nil {
 		t.Fatal("unknown cluster should be nil")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustCluster should panic on unknown name")
-		}
-	}()
-	chip.MustCluster("nope")
 }
 
 func TestChipResetDVFS(t *testing.T) {

@@ -30,9 +30,6 @@ type OPP struct {
 	VoltMicro int // supply voltage in µV
 }
 
-// FreqMHz returns the OPP frequency in MHz.
-func (o OPP) FreqMHz() float64 { return float64(o.FreqKHz) / 1000 }
-
 // FreqGHz returns the OPP frequency in GHz.
 func (o OPP) FreqGHz() float64 { return float64(o.FreqKHz) / 1e6 }
 
@@ -156,9 +153,6 @@ func (c *Cluster) Volts() float64 { return c.opps[c.cur].Volts() }
 // cap), used for normalization (utilization, PPDW bounds).
 func (c *Cluster) MaxOPP() OPP { return c.opps[len(c.opps)-1] }
 
-// MinOPP returns the slowest operating point in the table.
-func (c *Cluster) MinOPP() OPP { return c.opps[0] }
-
 // IndexForFreqKHz returns the lowest OPP index whose frequency is >=
 // khz, or the top index if khz exceeds the table. This is the cpufreq
 // "CL" (ceiling) relation governors use to map a target frequency onto
@@ -170,13 +164,6 @@ func (c *Cluster) IndexForFreqKHz(khz int) int {
 		}
 	}
 	return len(c.opps) - 1
-}
-
-// CyclesPerTick returns how many effective work-cycles the cluster
-// retires in dt seconds at its current OPP with all cores busy:
-// f × IPC × cores. The workload model divides its frame costs by this.
-func (c *Cluster) CyclesPerTick(dtSec float64) float64 {
-	return float64(c.opps[c.cur].FreqKHz) * 1e3 * c.IPC * float64(c.Cores) * dtSec
 }
 
 // ResetDVFS restores boot state: floor 0, cap top, cur top.

@@ -107,16 +107,6 @@ func TestIndexForFreqKHz(t *testing.T) {
 	}
 }
 
-func TestCyclesPerTick(t *testing.T) {
-	c := testCluster()
-	c.SetCur(1) // 1 GHz, IPC 1.5, 4 cores
-	got := c.CyclesPerTick(0.001)
-	want := 1e9 * 1.5 * 4 * 0.001
-	if got != want {
-		t.Fatalf("CyclesPerTick = %g, want %g", got, want)
-	}
-}
-
 func TestResetDVFS(t *testing.T) {
 	c := testCluster()
 	c.SetFloor(1)
@@ -154,9 +144,6 @@ func TestNewClusterValidation(t *testing.T) {
 
 func TestOPPConversions(t *testing.T) {
 	o := OPP{FreqKHz: 2_704_000, VoltMicro: 1_150_000}
-	if o.FreqMHz() != 2704 {
-		t.Errorf("FreqMHz = %g", o.FreqMHz())
-	}
 	if o.FreqGHz() != 2.704 {
 		t.Errorf("FreqGHz = %g", o.FreqGHz())
 	}

@@ -27,9 +27,6 @@ func (e *EWMA) Push(v float64) float64 {
 // Value returns the current average (0 before any Push).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Seeded reports whether at least one sample has been pushed.
-func (e *EWMA) Seeded() bool { return e.seeded }
-
 // Reset clears the average back to the unseeded state.
 func (e *EWMA) Reset() {
 	e.value = 0

@@ -93,9 +93,6 @@ func (m *ModeCounter) Len() int {
 // Cap reports the window capacity.
 func (m *ModeCounter) Cap() int { return len(m.window) }
 
-// Full reports whether the window holds Cap() samples.
-func (m *ModeCounter) Full() bool { return m.filled }
-
 // Mode returns the most frequent sample in the window with the same
 // QoS-safe tie-breaking as the package-level Mode function.
 func (m *ModeCounter) Mode() (value, count int) {

@@ -72,7 +72,7 @@ func TestModeCounterEviction(t *testing.T) {
 	if v, c := mc.Mode(); v != 2 || c != 3 {
 		t.Fatalf("after eviction mode = (%d,%d), want (2,3)", v, c)
 	}
-	if !mc.Full() {
+	if mc.Len() != mc.Cap() {
 		t.Fatal("window should be full")
 	}
 }
@@ -86,11 +86,11 @@ func TestModeCounterFrameWindowSize(t *testing.T) {
 	for i := 0; i < 159; i++ {
 		mc.Push(60)
 	}
-	if mc.Full() {
-		t.Fatal("window should not be full at 159 samples")
+	if mc.Len() != 159 {
+		t.Fatalf("window should not be full at 159 samples, len=%d", mc.Len())
 	}
 	mc.Push(60)
-	if !mc.Full() || mc.Len() != 160 {
+	if mc.Len() != 160 {
 		t.Fatalf("window should be full at 160 samples, len=%d", mc.Len())
 	}
 }

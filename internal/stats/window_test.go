@@ -30,15 +30,16 @@ func TestSummaryEmptyIsZero(t *testing.T) {
 
 func TestEWMASeedsWithFirstSample(t *testing.T) {
 	e := EWMA{Alpha: 0.25}
-	if e.Seeded() {
-		t.Fatal("zero value should be unseeded")
-	}
 	if got := e.Push(8); got != 8 {
 		t.Fatalf("first push = %g, want 8 (no cold-start bias)", got)
 	}
 	got := e.Push(0) // 8 + 0.25*(0-8) = 6
 	if math.Abs(got-6) > 1e-12 {
 		t.Fatalf("second push = %g, want 6", got)
+	}
+	e.Reset()
+	if got := e.Push(3); got != 3 {
+		t.Fatalf("first push after Reset = %g, want 3 (Reset unseeds)", got)
 	}
 }
 

@@ -65,7 +65,7 @@ func TestAmbientScheduleDrivesModel(t *testing.T) {
 		m.AmbientC = sched.At(now)
 		m.Step(0.005, zero)
 	}
-	if got := m.TempByName(NodeSkin); got < 32 {
+	if got := m.TempC(m.MustIndex(NodeSkin)); got < 32 {
 		t.Fatalf("skin should warm toward the 35 °C ambient, got %.2f", got)
 	}
 }

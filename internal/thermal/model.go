@@ -130,13 +130,6 @@ func (m *Model) MustIndex(name string) int {
 // TempC returns the temperature of node i in °C.
 func (m *Model) TempC(i int) float64 { return m.tempC[i] }
 
-// TempByName returns the temperature of the named node.
-func (m *Model) TempByName(name string) float64 { return m.tempC[m.MustIndex(name)] }
-
-// SetTempC forces node i to a temperature (test hook / sensor fault
-// injection).
-func (m *Model) SetTempC(i int, t float64) { m.tempC[i] = t }
-
 // Reset returns every node to ambient.
 func (m *Model) Reset() {
 	for i := range m.tempC {
@@ -171,35 +164,6 @@ func (m *Model) Step(dtSec float64, powerW []float64) {
 	for i := range temp {
 		temp[i] += dT[i]
 	}
-}
-
-// SteadyState iterates Step with constant power until the largest
-// per-second temperature derivative drops below tolKPerS, and returns
-// the node temperatures. Intended for calibration and tests, not the
-// simulation hot path.
-func (m *Model) SteadyState(powerW []float64, tolKPerS float64) []float64 {
-	const dt = 0.05
-	for iter := 0; iter < 2_000_000; iter++ {
-		prev := make([]float64, len(m.tempC))
-		copy(prev, m.tempC)
-		m.Step(dt, powerW)
-		maxRate := 0.0
-		for i := range m.tempC {
-			r := (m.tempC[i] - prev[i]) / dt
-			if r < 0 {
-				r = -r
-			}
-			if r > maxRate {
-				maxRate = r
-			}
-		}
-		if maxRate < tolKPerS {
-			break
-		}
-	}
-	out := make([]float64, len(m.tempC))
-	copy(out, m.tempC)
-	return out
 }
 
 // VirtualSensor is a weighted blend of node temperatures, mirroring the

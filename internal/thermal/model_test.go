@@ -43,7 +43,7 @@ func TestHeatingAndCooling(t *testing.T) {
 	for i := 0; i < 30_000; i++ { // 30 s
 		m.Step(0.001, hot)
 	}
-	heated := m.TempByName(NodeBig)
+	heated := m.TempC(m.MustIndex(NodeBig))
 	if heated <= 30 {
 		t.Fatalf("big should heat well above ambient, got %.1f", heated)
 	}
@@ -51,7 +51,7 @@ func TestHeatingAndCooling(t *testing.T) {
 	for i := 0; i < 30_000; i++ {
 		m.Step(0.001, cool)
 	}
-	cooled := m.TempByName(NodeBig)
+	cooled := m.TempC(m.MustIndex(NodeBig))
 	if cooled >= heated {
 		t.Fatalf("big should cool after power removal: %.1f -> %.1f", heated, cooled)
 	}
@@ -65,7 +65,7 @@ func TestSteadyStateMonotoneInPower(t *testing.T) {
 	prev := 0.0
 	for _, w := range []float64{0.5, 1, 2, 4, 6} {
 		m := Note9(21)
-		temps := m.SteadyState(powers(m, map[string]float64{NodeBig: w}), 0.001)
+		temps := steadyState(m, powers(m, map[string]float64{NodeBig: w}), 0.001)
 		tb := temps[m.MustIndex(NodeBig)]
 		if tb <= prev {
 			t.Fatalf("steady big temp not monotone: %.2f at %g W (prev %.2f)", tb, w, prev)
@@ -80,7 +80,7 @@ func TestGamingSteadyStateInPaperBand(t *testing.T) {
 	// paper's 55-75 °C band at 21 °C ambient, with the device sensor
 	// noticeably cooler.
 	m := Note9(21)
-	temps := m.SteadyState(powers(m, map[string]float64{
+	temps := steadyState(m, powers(m, map[string]float64{
 		NodeBig: 3.5, NodeGPU: 2.5, NodeLITTLE: 0.4, NodeSkin: 0.6,
 	}), 0.0005)
 	big := temps[m.MustIndex(NodeBig)]
@@ -102,7 +102,7 @@ func TestBigIsHotSpot(t *testing.T) {
 	// paper's actual claim: under a CPU-heavy load the big cluster is
 	// the hottest node.
 	m := Note9(21)
-	temps := m.SteadyState(powers(m, map[string]float64{
+	temps := steadyState(m, powers(m, map[string]float64{
 		NodeBig: 3.0, NodeLITTLE: 0.5, NodeGPU: 0.8, NodeSkin: 0.6,
 	}), 0.001)
 	big := temps[m.MustIndex(NodeBig)]
@@ -117,7 +117,7 @@ func TestEnergyConservationAtEquilibrium(t *testing.T) {
 	// At steady state, power in == power out to ambient (within tol).
 	m := Note9(21)
 	in := powers(m, map[string]float64{NodeBig: 2.0, NodeGPU: 1.0})
-	m.SteadyState(in, 0.0001)
+	steadyState(m, in, 0.0001)
 	// Only skin has ambient conductance in the Note9 preset.
 	skin := m.MustIndex(NodeSkin)
 	out := (m.TempC(skin) - 21) * (1 / 2.6)
@@ -130,10 +130,10 @@ func TestStepStabilityAt1msTick(t *testing.T) {
 	// Forward Euler must not oscillate/diverge at the engine tick.
 	m := Note9(21)
 	p := powers(m, map[string]float64{NodeBig: 8.0, NodeGPU: 3.5, NodeLITTLE: 1.2, NodeSkin: 0.9})
-	prevBig := m.TempByName(NodeBig)
+	prevBig := m.TempC(m.MustIndex(NodeBig))
 	for i := 0; i < 200_000; i++ { // 200 s of worst-case power
 		m.Step(0.001, p)
-		b := m.TempByName(NodeBig)
+		b := m.TempC(m.MustIndex(NodeBig))
 		if math.IsNaN(b) || b > 200 {
 			t.Fatalf("diverged at step %d: %.1f", i, b)
 		}
@@ -146,10 +146,10 @@ func TestStepStabilityAt1msTick(t *testing.T) {
 
 func TestVirtualSensorWeights(t *testing.T) {
 	m := Note9(21)
-	m.SetTempC(m.MustIndex(NodeBig), 80)
-	m.SetTempC(m.MustIndex(NodeLITTLE), 40)
-	m.SetTempC(m.MustIndex(NodeGPU), 60)
-	m.SetTempC(m.MustIndex(NodeSkin), 35)
+	m.tempC[m.MustIndex(NodeBig)] = 80
+	m.tempC[m.MustIndex(NodeLITTLE)] = 40
+	m.tempC[m.MustIndex(NodeGPU)] = 60
+	m.tempC[m.MustIndex(NodeSkin)] = 35
 	s := Note9DeviceSensor(m)
 	got := s.ReadC()
 	want := 0.60*35 + 0.20*80 + 0.12*60 + 0.08*40
@@ -166,7 +166,7 @@ func TestVirtualSensorBoundedByNodeTemps(t *testing.T) {
 		temps := []float64{float64(a) + 20, float64(b) + 20, float64(c) + 20, float64(d) + 20}
 		lo, hi := temps[0], temps[0]
 		for i, tv := range temps {
-			m.SetTempC(i, tv)
+			m.tempC[i] = tv
 			if tv < lo {
 				lo = tv
 			}
@@ -214,7 +214,7 @@ func TestModelValidationPanics(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	m := Note9(21)
-	m.SetTempC(0, 99)
+	m.tempC[0] = 99
 	m.Reset()
 	if m.TempC(0) != 21 {
 		t.Fatal("reset failed")
@@ -229,4 +229,33 @@ func TestIndexLookup(t *testing.T) {
 	if _, ok := m.Index("nope"); ok {
 		t.Fatal("unknown index should fail")
 	}
+}
+
+// steadyState iterates Step with constant power until the largest
+// per-second temperature derivative drops below tolKPerS, and returns
+// the node temperatures: the RC network's equilibrium, the oracle the
+// calibration tests check against.
+func steadyState(m *Model, powerW []float64, tolKPerS float64) []float64 {
+	const dt = 0.05
+	for iter := 0; iter < 2_000_000; iter++ {
+		prev := make([]float64, len(m.tempC))
+		copy(prev, m.tempC)
+		m.Step(dt, powerW)
+		maxRate := 0.0
+		for i := range m.tempC {
+			r := (m.tempC[i] - prev[i]) / dt
+			if r < 0 {
+				r = -r
+			}
+			if r > maxRate {
+				maxRate = r
+			}
+		}
+		if maxRate < tolKPerS {
+			break
+		}
+	}
+	out := make([]float64, len(m.tempC))
+	copy(out, m.tempC)
+	return out
 }
