@@ -1,6 +1,9 @@
 package cloud
 
 import (
+	"maps"
+	"math"
+	"math/bits"
 	"slices"
 
 	"nextdvfs/internal/core"
@@ -27,6 +30,13 @@ import (
 // delta in O(states in the delta), and Tables hands the columns back
 // for a rebuild.
 //
+// The arena is device-major. Per role, every state any device has a
+// row for gets a small integer id, its sid. Per device, a column packs
+// the rows of just the states that device has, in sid order, with
+// their weights and a sid → row index. An upload writes inside one
+// device's column, which stays in cache, and Merge reads each column
+// front to back.
+//
 // The arena is keyed by the device set and table layout captured at
 // Rebuild. Structural changes — a new device, a learner or role-layout
 // change, a different action count — invalidate it: Upload and
@@ -38,21 +48,45 @@ type Merger struct {
 	actions     int
 	roleNames   []string
 	// devices is the sorted device-ID order — the float association
-	// order of every weighted sum, fixed at Rebuild.
+	// order of every weighted sum, fixed at Rebuild. Devices are found
+	// by binary search, so Rebuild allocates nothing per device.
 	devices []string
-	devIdx  map[string]int
 	roles   []*roleArena
 	merged  *learner.TableSet
-	scratch []float64
+	// sum and weight are Merge's accumulators, one row and one weight
+	// per dirty state. seen marks the rows a full upload still has;
+	// staged and stagedQ hold an upload's rows for states new to the
+	// device until it repacks the column. All are reused across calls.
+	sum     []float64
+	weight  []int
+	seen    []bool
+	staged  []stagedRow
+	stagedQ []float64
+}
+
+// stagedRow is a row waiting for its column's repack: its state, its
+// weight, and its place in Merger.stagedQ.
+type stagedRow struct {
+	sid, at int32
+	w       int
 }
 
 // roleArena is one role's accumulator state across the fleet.
 type roleArena struct {
-	// slots maps state → per-device contributions, parallel to
-	// Merger.devices.
-	slots map[core.StateKey]*stateSlot
-	// dirty marks states whose next Merge must recompute.
-	dirty map[core.StateKey]struct{}
+	// sids maps a state to its sid and keys maps back; free lists the
+	// sids of states that left the merge, for reuse.
+	sids map[core.StateKey]int32
+	keys []core.StateKey
+	free []int32
+	// holders counts, per sid, the devices with a row for the state;
+	// a state whose count falls to 0 leaves the merge.
+	holders []int32
+	// dirty marks the sids the next Merge must recompute, in a column
+	// index's layout: a bitmap per block of 64 sids beside a count
+	// that accumulate fills in. A state's dirty position is its rank.
+	dirty []uint64
+	// cols holds each device's rows, parallel to Merger.devices.
+	cols []column
 	// inert holds, per device, the positive visit counts it sent for
 	// states it has no row in (nil for most devices). They are
 	// merge-inert until a later delta sends the row without a count,
@@ -65,26 +99,86 @@ type roleArena struct {
 	stepsSum int64
 }
 
-// stateSlot is one state's contributions, indexed by sorted-device
-// position: device i's row lives at flat[i*actions:(i+1)*actions] and
-// its effective merge weight (>= 1 when present, 0 when absent) at
-// weights[i]. Rows are copied into the flat buffer at Rebuild/Upload
-// so a dirty-state recompute walks contiguous memory instead of
-// chasing one heap pointer per device — the copy costs O(changed
-// rows) per upload, the sequential scan saves a cache miss per device
-// per dirty state, which dominates at fleet scale.
-type stateSlot struct {
-	flat    []float64
-	weights []int
-	n       int // devices contributing; 0 = state no longer exists
+// column is one device's contribution to a role. Its rows are packed
+// in sid order: row k is q[k*actions:(k+1)*actions], with effective
+// merge weight w[k] (>= 1). The index is a rank bitmap over sids: for
+// each block of 64 sids, idx[2b] has bit i set when the device has a
+// row for sid 64b+i, and idx[2b+1] counts the device's rows in the
+// blocks before. A row's index is its block's count plus the set bits
+// below it; the index costs 2 bits per union state.
+type column struct {
+	idx []uint64
+	q   []float64
+	w   []int32
+	// wide holds, by sid, the weights too large for w; their w entry
+	// is wideWeight. Nil unless a visit count passed math.MaxInt32.
+	wide map[int32]int
 }
 
-// row returns device i's contribution, or nil when absent.
-func (s *stateSlot) row(i, actions int) []float64 {
-	if s.weights[i] == 0 {
-		return nil
+const wideWeight = -1
+
+func (c *column) rows() int { return len(c.w) }
+
+// rowOf returns state sid's row index in the column, or -1.
+func (c *column) rowOf(sid int32) int {
+	b := int(sid>>6) * 2
+	if b >= len(c.idx) {
+		return -1
 	}
-	return s.flat[i*actions : (i+1)*actions]
+	set, bit := c.idx[b], uint64(1)<<(sid&63)
+	if set&bit == 0 {
+		return -1
+	}
+	return int(c.idx[b+1]) + bits.OnesCount64(set&(bit-1))
+}
+
+// each calls fn for every row in order, with its sid.
+func (c *column) each(fn func(k int, sid int32)) {
+	k := 0
+	for b := 0; b < len(c.idx); b += 2 {
+		for set := c.idx[b]; set != 0; set &= set - 1 {
+			fn(k, int32(b<<5+bits.TrailingZeros64(set)))
+			k++
+		}
+	}
+}
+
+// weight returns row k's merge weight; sid is the row's state.
+func (c *column) weight(k int, sid int32) int {
+	if w := c.w[k]; w != wideWeight {
+		return int(w)
+	}
+	return c.wide[sid]
+}
+
+// setWeight stores row k's merge weight.
+func (c *column) setWeight(k int, sid int32, w int) {
+	if c.w[k] == wideWeight {
+		delete(c.wide, sid)
+	}
+	if w <= math.MaxInt32 {
+		c.w[k] = int32(w)
+		return
+	}
+	if c.wide == nil {
+		c.wide = make(map[int32]int)
+	}
+	c.w[k] = wideWeight
+	c.wide[sid] = w
+}
+
+// indexWords is the idx length that covers n sids.
+func indexWords(n int) int { return 2 * ((n + 63) / 64) }
+
+// countRows fills idx's per-block counts from its bitmaps and returns
+// the total.
+func countRows(idx []uint64) int {
+	n := 0
+	for b := 0; b < len(idx); b += 2 {
+		idx[b+1] = uint64(n)
+		n += bits.OnesCount64(idx[b])
+	}
+	return n
 }
 
 // NewMerger returns an empty arena; Rebuild must run before Merge.
@@ -93,7 +187,10 @@ func NewMerger() *Merger { return &Merger{} }
 // Rebuild recomputes the merge from scratch via JoinDevices — the
 // pinned reference path, so its output IS the from-scratch result —
 // and rebuilds the arena over the given uploads. Rows are copied into
-// the arena; neither the map nor its tables are retained.
+// the arena; neither the map nor its tables are retained. Each role's
+// columns are carved out of three shared slabs, so Rebuild's
+// allocation count depends on the states, not on the number of
+// devices (devices with row-less visit counts aside).
 func (m *Merger) Rebuild(uploads map[string]*learner.TableSet) (*learner.TableSet, []string, error) {
 	merged, devices, err := JoinDevices(uploads)
 	if err != nil {
@@ -107,45 +204,62 @@ func (m *Merger) Rebuild(uploads map[string]*learner.TableSet) (*learner.TableSe
 		m.roleNames[i] = r.Role
 	}
 	m.devices = devices
-	m.devIdx = make(map[string]int, len(devices))
-	for i, d := range devices {
-		m.devIdx[d] = i
-	}
-	m.scratch = make([]float64, m.actions)
 	m.roles = make([]*roleArena, len(m.roleNames))
+	a := m.actions
 	for r := range m.roleNames {
+		union := merged.Roles[r].Table.Q
 		ra := &roleArena{
-			slots:   make(map[core.StateKey]*stateSlot, len(merged.Roles[r].Table.Q)),
-			dirty:   make(map[core.StateKey]struct{}),
+			sids:    make(map[core.StateKey]int32, len(union)),
+			keys:    make([]core.StateKey, 0, len(union)),
+			holders: make([]int32, len(union)),
+			dirty:   make([]uint64, indexWords(len(union))),
+			cols:    make([]column, len(devices)),
 			inert:   make([]map[core.StateKey]int, len(devices)),
 			steps:   make([]int64, len(devices)),
 			trained: make([]int64, len(devices)),
 		}
+		for s := range union {
+			ra.sids[s] = int32(len(ra.keys))
+			ra.keys = append(ra.keys, s)
+		}
+		rows := 0
+		for _, d := range devices {
+			rows += len(uploads[d].Roles[r].Table.Q)
+		}
+		words := indexWords(len(union))
+		idxSlab := make([]uint64, len(devices)*words)
+		qSlab := make([]float64, rows*a)
+		wSlab := make([]int32, rows)
+		off := 0
 		for i, d := range devices {
 			t := uploads[d].Roles[r].Table
 			ra.steps[i] = t.Steps
 			ra.stepsSum += t.Steps
 			ra.trained[i] = t.TrainedUS
 			ra.inert[i] = inertVisits(t)
+			n := len(t.Q)
+			c := &ra.cols[i]
+			c.idx = idxSlab[i*words : (i+1)*words : (i+1)*words]
+			c.q = qSlab[off*a : (off+n)*a : (off+n)*a]
+			c.w = wSlab[off : off+n : off+n]
+			off += n
+			for s := range t.Q {
+				sid := ra.sids[s]
+				c.idx[sid>>6*2] |= 1 << (sid & 63)
+				ra.holders[sid]++
+			}
+			countRows(c.idx)
 			for s, row := range t.Q {
-				slot := ra.slots[s]
-				if slot == nil {
-					slot = newStateSlot(len(devices), m.actions)
-					ra.slots[s] = slot
-				}
-				copy(slot.flat[i*m.actions:], row)
-				slot.weights[i] = effectiveWeight(t, s)
-				slot.n++
+				sid := ra.sids[s]
+				k := c.rowOf(sid)
+				copy(c.q[k*a:(k+1)*a], row)
+				c.setWeight(k, sid, effectiveWeight(t, s))
 			}
 		}
 		m.roles[r] = ra
 	}
 	m.merged = merged
 	return merged, devices, nil
-}
-
-func newStateSlot(devices, actions int) *stateSlot {
-	return &stateSlot{flat: make([]float64, devices*actions), weights: make([]int, devices)}
 }
 
 // effectiveWeight is mergeTables' per-device weight rule: the visit
@@ -168,6 +282,12 @@ func inertVisits(t *core.QTable) map[core.StateKey]int {
 		out[s] = v
 	}
 	return out
+}
+
+// device returns a device's sorted position, or false when the arena
+// does not know it.
+func (m *Merger) device(id string) (int, bool) {
+	return slices.BinarySearch(m.devices, id)
 }
 
 // fits reports whether set has the arena's learner, role layout and
@@ -193,61 +313,133 @@ func (ra *roleArena) setMeta(idx int, t *core.QTable) {
 	ra.trained[idx] = t.TrainedUS
 }
 
-// slotFor returns state s's slot, creating an empty one.
-func (m *Merger) slotFor(ra *roleArena, s core.StateKey) *stateSlot {
-	slot := ra.slots[s]
-	if slot == nil {
-		slot = newStateSlot(len(m.devices), m.actions)
-		ra.slots[s] = slot
+// sid returns state s's sid, assigning one when the arena has none.
+func (ra *roleArena) sid(s core.StateKey) int32 {
+	if sid, ok := ra.sids[s]; ok {
+		return sid
 	}
-	return slot
+	var sid int32
+	if n := len(ra.free); n > 0 {
+		sid = ra.free[n-1]
+		ra.free = ra.free[:n-1]
+		ra.keys[sid] = s
+	} else {
+		sid = int32(len(ra.keys))
+		ra.keys = append(ra.keys, s)
+		ra.holders = append(ra.holders, 0)
+		if w := indexWords(len(ra.keys)); w > len(ra.dirty) {
+			ra.dirty = append(ra.dirty, 0, 0)
+		}
+	}
+	ra.sids[s] = sid
+	return sid
 }
 
-// setRow installs device idx's row and weight in state s's slot,
-// dirtying the state when its contribution changed.
-func (m *Merger) setRow(ra *roleArena, slot *stateSlot, idx int, s core.StateKey, row []float64, w int) {
-	old := slot.row(idx, m.actions)
-	if old == nil {
-		slot.n++
-		ra.dirty[s] = struct{}{}
-	} else if slot.weights[idx] != w || !slices.Equal(old, row) {
-		ra.dirty[s] = struct{}{}
+// markDirty queues state sid for the next Merge.
+func (ra *roleArena) markDirty(sid int32) {
+	ra.dirty[sid>>6*2] |= 1 << (sid & 63)
+}
+
+// writeRow overwrites row k of c, dirtying state sid when its
+// contribution changed.
+func (ra *roleArena) writeRow(c *column, k int, sid int32, row []float64, w, a int) {
+	dst := c.q[k*a : (k+1)*a]
+	if c.weight(k, sid) != w || !slices.Equal(dst, row) {
+		ra.markDirty(sid)
 	}
-	copy(slot.flat[idx*m.actions:], row)
-	slot.weights[idx] = w
+	copy(dst, row)
+	c.setWeight(k, sid, w)
+}
+
+// stageRow queues a row for state sid, which the device has none for,
+// until the upload's repack.
+func (m *Merger) stageRow(ra *roleArena, sid int32, row []float64, w int) {
+	m.staged = append(m.staged, stagedRow{sid: sid, at: int32(len(m.staged)), w: w})
+	m.stagedQ = append(m.stagedQ, row...)
+	ra.holders[sid]++
+	ra.markDirty(sid)
+}
+
+// repack rebuilds column c into buffers of its new size: its rows,
+// less those among the first len(seen) whose seen flag is false (the
+// states a full upload no longer has; seen is nil for a delta), merged
+// in sid order with the staged rows.
+func (m *Merger) repack(ra *roleArena, c *column, seen []bool) {
+	a := m.actions
+	staged := m.staged
+	slices.SortFunc(staged, func(x, y stagedRow) int { return int(x.sid - y.sid) })
+	old := *c
+	n := old.rows() + len(staged)
+	for _, s := range seen {
+		if !s {
+			n--
+		}
+	}
+	c.idx = make([]uint64, max(len(old.idx), indexWords(len(ra.keys))))
+	c.q, c.w = make([]float64, n*a), make([]int32, n)
+	j := 0
+	put := func(sid int32, row []float64, w int) {
+		copy(c.q[j*a:(j+1)*a], row)
+		c.setWeight(j, sid, w)
+		c.idx[sid>>6*2] |= 1 << (sid & 63)
+		j++
+	}
+	putStaged := func(below int32) {
+		for len(staged) > 0 && staged[0].sid < below {
+			s := staged[0]
+			put(s.sid, m.stagedQ[int(s.at)*a:int(s.at+1)*a], s.w)
+			staged = staged[1:]
+		}
+	}
+	old.each(func(k int, sid int32) {
+		putStaged(sid)
+		if k < len(seen) && !seen[k] {
+			delete(c.wide, sid)
+			ra.holders[sid]--
+			ra.markDirty(sid)
+			return
+		}
+		put(sid, old.q[k*a:(k+1)*a], old.weight(k, sid))
+	})
+	putStaged(math.MaxInt32)
+	countRows(c.idx)
+	m.staged, m.stagedQ = m.staged[:0], m.stagedQ[:0]
 }
 
 // Upload integrates a device's replacement table set into the arena,
-// diffing it against the rows already there and dirtying only states
-// whose contribution (row values or weight) changed. States the device
-// no longer has leave the merge, so Upload also scans every slot. It
-// returns false — arena untouched, caller must Rebuild — on any
-// structural change: a device the arena doesn't know, a different
-// learner or role layout, or a different action count.
+// diffing it against the device's rows and dirtying only states whose
+// contribution (row values or weight) changed or that the device no
+// longer has. It returns false — arena untouched, caller must Rebuild
+// — on any structural change: a device the arena doesn't know, a
+// different learner or role layout, or a different action count.
 func (m *Merger) Upload(device string, next *learner.TableSet) bool {
-	idx, ok := m.devIdx[device]
+	idx, ok := m.device(device)
 	if !ok || !m.fits(next) {
 		return false
 	}
+	a := m.actions
 	for r := range m.roleNames {
 		ra := m.roles[r]
 		t := next.Roles[r].Table
+		c := &ra.cols[idx]
 		ra.setMeta(idx, t)
+		seen := append(m.seen[:0], make([]bool, c.rows())...)
+		kept := 0
 		for s, row := range t.Q {
-			m.setRow(ra, m.slotFor(ra, s), idx, s, row, effectiveWeight(t, s))
-		}
-		// States the device previously contributed but dropped.
-		for s, slot := range ra.slots {
-			if slot.weights[idx] == 0 {
-				continue
+			sid := ra.sid(s)
+			w := effectiveWeight(t, s)
+			if k := c.rowOf(sid); k >= 0 {
+				seen[k] = true
+				kept++
+				ra.writeRow(c, k, sid, row, w, a)
+			} else {
+				m.stageRow(ra, sid, row, w)
 			}
-			if _, still := t.Q[s]; still {
-				continue
-			}
-			slot.weights[idx] = 0
-			slot.n--
-			ra.dirty[s] = struct{}{}
 		}
+		if kept < len(seen) || len(m.staged) > 0 {
+			m.repack(ra, c, seen)
+		}
+		m.seen = seen
 		ra.inert[idx] = inertVisits(t)
 	}
 	return true
@@ -266,35 +458,46 @@ func (m *Merger) Upload(device string, next *learner.TableSet) bool {
 //     or is remembered while the device has no row for that state;
 //   - Steps and TrainedUS are absolute.
 //
-// A delta cannot drop states, so there is no slot scan. It returns
-// false — arena untouched — for a device the arena doesn't know or a
-// set whose layout differs from the arena's.
+// A delta cannot drop states; the column is rebuilt only when the delta
+// brings states new to the device. It returns false — arena untouched —
+// for a device the arena doesn't know or a set whose layout differs
+// from the arena's.
 func (m *Merger) UploadDelta(device string, delta *learner.TableSet) bool {
-	idx, ok := m.devIdx[device]
+	idx, ok := m.device(device)
 	if !ok || !m.fits(delta) {
 		return false
 	}
+	a := m.actions
 	for r := range m.roleNames {
 		ra := m.roles[r]
 		t := delta.Roles[r].Table
+		c := &ra.cols[idx]
 		ra.setMeta(idx, t)
 		inert := ra.inert[idx]
 		sent := 0 // visit counts that came with their row
 		for s, row := range t.Q {
-			slot := m.slotFor(ra, s)
+			sid := ra.sid(s)
+			k := c.rowOf(sid)
 			v, ok := t.Visits[s]
 			switch {
 			case ok:
 				sent++
-			case slot.weights[idx] > 0:
-				v = slot.weights[idx]
+			case k >= 0:
+				v = c.weight(k, sid)
 			default:
 				v = inert[s]
 			}
-			m.setRow(ra, slot, idx, s, row, max(v, 1))
+			if k >= 0 {
+				ra.writeRow(c, k, sid, row, max(v, 1), a)
+			} else {
+				m.stageRow(ra, sid, row, max(v, 1))
+			}
 			if len(inert) > 0 {
 				delete(inert, s)
 			}
+		}
+		if len(m.staged) > 0 {
+			m.repack(ra, c, nil)
 		}
 		if sent < len(t.Visits) {
 			ra.rowlessVisits(idx, t)
@@ -307,16 +510,19 @@ func (m *Merger) UploadDelta(device string, delta *learner.TableSet) bool {
 // row for: each re-weights device idx's existing row, or is remembered
 // while the device has no row there.
 func (ra *roleArena) rowlessVisits(idx int, t *core.QTable) {
+	c := &ra.cols[idx]
 	for s, v := range t.Visits {
 		if _, hasRow := t.Q[s]; hasRow {
 			continue
 		}
-		if slot := ra.slots[s]; slot != nil && slot.weights[idx] > 0 {
-			if w := max(v, 1); w != slot.weights[idx] {
-				slot.weights[idx] = w
-				ra.dirty[s] = struct{}{}
+		if sid, ok := ra.sids[s]; ok {
+			if k := c.rowOf(sid); k >= 0 {
+				if w := max(v, 1); w != c.weight(k, sid) {
+					c.setWeight(k, sid, w)
+					ra.markDirty(sid)
+				}
+				continue
 			}
-			continue
 		}
 		if v <= 0 {
 			delete(ra.inert[idx], s)
@@ -338,110 +544,208 @@ func (ra *roleArena) rowlessVisits(idx int, t *core.QTable) {
 // until the next Upload, UploadDelta or Rebuild.
 func (m *Merger) Tables() map[string]*learner.TableSet {
 	a := m.actions
-	sets := make([]*learner.TableSet, len(m.devices))
 	out := make(map[string]*learner.TableSet, len(m.devices))
 	for i, d := range m.devices {
-		sets[i] = &learner.TableSet{Learner: m.learnerName, Roles: make([]learner.RoleTable, len(m.roleNames))}
-		out[d] = sets[i]
-	}
-	for r, ra := range m.roles {
-		for i, set := range sets {
-			t := core.NewQTable(a)
-			t.Steps = ra.steps[i]
-			t.TrainedUS = ra.trained[i]
-			for s, v := range ra.inert[i] {
+		set := &learner.TableSet{Learner: m.learnerName, Roles: make([]learner.RoleTable, len(m.roleNames))}
+		for r, ra := range m.roles {
+			c := &ra.cols[i]
+			inert := ra.inert[i]
+			t := &core.QTable{
+				Actions:   a,
+				Q:         make(map[core.StateKey][]float64, c.rows()),
+				Visits:    make(map[core.StateKey]int, c.rows()+len(inert)),
+				Steps:     ra.steps[i],
+				TrainedUS: ra.trained[i],
+			}
+			for s, v := range inert {
 				t.Visits[s] = v
 			}
+			c.each(func(k int, sid int32) {
+				s := ra.keys[sid]
+				t.Q[s] = c.q[k*a : (k+1)*a : (k+1)*a]
+				t.Visits[s] = c.weight(k, sid)
+			})
 			set.Roles[r] = learner.RoleTable{Role: m.roleNames[r], Table: t}
 		}
-		for s, slot := range ra.slots {
-			for i, w := range slot.weights {
-				if w == 0 {
-					continue
-				}
-				t := sets[i].Roles[r].Table
-				t.Q[s] = slot.flat[i*a : (i+1)*a : (i+1)*a]
-				t.Visits[s] = w
-			}
-		}
+		out[d] = set
 	}
 	return out
 }
 
 // Merge produces the merged set for the arena's current uploads,
-// recomputing only dirty states — each in sorted-device order, the
-// same term order as mergeTables — and aliasing every clean state's
-// row from the previous output. The returned set is freshly allocated
+// recomputing only dirty states and aliasing every clean state's row
+// from the previous output. The returned set is freshly allocated
 // (rows shared with prior outputs are immutable); Merge is byte-
 // identical to JoinDevices over the same uploads.
 func (m *Merger) Merge() *learner.TableSet {
 	if m.merged == nil {
 		return nil
 	}
+	a := m.actions
 	out := &learner.TableSet{Learner: m.learnerName, Roles: make([]learner.RoleTable, len(m.roleNames))}
 	for r, roleName := range m.roleNames {
 		ra := m.roles[r]
 		prev := m.merged.Roles[r].Table
-		nt := core.NewQTable(m.actions)
-		nt.Q = make(map[core.StateKey][]float64, len(ra.slots))
-		nt.Visits = make(map[core.StateKey]int, len(ra.slots))
-		for s, slot := range ra.slots {
-			if slot.n == 0 {
-				delete(ra.slots, s) // every contributor dropped it
-				continue
-			}
-			if _, dirty := ra.dirty[s]; dirty {
-				row, weight := m.recompute(slot)
-				nt.Q[s] = row
-				nt.Visits[s] = weight
-			} else {
-				nt.Q[s] = prev.Q[s]
-				nt.Visits[s] = prev.Visits[s]
-			}
+		nt := &core.QTable{
+			Actions: a,
+			Q:       maps.Clone(prev.Q),
+			Visits:  maps.Clone(prev.Visits),
+			Steps:   ra.stepsSum,
 		}
-		nt.Steps = ra.stepsSum
-		var trained int64
 		for _, v := range ra.trained {
-			if v > trained {
-				trained = v
-			}
+			nt.TrainedUS = max(nt.TrainedUS, v)
 		}
-		nt.TrainedUS = trained
+		m.accumulate(ra)
+		o := 0
+		for b := 0; b < len(ra.dirty); b += 2 {
+			for set := ra.dirty[b]; set != 0; set &= set - 1 {
+				sid := int32(b<<5 + bits.TrailingZeros64(set))
+				s := ra.keys[sid]
+				if ra.holders[sid] == 0 { // every device dropped it
+					delete(nt.Q, s)
+					delete(nt.Visits, s)
+					delete(ra.sids, s)
+					ra.free = append(ra.free, sid)
+				} else {
+					row := make([]float64, a)
+					sum, weight := m.sum[o*a:(o+1)*a], m.weight[o]
+					fw := float64(weight)
+					for j := range row {
+						row[j] = sum[j] / fw
+					}
+					nt.Q[s] = row
+					nt.Visits[s] = weight
+				}
+				o++
+			}
+			ra.dirty[b] = 0
+		}
 		out.Roles[r] = learner.RoleTable{Role: roleName, Table: nt}
-		clear(ra.dirty)
 	}
 	m.merged = out
 	return out
 }
 
-// recompute is mergeTables' inner loop for one state: accumulate
-// weight-scaled rows in device order, divide once by the total weight.
-// Absent devices are skipped by weight, present rows stream out of the
-// slot's flat buffer in order — one sequential pass over contiguous
-// memory.
-func (m *Merger) recompute(slot *stateSlot) ([]float64, int) {
-	sum := m.scratch
-	for i := range sum {
-		sum[i] = 0
-	}
+// accumulate is mergeTables' inner loop over the dirty states: walking
+// the devices in sorted order, it adds each weight-scaled row of a
+// dirty state into that state's accumulator (m.sum, by the state's
+// dirty rank) and the weight into m.weight. Every state's terms are
+// thus summed in device order, as mergeTables sums them.
+//
+// A column and the dirty set share one index layout, so each block of
+// 64 sids intersects them with one AND, and a device's rows there and
+// their accumulators are found by rank. Where a device has exactly the
+// block's dirty states, both are one contiguous run. Devices go in
+// pairs, block by block — the first device's terms of a block before
+// the second's — and where both have exactly the block's dirty states
+// one pass adds both, loading and storing each accumulator once.
+func (m *Merger) accumulate(ra *roleArena) {
 	a := m.actions
-	weight := 0
-	for i, w := range slot.weights {
-		if w == 0 {
-			continue
+	dirty := ra.dirty
+	n := countRows(dirty)
+	m.sum = slices.Grow(m.sum[:0], n*a)[:n*a]
+	m.weight = slices.Grow(m.weight[:0], n)[:n]
+	clear(m.sum)
+	clear(m.weight)
+	for i := 0; i < len(ra.cols); i += 2 {
+		c := &ra.cols[i]
+		if i+1 == len(ra.cols) {
+			for b := 0; b < len(dirty); b += 2 {
+				m.addBlock(c, dirty, b)
+			}
+			break
 		}
+		d := &ra.cols[i+1]
+		plain := len(c.wide) == 0 && len(d.wide) == 0
+		for b := 0; b < len(dirty); b += 2 {
+			want := dirty[b]
+			if want == 0 {
+				continue
+			}
+			if plain && c.block(b) == want && d.block(b) == want {
+				o, n := int(dirty[b+1]), bits.OnesCount64(want)
+				kc, kd := int(c.idx[b+1]), int(d.idx[b+1])
+				addRun2(m.sum[o*a:(o+n)*a], m.weight[o:o+n],
+					c.q[kc*a:(kc+n)*a], c.w[kc:kc+n], d.q[kd*a:(kd+n)*a], d.w[kd:kd+n])
+				continue
+			}
+			m.addBlock(c, dirty, b)
+			m.addBlock(d, dirty, b)
+		}
+	}
+}
+
+// block returns the column's bitmap for index block b (0 past its end).
+func (c *column) block(b int) uint64 {
+	if b < len(c.idx) {
+		return c.idx[b]
+	}
+	return 0
+}
+
+// addBlock adds column c's rows for the dirty states of index block b
+// into their accumulators.
+func (m *Merger) addBlock(c *column, dirty []uint64, b int) {
+	a := m.actions
+	has, want := c.block(b), dirty[b]
+	both := has & want
+	if both == 0 {
+		return
+	}
+	k, o := int(c.idx[b+1]), int(dirty[b+1])
+	if has == want && len(c.wide) == 0 {
+		n := bits.OnesCount64(has)
+		addRun(m.sum[o*a:(o+n)*a], m.weight[o:o+n], c.q[k*a:(k+n)*a], c.w[k:k+n])
+		return
+	}
+	for set := both; set != 0; set &= set - 1 {
+		below := set&-set - 1
+		k, o := k+bits.OnesCount64(has&below), o+bits.OnesCount64(want&below)
+		w := c.weight(k, int32(b<<5+bits.TrailingZeros64(set)))
 		fw := float64(w)
-		row := slot.flat[i*a : i*a+a]
-		sum = sum[:len(row)]
-		for j, v := range row {
+		sum := m.sum[o*a : (o+1)*a]
+		for j, v := range c.q[k*a : (k+1)*a] {
 			sum[j] += v * fw
 		}
-		weight += w
+		m.weight[o] += w
 	}
-	out := make([]float64, len(sum))
-	fw := float64(weight)
-	for j := range out {
-		out[j] = sum[j] / fw
+}
+
+// addRun adds each row of q, scaled by its weight in w, into the same
+// row of acc, and each weight into wacc. No weight is wideWeight. The
+// run helpers stay out of line so their loops get registers of their
+// own: inlined into accumulate, the loop spilled its counter on every
+// term.
+//
+//go:noinline
+func addRun(acc []float64, wacc []int, q []float64, w []int32) {
+	a := len(q) / len(w)
+	acc = acc[:len(q)]
+	j := 0
+	for r, wr := range w {
+		fw := float64(wr)
+		for end := j + a; j < end; j++ {
+			acc[j] += q[j] * fw
+		}
+		wacc[r] += int(wr)
 	}
-	return out, weight
+}
+
+// addRun2 is addRun over two devices' runs of the same states, the
+// first device's term before the second's, as two addRun calls in
+// turn would add them.
+//
+//go:noinline
+func addRun2(acc []float64, wacc []int, q []float64, w []int32, p []float64, v []int32) {
+	a := len(q) / len(w)
+	acc, p, v = acc[:len(q)], p[:len(q)], v[:len(w)]
+	j := 0
+	for r, wr := range w {
+		fq, fp := float64(wr), float64(v[r])
+		for end := j + a; j < end; j++ {
+			s := acc[j] + q[j]*fq
+			acc[j] = s + p[j]*fp
+		}
+		wacc[r] += int(wr) + int(v[r])
+	}
 }

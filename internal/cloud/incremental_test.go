@@ -390,3 +390,141 @@ func TestMergerUploadDeltaMatchesOverlay(t *testing.T) {
 		})
 	}
 }
+
+// sparseTable builds a table with a random row for each given state,
+// a visit count of seed+s for each, and the given metadata. The values
+// are drawn from seed, and their weighted sums round, so summing in
+// another order changes the merged bytes.
+func sparseTable(actions int, seed float64, states ...int) *core.QTable {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	t := core.NewQTable(actions)
+	for _, s := range states {
+		row := make([]float64, actions)
+		for a := range row {
+			row[a] = rng.NormFloat64()
+		}
+		t.Q[core.StateKey(s)] = row
+		t.Visits[core.StateKey(s)] = int(seed) + s
+	}
+	t.Steps = int64(seed) * 10
+	t.TrainedUS = int64(seed) * 100
+	return t
+}
+
+func span(from, to int) []int {
+	var out []int
+	for s := from; s < to; s++ {
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestMergerSparseColumns walks the device-major arena through the
+// shapes its columns take: devices holding disjoint, overlapping and
+// identical state sets across several 64-state index blocks; deltas
+// bringing states new to the device and new to the arena; full
+// uploads that drop states, one of them the last holder of a state;
+// visit counts without a row; and a visit count too wide for 32 bits.
+// After every step, Merge, JoinDevices over Tables and a Rebuild from
+// Tables must all be byte-identical (NXTB) to JoinDevices over the
+// shadow tables.
+func TestMergerSparseColumns(t *testing.T) {
+	const a = 4
+	o := newMergerOracle(t)
+	single := func(tb *core.QTable) *learner.TableSet { return learner.SingleTableSet(tb) }
+	o.upload("dev-a", single(sparseTable(a, 1, span(0, 64)...)))
+	o.upload("dev-b", single(sparseTable(a, 2, span(64, 128)...)))
+	o.upload("dev-c", single(sparseTable(a, 3, span(32, 96)...)))
+	o.upload("dev-d", single(sparseTable(a, 4, span(0, 150)...)))
+	o.upload("dev-e", single(sparseTable(a, 5, span(0, 150)...)))
+	o.upload("dev-f", single(sparseTable(a, 6, 7)))
+	steps := []struct {
+		name string
+		run  func()
+	}{
+		{"rebuild", func() {}},
+		{"delta with states new to the device", func() {
+			o.delta("dev-b", single(sparseTable(a, 7, span(0, 10)...)))
+		}},
+		{"delta with states new to the arena", func() {
+			o.delta("dev-a", single(sparseTable(a, 8, span(200, 270)...)))
+		}},
+		{"full upload dropping states", func() {
+			o.upload("dev-c", single(sparseTable(a, 9, append(span(40, 50), 300)...)))
+		}},
+		{"the last holder drops a state", func() {
+			o.upload("dev-c", single(sparseTable(a, 10, span(40, 50)...)))
+		}},
+		{"a freed state id is reused", func() {
+			o.delta("dev-f", single(sparseTable(a, 11, 400, 401)))
+		}},
+		{"visit counts without a row", func() {
+			d := sparseTable(a, 12)
+			d.Visits[5] = 40   // dev-f has no row for state 5: remembered
+			d.Visits[7] = 3    // re-weights dev-f's row for state 7
+			d.Visits[500] = 9  // new to the arena: remembered
+			d.Visits[501] = -4 // nothing to remember
+			o.delta("dev-f", single(d))
+		}},
+		{"a row arrives for a remembered count", func() {
+			d := sparseTable(a, 13, 5, 500)
+			delete(d.Visits, 5)
+			delete(d.Visits, 500)
+			o.delta("dev-f", single(d))
+		}},
+		{"a visit count past 32 bits", func() {
+			d := sparseTable(a, 14, 60)
+			d.Visits[60] = int(wideVisits)
+			d.Visits[61] = int(wideVisits) + 1 // re-weights dev-e's row
+			o.delta("dev-e", single(d))
+		}},
+		{"the wide count is replaced", func() {
+			o.delta("dev-e", single(sparseTable(a, 15, 60)))
+		}},
+		{"every device re-uploads the same states", func() {
+			for i, d := range []string{"dev-a", "dev-b", "dev-c", "dev-d", "dev-e", "dev-f"} {
+				o.upload(d, single(sparseTable(a, float64(16+i), span(0, 150)...)))
+			}
+		}},
+		// The round trip above rebuilt the arena over just these states,
+		// so now every column holds exactly the dirty states: the
+		// accumulator runs two devices' rows at a time.
+		{"again, with nothing else in the arena", func() {
+			for i, d := range []string{"dev-a", "dev-b", "dev-c", "dev-d", "dev-e", "dev-f"} {
+				o.upload(d, single(sparseTable(a, float64(22+i), span(0, 150)...)))
+			}
+		}},
+		{"a delta touches one block of identical columns", func() {
+			o.delta("dev-d", single(sparseTable(a, 30, span(64, 128)...)))
+			o.delta("dev-e", single(sparseTable(a, 31, span(64, 128)...)))
+		}},
+	}
+	for _, st := range steps {
+		st.run()
+		o.merge(st.name)
+		o.roundTrip(st.name)
+	}
+}
+
+// TestMergerRebuildAllocsFlatInDevices: Rebuild carves every column out
+// of per-role slabs, so its allocation count does not grow with the
+// fleet. (The BenchmarkFleetCheckinScale allocs/op ceilings rest on
+// this: an allocation per device in Rebuild shows up there at 10000
+// devices.)
+func TestMergerRebuildAllocsFlatInDevices(t *testing.T) {
+	allocs := func(devices int) float64 {
+		set := learner.SingleTableSet(sparseTable(9, 1, span(0, 100)...))
+		uploads := make(map[string]*learner.TableSet, devices)
+		for d := 0; d < devices; d++ {
+			uploads[fmt.Sprintf("dev-%05d", d)] = set
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, _, err := NewMerger().Rebuild(uploads); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(4096); small != large {
+		t.Fatalf("Rebuild allocates %v times for 64 devices, %v for 4096", small, large)
+	}
+}

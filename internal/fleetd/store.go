@@ -257,6 +257,9 @@ func (s *Store) UploadSetGen(k Key, device string, set *learner.TableSet) (devic
 	if err := admit(k, device, set, "upload"); err != nil {
 		return 0, 0, err
 	}
+	// The set is the caller's own, so it is clamped before the lock;
+	// a refused upload leaves the store as it was.
+	sanitizeSet(set)
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -264,7 +267,6 @@ func (s *Store) UploadSetGen(k Key, device string, set *learner.TableSet) (devic
 	if err != nil {
 		return 0, 0, err
 	}
-	sanitizeSet(set)
 	// A merged-in device's upload replaces its arena column; any other
 	// waits in pending for the next round's rebuild.
 	if _, ok := e.pending[device]; ok || e.arena == nil || !e.arena.Upload(device, set) {
@@ -326,11 +328,14 @@ var ErrDeltaBase = errors.New("fleetd: delta base generation mismatch")
 // O(states in the delta). On success it returns the device count and
 // the new generation for the next delta. A missing base or a stale
 // baseGen fails with ErrDeltaBase (full upload required); the store is
-// never modified on error.
+// never modified on error. As UploadSetGen does its set, UploadDelta
+// sanitizes delta in place, refused or not, so the caller must hold no
+// other reference to it.
 func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseGen int64) (devices int, gen int64, err error) {
 	if err := admit(k, device, delta, "delta"); err != nil {
 		return 0, 0, err
 	}
+	sanitizeSet(delta) // the caller's own set, clamped before the lock
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -354,12 +359,10 @@ func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseG
 		}
 		// The pending base is sanitized and owned by the store; the
 		// overlay shares its unchanged rows.
-		sanitizeSet(delta)
 		e.pending[device] = applyDelta(prev, delta)
 	} else {
-		// UploadDelta checks the layout before it touches the arena, and
-		// sanitizing first leaves the store as it was when it refuses.
-		sanitizeSet(delta)
+		// UploadDelta checks the layout before it touches the arena, so
+		// a refusal leaves the store as it was.
 		if !e.arena.UploadDelta(device, delta) {
 			return 0, 0, badLayout()
 		}
