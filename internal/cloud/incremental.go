@@ -306,11 +306,25 @@ func (m *Merger) fits(set *learner.TableSet) bool {
 	return true
 }
 
+// fitsSorted is fits for a set in sorted form.
+func (m *Merger) fitsSorted(set *core.SortedSet) bool {
+	if set == nil || learner.Normalize(set.Learner) != m.learnerName ||
+		set.Actions != m.actions || len(set.Roles) != len(m.roleNames) {
+		return false
+	}
+	for i := range set.Roles {
+		if set.Roles[i].Role != m.roleNames[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // setMeta records device idx's Steps/TrainedUS, keeping the exact sum.
-func (ra *roleArena) setMeta(idx int, t *core.QTable) {
-	ra.stepsSum += t.Steps - ra.steps[idx]
-	ra.steps[idx] = t.Steps
-	ra.trained[idx] = t.TrainedUS
+func (ra *roleArena) setMeta(idx int, steps, trained int64) {
+	ra.stepsSum += steps - ra.steps[idx]
+	ra.steps[idx] = steps
+	ra.trained[idx] = trained
 }
 
 // sid returns state s's sid, assigning one when the arena has none.
@@ -422,7 +436,7 @@ func (m *Merger) Upload(device string, next *learner.TableSet) bool {
 		ra := m.roles[r]
 		t := next.Roles[r].Table
 		c := &ra.cols[idx]
-		ra.setMeta(idx, t)
+		ra.setMeta(idx, t.Steps, t.TrainedUS)
 		seen := append(m.seen[:0], make([]bool, c.rows())...)
 		kept := 0
 		for s, row := range t.Q {
@@ -445,9 +459,9 @@ func (m *Merger) Upload(device string, next *learner.TableSet) bool {
 	return true
 }
 
-// UploadDelta overlays a delta upload on the device's contribution,
-// touching only the delta's states. The rule is a full upload of the
-// device's previous table with the delta laid over it:
+// UploadDelta overlays a delta upload, in sorted form, on the device's
+// contribution, touching only the delta's states. The rule is a full
+// upload of the device's previous table with the delta laid over it:
 //
 //   - a state's row is replaced by the delta's row;
 //   - its weight comes from the delta's visit count when the delta
@@ -458,81 +472,81 @@ func (m *Merger) Upload(device string, next *learner.TableSet) bool {
 //     or is remembered while the device has no row for that state;
 //   - Steps and TrainedUS are absolute.
 //
-// A delta cannot drop states; the column is rebuilt only when the delta
-// brings states new to the device. It returns false — arena untouched —
-// for a device the arena doesn't know or a set whose layout differs
-// from the arena's.
-func (m *Merger) UploadDelta(device string, delta *learner.TableSet) bool {
+// Rows and visit counts are joined in key order in one pass. A delta
+// cannot drop states; the column is rebuilt only when the delta brings
+// states new to the device. It returns false — arena untouched — for a
+// device the arena doesn't know or a set whose layout differs from the
+// arena's.
+func (m *Merger) UploadDelta(device string, delta *core.SortedSet) bool {
 	idx, ok := m.device(device)
-	if !ok || !m.fits(delta) {
+	if !ok || !m.fitsSorted(delta) {
 		return false
 	}
 	a := m.actions
 	for r := range m.roleNames {
 		ra := m.roles[r]
-		t := delta.Roles[r].Table
+		t := &delta.Roles[r]
 		c := &ra.cols[idx]
-		ra.setMeta(idx, t)
-		inert := ra.inert[idx]
-		sent := 0 // visit counts that came with their row
-		for s, row := range t.Q {
+		ra.setMeta(idx, t.Steps, t.TrainedUS)
+		v := 0 // next visit count
+		for i, s := range t.Keys {
+			for ; v < len(t.VisitKeys) && t.VisitKeys[v] < s; v++ {
+				ra.rowlessVisit(idx, t.VisitKeys[v], t.Visits[v])
+			}
 			sid := ra.sid(s)
 			k := c.rowOf(sid)
-			v, ok := t.Visits[s]
+			var w int
 			switch {
-			case ok:
-				sent++
+			case v < len(t.VisitKeys) && t.VisitKeys[v] == s:
+				w = t.Visits[v]
+				v++
 			case k >= 0:
-				v = c.weight(k, sid)
+				w = c.weight(k, sid)
 			default:
-				v = inert[s]
+				w = ra.inert[idx][s]
 			}
 			if k >= 0 {
-				ra.writeRow(c, k, sid, row, max(v, 1), a)
+				ra.writeRow(c, k, sid, t.Row(i, a), max(w, 1), a)
 			} else {
-				m.stageRow(ra, sid, row, max(v, 1))
+				m.stageRow(ra, sid, t.Row(i, a), max(w, 1))
 			}
-			if len(inert) > 0 {
-				delete(inert, s)
+			if len(ra.inert[idx]) > 0 {
+				delete(ra.inert[idx], s)
 			}
+		}
+		for ; v < len(t.VisitKeys); v++ {
+			ra.rowlessVisit(idx, t.VisitKeys[v], t.Visits[v])
 		}
 		if len(m.staged) > 0 {
 			m.repack(ra, c, nil)
-		}
-		if sent < len(t.Visits) {
-			ra.rowlessVisits(idx, t)
 		}
 	}
 	return true
 }
 
-// rowlessVisits applies a delta's visit counts for states it sends no
-// row for: each re-weights device idx's existing row, or is remembered
-// while the device has no row there.
-func (ra *roleArena) rowlessVisits(idx int, t *core.QTable) {
+// rowlessVisit applies a delta's visit count v for state s, which the
+// delta sends no row for: it re-weights device idx's existing row, or
+// is remembered while the device has no row there. Staged rows are
+// never s's, so it may run before their repack.
+func (ra *roleArena) rowlessVisit(idx int, s core.StateKey, v int) {
 	c := &ra.cols[idx]
-	for s, v := range t.Visits {
-		if _, hasRow := t.Q[s]; hasRow {
-			continue
-		}
-		if sid, ok := ra.sids[s]; ok {
-			if k := c.rowOf(sid); k >= 0 {
-				if w := max(v, 1); w != c.weight(k, sid) {
-					c.setWeight(k, sid, w)
-					ra.markDirty(sid)
-				}
-				continue
+	if sid, ok := ra.sids[s]; ok {
+		if k := c.rowOf(sid); k >= 0 {
+			if w := max(v, 1); w != c.weight(k, sid) {
+				c.setWeight(k, sid, w)
+				ra.markDirty(sid)
 			}
+			return
 		}
-		if v <= 0 {
-			delete(ra.inert[idx], s)
-			continue
-		}
-		if ra.inert[idx] == nil {
-			ra.inert[idx] = make(map[core.StateKey]int)
-		}
-		ra.inert[idx][s] = v
 	}
+	if v <= 0 {
+		delete(ra.inert[idx], s)
+		return
+	}
+	if ra.inert[idx] == nil {
+		ra.inert[idx] = make(map[core.StateKey]int)
+	}
+	ra.inert[idx][s] = v
 }
 
 // Tables returns every device's contribution as the arena holds it,

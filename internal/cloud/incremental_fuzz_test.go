@@ -155,7 +155,7 @@ func (o *mergerOracle) upload(dev string, set *learner.TableSet) {
 func (o *mergerOracle) delta(dev string, delta *learner.TableSet) {
 	o.t.Helper()
 	if o.m != nil && o.inArena(dev) {
-		if !o.m.UploadDelta(dev, delta) {
+		if !o.m.UploadDelta(dev, sorted(o.t, delta)) {
 			o.t.Fatalf("same-layout delta from %s refused", dev)
 		}
 	}
@@ -174,7 +174,7 @@ func (o *mergerOracle) refuse(dev string, set *learner.TableSet) {
 	if o.m == nil {
 		return
 	}
-	if o.m.Upload(dev, set) || o.m.UploadDelta(dev, set) {
+	if o.m.Upload(dev, set) || o.m.UploadDelta(dev, sorted(o.t, set)) {
 		o.t.Fatalf("set with %d actions accepted from %s", set.Primary().Actions, dev)
 	}
 }

@@ -289,6 +289,16 @@ func overlayDelta(base, delta *learner.TableSet) *learner.TableSet {
 	return next
 }
 
+// sorted converts a delta into the sorted form UploadDelta takes.
+func sorted(tb testing.TB, set *learner.TableSet) *core.SortedSet {
+	tb.Helper()
+	out, err := core.SortTableSet(set)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
 // randDelta builds a delta over the learner's layout: rewritten or new
 // rows with and without a visit count, and visit counts without a row
 // (re-weighting an existing row, or remembered for a later one).
@@ -360,7 +370,7 @@ func TestMergerUploadDeltaMatchesOverlay(t *testing.T) {
 					}
 					delta := randDelta(rng, name, 4)
 					uploads[d] = overlayDelta(uploads[d], delta)
-					if !m.UploadDelta(d, delta) {
+					if !m.UploadDelta(d, sorted(t, delta)) {
 						t.Fatal("delta refused")
 					}
 				}
@@ -380,10 +390,10 @@ func TestMergerUploadDeltaMatchesOverlay(t *testing.T) {
 				}
 			}
 			// Refusals leave the arena as it was.
-			if m.UploadDelta("dev-new", randDelta(rng, name, 4)) {
+			if m.UploadDelta("dev-new", sorted(t, randDelta(rng, name, 4))) {
 				t.Fatal("delta from an unknown device accepted")
 			}
-			if m.UploadDelta("dev-0", randDelta(rng, name, 5)) {
+			if m.UploadDelta("dev-0", sorted(t, randDelta(rng, name, 5))) {
 				t.Fatal("delta with a different action count accepted")
 			}
 			check("merge after refusals", m.Merge())

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"nextdvfs/internal/learner"
 )
@@ -107,7 +106,7 @@ func MarshalTableSetBinary(app string, set *TableSet, trained bool) ([]byte, err
 			buf = binary.AppendVarint(buf, r.Table.TrainedUS)
 			buf = binary.AppendVarint(buf, r.Table.ConvergedAtUS)
 		}
-		keys := sortedStateKeys(r.Table.Q)
+		keys := sortedKeys(r.Table.Q)
 		buf = binary.AppendUvarint(buf, uint64(len(keys)))
 		prev := uint64(0)
 		for j, k := range keys {
@@ -117,7 +116,7 @@ func MarshalTableSetBinary(app string, set *TableSet, trained bool) ([]byte, err
 				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 			}
 		}
-		vkeys := sortedVisitKeys(r.Table.Visits)
+		vkeys := sortedKeys(r.Table.Visits)
 		buf = binary.AppendUvarint(buf, uint64(len(vkeys)))
 		prev = 0
 		for j, k := range vkeys {
@@ -153,24 +152,6 @@ func appendBinKey(buf []byte, key, prev uint64, first bool) []byte {
 		return binary.AppendUvarint(buf, key)
 	}
 	return binary.AppendUvarint(buf, key-prev)
-}
-
-func sortedStateKeys(m map[StateKey][]float64) []StateKey {
-	keys := make([]StateKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func sortedVisitKeys(m map[StateKey]int) []StateKey {
-	keys := make([]StateKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 // IsBinaryTableSet reports whether data begins with the binary codec
@@ -219,15 +200,6 @@ func (r *binReader) str(what string) (string, error) {
 	return s, nil
 }
 
-func (r *binReader) float64() (float64, error) {
-	if r.remaining() < 8 {
-		return 0, fmt.Errorf("core: binary table: truncated float64 at offset %d", r.off)
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.off:]))
-	r.off += 8
-	return v, nil
-}
-
 // key reads one sorted delta-encoded state key. Deltas after the first
 // key must be >= 1 (strictly ascending keys without uint64 wraparound),
 // which both rejects duplicates and makes the encoding canonical.
@@ -251,8 +223,19 @@ func (r *binReader) key(prev uint64, first bool) (uint64, error) {
 
 // UnmarshalTableSetBinary parses a binary-encoded learner table set,
 // applying the same validation as the JSON path (action count, role
-// layout, learner registry).
+// layout, learner registry): UnmarshalSortedSetBinary, then the maps.
 func UnmarshalTableSetBinary(data []byte) (app string, set *TableSet, trained bool, err error) {
+	app, sorted, trained, err := UnmarshalSortedSetBinary(data)
+	if err != nil {
+		return "", nil, false, err
+	}
+	return app, sorted.TableSet(), trained, nil
+}
+
+// UnmarshalSortedSetBinary parses a binary-encoded learner table set
+// into sorted form, the wire's own shape. It is the one NXTB parser:
+// every check on a binary payload is made here.
+func UnmarshalSortedSetBinary(data []byte) (app string, set *SortedSet, trained bool, err error) {
 	if !IsBinaryTableSet(data) {
 		return "", nil, false, fmt.Errorf("core: binary table: missing %q magic", binMagic)
 	}
@@ -293,14 +276,12 @@ func UnmarshalTableSetBinary(data []byte) (app string, set *TableSet, trained bo
 		return "", nil, false, fmt.Errorf("core: binary table for %q has implausible role count %d", app, roleCount)
 	}
 
-	set = &TableSet{Learner: learner.Normalize(name)}
-	set.Roles = make([]RoleTable, 0, roleCount)
-	for i := 0; i < int(roleCount); i++ {
-		role, err := r.str("role name")
-		if err != nil {
+	set = &SortedSet{Learner: learner.Normalize(name), Actions: actions, Roles: make([]SortedTable, roleCount)}
+	for i := range set.Roles {
+		t := &set.Roles[i]
+		if t.Role, err = r.str("role name"); err != nil {
 			return "", nil, false, err
 		}
-		t := NewQTable(actions)
 		if i == 0 {
 			if t.Steps, err = r.varint(); err != nil {
 				return "", nil, false, err
@@ -313,60 +294,60 @@ func UnmarshalTableSetBinary(data []byte) (app string, set *TableSet, trained bo
 			}
 		}
 		if err := r.readRows(t, actions); err != nil {
-			return "", nil, false, fmt.Errorf("core: role %q of %q: %w", role, app, err)
+			return "", nil, false, fmt.Errorf("core: role %q of %q: %w", t.Role, app, err)
 		}
 		if err := r.readVisits(t); err != nil {
-			return "", nil, false, fmt.Errorf("core: role %q of %q: %w", role, app, err)
+			return "", nil, false, fmt.Errorf("core: role %q of %q: %w", t.Role, app, err)
 		}
-		set.Roles = append(set.Roles, RoleTable{Role: role, Table: t})
 	}
 	if r.remaining() != 0 {
 		return "", nil, false, fmt.Errorf("core: binary table for %q has %d trailing bytes", app, r.remaining())
 	}
-	if err := learner.ValidateSet(set); err != nil {
+	if err := learner.ValidateSet(set.layout()); err != nil {
 		return "", nil, false, fmt.Errorf("core: table set for %q: %w", app, err)
 	}
 	return app, set, trained, nil
 }
 
-func (r *binReader) readRows(t *QTable, actions int) error {
+func (r *binReader) readRows(t *SortedTable, actions int) error {
 	count, err := r.uvarint()
 	if err != nil {
 		return err
 	}
 	// Every entry consumes >= 1 key byte + 8*actions row bytes, so a
 	// count beyond remaining/entrySize is hostile — reject before
-	// sizing the map by it.
-	entrySize := uint64(1 + 8*actions)
-	if count > uint64(r.remaining())/entrySize {
+	// sizing the rows by it.
+	rowBytes := 8 * actions
+	if count > uint64(r.remaining())/uint64(1+rowBytes) {
 		return fmt.Errorf("q entry count %d exceeds %d remaining bytes", count, r.remaining())
 	}
 	if count == 0 {
 		return nil
 	}
-	t.Q = make(map[StateKey][]float64, count)
-	// One backing array for all rows keeps the per-row overhead at a
-	// slice header instead of a separate allocation each.
-	backing := make([]float64, int(count)*actions)
+	t.Keys = make([]StateKey, count)
+	t.Q = make([]float64, int(count)*actions)
 	prev := uint64(0)
-	for i := 0; i < int(count); i++ {
+	for i := range t.Keys {
 		k, err := r.key(prev, i == 0)
 		if err != nil {
 			return err
 		}
 		prev = k
-		row := backing[i*actions : (i+1)*actions : (i+1)*actions]
-		for j := range row {
-			if row[j], err = r.float64(); err != nil {
-				return err
-			}
+		t.Keys[i] = StateKey(k)
+		if r.remaining() < rowBytes {
+			return fmt.Errorf("core: binary table: truncated row at offset %d", r.off)
 		}
-		t.Q[StateKey(k)] = row
+		src := r.data[r.off : r.off+rowBytes]
+		row := t.Q[i*actions : (i+1)*actions]
+		for j := range row {
+			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*j:]))
+		}
+		r.off += rowBytes
 	}
 	return nil
 }
 
-func (r *binReader) readVisits(t *QTable) error {
+func (r *binReader) readVisits(t *SortedTable) error {
 	count, err := r.uvarint()
 	if err != nil {
 		return err
@@ -377,9 +358,10 @@ func (r *binReader) readVisits(t *QTable) error {
 	if count == 0 {
 		return nil
 	}
-	t.Visits = make(map[StateKey]int, count)
+	t.VisitKeys = make([]StateKey, count)
+	t.Visits = make([]int, count)
 	prev := uint64(0)
-	for i := 0; i < int(count); i++ {
+	for i := range t.VisitKeys {
 		k, err := r.key(prev, i == 0)
 		if err != nil {
 			return err
@@ -392,7 +374,8 @@ func (r *binReader) readVisits(t *QTable) error {
 		if int64(int(v)) != v {
 			return fmt.Errorf("visit count %d overflows int", v)
 		}
-		t.Visits[StateKey(k)] = int(v)
+		t.VisitKeys[i] = StateKey(k)
+		t.Visits[i] = int(v)
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"testing"
 
 	"nextdvfs/internal/learner"
@@ -47,7 +49,10 @@ func fuzzSeedPayloads(tb testing.TB) (binSeeds, jsonSeeds [][]byte) {
 // FuzzUnmarshalTableSetBinary fuzzes the binary wire decoder: any
 // input either errors or decodes to a set whose canonical re-encoding
 // is a decode fixed point. Panics and unbounded allocations are the
-// bugs this hunts.
+// bugs this hunts. It is also a differential fuzz of the two decode
+// outputs: the sorted decode accepts and rejects exactly what the
+// table-set decode does and holds the same rows, visits and metadata,
+// and SortTableSet turns the table set back into the same sorted form.
 func FuzzUnmarshalTableSetBinary(f *testing.F) {
 	binSeeds, _ := fuzzSeedPayloads(f)
 	for _, s := range binSeeds {
@@ -55,9 +60,22 @@ func FuzzUnmarshalTableSetBinary(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		app, set, trained, err := UnmarshalTableSetBinary(data)
+		sApp, sorted, sTrained, sErr := UnmarshalSortedSetBinary(data)
+		if (err == nil) != (sErr == nil) {
+			t.Fatalf("table-set decode err %v, sorted decode err %v", err, sErr)
+		}
 		if err != nil {
 			return
 		}
+		if sApp != app || sTrained != trained {
+			t.Fatalf("sorted decode app/trained %q/%v, table-set decode %q/%v", sApp, sTrained, app, trained)
+		}
+		sameSorted(t, sorted, set)
+		resorted, err := SortTableSet(set)
+		if err != nil {
+			t.Fatalf("decoded set does not sort: %v", err)
+		}
+		sameSorted(t, resorted, set)
 		re, err := MarshalTableSetBinary(app, set, trained)
 		if err != nil {
 			t.Fatalf("decoded set does not re-encode: %v", err)
@@ -74,6 +92,50 @@ func FuzzUnmarshalTableSetBinary(f *testing.F) {
 			t.Fatalf("canonical encoding not a fixed point (err=%v)", err)
 		}
 	})
+}
+
+// sameSorted fails t unless sorted holds exactly set's tables: the same
+// learner, action count and roles, each role's metadata, its rows (bit
+// for bit) under strictly ascending keys, and its visit counts.
+func sameSorted(t *testing.T, sorted *SortedSet, set *TableSet) {
+	t.Helper()
+	if sorted.Learner != set.Learner || sorted.Actions != set.Primary().Actions || len(sorted.Roles) != len(set.Roles) {
+		t.Fatalf("sorted layout %s/%d/%d roles, table set %s/%d/%d roles", sorted.Learner, sorted.Actions,
+			len(sorted.Roles), set.Learner, set.Primary().Actions, len(set.Roles))
+	}
+	a := sorted.Actions
+	for i, r := range set.Roles {
+		st, tt := &sorted.Roles[i], r.Table
+		if st.Role != r.Role || st.Steps != tt.Steps || st.TrainedUS != tt.TrainedUS || st.ConvergedAtUS != tt.ConvergedAtUS {
+			t.Fatalf("role %d: sorted %q steps %d/%d/%d, table set %q steps %d/%d/%d", i, st.Role, st.Steps,
+				st.TrainedUS, st.ConvergedAtUS, r.Role, tt.Steps, tt.TrainedUS, tt.ConvergedAtUS)
+		}
+		if len(st.Keys) != len(tt.Q) || len(st.Q) != len(st.Keys)*a || len(st.VisitKeys) != len(tt.Visits) || len(st.Visits) != len(st.VisitKeys) {
+			t.Fatalf("role %q: sorted holds %d rows and %d visit counts, table set %d and %d",
+				r.Role, len(st.Keys), len(st.VisitKeys), len(tt.Q), len(tt.Visits))
+		}
+		for j, k := range st.Keys {
+			row, ok := tt.Q[k]
+			if !ok || (j > 0 && k <= st.Keys[j-1]) || !reflect.DeepEqual(rowBits(row), rowBits(st.Row(j, a))) {
+				t.Fatalf("role %q: row %d (state %d) differs or is out of order", r.Role, j, k)
+			}
+		}
+		for j, k := range st.VisitKeys {
+			v, ok := tt.Visits[k]
+			if !ok || (j > 0 && k <= st.VisitKeys[j-1]) || v != st.Visits[j] {
+				t.Fatalf("role %q: visit count %d (state %d) differs or is out of order", r.Role, j, k)
+			}
+		}
+	}
+}
+
+// rowBits returns a row's float64 bit patterns, so NaNs compare.
+func rowBits(row []float64) []uint64 {
+	out := make([]uint64, len(row))
+	for i, v := range row {
+		out[i] = math.Float64bits(v)
+	}
+	return out
 }
 
 // FuzzUnmarshalTableSet fuzzes the JSON wire decoder with the same

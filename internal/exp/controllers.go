@@ -29,9 +29,9 @@ func (p *pinController) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 func (p *pinController) AppChanged(string, bool) {}
 func (p *pinController) Reset()                  { p.done = false }
 
-// NewIntQoSOn builds Int. QoS PM against the given platform's own chip
-// and power model, so the baseline's cost model tracks whatever device
-// the grid is sweeping.
+// NewIntQoSOn builds Int. QoS PM against the given platform's own chip,
+// power model and panel, so the baseline's cost model and target cap
+// track whatever device the grid is sweeping.
 func NewIntQoSOn(p platform.Platform) ctrl.Controller {
 	chip := p.NewChip()
 	pm := p.NewPower()
@@ -42,5 +42,5 @@ func NewIntQoSOn(p platform.Platform) ctrl.Controller {
 		}
 		return pm.PowerAt(c, idx, util, 50)
 	}
-	return governor.NewIntQoSPM(est)
+	return governor.NewIntQoSPM(est, p.RefreshHz)
 }

@@ -1,6 +1,7 @@
 package fleetd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,6 +29,11 @@ const (
 	// maxCheckinBytes bounds a check-in body; a longer one fails to
 	// decode.
 	maxCheckinBytes = 1 << 16
+	// maxPresize bounds how far readBody trusts a declared body length
+	// ahead of the bytes: a body is read into one buffer sized from its
+	// Content-Length up to this cap, and past it the buffer grows only
+	// as data arrives.
+	maxPresize = 1 << 20
 	// maxTrackedDevices bounds every DeviceSet. Check-ins are
 	// unauthenticated, so an unbounded set would be a memory leak under
 	// ID-spraying traffic.
@@ -183,14 +189,24 @@ func (d *FrontDoor) ReadUpload(w http.ResponseWriter, r *http.Request) ([]byte, 
 // status is 200 and nothing has been written; otherwise the error is
 // already answered — 413 past the limit, 400 on a read error — and
 // the handler returns the status. A body whose declared length is past
-// the limit is refused before any of it is read.
+// the limit is refused before any of it is read; one within it is read
+// into a buffer sized from that length, at most maxPresize bytes ahead
+// of what has arrived.
 func (d *FrontDoor) readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, int) {
 	var data []byte
 	var err error
-	if r.ContentLength > limit {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	switch {
+	case r.ContentLength > limit:
 		err = &http.MaxBytesError{Limit: limit}
-	} else {
-		data, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	case r.ContentLength >= 0:
+		// The spare MinRead bytes let the read that finds the end of the
+		// body land without growing the buffer.
+		buf := bytes.NewBuffer(make([]byte, 0, min(r.ContentLength, maxPresize)+bytes.MinRead))
+		_, err = buf.ReadFrom(body)
+		data = buf.Bytes()
+	default:
+		data, err = io.ReadAll(body)
 	}
 	if err != nil {
 		var tooBig *http.MaxBytesError

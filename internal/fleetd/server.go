@@ -160,6 +160,21 @@ func DecodeTableSet(contentType string, data []byte) (string, *core.TableSet, bo
 	return core.UnmarshalTableSet(data)
 }
 
+// decodeSorted is DecodeTableSet into sorted form: the binary media
+// type decodes straight into it, JSON through a decoded table set.
+func decodeSorted(contentType string, data []byte) (string, *core.SortedSet, error) {
+	if mediaType(contentType) == core.TableSetMediaType {
+		app, set, _, err := core.UnmarshalSortedSetBinary(data)
+		return app, set, err
+	}
+	app, set, _, err := core.UnmarshalTableSet(data)
+	if err != nil {
+		return "", nil, err
+	}
+	sorted, err := core.SortTableSet(set)
+	return app, sorted, err
+}
+
 // AcceptsBinary reports whether any member of the request's Accept
 // list names the binary table media type.
 func AcceptsBinary(r *http.Request) bool {
@@ -189,30 +204,39 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 	if status != http.StatusOK {
 		return status
 	}
-	app, set, _, err := DecodeTableSet(r.Header.Get("Content-Type"), data)
+	contentType := r.Header.Get("Content-Type")
+	if baseHdr := r.Header.Get(baseGenHeader); baseHdr != "" {
+		return s.handleDelta(w, device, platform, contentType, data, baseHdr)
+	}
+	app, set, _, err := DecodeTableSet(contentType, data)
 	if err != nil {
 		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad table upload: %w", err))
 	}
-	k := Key{App: app, Platform: platform}
-	if baseHdr := r.Header.Get(baseGenHeader); baseHdr != "" {
-		baseGen, perr := strconv.ParseInt(baseHdr, 10, 64)
-		if perr != nil {
-			return WriteErr(w, http.StatusBadRequest,
-				fmt.Errorf("fleetd: bad %s header: %w", baseGenHeader, perr))
-		}
-		n, gen, err := s.store.UploadDelta(k, device, set, baseGen)
-		if err != nil {
-			if errors.Is(err, ErrDeltaBase) {
-				s.metrics.deltaConflicts.Add(1)
-				return WriteErr(w, http.StatusConflict, err)
-			}
-			return WriteErr(w, http.StatusBadRequest, err)
-		}
-		return WriteJSON(w, http.StatusOK,
-			UploadReply{App: app, Platform: platform, Device: device, Devices: n, Gen: gen})
-	}
-	n, gen, err := s.store.UploadSetGen(k, device, set)
+	n, gen, err := s.store.UploadSetGen(Key{App: app, Platform: platform}, device, set)
 	if err != nil {
+		return WriteErr(w, http.StatusBadRequest, err)
+	}
+	return WriteJSON(w, http.StatusOK,
+		UploadReply{App: app, Platform: platform, Device: device, Devices: n, Gen: gen})
+}
+
+// handleDelta finishes a delta upload: the body goes from its wire
+// bytes to the sorted form and into the store without a QTable.
+func (s *Server) handleDelta(w http.ResponseWriter, device, platform, contentType string, data []byte, baseHdr string) int {
+	app, delta, err := decodeSorted(contentType, data)
+	if err != nil {
+		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad table upload: %w", err))
+	}
+	baseGen, err := strconv.ParseInt(baseHdr, 10, 64)
+	if err != nil {
+		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad %s header: %w", baseGenHeader, err))
+	}
+	n, gen, err := s.store.uploadDelta(Key{App: app, Platform: platform}, device, delta, baseGen)
+	if err != nil {
+		if errors.Is(err, ErrDeltaBase) {
+			s.metrics.deltaConflicts.Add(1)
+			return WriteErr(w, http.StatusConflict, err)
+		}
 		return WriteErr(w, http.StatusBadRequest, err)
 	}
 	return WriteJSON(w, http.StatusOK,

@@ -110,34 +110,50 @@ func sanitizeSet(set *learner.TableSet) {
 // exists).
 func sanitizeTable(t *core.QTable) {
 	for s, v := range t.Visits {
-		if v < 0 {
-			t.Visits[s] = 0
-		} else if v > maxVisitWeight {
-			t.Visits[s] = maxVisitWeight
+		if c := clampVisits(v); c != v {
+			t.Visits[s] = c
 		}
 	}
 	for _, row := range t.Q {
 		for i, v := range row {
-			switch {
-			case v != v: // NaN can't arrive via JSON, but cost nothing to kill
-				row[i] = 0
-			case v > maxQValue:
-				row[i] = maxQValue
-			case v < -maxQValue:
-				row[i] = -maxQValue
+			if c := clampQ(v); c != v {
+				row[i] = c
 			}
 		}
 	}
-	clamp := func(v *int64) {
-		if *v < 0 {
-			*v = 0
-		} else if *v > maxCounter {
-			*v = maxCounter
+	t.Steps, t.TrainedUS, t.ConvergedAtUS = clampCounter(t.Steps), clampCounter(t.TrainedUS), clampCounter(t.ConvergedAtUS)
+}
+
+// sanitizeSorted is sanitizeTable for every role of a delta in sorted
+// form.
+func sanitizeSorted(set *core.SortedSet) {
+	for i := range set.Roles {
+		t := &set.Roles[i]
+		for j, v := range t.Visits {
+			t.Visits[j] = clampVisits(v)
 		}
+		for j, v := range t.Q {
+			t.Q[j] = clampQ(v)
+		}
+		t.Steps, t.TrainedUS, t.ConvergedAtUS = clampCounter(t.Steps), clampCounter(t.TrainedUS), clampCounter(t.ConvergedAtUS)
 	}
-	clamp(&t.Steps)
-	clamp(&t.TrainedUS)
-	clamp(&t.ConvergedAtUS)
+}
+
+// The sanitize rules, one per kind of value.
+func clampVisits(v int) int { return min(max(v, 0), maxVisitWeight) }
+
+func clampCounter(v int64) int64 { return min(max(v, 0), maxCounter) }
+
+func clampQ(v float64) float64 {
+	switch {
+	case v != v: // NaN can't arrive via JSON, but costs nothing to kill
+		return 0
+	case v > maxQValue:
+		return maxQValue
+	case v < -maxQValue:
+		return -maxQValue
+	}
+	return v
 }
 
 // Store is fleetd's in-memory table store: a fixed array of shards,
@@ -224,17 +240,25 @@ func (s *Store) shardFor(k Key) *storeShard {
 // names) would otherwise pin an unmatchable layout onto the key and
 // lock out every legitimate device. kind names the upload in errors.
 func admit(k Key, device string, set *learner.TableSet, kind string) error {
-	if err := k.validate("fleetd"); err != nil {
+	if err := admitNames(k, device); err != nil {
 		return err
-	}
-	if !safeName(device) {
-		return fmt.Errorf("fleetd: %s: bad device ID %q (want a single [a-zA-Z0-9._-] segment)", k, device)
 	}
 	if set == nil || set.Primary() == nil {
 		return fmt.Errorf("fleetd: %s: empty %s from %q", k, kind, device)
 	}
 	if err := learner.ValidateSet(set); err != nil {
 		return fmt.Errorf("fleetd: %s: %s from %q: %w", k, kind, device, err)
+	}
+	return nil
+}
+
+// admitNames checks an upload's key and device names.
+func admitNames(k Key, device string) error {
+	if err := k.validate("fleetd"); err != nil {
+		return err
+	}
+	if !safeName(device) {
+		return fmt.Errorf("fleetd: %s: bad device ID %q (want a single [a-zA-Z0-9._-] segment)", k, device)
 	}
 	return nil
 }
@@ -319,23 +343,33 @@ func (e *entry) bumpGen(device string) int64 {
 // maps it to HTTP 409.
 var ErrDeltaBase = errors.New("fleetd: delta base generation mismatch")
 
-// UploadDelta applies a delta upload: a table set carrying only the
-// states changed since the device's last accepted upload (plus
-// absolute metadata), guarded by the generation echo from that upload.
-// The delta's layout must match the stored base exactly; states in the
-// delta replace the base's, states absent carry over. A merged-in
-// device's delta goes straight into the merge arena and costs
-// O(states in the delta). On success it returns the device count and
-// the new generation for the next delta. A missing base or a stale
-// baseGen fails with ErrDeltaBase (full upload required); the store is
-// never modified on error. As UploadSetGen does its set, UploadDelta
-// sanitizes delta in place, refused or not, so the caller must hold no
-// other reference to it.
+// UploadDelta is uploadDelta for a delta held as a table set. It is
+// the last table-set delta entry point, kept for the frozen benchmark's
+// replay; ROADMAP item 9 folds it into one Store.Upload.
 func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseGen int64) (devices int, gen int64, err error) {
-	if err := admit(k, device, delta, "delta"); err != nil {
+	sorted, err := core.SortTableSet(delta)
+	if err != nil {
+		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w", k, device, err)
+	}
+	return s.uploadDelta(k, device, sorted, baseGen)
+}
+
+// uploadDelta applies a delta upload, in the sorted form the upload
+// handler decodes: only the states changed since the device's last
+// accepted upload (plus absolute metadata), guarded by the generation
+// echo from that upload. The delta's layout must match the stored base
+// exactly; states in the delta replace the base's, states absent carry
+// over. A merged-in device's delta goes straight into the merge arena
+// and costs O(states in the delta). On success it returns the device
+// count and the new generation for the next delta. A missing base or a
+// stale baseGen fails with ErrDeltaBase (full upload required); the
+// store is never modified on error. The store takes ownership of delta
+// and sanitizes it in place, refused or not.
+func (s *Store) uploadDelta(k Key, device string, delta *core.SortedSet, baseGen int64) (devices int, gen int64, err error) {
+	if err := admitNames(k, device); err != nil {
 		return 0, 0, err
 	}
-	sanitizeSet(delta) // the caller's own set, clamped before the lock
+	sanitizeSorted(delta) // the caller's own set, clamped before the lock
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -373,32 +407,32 @@ func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseG
 
 // sameLayout reports whether a delta has its base's learner, action
 // count and role layout.
-func sameLayout(base, delta *learner.TableSet) bool {
+func sameLayout(base *learner.TableSet, delta *core.SortedSet) bool {
 	if learner.Normalize(delta.Learner) != learner.Normalize(base.Learner) ||
-		delta.Primary().Actions != base.Primary().Actions ||
+		delta.Actions != base.Primary().Actions ||
 		len(delta.Roles) != len(base.Roles) {
 		return false
 	}
-	for i, r := range delta.Roles {
-		if r.Role != base.Roles[i].Role {
+	for i := range delta.Roles {
+		if delta.Roles[i].Role != base.Roles[i].Role {
 			return false
 		}
 	}
 	return true
 }
 
-// applyDelta overlays a delta set on a pending base role-by-role. The
-// result is a fresh set whose unchanged rows alias the base; metadata
-// is absolute from the delta. Merger.UploadDelta applies the same rule
-// to merged-in devices.
-func applyDelta(base, delta *learner.TableSet) *learner.TableSet {
+// applyDelta overlays a delta on a pending base role-by-role. The
+// result is a fresh set whose unchanged rows alias the base and whose
+// new rows alias the delta; metadata is absolute from the delta.
+// Merger.UploadDelta applies the same rule to merged-in devices.
+func applyDelta(base *learner.TableSet, delta *core.SortedSet) *learner.TableSet {
 	next := &learner.TableSet{Learner: base.Learner, Roles: make([]learner.RoleTable, len(base.Roles))}
 	for i := range base.Roles {
-		bt, dt := base.Roles[i].Table, delta.Roles[i].Table
+		bt, dt := base.Roles[i].Table, &delta.Roles[i]
 		nt := &core.QTable{
 			Actions:       bt.Actions,
-			Q:             make(map[core.StateKey][]float64, len(bt.Q)+len(dt.Q)),
-			Visits:        make(map[core.StateKey]int, len(bt.Visits)+len(dt.Visits)),
+			Q:             make(map[core.StateKey][]float64, len(bt.Q)+len(dt.Keys)),
+			Visits:        make(map[core.StateKey]int, len(bt.Visits)+len(dt.VisitKeys)),
 			Steps:         dt.Steps,
 			TrainedUS:     dt.TrainedUS,
 			ConvergedAtUS: dt.ConvergedAtUS,
@@ -409,11 +443,11 @@ func applyDelta(base, delta *learner.TableSet) *learner.TableSet {
 		for s, v := range bt.Visits {
 			nt.Visits[s] = v
 		}
-		for s, row := range dt.Q {
-			nt.Q[s] = row
+		for j, s := range dt.Keys {
+			nt.Q[s] = dt.Row(j, delta.Actions)
 		}
-		for s, v := range dt.Visits {
-			nt.Visits[s] = v
+		for j, s := range dt.VisitKeys {
+			nt.Visits[s] = dt.Visits[j]
 		}
 		next.Roles[i] = learner.RoleTable{Role: base.Roles[i].Role, Table: nt}
 	}

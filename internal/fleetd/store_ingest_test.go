@@ -17,12 +17,12 @@ import (
 // The ingest oracle drives a byte string through the store as a program
 // of uploads, deltas and merges, and keeps a shadow of every device's
 // table composed the reference way: a full upload replaces the shadow,
-// a delta is laid over it with applyDelta, both sanitized as the store
+// a delta is laid over it with overlayDelta, both sanitized as the store
 // sanitizes. After every merge the served policy must be byte-identical
 // to cloud.JoinDevices over the shadows. The store holds merged-in
 // devices only in its merge arena, so this pins the arena's own delta
 // rule (Merger.UploadDelta) and its rebuild path (Merger.Tables) to
-// applyDelta's composition.
+// overlayDelta's composition.
 
 const (
 	ingestActions = 3
@@ -133,6 +133,38 @@ func sanitized(set *learner.TableSet) *learner.TableSet {
 	return c
 }
 
+// overlayDelta is the reference delta rule over table sets: a fresh
+// set whose rows and visit counts are the base's with the delta's laid
+// over them, and whose metadata is the delta's.
+func overlayDelta(base, delta *learner.TableSet) *learner.TableSet {
+	next := &learner.TableSet{Learner: base.Learner, Roles: make([]learner.RoleTable, len(base.Roles))}
+	for i := range base.Roles {
+		bt, dt := base.Roles[i].Table, delta.Roles[i].Table
+		nt := &core.QTable{
+			Actions:       bt.Actions,
+			Q:             make(map[core.StateKey][]float64, len(bt.Q)+len(dt.Q)),
+			Visits:        make(map[core.StateKey]int, len(bt.Visits)+len(dt.Visits)),
+			Steps:         dt.Steps,
+			TrainedUS:     dt.TrainedUS,
+			ConvergedAtUS: dt.ConvergedAtUS,
+		}
+		for s, row := range bt.Q {
+			nt.Q[s] = row
+		}
+		for s, v := range bt.Visits {
+			nt.Visits[s] = v
+		}
+		for s, row := range dt.Q {
+			nt.Q[s] = row
+		}
+		for s, v := range dt.Visits {
+			nt.Visits[s] = v
+		}
+		next.Roles[i] = learner.RoleTable{Role: base.Roles[i].Role, Table: nt}
+	}
+	return next
+}
+
 // runIngest runs one program against a fresh store and the oracle.
 func runIngest(t *testing.T, data []byte) {
 	t.Helper()
@@ -205,7 +237,7 @@ func runIngest(t *testing.T, data []byte) {
 			if err != nil {
 				t.Fatalf("step %d: delta: %v", step, err)
 			}
-			shadow[dev], gens[dev] = applyDelta(base, want), gen
+			shadow[dev], gens[dev] = overlayDelta(base, want), gen
 		case 5: // delta on a stale generation: refused, store untouched
 			stale := gens[dev] + 1 + int64(tp.next()%3)
 			if tp.next()%2 == 0 {

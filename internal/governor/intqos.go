@@ -19,9 +19,6 @@ const (
 	intqosEpochUS = 500_000
 	// intqosSampleUS is the FPS/util sampling period inside an epoch.
 	intqosSampleUS = 50_000
-	// intqosTargetCapFPS caps the inferred target at 60 FPS on every
-	// panel, whatever its refresh rate.
-	intqosTargetCapFPS = 60
 	// intqosQoSPenaltyWPerFPS converts predicted FPS shortfall into
 	// cost-model watts so the pair search trades power against QoS.
 	intqosQoSPenaltyWPerFPS = 0.5
@@ -40,6 +37,9 @@ const (
 // Lineage and PubG for the same reason).
 type IntQoSPM struct {
 	estimate PowerEstimator
+	// refreshHz caps the inferred target: no frame rate above the
+	// panel's refresh rate can be delivered.
+	refreshHz float64
 
 	isGame bool
 
@@ -58,12 +58,16 @@ type IntQoSPM struct {
 	released bool
 }
 
-// NewIntQoSPM builds the baseline with a power estimator.
-func NewIntQoSPM(est PowerEstimator) *IntQoSPM {
+// NewIntQoSPM builds the baseline with a power estimator for a panel
+// refreshing at refreshHz.
+func NewIntQoSPM(est PowerEstimator, refreshHz int) *IntQoSPM {
 	if est == nil {
 		panic("governor: IntQoSPM needs a power estimator")
 	}
-	return &IntQoSPM{estimate: est}
+	if refreshHz <= 0 {
+		panic("governor: IntQoSPM needs a positive refresh rate")
+	}
+	return &IntQoSPM{estimate: est, refreshHz: float64(refreshHz)}
 }
 
 // Name implements ctrl.Controller.
@@ -138,10 +142,7 @@ func (g *IntQoSPM) Control(snap ctrl.Snapshot, act ctrl.Actuator) {
 	if fps > g.stickyTarget {
 		g.stickyTarget = fps
 	}
-	target := g.stickyTarget
-	if target > intqosTargetCapFPS {
-		target = intqosTargetCapFPS
-	}
+	target := min(g.stickyTarget, g.refreshHz)
 
 	var bigView, gpuView, litView *ctrl.ClusterView
 	for i := range snap.Clusters {

@@ -43,7 +43,7 @@ func feedEpoch(g *IntQoSPM, snap ctrl.Snapshot, samples int) {
 }
 
 func TestIntQoSPinsSufficientPairForGame(t *testing.T) {
-	g := NewIntQoSPM(linearPower)
+	g := NewIntQoSPM(linearPower, 60)
 	g.AppChanged("lineage2revolution", true)
 
 	// Game at 60 FPS using 60 % of big capacity and 80 % of GPU.
@@ -74,7 +74,7 @@ func TestIntQoSPinsSufficientPairForGame(t *testing.T) {
 }
 
 func TestIntQoSSavesPowerAtLowDemand(t *testing.T) {
-	g := NewIntQoSPM(linearPower)
+	g := NewIntQoSPM(linearPower, 60)
 	g.AppChanged("pubgmobile", true)
 
 	// Menu screen: 30 FPS at modest load.
@@ -92,7 +92,7 @@ func TestIntQoSSavesPowerAtLowDemand(t *testing.T) {
 }
 
 func TestIntQoSReleasesNonGames(t *testing.T) {
-	g := NewIntQoSPM(linearPower)
+	g := NewIntQoSPM(linearPower, 60)
 	g.AppChanged("facebook", false)
 	snap := gameSnapshot(30, 0.5, 0.5)
 	snap.AppClassGame = false
@@ -133,7 +133,7 @@ func TestIntQoSDoesNotExploitIdlePhases(t *testing.T) {
 	// feed an all-idle epoch (FPS ≈ 0, filtered as non-demand): the
 	// sticky target must hold the pins near the demand level instead of
 	// collapsing to minimum the way Next's target-FPS mode does.
-	g := NewIntQoSPM(linearPower)
+	g := NewIntQoSPM(linearPower, 60)
 	g.AppChanged("lineage2revolution", true)
 	feedEpoch(g, gameSnapshot(60, 0.6, 0.8), 10)
 	actHi := newFakeActuator()
@@ -159,7 +159,7 @@ func TestIntQoSDoesNotExploitIdlePhases(t *testing.T) {
 }
 
 func TestIntQoSNoSamplesNoAction(t *testing.T) {
-	g := NewIntQoSPM(linearPower)
+	g := NewIntQoSPM(linearPower, 60)
 	g.AppChanged("pubgmobile", true)
 	act := newFakeActuator()
 	g.Control(gameSnapshot(60, 0.5, 0.5), act)
@@ -169,7 +169,7 @@ func TestIntQoSNoSamplesNoAction(t *testing.T) {
 }
 
 func TestIntQoSInterfaceContract(t *testing.T) {
-	var c ctrl.Controller = NewIntQoSPM(linearPower)
+	var c ctrl.Controller = NewIntQoSPM(linearPower, 60)
 	if c.Name() != "intqospm" {
 		t.Fatal("name wrong")
 	}
@@ -185,5 +185,26 @@ func TestNewIntQoSPMRequiresEstimator(t *testing.T) {
 			t.Fatal("expected panic without estimator")
 		}
 	}()
-	NewIntQoSPM(nil)
+	NewIntQoSPM(nil, 60)
+}
+
+// TestIntQoSTargetCapIsPanelRate: the inferred target is capped at the
+// panel's refresh rate, so a game rendering 90 FPS on a 120 Hz panel
+// keeps a 90 FPS target and gets higher pins than on a 60 Hz panel,
+// where the same demand is capped to 60.
+func TestIntQoSTargetCapIsPanelRate(t *testing.T) {
+	pins := func(refreshHz int) map[string]int {
+		g := NewIntQoSPM(linearPower, refreshHz)
+		g.AppChanged("pubgmobile", true)
+		snap := gameSnapshot(90, 0.6, 0.6)
+		feedEpoch(g, snap, 10)
+		act := newFakeActuator()
+		g.Control(snap, act)
+		return act.pins
+	}
+	fast, slow := pins(120), pins(60)
+	if fast["big"] <= slow["big"] || fast["GPU"] <= slow["GPU"] {
+		t.Fatalf("90 FPS demand pinned big/GPU at %d/%d on 120 Hz, %d/%d on 60 Hz; want higher on 120 Hz",
+			fast["big"], fast["GPU"], slow["big"], slow["GPU"])
+	}
 }
