@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"cmp"
 	"maps"
 	"math"
 	"math/bits"
@@ -31,11 +32,14 @@ import (
 // for a rebuild.
 //
 // The arena is device-major. Per role, every state any device has a
-// row for gets a small integer id, its sid. Per device, a column packs
-// the rows of just the states that device has, in sid order, with
-// their weights and a sid → row index. An upload writes inside one
-// device's column, which stays in cache, and Merge reads each column
-// front to back.
+// row for gets a small integer id, its sid, which a sorted index (the
+// states in ascending key order beside their sids) finds. Per device,
+// a column packs the rows of just the states that device has, in sid
+// order, with their weights and a sid → row index. An upload writes
+// inside one device's column, which stays in cache, and Merge reads
+// each column front to back. Rebuild numbers the states in key order,
+// so a delta, whose keys arrive in ascending order, finds its sids by
+// walking the index forward and writes its column front to back.
 //
 // The arena is keyed by the device set and table layout captured at
 // Rebuild. Structural changes — a new device, a learner or role-layout
@@ -56,12 +60,21 @@ type Merger struct {
 	// sum and weight are Merge's accumulators, one row and one weight
 	// per dirty state. seen marks the rows a full upload still has;
 	// staged and stagedQ hold an upload's rows for states new to the
-	// device until it repacks the column. All are reused across calls.
+	// device until it repacks the column; fresh holds its states new to
+	// the arena until it adds them to the index. All are reused across
+	// calls.
 	sum     []float64
 	weight  []int
 	seen    []bool
 	staged  []stagedRow
 	stagedQ []float64
+	fresh   []indexEntry
+}
+
+// indexEntry is a state and its sid, on their way into the index.
+type indexEntry struct {
+	key core.StateKey
+	sid int32
 }
 
 // stagedRow is a row waiting for its column's repack: its state, its
@@ -73,11 +86,14 @@ type stagedRow struct {
 
 // roleArena is one role's accumulator state across the fleet.
 type roleArena struct {
-	// sids maps a state to its sid and keys maps back; free lists the
-	// sids of states that left the merge, for reuse.
-	sids map[core.StateKey]int32
-	keys []core.StateKey
-	free []int32
+	// index lists the arena's states in ascending key order, and
+	// indexSid their sids; keys maps a sid back to its state. free lists
+	// the sids of states that left the merge, for reuse: they are not
+	// in the index.
+	index    []core.StateKey
+	indexSid []int32
+	keys     []core.StateKey
+	free     []int32
 	// holders counts, per sid, the devices with a row for the state;
 	// a state whose count falls to 0 leaves the merge.
 	holders []int32
@@ -186,8 +202,9 @@ func NewMerger() *Merger { return &Merger{} }
 
 // Rebuild recomputes the merge from scratch via JoinDevices — the
 // pinned reference path, so its output IS the from-scratch result —
-// and rebuilds the arena over the given uploads. Rows are copied into
-// the arena; neither the map nor its tables are retained. Each role's
+// and rebuilds the arena over the given uploads, numbering each role's
+// states in ascending key order. Rows are copied into the arena;
+// neither the map nor its tables are retained. Each role's
 // columns are carved out of three shared slabs, so Rebuild's
 // allocation count depends on the states, not on the number of
 // devices (devices with row-less visit counts aside).
@@ -208,19 +225,24 @@ func (m *Merger) Rebuild(uploads map[string]*learner.TableSet) (*learner.TableSe
 	a := m.actions
 	for r := range m.roleNames {
 		union := merged.Roles[r].Table.Q
-		ra := &roleArena{
-			sids:    make(map[core.StateKey]int32, len(union)),
-			keys:    make([]core.StateKey, 0, len(union)),
-			holders: make([]int32, len(union)),
-			dirty:   make([]uint64, indexWords(len(union))),
-			cols:    make([]column, len(devices)),
-			inert:   make([]map[core.StateKey]int, len(devices)),
-			steps:   make([]int64, len(devices)),
-			trained: make([]int64, len(devices)),
-		}
+		keys := make([]core.StateKey, 0, len(union))
 		for s := range union {
-			ra.sids[s] = int32(len(ra.keys))
-			ra.keys = append(ra.keys, s)
+			keys = append(keys, s)
+		}
+		slices.Sort(keys)
+		ra := &roleArena{
+			index:    keys,
+			indexSid: make([]int32, len(keys)),
+			keys:     slices.Clone(keys),
+			holders:  make([]int32, len(union)),
+			dirty:    make([]uint64, indexWords(len(union))),
+			cols:     make([]column, len(devices)),
+			inert:    make([]map[core.StateKey]int, len(devices)),
+			steps:    make([]int64, len(devices)),
+			trained:  make([]int64, len(devices)),
+		}
+		for i := range ra.indexSid {
+			ra.indexSid[i] = int32(i)
 		}
 		rows := 0
 		for _, d := range devices {
@@ -244,13 +266,13 @@ func (m *Merger) Rebuild(uploads map[string]*learner.TableSet) (*learner.TableSe
 			c.w = wSlab[off : off+n : off+n]
 			off += n
 			for s := range t.Q {
-				sid := ra.sids[s]
+				sid, _ := ra.lookup(s)
 				c.idx[sid>>6*2] |= 1 << (sid & 63)
 				ra.holders[sid]++
 			}
 			countRows(c.idx)
 			for s, row := range t.Q {
-				sid := ra.sids[s]
+				sid, _ := ra.lookup(s)
 				k := c.rowOf(sid)
 				copy(c.q[k*a:(k+1)*a], row)
 				c.setWeight(k, sid, effectiveWeight(t, s))
@@ -327,11 +349,39 @@ func (ra *roleArena) setMeta(idx int, steps, trained int64) {
 	ra.trained[idx] = trained
 }
 
-// sid returns state s's sid, assigning one when the arena has none.
-func (ra *roleArena) sid(s core.StateKey) int32 {
-	if sid, ok := ra.sids[s]; ok {
-		return sid
+// lookup returns state s's sid by binary search of the index, or
+// false when the arena has no sid for s.
+func (ra *roleArena) lookup(s core.StateKey) (int32, bool) {
+	i, ok := slices.BinarySearch(ra.index, s)
+	if !ok {
+		return 0, false
 	}
+	return ra.indexSid[i], true
+}
+
+// seek returns the first index position at or after from whose key is
+// at least s. It gallops — probing from+1, from+2, from+4, … before a
+// binary search of the last step — so a walk over ascending keys pays
+// for the distance it moves, not for the index's length.
+func (ra *roleArena) seek(from int, s core.StateKey) int {
+	idx := ra.index
+	if from >= len(idx) || idx[from] >= s {
+		return from
+	}
+	lo, step := from, 1 // idx[lo] < s
+	for lo+step < len(idx) && idx[lo+step] < s {
+		lo += step
+		step *= 2
+	}
+	i, _ := slices.BinarySearch(idx[lo+1:min(lo+step, len(idx))], s)
+	return lo + 1 + i
+}
+
+// newSid gives state s, which the arena has no sid for, a freed sid or
+// else the next one, and queues s for the index. room bounds the
+// states the upload may still bring, s included, so the slices that
+// grow with the sids grow at most once per upload.
+func (m *Merger) newSid(ra *roleArena, s core.StateKey, room int) int32 {
 	var sid int32
 	if n := len(ra.free); n > 0 {
 		sid = ra.free[n-1]
@@ -339,14 +389,51 @@ func (ra *roleArena) sid(s core.StateKey) int32 {
 		ra.keys[sid] = s
 	} else {
 		sid = int32(len(ra.keys))
-		ra.keys = append(ra.keys, s)
-		ra.holders = append(ra.holders, 0)
+		ra.keys = append(slices.Grow(ra.keys, room), s)
+		ra.holders = append(slices.Grow(ra.holders, room), 0)
 		if w := indexWords(len(ra.keys)); w > len(ra.dirty) {
-			ra.dirty = append(ra.dirty, 0, 0)
+			grow := indexWords(len(ra.keys)+room-1) - len(ra.dirty)
+			ra.dirty = append(slices.Grow(ra.dirty, grow), 0, 0)
 		}
 	}
-	ra.sids[s] = sid
+	m.fresh = append(slices.Grow(m.fresh, room), indexEntry{key: s, sid: sid})
 	return sid
+}
+
+// insertFresh adds the states queued by newSid, which must be in
+// ascending key order, to the index: one merge pass from the back, so
+// an upload pays for its new states once, not once per state.
+func (m *Merger) insertFresh(ra *roleArena) {
+	fresh := m.fresh
+	if len(fresh) == 0 {
+		return
+	}
+	i, n := len(ra.index)-1, len(ra.index)+len(fresh)
+	ra.index = slices.Grow(ra.index, len(fresh))[:n]
+	ra.indexSid = slices.Grow(ra.indexSid, len(fresh))[:n]
+	for w := n - 1; len(fresh) > 0; w-- {
+		if f := fresh[len(fresh)-1]; i < 0 || ra.index[i] < f.key {
+			ra.index[w], ra.indexSid[w] = f.key, f.sid
+			fresh = fresh[:len(fresh)-1]
+		} else {
+			ra.index[w], ra.indexSid[w] = ra.index[i], ra.indexSid[i]
+			i--
+		}
+	}
+	m.fresh = m.fresh[:0]
+}
+
+// dropFreed removes the states that Merge freed, which no device
+// holds, from the index in one pass.
+func (ra *roleArena) dropFreed() {
+	n := 0
+	for i, sid := range ra.indexSid {
+		if ra.holders[sid] > 0 {
+			ra.index[n], ra.indexSid[n] = ra.index[i], sid
+			n++
+		}
+	}
+	ra.index, ra.indexSid = ra.index[:n], ra.indexSid[:n]
 }
 
 // markDirty queues state sid for the next Merge.
@@ -366,12 +453,17 @@ func (ra *roleArena) writeRow(c *column, k int, sid int32, row []float64, w, a i
 }
 
 // stageRow queues a row for state sid, which the device has none for,
-// until the upload's repack.
-func (m *Merger) stageRow(ra *roleArena, sid int32, row []float64, w int) {
-	m.staged = append(m.staged, stagedRow{sid: sid, at: int32(len(m.staged)), w: w})
-	m.stagedQ = append(m.stagedQ, row...)
+// until the upload's repack, and returns the row's place in stagedQ
+// for the caller to fill. room bounds the rows the upload may still
+// stage, this one included, so the buffers grow at most once.
+func (m *Merger) stageRow(ra *roleArena, sid int32, w, room int) []float64 {
+	a := m.actions
+	m.staged = append(slices.Grow(m.staged, room), stagedRow{sid: sid, at: int32(len(m.staged)), w: w})
+	n := len(m.stagedQ)
+	m.stagedQ = slices.Grow(m.stagedQ, room*a)[:n+a]
 	ra.holders[sid]++
 	ra.markDirty(sid)
+	return m.stagedQ[n : n+a]
 }
 
 // repack rebuilds column c into buffers of its new size: its rows,
@@ -438,21 +530,27 @@ func (m *Merger) Upload(device string, next *learner.TableSet) bool {
 		c := &ra.cols[idx]
 		ra.setMeta(idx, t.Steps, t.TrainedUS)
 		seen := append(m.seen[:0], make([]bool, c.rows())...)
-		kept := 0
+		kept, room := 0, len(t.Q)
 		for s, row := range t.Q {
-			sid := ra.sid(s)
+			sid, ok := ra.lookup(s)
+			if !ok {
+				sid = m.newSid(ra, s, room)
+			}
 			w := effectiveWeight(t, s)
 			if k := c.rowOf(sid); k >= 0 {
 				seen[k] = true
 				kept++
 				ra.writeRow(c, k, sid, row, w, a)
 			} else {
-				m.stageRow(ra, sid, row, w)
+				copy(m.stageRow(ra, sid, w, room), row)
 			}
+			room--
 		}
 		if kept < len(seen) || len(m.staged) > 0 {
 			m.repack(ra, c, seen)
 		}
+		slices.SortFunc(m.fresh, func(x, y indexEntry) int { return cmp.Compare(x.key, y.key) })
+		m.insertFresh(ra)
 		m.seen = seen
 		ra.inert[idx] = inertVisits(t)
 	}
@@ -472,10 +570,13 @@ func (m *Merger) Upload(device string, next *learner.TableSet) bool {
 //     or is remembered while the device has no row for that state;
 //   - Steps and TrainedUS are absolute.
 //
-// Rows and visit counts are joined in key order in one pass. A delta
-// cannot drop states; the column is rebuilt only when the delta brings
-// states new to the device. It returns false — arena untouched — for a
-// device the arena doesn't know or a set whose layout differs from the
+// Rows and visit counts are joined in key order in one pass, which
+// walks a cursor forward through the index to find each row's sid and
+// decodes the row straight into the device's column. A delta cannot
+// drop states; the column is rebuilt only when the delta brings states
+// new to the device, and the index grows once when it brings states
+// new to the arena. It returns false — arena untouched — for a device
+// the arena doesn't know or a set whose layout differs from the
 // arena's.
 func (m *Merger) UploadDelta(device string, delta *core.SortedSet) bool {
 	idx, ok := m.device(device)
@@ -488,12 +589,18 @@ func (m *Merger) UploadDelta(device string, delta *core.SortedSet) bool {
 		t := &delta.Roles[r]
 		c := &ra.cols[idx]
 		ra.setMeta(idx, t.Steps, t.TrainedUS)
-		v := 0 // next visit count
+		v, p := 0, 0 // next visit count, index cursor
 		for i, s := range t.Keys {
 			for ; v < len(t.VisitKeys) && t.VisitKeys[v] < s; v++ {
 				ra.rowlessVisit(idx, t.VisitKeys[v], t.Visits[v])
 			}
-			sid := ra.sid(s)
+			var sid int32
+			if p = ra.seek(p, s); p < len(ra.index) && ra.index[p] == s {
+				sid = ra.indexSid[p]
+				p++
+			} else {
+				sid = m.newSid(ra, s, len(t.Keys)-i)
+			}
 			k := c.rowOf(sid)
 			var w int
 			switch {
@@ -505,10 +612,14 @@ func (m *Merger) UploadDelta(device string, delta *core.SortedSet) bool {
 			default:
 				w = ra.inert[idx][s]
 			}
+			w = max(w, 1)
 			if k >= 0 {
-				ra.writeRow(c, k, sid, t.Row(i, a), max(w, 1), a)
+				if t.RowInto(i, c.q[k*a:(k+1)*a]) || c.weight(k, sid) != w {
+					ra.markDirty(sid)
+				}
+				c.setWeight(k, sid, w)
 			} else {
-				m.stageRow(ra, sid, t.Row(i, a), max(w, 1))
+				t.RowInto(i, m.stageRow(ra, sid, w, len(t.Keys)-i))
 			}
 			if len(ra.inert[idx]) > 0 {
 				delete(ra.inert[idx], s)
@@ -520,6 +631,7 @@ func (m *Merger) UploadDelta(device string, delta *core.SortedSet) bool {
 		if len(m.staged) > 0 {
 			m.repack(ra, c, nil)
 		}
+		m.insertFresh(ra)
 	}
 	return true
 }
@@ -530,7 +642,7 @@ func (m *Merger) UploadDelta(device string, delta *core.SortedSet) bool {
 // never s's, so it may run before their repack.
 func (ra *roleArena) rowlessVisit(idx int, s core.StateKey, v int) {
 	c := &ra.cols[idx]
-	if sid, ok := ra.sids[s]; ok {
+	if sid, ok := ra.lookup(s); ok {
 		if k := c.rowOf(sid); k >= 0 {
 			if w := max(v, 1); w != c.weight(k, sid) {
 				c.setWeight(k, sid, w)
@@ -609,6 +721,7 @@ func (m *Merger) Merge() *learner.TableSet {
 		for _, v := range ra.trained {
 			nt.TrainedUS = max(nt.TrainedUS, v)
 		}
+		freed := len(ra.free)
 		m.accumulate(ra)
 		o := 0
 		for b := 0; b < len(ra.dirty); b += 2 {
@@ -618,7 +731,6 @@ func (m *Merger) Merge() *learner.TableSet {
 				if ra.holders[sid] == 0 { // every device dropped it
 					delete(nt.Q, s)
 					delete(nt.Visits, s)
-					delete(ra.sids, s)
 					ra.free = append(ra.free, sid)
 				} else {
 					row := make([]float64, a)
@@ -633,6 +745,9 @@ func (m *Merger) Merge() *learner.TableSet {
 				o++
 			}
 			ra.dirty[b] = 0
+		}
+		if len(ra.free) > freed {
+			ra.dropFreed()
 		}
 		out.Roles[r] = learner.RoleTable{Role: roleName, Table: nt}
 	}

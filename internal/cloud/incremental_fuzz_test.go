@@ -231,6 +231,53 @@ func (o *mergerOracle) roundTrip(step string) {
 	o.m = m
 }
 
+// checkIndex checks every role's state index (see indexFault).
+func (o *mergerOracle) checkIndex(step string) {
+	o.t.Helper()
+	if o.m == nil {
+		return
+	}
+	for r, ra := range o.m.roles {
+		if fault := ra.indexFault(); fault != "" {
+			o.t.Fatalf("%s: role %q index: %s", step, o.m.roleNames[r], fault)
+		}
+	}
+}
+
+// indexFault describes the first way the state index breaks its
+// invariants, or returns "": keys strictly ascending, each entry's sid
+// mapping back to its key, one entry per sid in use, and no freed sid.
+func (ra *roleArena) indexFault() string {
+	if len(ra.index) != len(ra.indexSid) {
+		return fmt.Sprintf("%d keys beside %d sids", len(ra.index), len(ra.indexSid))
+	}
+	if live := len(ra.keys) - len(ra.free); len(ra.index) != live {
+		return fmt.Sprintf("%d entries for %d live states", len(ra.index), live)
+	}
+	freed := make([]bool, len(ra.keys))
+	for _, sid := range ra.free {
+		freed[sid] = true
+	}
+	seen := make([]bool, len(ra.keys))
+	for i, s := range ra.index {
+		sid := ra.indexSid[i]
+		switch {
+		case i > 0 && s <= ra.index[i-1]:
+			return fmt.Sprintf("key %d at %d follows %d", s, i, ra.index[i-1])
+		case sid < 0 || int(sid) >= len(ra.keys):
+			return fmt.Sprintf("key %d has sid %d of %d", s, sid, len(ra.keys))
+		case freed[sid]:
+			return fmt.Sprintf("key %d has freed sid %d", s, sid)
+		case seen[sid]:
+			return fmt.Sprintf("sid %d is in the index twice", sid)
+		case ra.keys[sid] != s:
+			return fmt.Sprintf("key %d has sid %d, which maps back to %d", s, sid, ra.keys[sid])
+		}
+		seen[sid] = true
+	}
+	return ""
+}
+
 func (o *mergerOracle) check(what string, got, want *learner.TableSet) {
 	o.t.Helper()
 	if !bytes.Equal(nxtb(o.t, got), nxtb(o.t, want)) {
@@ -263,6 +310,7 @@ func runMerger(t *testing.T, data []byte) {
 		case 7:
 			o.refuse(dev, tp.set(name, mergerActions+1))
 		}
+		o.checkIndex(fmt.Sprintf("step %d", step))
 	}
 	o.merge("end")
 }

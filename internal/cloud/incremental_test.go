@@ -3,6 +3,7 @@ package cloud
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"nextdvfs/internal/core"
@@ -437,7 +438,7 @@ func span(from, to int) []int {
 // visit counts without a row; and a visit count too wide for 32 bits.
 // After every step, Merge, JoinDevices over Tables and a Rebuild from
 // Tables must all be byte-identical (NXTB) to JoinDevices over the
-// shadow tables.
+// shadow tables, and the state index must keep its invariants.
 func TestMergerSparseColumns(t *testing.T) {
 	const a = 4
 	o := newMergerOracle(t)
@@ -511,8 +512,60 @@ func TestMergerSparseColumns(t *testing.T) {
 	}
 	for _, st := range steps {
 		st.run()
+		o.checkIndex(st.name)
 		o.merge(st.name)
+		o.checkIndex(st.name + ": merge")
 		o.roundTrip(st.name)
+		o.checkIndex(st.name + ": round trip")
+	}
+}
+
+// TestMergerDeltaNewStatesAllocsFlat: a delta bringing k states new to
+// a large arena merges them into the state index in one pass, and every
+// slice that grows with the sids grows at most once, so the delta's
+// allocation count does not depend on k — up to k equal to the union,
+// where growing per state would reallocate several times over.
+func TestMergerDeltaNewStatesAllocsFlat(t *testing.T) {
+	const union = 100 * 1024 // a whole number of 64-sid index blocks
+	even := make([]int, union)
+	for i := range even {
+		even[i] = 2 * i
+	}
+	uploads := map[string]*learner.TableSet{
+		"dev-a": learner.SingleTableSet(sparseTable(4, 1, even...)),
+		"dev-b": learner.SingleTableSet(sparseTable(4, 2, even[:64]...)),
+	}
+	allocs := func(k int) uint64 {
+		m := NewMerger()
+		if _, _, err := m.Rebuild(uploads); err != nil {
+			t.Fatal(err)
+		}
+		odd := make([]int, k) // new to the arena, spread through it
+		for i := range odd {
+			odd[i] = 2*(i*union/k) + 1
+		}
+		delta := sorted(t, learner.SingleTableSet(sparseTable(4, 3, odd...)))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ok := m.UploadDelta("dev-b", delta)
+		runtime.ReadMemStats(&after)
+		if !ok {
+			t.Fatal("delta refused")
+		}
+		if fault := m.roles[0].indexFault(); fault != "" {
+			t.Fatalf("k=%d: %s", k, fault)
+		}
+		if got := len(m.roles[0].index); got != union+k {
+			t.Fatalf("k=%d: index holds %d states, want %d", k, got, union+k)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	one := allocs(1)
+	for _, k := range []int{64, 4096, union} {
+		if n := allocs(k); n != one {
+			t.Fatalf("a delta with %d new states allocates %d times, with 1 new state %d", k, n, one)
+		}
 	}
 }
 

@@ -221,6 +221,33 @@ func (r *binReader) key(prev uint64, first bool) (uint64, error) {
 	return k, nil
 }
 
+// smallKey is key's fast path for the common case, a valid delta of
+// one byte; a first key of one byte reads the same way from prev 0.
+// For anything else (a longer varint, a zero delta, a wrapping one) it
+// reads nothing and returns false, and key must read it.
+func (r *binReader) smallKey(prev uint64) (uint64, bool) {
+	if r.off >= len(r.data) {
+		return 0, false
+	}
+	b := r.data[r.off]
+	if k := prev + uint64(b); b < 0x80 && k > prev {
+		r.off++
+		return k, true
+	}
+	return 0, false
+}
+
+// small reads a varint of one byte, as most visit counts are, returning
+// its byte; at any other byte it reads nothing and returns false, and
+// varint must read it.
+func (r *binReader) small() (byte, bool) {
+	if r.off < len(r.data) && r.data[r.off] < 0x80 {
+		r.off++
+		return r.data[r.off-1], true
+	}
+	return 0, false
+}
+
 // UnmarshalTableSetBinary parses a binary-encoded learner table set,
 // applying the same validation as the JSON path (action count, role
 // layout, learner registry): UnmarshalSortedSetBinary, then the maps.
@@ -234,13 +261,19 @@ func UnmarshalTableSetBinary(data []byte) (app string, set *TableSet, trained bo
 
 // UnmarshalSortedSetBinary parses a binary-encoded learner table set
 // into sorted form, the wire's own shape. It is the one NXTB parser:
-// every check on a binary payload is made here.
+// every check on a binary payload is made here. It decodes keys, visit
+// counts and metadata, but leaves each row in data, recording where it
+// starts: the set aliases data (see SortedSet), and the caller hands
+// data over to it.
 func UnmarshalSortedSetBinary(data []byte) (app string, set *SortedSet, trained bool, err error) {
 	if !IsBinaryTableSet(data) {
 		return "", nil, false, fmt.Errorf("core: binary table: missing %q magic", binMagic)
 	}
 	if len(data) < len(binMagic)+2 {
 		return "", nil, false, fmt.Errorf("core: binary table: truncated header")
+	}
+	if len(data) > math.MaxInt32 { // rows are found by int32 offsets
+		return "", nil, false, fmt.Errorf("core: binary table: %d bytes is too large", len(data))
 	}
 	if data[len(binMagic)] != binVersion {
 		return "", nil, false, fmt.Errorf("core: binary table: unsupported version %d (want %d)", data[len(binMagic)], binVersion)
@@ -309,6 +342,7 @@ func UnmarshalSortedSetBinary(data []byte) (app string, set *SortedSet, trained 
 	return app, set, trained, nil
 }
 
+// readRows reads a role's keys and notes where each row starts.
 func (r *binReader) readRows(t *SortedTable, actions int) error {
 	count, err := r.uvarint()
 	if err != nil {
@@ -316,7 +350,7 @@ func (r *binReader) readRows(t *SortedTable, actions int) error {
 	}
 	// Every entry consumes >= 1 key byte + 8*actions row bytes, so a
 	// count beyond remaining/entrySize is hostile — reject before
-	// sizing the rows by it.
+	// sizing the keys by it.
 	rowBytes := 8 * actions
 	if count > uint64(r.remaining())/uint64(1+rowBytes) {
 		return fmt.Errorf("q entry count %d exceeds %d remaining bytes", count, r.remaining())
@@ -325,23 +359,22 @@ func (r *binReader) readRows(t *SortedTable, actions int) error {
 		return nil
 	}
 	t.Keys = make([]StateKey, count)
-	t.Q = make([]float64, int(count)*actions)
+	t.rows = r.data
+	t.at = make([]int32, count)
 	prev := uint64(0)
 	for i := range t.Keys {
-		k, err := r.key(prev, i == 0)
-		if err != nil {
-			return err
+		k, ok := r.smallKey(prev)
+		if !ok {
+			if k, err = r.key(prev, i == 0); err != nil {
+				return err
+			}
 		}
 		prev = k
 		t.Keys[i] = StateKey(k)
 		if r.remaining() < rowBytes {
 			return fmt.Errorf("core: binary table: truncated row at offset %d", r.off)
 		}
-		src := r.data[r.off : r.off+rowBytes]
-		row := t.Q[i*actions : (i+1)*actions]
-		for j := range row {
-			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*j:]))
-		}
+		t.at[i] = int32(r.off)
 		r.off += rowBytes
 	}
 	return nil
@@ -362,13 +395,17 @@ func (r *binReader) readVisits(t *SortedTable) error {
 	t.Visits = make([]int, count)
 	prev := uint64(0)
 	for i := range t.VisitKeys {
-		k, err := r.key(prev, i == 0)
-		if err != nil {
-			return err
+		k, ok := r.smallKey(prev)
+		if !ok {
+			if k, err = r.key(prev, i == 0); err != nil {
+				return err
+			}
 		}
 		prev = k
-		v, err := r.varint()
-		if err != nil {
+		var v int64
+		if b, ok := r.small(); ok {
+			v = int64(b>>1) ^ -int64(b&1) // zig-zag
+		} else if v, err = r.varint(); err != nil {
 			return err
 		}
 		if int64(int(v)) != v {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"slices"
 
 	"nextdvfs/internal/learner"
@@ -8,16 +11,18 @@ import (
 
 // SortedSet is a learner table set in sorted form, the binary wire's
 // own shape: per role, the states with a row in strictly ascending key
-// order and their rows laid end to end, then the visit counts as a
+// order, each row still in its wire bytes, then the visit counts as a
 // second ascending key list. It serves consumers that walk each table
 // once in key order, such as a fleet server applying a delta upload,
 // and have no use for a QTable's maps.
 //
 // UnmarshalSortedSetBinary and SortTableSet make sorted sets, and both
-// check them as the table-set decoders do; a SortedSet built by hand
-// must keep the same invariants: a registered learner and its role
-// layout, Actions > 0, keys strictly ascending, len(Q) ==
-// len(Keys)*Actions and len(Visits) == len(VisitKeys).
+// check them as the table-set decoders do; nothing else can, since only
+// this package reads and writes the rows' byte form. A set decoded from
+// a payload aliases the payload's bytes: its rows are read from them
+// on demand, and ClampRows writes into them. Whoever owns the payload
+// owns the set, and must neither change the bytes nor reuse them while
+// the set is in use.
 type SortedSet struct {
 	Learner string // normalized registry name
 	Actions int
@@ -29,9 +34,12 @@ type SortedSet struct {
 // and vice versa.
 type SortedTable struct {
 	Role string
-	// Keys lists the states with a row; row i is Row(i, actions).
+	// Keys lists the states with a row; RowInto reads row i.
 	Keys []StateKey
-	Q    []float64
+	// rows holds the rows in their wire form: row i is Actions float64
+	// bit patterns, little-endian, from rows[at[i]].
+	rows []byte
+	at   []int32
 	// Visits[i] is state VisitKeys[i]'s visit count.
 	VisitKeys []StateKey
 	Visits    []int
@@ -40,26 +48,61 @@ type SortedTable struct {
 	Steps, TrainedUS, ConvergedAtUS int64
 }
 
-// Row returns row i of a table with the given action count.
-func (t *SortedTable) Row(i, actions int) []float64 {
-	return t.Q[i*actions : (i+1)*actions : (i+1)*actions]
+// RowInto overwrites dst, whose length is the action count, with row i
+// and reports whether any bit of dst changed.
+func (t *SortedTable) RowInto(i int, dst []float64) (changed bool) {
+	src := t.rows[t.at[i]:][:8*len(dst)]
+	var diff uint64
+	for j := range dst {
+		b := binary.LittleEndian.Uint64(src[8*j:])
+		diff |= b ^ math.Float64bits(dst[j])
+		dst[j] = math.Float64frombits(b)
+	}
+	return diff != 0
 }
 
-// TableSet fills a TableSet's maps from s. The rows alias s.Q.
+// ClampRows replaces, in place, each row value that is NaN or whose
+// magnitude exceeds limit with clamp(value). Every other value is left
+// as its bytes are, and clamp never sees it.
+func (s *SortedSet) ClampRows(limit float64, clamp func(float64) float64) {
+	// Below the sign bit, a float64's bits order as its magnitude does,
+	// and NaNs sort above every finite value and the infinities.
+	top := math.Float64bits(limit)
+	n := 8 * s.Actions
+	for r := range s.Roles {
+		t := &s.Roles[r]
+		for _, at := range t.at {
+			row := t.rows[at:][:n]
+			for j := 0; j < n; j += 8 {
+				b := binary.LittleEndian.Uint64(row[j:])
+				if b&^(1<<63) > top {
+					binary.LittleEndian.PutUint64(row[j:], math.Float64bits(clamp(math.Float64frombits(b))))
+				}
+			}
+		}
+	}
+}
+
+// TableSet fills a TableSet's maps from s, decoding each role's rows
+// into one slab.
 func (s *SortedSet) TableSet() *TableSet {
+	a := s.Actions
 	set := &TableSet{Learner: s.Learner, Roles: make([]RoleTable, len(s.Roles))}
 	for i := range s.Roles {
 		st := &s.Roles[i]
 		t := &QTable{
-			Actions:       s.Actions,
+			Actions:       a,
 			Q:             make(map[StateKey][]float64, len(st.Keys)),
 			Visits:        make(map[StateKey]int, len(st.VisitKeys)),
 			Steps:         st.Steps,
 			TrainedUS:     st.TrainedUS,
 			ConvergedAtUS: st.ConvergedAtUS,
 		}
+		q := make([]float64, len(st.Keys)*a)
 		for j, k := range st.Keys {
-			t.Q[k] = st.Row(j, s.Actions)
+			row := q[j*a : (j+1)*a : (j+1)*a]
+			st.RowInto(j, row)
+			t.Q[k] = row
 		}
 		for j, k := range st.VisitKeys {
 			t.Visits[k] = st.Visits[j]
@@ -69,8 +112,9 @@ func (s *SortedSet) TableSet() *TableSet {
 	return set
 }
 
-// SortTableSet converts a table set into sorted form, copying its rows.
-// It refuses a set that fails learner.ValidateSet, as the decoders do.
+// SortTableSet converts a table set into sorted form, writing its rows
+// in their wire form. It refuses a set that fails learner.ValidateSet,
+// as the decoders do.
 func SortTableSet(set *TableSet) (*SortedSet, error) {
 	if err := learner.ValidateSet(set); err != nil {
 		return nil, err
@@ -88,9 +132,16 @@ func SortTableSet(set *TableSet) (*SortedSet, error) {
 			TrainedUS:     t.TrainedUS,
 			ConvergedAtUS: t.ConvergedAtUS,
 		}
-		st.Q = make([]float64, len(st.Keys)*a)
+		if len(st.Keys)*8*a > math.MaxInt32 {
+			return nil, fmt.Errorf("core: role %q holds %d rows, too many for sorted form", r.Role, len(st.Keys))
+		}
+		st.rows = make([]byte, 0, len(st.Keys)*8*a)
+		st.at = make([]int32, len(st.Keys))
 		for j, k := range st.Keys {
-			copy(st.Row(j, a), t.Q[k])
+			st.at[j] = int32(len(st.rows))
+			for _, v := range t.Q[k] {
+				st.rows = binary.LittleEndian.AppendUint64(st.rows, math.Float64bits(v))
+			}
 		}
 		st.Visits = make([]int, len(st.VisitKeys))
 		for j, k := range st.VisitKeys {

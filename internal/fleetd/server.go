@@ -221,7 +221,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 }
 
 // handleDelta finishes a delta upload: the body goes from its wire
-// bytes to the sorted form and into the store without a QTable.
+// bytes to the sorted form and into the store without a QTable. The
+// handler owns data, which ReadUpload read into a fresh buffer; a
+// binary delta's rows stay in it, and the store sanitizes them there.
 func (s *Server) handleDelta(w http.ResponseWriter, device, platform, contentType string, data []byte, baseHdr string) int {
 	app, delta, err := decodeSorted(contentType, data)
 	if err != nil {

@@ -125,15 +125,14 @@ func sanitizeTable(t *core.QTable) {
 }
 
 // sanitizeSorted is sanitizeTable for every role of a delta in sorted
-// form.
+// form. The rows of a decoded delta are still in the request body: the
+// clamp rewrites there just the values out of range, and reads the rest.
 func sanitizeSorted(set *core.SortedSet) {
+	set.ClampRows(maxQValue, clampQ)
 	for i := range set.Roles {
 		t := &set.Roles[i]
 		for j, v := range t.Visits {
 			t.Visits[j] = clampVisits(v)
-		}
-		for j, v := range t.Q {
-			t.Q[j] = clampQ(v)
 		}
 		t.Steps, t.TrainedUS, t.ConvergedAtUS = clampCounter(t.Steps), clampCounter(t.TrainedUS), clampCounter(t.ConvergedAtUS)
 	}
@@ -364,7 +363,8 @@ func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseG
 // count and the new generation for the next delta. A missing base or a
 // stale baseGen fails with ErrDeltaBase (full upload required); the
 // store is never modified on error. The store takes ownership of delta
-// and sanitizes it in place, refused or not.
+// and of the body it aliases, and sanitizes it in place, refused or
+// not; it keeps no reference to either once it returns.
 func (s *Store) uploadDelta(k Key, device string, delta *core.SortedSet, baseGen int64) (devices int, gen int64, err error) {
 	if err := admitNames(k, device); err != nil {
 		return 0, 0, err
@@ -423,7 +423,8 @@ func sameLayout(base *learner.TableSet, delta *core.SortedSet) bool {
 
 // applyDelta overlays a delta on a pending base role-by-role. The
 // result is a fresh set whose unchanged rows alias the base and whose
-// new rows alias the delta; metadata is absolute from the delta.
+// new rows are copied out of the delta; metadata is absolute from the
+// delta.
 // Merger.UploadDelta applies the same rule to merged-in devices.
 func applyDelta(base *learner.TableSet, delta *core.SortedSet) *learner.TableSet {
 	next := &learner.TableSet{Learner: base.Learner, Roles: make([]learner.RoleTable, len(base.Roles))}
@@ -443,8 +444,12 @@ func applyDelta(base *learner.TableSet, delta *core.SortedSet) *learner.TableSet
 		for s, v := range bt.Visits {
 			nt.Visits[s] = v
 		}
+		a := delta.Actions
+		q := make([]float64, len(dt.Keys)*a)
 		for j, s := range dt.Keys {
-			nt.Q[s] = dt.Row(j, delta.Actions)
+			row := q[j*a : (j+1)*a : (j+1)*a]
+			dt.RowInto(j, row)
+			nt.Q[s] = row
 		}
 		for j, s := range dt.VisitKeys {
 			nt.Visits[s] = dt.Visits[j]

@@ -17,10 +17,11 @@ import (
 // BenchmarkDeltaUpload times the stages of the delta-upload handler, one
 // sub-benchmark each, on a fixed 1,360-state × 9-action NXTB delta (the
 // size of a delta in the fleet benchmark's recorded traffic): read
-// (FrontDoor.readBody), decode (core.UnmarshalSortedSetBinary),
-// sanitize, and arena (Merger.UploadDelta into a merged-in device's
-// column of a 16-device arena). Two deltas over the same states
-// alternate, so every arena update rewrites the device's rows.
+// (FrontDoor.readBody), decode (core.UnmarshalSortedSetBinary, which
+// leaves the rows in the body), sanitize, and arena (Merger.UploadDelta
+// decoding the rows from the body into a merged-in device's column of a
+// 16-device arena). Two deltas over the same states alternate, so every
+// arena update rewrites the device's rows.
 func BenchmarkDeltaUpload(b *testing.B) {
 	const states, actions, devices = 1360, 9, 16
 	rng := rand.New(rand.NewSource(42))
