@@ -14,13 +14,15 @@
 // two consecutive sweeps to prove it). The analyze stage reports
 // pass/fail per cell, the cheapest SLO-passing configuration
 // (energy-first, QoS tiebreak) and per-axis sensitivity, as a text
-// table or machine-readable JSON (-json).
+// table or machine-readable JSON (-json), and exits non-zero when no
+// cell passes or the results file does not exist.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"nextdvfs/internal/plan"
@@ -36,7 +38,7 @@ func main() {
 	case "run":
 		err = runCmd(os.Args[2:])
 	case "analyze":
-		err = analyzeCmd(os.Args[2:])
+		err = analyzeCmd(os.Args[2:], os.Stdout)
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -53,7 +55,7 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  nextplan run     -plan FILE -out FILE [-parallel N] [-lockstep] [-fresh]
+  nextplan run     -plan FILE -out FILE [-parallel N] [-fresh]
   nextplan analyze -plan FILE -results FILE [-json]
 
 Subcommands:
@@ -61,7 +63,8 @@ Subcommands:
            cell; completed cells (matched by config hash) are skipped,
            so re-running resumes an interrupted sweep
   analyze  evaluate every cell's row against the plan's SLO and report
-           pass/fail, the cheapest passing config and axis sensitivity
+           pass/fail, the cheapest passing config and axis sensitivity;
+           exits 1 when no cell passes
 
 Run 'nextplan run -h' or 'nextplan analyze -h' for flag details.
 `)
@@ -72,7 +75,6 @@ func runCmd(args []string) error {
 	planPath := fs.String("plan", "", "plan file (required)")
 	out := fs.String("out", "", "JSONL result file to append to (required)")
 	parallel := fs.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-	lockstep := fs.Bool("lockstep", false, "batch each (scenario, platform) pair through one lockstep engine")
 	fresh := fs.Bool("fresh", false, "discard an existing result file instead of resuming into it")
 	fs.Parse(args)
 	if *planPath == "" || *out == "" {
@@ -83,11 +85,7 @@ func runCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := plan.Run(p, *out, plan.RunOptions{
-		Parallel: *parallel,
-		Lockstep: *lockstep,
-		Fresh:    *fresh,
-	})
+	rep, err := plan.Run(p, *out, plan.RunOptions{Parallel: *parallel, Fresh: *fresh})
 	if err != nil {
 		return err
 	}
@@ -99,7 +97,9 @@ func runCmd(args []string) error {
 	return nil
 }
 
-func analyzeCmd(args []string) error {
+// analyzeCmd prints the analysis to stdout. It fails when the results
+// file does not exist or when no cell passes the SLO.
+func analyzeCmd(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("nextplan analyze", flag.ExitOnError)
 	planPath := fs.String("plan", "", "plan file (required)")
 	results := fs.String("results", "", "JSONL result file a run produced (required)")
@@ -117,17 +117,20 @@ func analyzeCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	a := plan.Analyze(p, rows)
+	a, err := plan.Analyze(p, rows)
+	if err != nil {
+		return err
+	}
 	if *asJSON {
 		data, err := json.MarshalIndent(a, "", "  ")
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(stdout, string(data))
 	} else {
-		a.WriteText(os.Stdout)
+		a.WriteText(stdout)
 	}
-	if a.Fail > 0 && a.Cheapest == nil {
+	if a.Cheapest == nil {
 		return fmt.Errorf("no configuration meets the SLO")
 	}
 	return nil

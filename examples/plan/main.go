@@ -18,23 +18,20 @@ import (
 
 func main() {
 	scale := flag.Float64("scale", 0.02, "scenario duration scale (1 = full length)")
-	fleet := flag.Int("bigfleet", 2048, "the larger fleet size the SLO stresses")
 	flag.Parse()
 
 	p := &nextdvfs.Plan{
 		Name: "example",
 		Seed: 42,
 		SLO: nextdvfs.PlanSLO{
-			MinActiveFPS:      30,  // users must actually see their frames
-			MaxDropRatePct:    5,   // ... and not as a stutter
-			MaxEnergyJ:        180, // battery budget per (scaled) session
-			MinCheckinsPerSec: 500, // fleetd must keep up with the fleet
+			MinActiveFPS:   30,  // users must actually see their frames
+			MaxDropRatePct: 5,   // ... and not as a stutter
+			MaxEnergyJ:     180, // battery budget per (scaled) session
 		},
 		Grid: nextdvfs.PlanGrid{
 			Scenarios: []string{"doomscroll"},
 			Platforms: []string{"note9"},
 			Schemes:   []string{"schedutil", "performance", "powersave"},
-			Fleets:    []int{64, *fleet},
 		},
 		DurationScale: *scale,
 	}
@@ -50,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("swept %d grid cells (cells differing only in fleet share one sim)\n\n", rep.Cells)
+	fmt.Printf("swept %d grid cells\n\n", rep.Cells)
 
 	a, err := nextdvfs.AnalyzePlan(p, results)
 	if err != nil {

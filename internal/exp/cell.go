@@ -10,36 +10,35 @@ import (
 	"nextdvfs/internal/sim"
 )
 
-// Cell is one plan-runnable grid unit: evaluate one management scheme
-// on one scenario × platform at one seed. It is the same work a
-// ScenarioGrid cell does — agent-training schemes first train a fresh
-// agent on TrainSessions differently-seeded sessions, then every
-// scheme replays the evaluation timeline compiled at Seed — exposed as
-// a standalone unit so sweep drivers (internal/plan) can assemble
-// their own grids, deduplicate cells and route them through
-// internal/batch with their own lockstep spans.
+// Cell is one grid unit: evaluate one management scheme on one
+// scenario × platform at one seed. Agent-training schemes first train a
+// fresh agent on TrainSessions differently-seeded sessions, then every
+// scheme replays the evaluation timeline compiled at Seed. ScenarioGrid
+// runs the cells ScenarioOptions.Cells lists; internal/plan runs the
+// same cells and keys each result row by the cell's JSON form (these
+// tags), so an interrupted sweep can resume.
 type Cell struct {
 	// Scenario and Platform name registry presets (both required).
-	Scenario string
-	Platform string
+	Scenario string `json:"scenario"`
+	Platform string `json:"platform"`
 	// Scheme names the management stack ("" = schedutil).
-	Scheme string
+	Scheme string `json:"scheme"`
 	// Learner / Explorer configure agent-training schemes ("" = watkins
 	// / egreedy); governor schemes ignore them.
-	Learner  string
-	Explorer string
+	Learner  string `json:"learner,omitempty"`
+	Explorer string `json:"explorer,omitempty"`
 	// Seed is the cell's base seed, with the ScenarioGrid derivation:
 	// training sessions run at Seed+1…Seed+TrainSessions and the
 	// evaluation timeline compiles at Seed+500. Cells sharing (Scenario,
 	// Platform, Seed, DurationScale) replay byte-identical evaluation
 	// timelines, so their results are directly comparable — and
 	// lockstep-batchable.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// TrainSessions is how many sessions train an agent scheme's agent
 	// (0 → 6); governor schemes ignore it.
-	TrainSessions int
+	TrainSessions int `json:"train_sessions,omitempty"`
 	// DurationScale shrinks the scenario (0 or 1 = full length).
-	DurationScale float64
+	DurationScale float64 `json:"duration_scale,omitempty"`
 }
 
 // Validate resolves every name against its registry.
@@ -62,11 +61,11 @@ func (c Cell) Validate() error {
 	return nil
 }
 
-// Job converts the cell into a batch.Job. lockstepKey, when non-empty,
-// marks the job batchable: the caller guarantees that consecutive jobs
-// carrying the same key share (Scenario, Platform, Seed, DurationScale)
-// so their evaluation lanes compile identical timeline structure.
-func (c Cell) Job(lockstepKey string) (batch.Job, error) {
+// Job converts the cell into a scalar batch.Job. A caller may set the
+// job's LockstepKey when consecutive jobs share (Scenario, Platform,
+// Seed, DurationScale), so their evaluation lanes compile identical
+// timeline structure.
+func (c Cell) Job() (batch.Job, error) {
 	if err := c.Validate(); err != nil {
 		return batch.Job{}, err
 	}
@@ -85,11 +84,10 @@ func (c Cell) Job(lockstepKey string) (batch.Job, error) {
 	seed := c.Seed
 	explorer := c.Explorer
 	return batch.Job{
-		App:         scn.Name,
-		Scheme:      spec.Name,
-		Platform:    plat.Name,
-		Seed:        seed,
-		LockstepKey: lockstepKey,
+		App:      scn.Name,
+		Scheme:   spec.Name,
+		Platform: plat.Name,
+		Seed:     seed,
 		Build: func() (sim.Config, error) {
 			return laneConfig(scn, plat, spec, lrn, explorer, seed, seed+500, seed+500, trainSessions)
 		},

@@ -7,7 +7,7 @@ import (
 	"nextdvfs/internal/batch"
 )
 
-// A Cell is the plan-runnable unit behind ScenarioGrid cells: run alone
+// A Cell is the unit behind ScenarioGrid cells: run alone
 // through batch.Run, it must reproduce the grid row byte-for-byte.
 func TestCellMatchesScenarioGridRow(t *testing.T) {
 	opts := ScenarioOptions{
@@ -34,7 +34,7 @@ func TestCellMatchesScenarioGridRow(t *testing.T) {
 			TrainSessions: opts.TrainSessions,
 			DurationScale: opts.DurationScale,
 		}
-		job, err := cell.Job("")
+		job, err := cell.Job()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,10 +60,11 @@ func TestCellLockstepByteIdentical(t *testing.T) {
 	build := func(key string) []batch.Job {
 		jobs := make([]batch.Job, len(cells))
 		for i, c := range cells {
-			j, err := c.Job(key)
+			j, err := c.Job()
 			if err != nil {
 				t.Fatal(err)
 			}
+			j.LockstepKey = key
 			jobs[i] = j
 		}
 		return jobs

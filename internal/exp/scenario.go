@@ -72,58 +72,69 @@ type ScenarioRow struct {
 	Result   sim.Result
 }
 
-// PairSeed derives the base seed of scenario si × platform pi in a
+// pairSeed derives the base seed of scenario si × platform pi in a
 // grid seeded with base. It depends on the pair only, so every scheme
 // and learner of a pair replays the identical evaluation timeline (and
 // their jobs can share one lockstep span).
-func PairSeed(base int64, si, pi int) int64 {
+func pairSeed(base int64, si, pi int) int64 {
 	return base + int64(si)*100_003 + int64(pi)*1_009
 }
 
-// ScenarioGrid evaluates every (scenario, platform, scheme, learner)
-// cell of the options across the batch pool and returns rows in fixed
-// scenario-major, platform, scheme, learner-minor order. All cells of a
-// (scenario, platform) pair replay the byte-identical compiled
-// timeline, so their rows are directly comparable. Every cell runs as
-// its own scalar batch job, so agent training parallelises across the
-// whole grid rather than per pair. Agent cells first train a fresh agent — with the cell's learner — on
-// TrainSessions differently-seeded sessions of the same scenario. The
-// learner dimension applies only to agent-training schemes: a governor
-// cell has no update rule to sweep.
-func ScenarioGrid(opts ScenarioOptions) ([]ScenarioRow, error) {
-	opts.defaults()
-	agentLearners := make([]string, len(opts.Learners))
-	for i, l := range opts.Learners {
-		if err := learner.CheckNames(l, opts.Explorer); err != nil {
+// Cells expands the options' axes, as given, into grid cells in fixed
+// scenario-major, platform, scheme, learner-minor order; ScenarioGrid
+// fills its defaults first. Every cell of a (scenario, platform) pair
+// takes pairSeed's base seed. The learner axis applies only to
+// agent-training schemes, and only their cells carry the explorer: a
+// governor cell has no update rule to sweep.
+func (o ScenarioOptions) Cells() ([]Cell, error) {
+	agentLearners := make([]string, len(o.Learners))
+	for i, l := range o.Learners {
+		if err := learner.CheckNames(l, o.Explorer); err != nil {
 			return nil, fmt.Errorf("exp: %w", err)
 		}
 		agentLearners[i] = learner.Normalize(l)
 	}
 	var cells []Cell
-	var jobs []batch.Job
-	for si, sn := range opts.Scenarios {
-		for pi, pn := range opts.Platforms {
-			base := PairSeed(opts.Seed, si, pi)
-			for _, sch := range opts.Schemes {
+	for si, sn := range o.Scenarios {
+		for pi, pn := range o.Platforms {
+			base := pairSeed(o.Seed, si, pi)
+			for _, sch := range o.Schemes {
 				spec, err := GetScheme(sch)
 				if err != nil {
 					return nil, err
 				}
-				learners := []string{""} // governor schemes have no learner
+				learners, explorer := []string{""}, ""
 				if spec.TrainsAgent {
-					learners = agentLearners
+					learners, explorer = agentLearners, o.Explorer
 				}
 				for _, l := range learners {
-					c := Cell{Scenario: sn, Platform: pn, Scheme: spec.Name, Learner: l, Explorer: opts.Explorer,
-						Seed: base, TrainSessions: opts.TrainSessions, DurationScale: opts.DurationScale}
-					job, err := c.Job("")
-					if err != nil {
-						return nil, err
-					}
-					cells = append(cells, c)
-					jobs = append(jobs, job)
+					cells = append(cells, Cell{Scenario: sn, Platform: pn, Scheme: spec.Name, Learner: l, Explorer: explorer,
+						Seed: base, TrainSessions: o.TrainSessions, DurationScale: o.DurationScale})
 				}
 			}
+		}
+	}
+	return cells, nil
+}
+
+// ScenarioGrid evaluates every cell of the options across the batch
+// pool and returns rows in Cells order. All cells of a (scenario,
+// platform) pair replay the byte-identical compiled timeline, so their
+// rows are directly comparable. Every cell runs as its own scalar batch
+// job, so agent training parallelises across the whole grid rather than
+// per pair. Agent cells first train a fresh agent — with the cell's
+// learner — on TrainSessions differently-seeded sessions of the same
+// scenario.
+func ScenarioGrid(opts ScenarioOptions) ([]ScenarioRow, error) {
+	opts.defaults()
+	cells, err := opts.Cells()
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]batch.Job, len(cells))
+	for i, c := range cells {
+		if jobs[i], err = c.Job(); err != nil {
+			return nil, err
 		}
 	}
 	results := batch.Run(jobs, batch.Options{Parallel: opts.Parallel})

@@ -89,10 +89,11 @@ func TestScenarioGridLockstepByteIdentical(t *testing.T) {
 		for _, sch := range []string{"schedutil", "next"} {
 			c := Cell{Scenario: sn, Platform: "note9", Scheme: sch, Seed: opts.Seed + int64(si)*100_003,
 				TrainSessions: opts.TrainSessions, DurationScale: opts.DurationScale}
-			job, err := c.Job(fmt.Sprintf("grid|%d", si))
+			job, err := c.Job()
 			if err != nil {
 				t.Fatal(err)
 			}
+			job.LockstepKey = fmt.Sprintf("grid|%d", si)
 			jobs = append(jobs, job)
 		}
 	}

@@ -1,14 +1,15 @@
-// Package plan is the SLO-driven capacity-planning workbench: a
-// declarative experiment config (an SLO plus a config grid), a run
-// stage that sweeps the grid through the batch orchestrator and
-// appends one JSONL result row per cell with full provenance, and an
-// analyze stage that re-reads the rows, evaluates every cell against
-// the SLO and names the cheapest passing configuration. The sim is
-// deterministic (same seed → byte-identical output), so the workbench
-// inherits a hard contract: the same plan file and seed produce
-// byte-identical result rows and analysis on every run, and a resumed
-// sweep (rows already on disk are skipped by config hash) converges to
-// the identical final report. cmd/nextplan is the CLI.
+// Package plan is the SLO-driven capacity-planning workbench, a thin
+// layer over exp's scenario grid: a declarative experiment config (an
+// SLO plus a config grid), a run stage that sweeps the grid's exp.Cells
+// through the batch orchestrator and appends one JSONL result row per
+// cell with full provenance, and an analyze stage that re-reads the
+// rows, evaluates every cell against the SLO and names the cheapest
+// passing configuration. The sim is deterministic (same seed →
+// byte-identical output), so the workbench inherits a hard contract:
+// the same plan file and seed produce byte-identical result rows and
+// analysis on every run, and a resumed sweep (rows already on disk are
+// skipped by config hash) converges to the identical final report.
+// cmd/nextplan is the CLI.
 package plan
 
 import (
@@ -43,23 +44,16 @@ type SLO struct {
 	// MaxEnergyJ is the energy budget per session (at the plan's
 	// duration scale).
 	MaxEnergyJ float64 `json:"max_energy_j,omitempty"`
-	// MinCheckinsPerSec is the fleet dimension: the modeled fleetd
-	// serving capacity (fleetsim.EstimateCheckinsPerSec for the cell's
-	// fleet size and merge cadence) must reach it.
-	MinCheckinsPerSec float64 `json:"min_checkins_per_sec,omitempty"`
 }
 
 // Grid declares the configuration axes. Every empty axis defaults to
-// the live registry (platforms, scenarios, schemes, learners) or the
-// canonical fleet shape (64 devices, merge every upload), so an empty
-// grid sweeps the whole system.
+// the live registry (platforms, scenarios, schemes, learners), so an
+// empty grid sweeps the whole system.
 type Grid struct {
-	Platforms  []string `json:"platforms,omitempty"`
-	Scenarios  []string `json:"scenarios,omitempty"`
-	Schemes    []string `json:"schemes,omitempty"`
-	Learners   []string `json:"learners,omitempty"`
-	Fleets     []int    `json:"fleets,omitempty"`
-	MergeEvery []int    `json:"merge_every,omitempty"`
+	Platforms []string `json:"platforms,omitempty"`
+	Scenarios []string `json:"scenarios,omitempty"`
+	Schemes   []string `json:"schemes,omitempty"`
+	Learners  []string `json:"learners,omitempty"`
 }
 
 // Plan is one declarative experiment: what to sweep (Grid), what to
@@ -169,26 +163,6 @@ func (p *Plan) Validate() error {
 	if err := learner.CheckNames("", p.Explorer); err != nil {
 		return fmt.Errorf("plan: %w", err)
 	}
-	fleetSeen := make(map[int]bool)
-	for _, f := range p.Grid.Fleets {
-		if f < 1 {
-			return fmt.Errorf("plan: grid fleet size %d < 1", f)
-		}
-		if fleetSeen[f] {
-			return fmt.Errorf("plan: grid fleet axis repeats %d", f)
-		}
-		fleetSeen[f] = true
-	}
-	mergeSeen := make(map[int]bool)
-	for _, m := range p.Grid.MergeEvery {
-		if m < 1 {
-			return fmt.Errorf("plan: grid merge cadence %d < 1", m)
-		}
-		if mergeSeen[m] {
-			return fmt.Errorf("plan: grid merge_every axis repeats %d", m)
-		}
-		mergeSeen[m] = true
-	}
 	if p.DurationScale < 0 {
 		return fmt.Errorf("plan: negative duration_scale")
 	}
@@ -201,121 +175,62 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// CellConfig is one fully resolved grid cell — the unit the run stage
-// executes and the config hash covers. Learner is "" for schemes that
-// do not train an agent (the learner axis collapses for them: one cell
-// regardless of how many learners the grid sweeps).
-type CellConfig struct {
-	Scenario   string  `json:"scenario"`
-	Platform   string  `json:"platform"`
-	Scheme     string  `json:"scheme"`
-	Learner    string  `json:"learner,omitempty"`
-	Explorer   string  `json:"explorer,omitempty"`
-	Fleet      int     `json:"fleet"`
-	MergeEvery int     `json:"merge_every"`
-	Seed       int64   `json:"seed"`
-	Scale      float64 `json:"duration_scale,omitempty"`
-	Train      int     `json:"train_sessions,omitempty"`
-}
-
-// Key is the cell's human-readable identity:
-// scenario/platform/scheme/learner/f<fleet>/m<mergeEvery>.
-func (c CellConfig) Key() string {
+// cellKey is a cell's human-readable identity:
+// scenario/platform/scheme/learner ("-" for governor cells).
+func cellKey(c exp.Cell) string {
 	lrn := c.Learner
 	if lrn == "" {
 		lrn = "-"
 	}
-	return fmt.Sprintf("%s/%s/%s/%s/f%d/m%d", c.Scenario, c.Platform, c.Scheme, lrn, c.Fleet, c.MergeEvery)
+	return fmt.Sprintf("%s/%s/%s/%s", c.Scenario, c.Platform, c.Scheme, lrn)
 }
 
-// Hash is the cell's config hash: sha256 over the canonical JSON of
-// everything that determines its measurements. Two runs of the same
-// plan derive identical hashes, which is what lets a resumed sweep
-// skip rows already on disk.
-func (c CellConfig) Hash() string {
+// cellHash is a cell's config hash: sha256 over its canonical JSON,
+// which covers everything that determines its measurements. Two runs
+// of the same plan derive identical hashes, which is what lets a
+// resumed sweep skip rows already on disk.
+func cellHash(c exp.Cell) string {
 	data, err := json.Marshal(c)
-	if err != nil { // CellConfig is plain data; Marshal cannot fail
+	if err != nil { // exp.Cell is plain data; Marshal cannot fail
 		panic(err)
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
 
-// SimKey identifies the cell's simulation inputs — fleet size and
-// merge cadence shape only the serving-capacity model, so cells
-// differing only there share one simulation run.
-func (c CellConfig) SimKey() string {
-	return fmt.Sprintf("%s|%s|%s|%s|%d", c.Scenario, c.Platform, c.Scheme, c.Learner, c.Seed)
-}
-
-// Cells expands the grid into resolved cell configs in canonical sweep
-// order: scenario-major, then platform, scheme, learner, fleet, merge
-// cadence minor. The order is part of the determinism contract — the
-// run stage appends rows in this order.
-func (p *Plan) Cells() []CellConfig {
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
+// Cells expands the grid through exp's scenario-grid expansion, with
+// every empty axis filled from its live registry and seed 0 read as 1.
+// The order (scenario-major, then platform, scheme, learner) is part of
+// the determinism contract: the run stage appends rows in this order.
+func (p *Plan) Cells() ([]exp.Cell, error) {
+	o := exp.ScenarioOptions{
+		Seed:          p.Seed,
+		Scenarios:     p.Grid.Scenarios,
+		Platforms:     p.Grid.Platforms,
+		Schemes:       p.Grid.Schemes,
+		Learners:      p.Grid.Learners,
+		Explorer:      p.Explorer,
+		DurationScale: p.DurationScale,
+		TrainSessions: p.TrainSessions,
 	}
-	scenarios := p.Grid.Scenarios
-	if len(scenarios) == 0 {
-		scenarios = scenario.Names()
+	if o.Seed == 0 {
+		o.Seed = 1
 	}
-	platforms := p.Grid.Platforms
-	if len(platforms) == 0 {
-		platforms = platform.Names()
+	if len(o.Scenarios) == 0 {
+		o.Scenarios = scenario.Names()
 	}
-	schemes := p.Grid.Schemes
-	if len(schemes) == 0 {
-		schemes = exp.Schemes()
+	if len(o.Platforms) == 0 {
+		o.Platforms = platform.Names()
 	}
-	learners := p.Grid.Learners
-	if len(learners) == 0 {
-		learners = learner.Names()
+	if len(o.Schemes) == 0 {
+		o.Schemes = exp.Schemes()
 	}
-	fleets := p.Grid.Fleets
-	if len(fleets) == 0 {
-		fleets = []int{64}
+	if len(o.Learners) == 0 {
+		o.Learners = learner.Names()
 	}
-	merges := p.Grid.MergeEvery
-	if len(merges) == 0 {
-		merges = []int{1}
+	cells, err := o.Cells()
+	if err != nil {
+		return nil, fmt.Errorf("plan: %w", err)
 	}
-
-	var cells []CellConfig
-	for si, sn := range scenarios {
-		for pi, pn := range platforms {
-			for _, sch := range schemes {
-				spec, _ := exp.GetScheme(sch) // validated
-				cellLearners := []string{""}
-				explorer := ""
-				if spec.TrainsAgent {
-					cellLearners = cellLearners[:0]
-					for _, l := range learners {
-						cellLearners = append(cellLearners, learner.Normalize(l))
-					}
-					explorer = p.Explorer
-				}
-				for _, lrn := range cellLearners {
-					for _, fl := range fleets {
-						for _, me := range merges {
-							cells = append(cells, CellConfig{
-								Scenario:   sn,
-								Platform:   pn,
-								Scheme:     spec.Name,
-								Learner:    lrn,
-								Explorer:   explorer,
-								Fleet:      fl,
-								MergeEvery: me,
-								Seed:       exp.PairSeed(seed, si, pi),
-								Scale:      p.DurationScale,
-								Train:      p.TrainSessions,
-							})
-						}
-					}
-				}
-			}
-		}
-	}
-	return cells
+	return cells, nil
 }

@@ -20,9 +20,6 @@ func TestParseRejectsBadPlans(t *testing.T) {
 		{"unknown learner", `{"name":"x","grid":{"learners":["dqn"]}}`, "unknown learner"},
 		{"unknown explorer", `{"name":"x","explorer":"greedy"}`, "unknown explorer"},
 		{"dup scheme", `{"name":"x","grid":{"schemes":["next","next"]}}`, "repeats"},
-		{"dup fleet", `{"name":"x","grid":{"fleets":[64,64]}}`, "repeats"},
-		{"zero fleet", `{"name":"x","grid":{"fleets":[0]}}`, "fleet size 0"},
-		{"zero merge", `{"name":"x","grid":{"merge_every":[0]}}`, "merge cadence 0"},
 		{"negative scale", `{"name":"x","duration_scale":-1}`, "duration_scale"},
 		{"negative seed", `{"name":"x","seed":-3}`, "negative seed"},
 	}
@@ -30,6 +27,17 @@ func TestParseRejectsBadPlans(t *testing.T) {
 		_, err := Parse([]byte(c.json))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Parse err = %v, want substring %q", c.name, err, c.want)
+		}
+	}
+	// Plans written for the retired fleet dimension must not silently
+	// sweep without it.
+	for _, old := range []string{
+		`{"name":"x","grid":{"fleets":[64]}}`,
+		`{"name":"x","grid":{"merge_every":[1]}}`,
+		`{"name":"x","slo":{"min_checkins_per_sec":500}}`,
+	} {
+		if _, err := Parse([]byte(old)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("fleet field %s: Parse err = %v, want unknown field", old, err)
 		}
 	}
 }
@@ -52,60 +60,56 @@ func TestCellsCanonicalOrderAndLearnerCollapse(t *testing.T) {
 			Platforms: []string{"note9"},
 			Schemes:   []string{"schedutil", "next"},
 			Learners:  []string{"watkins", "sarsa"},
-			Fleets:    []int{64, 1000},
 		},
 		TrainSessions: 1,
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cells := p.Cells()
+	cells, err := p.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Per scenario: schedutil collapses the learner axis (1) + next keeps
-	// it (2) = 3 sim configs × 2 fleets = 6 cells; × 2 scenarios = 12.
-	if len(cells) != 12 {
-		t.Fatalf("got %d cells, want 12", len(cells))
+	// it (2) = 3 cells; × 2 scenarios = 6.
+	if len(cells) != 6 {
+		t.Fatalf("got %d cells, want 6", len(cells))
 	}
-	if cells[0].Key() != "doomscroll/note9/schedutil/-/f64/m1" {
-		t.Fatalf("first cell %q, want doomscroll/note9/schedutil/-/f64/m1", cells[0].Key())
+	if k := cellKey(cells[0]); k != "doomscroll/note9/schedutil/-" {
+		t.Fatalf("first cell %q, want doomscroll/note9/schedutil/-", k)
 	}
-	if cells[6].Scenario != "commute" {
-		t.Fatalf("cell 6 scenario %q, want commute (scenario-major order)", cells[6].Scenario)
+	if cells[3].Scenario != "commute" {
+		t.Fatalf("cell 3 scenario %q, want commute (scenario-major order)", cells[3].Scenario)
 	}
+	hashes := make(map[string]bool)
 	for _, c := range cells {
-		if c.Scheme == "schedutil" && c.Learner != "" {
-			t.Fatalf("governor cell kept learner %q", c.Learner)
+		if c.Scheme == "schedutil" && (c.Learner != "" || c.Explorer != "") {
+			t.Fatalf("governor cell kept learner %q / explorer %q", c.Learner, c.Explorer)
 		}
 		if c.Scheme == "next" && c.Learner == "" {
 			t.Fatal("agent cell lost its learner")
 		}
+		hashes[cellHash(c)] = true
 	}
-	// Fleet axis must not perturb the sim identity or the seed.
-	if cells[0].SimKey() != cells[1].SimKey() {
-		t.Fatalf("fleet changed SimKey: %q vs %q", cells[0].SimKey(), cells[1].SimKey())
-	}
-	if cells[0].Hash() == cells[1].Hash() {
-		t.Fatal("fleet did not change config hash")
+	if len(hashes) != len(cells) {
+		t.Fatalf("%d distinct hashes for %d cells", len(hashes), len(cells))
 	}
 	// Scenario index moves the seed the way ScenarioGrid derives it.
-	if want := cells[0].Seed + 100_003; cells[6].Seed != want {
-		t.Fatalf("commute seed %d, want %d", cells[6].Seed, want)
+	if want := cells[0].Seed + 100_003; cells[3].Seed != want {
+		t.Fatalf("commute seed %d, want %d", cells[3].Seed, want)
 	}
-}
-
-func testRow(key string, energy, fps float64) Row {
-	return Row{Key: key, Hash: key, EnergyJ: energy, ActiveFPS: fps}
 }
 
 func TestSLOViolationsFixedOrder(t *testing.T) {
-	s := SLO{MinActiveFPS: 30, MaxDropRatePct: 1, MaxBigTempC: 70, MaxEnergyJ: 40, MinCheckinsPerSec: 500}
-	r := Row{ActiveFPS: 28.42, DropRatePct: 2.5, PeakTempBigC: 75.1, EnergyJ: 52.06, CheckinsPerSec: 222}
+	s := SLO{MinActiveFPS: 30, MaxDropRatePct: 1, MaxBigTempC: 70, MaxDevTempC: 40, MaxEnergyJ: 40}
+	r := Row{ActiveFPS: 28.42, DropRatePct: 2.5, PeakTempBigC: 75.1, PeakTempDevC: 41.26, EnergyJ: 52.06}
 	got := s.Violations(r)
 	want := []string{
 		"active_fps 28.4 < floor 30",
 		"drop_rate_pct 2.5 > ceiling 1",
 		"big_temp_c 75.1 > ceiling 70",
+		"dev_temp_c 41.3 > ceiling 40",
 		"energy_j 52.1 > budget 40",
-		"checkins_per_sec 222.0 < floor 500",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d violations %v, want %d", len(got), got, len(want))
@@ -134,26 +138,29 @@ func TestAnalyzeEdges(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cells := p.Cells()
+	cells, err := p.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	t.Run("no rows", func(t *testing.T) {
-		a := Analyze(p, nil)
+		a := mustAnalyze(t, p, nil)
 		if a.Rows != 0 || a.Pass != 0 || a.Fail != 0 || a.Cheapest != nil {
 			t.Fatalf("empty analysis off: %+v", a)
 		}
-		if len(a.Missing) != len(cells) || a.Missing[0] != cells[0].Key() {
+		if len(a.Missing) != len(cells) || a.Missing[0] != cellKey(cells[0]) {
 			t.Fatalf("missing = %v, want every cell key", a.Missing)
 		}
 	})
 
 	rows := []Row{
-		{Key: cells[0].Key(), Hash: cells[0].Hash(), EnergyJ: 50, ActiveFPS: 55},
-		{Key: cells[1].Key(), Hash: cells[1].Hash(), EnergyJ: 20, ActiveFPS: 12},
+		{Key: cellKey(cells[0]), Hash: cellHash(cells[0]), EnergyJ: 50, ActiveFPS: 55},
+		{Key: cellKey(cells[1]), Hash: cellHash(cells[1]), EnergyJ: 20, ActiveFPS: 12},
 	}
 
 	t.Run("no passing cell", func(t *testing.T) {
 		p.SLO = SLO{MinActiveFPS: 60}
-		a := Analyze(p, rows)
+		a := mustAnalyze(t, p, rows)
 		if a.Pass != 0 || a.Fail != 2 || a.Cheapest != nil {
 			t.Fatalf("want 0 pass / 2 fail / nil cheapest, got %d/%d/%v", a.Pass, a.Fail, a.Cheapest)
 		}
@@ -167,24 +174,21 @@ func TestAnalyzeEdges(t *testing.T) {
 	t.Run("energy tie deterministic", func(t *testing.T) {
 		p.SLO = SLO{}
 		tied := []Row{
-			{Key: cells[0].Key(), Hash: cells[0].Hash(), EnergyJ: 30, ActiveFPS: 40},
-			{Key: cells[1].Key(), Hash: cells[1].Hash(), EnergyJ: 30, ActiveFPS: 40},
+			{Key: cellKey(cells[0]), Hash: cellHash(cells[0]), EnergyJ: 30, ActiveFPS: 40},
+			{Key: cellKey(cells[1]), Hash: cellHash(cells[1]), EnergyJ: 30, ActiveFPS: 40},
 		}
 		// Same energy, same QoS: the lexicographically smaller key wins,
 		// regardless of row order.
-		wantKey := cells[1].Key() // powersave sorts before schedutil
-		if cells[0].Key() < cells[1].Key() {
-			wantKey = cells[0].Key()
-		}
+		wantKey := min(tied[0].Key, tied[1].Key)
 		for _, order := range [][]Row{tied, {tied[1], tied[0]}} {
-			a := Analyze(p, order)
+			a := mustAnalyze(t, p, order)
 			if a.Cheapest == nil || a.Cheapest.Row.Key != wantKey {
 				t.Fatalf("tie broke to %+v, want key %q", a.Cheapest, wantKey)
 			}
 		}
 		// A QoS edge breaks the tie before the key does.
 		tied[0].ActiveFPS = 41
-		a := Analyze(p, tied)
+		a := mustAnalyze(t, p, tied)
 		if a.Cheapest.Row.Key != tied[0].Key {
 			t.Fatalf("QoS tiebreak picked %q, want %q", a.Cheapest.Row.Key, tied[0].Key)
 		}
@@ -196,7 +200,7 @@ func TestAnalyzeEdges(t *testing.T) {
 			{Key: "foreign", Hash: "deadbeef", EnergyJ: 1},
 			rows[0], // duplicate of the row below
 		}, rows...)
-		a := Analyze(p, withJunk)
+		a := mustAnalyze(t, p, withJunk)
 		if a.Stale != 2 || a.Rows != 2 {
 			t.Fatalf("stale=%d rows=%d, want 2 and 2", a.Stale, a.Rows)
 		}
@@ -208,31 +212,33 @@ func TestSensitivityCountsFlips(t *testing.T) {
 		Name: "sens",
 		Grid: Grid{
 			Scenarios: []string{"doomscroll"},
-			Platforms: []string{"note9"},
+			Platforms: []string{"note9", "mid6"},
 			Schemes:   []string{"schedutil", "powersave"},
-			Fleets:    []int{64, 1000},
 		},
-		SLO: SLO{MinActiveFPS: 30, MinCheckinsPerSec: 500},
+		SLO: SLO{MinActiveFPS: 30, MaxEnergyJ: 50},
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cells := p.Cells()
+	cells, err := p.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := make([]Row, len(cells))
 	for i, c := range cells {
 		fps := 55.0
 		if c.Scheme == "powersave" {
 			fps = 12 // powersave always fails QoS
 		}
-		chk := 1265.0
-		if c.Fleet == 1000 {
-			chk = 222 // f1000 always fails the checkins floor
+		energy := 10.0
+		if c.Platform == "mid6" {
+			energy = 80 // mid6 always breaks the energy budget
 		}
-		rows[i] = Row{Key: c.Key(), Hash: c.Hash(), ActiveFPS: fps, CheckinsPerSec: chk, EnergyJ: 10}
+		rows[i] = Row{Key: cellKey(c), Hash: cellHash(c), ActiveFPS: fps, EnergyJ: energy}
 	}
-	a := Analyze(p, rows)
+	a := mustAnalyze(t, p, rows)
 	if a.Pass != 1 {
-		t.Fatalf("pass = %d, want exactly schedutil/f64", a.Pass)
+		t.Fatalf("pass = %d, want exactly schedutil on note9", a.Pass)
 	}
 	bySens := make(map[string]AxisSensitivity)
 	for _, s := range a.Sensitivity {
@@ -242,12 +248,21 @@ func TestSensitivityCountsFlips(t *testing.T) {
 	if _, ok := bySens["scenario"]; ok {
 		t.Fatal("single-valued scenario axis reported")
 	}
-	// Scheme pairs: (schedutil,powersave) at each fleet. At f64 the pair
-	// flips (pass vs fail); at f1000 both fail.
+	// Scheme pairs: (schedutil,powersave) on each platform. On note9 the
+	// pair flips (pass vs fail); on mid6 both fail.
 	if s := bySens["scheme"]; s.Pairs != 2 || s.Flips != 1 {
 		t.Fatalf("scheme sensitivity %+v, want 1/2", s)
 	}
-	if s := bySens["fleet"]; s.Pairs != 2 || s.Flips != 1 {
-		t.Fatalf("fleet sensitivity %+v, want 1/2", s)
+	if s := bySens["platform"]; s.Pairs != 2 || s.Flips != 1 {
+		t.Fatalf("platform sensitivity %+v, want 1/2", s)
 	}
+}
+
+func mustAnalyze(t *testing.T, p *Plan, rows []Row) *Analysis {
+	t.Helper()
+	a, err := Analyze(p, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }

@@ -1,25 +1,22 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 
 	"nextdvfs/internal/batch"
 	"nextdvfs/internal/exp"
-	"nextdvfs/internal/fleetsim"
 	"nextdvfs/internal/sim"
 )
 
 // RunOptions tunes the sweep; the zero value resumes into resultsPath
-// at GOMAXPROCS parallelism with scalar engines.
+// at GOMAXPROCS parallelism.
 type RunOptions struct {
 	// Parallel sizes the batch worker pool (0 = GOMAXPROCS, 1 =
 	// sequential). Results are byte-identical at any worker count.
 	Parallel int
-	// Lockstep routes the cells of each (scenario, platform) pair
-	// through one sim.BatchEngine. Purely a throughput knob — lanes are
-	// pinned bit-identical to scalar engines.
-	Lockstep bool
 	// Fresh truncates an existing result file instead of resuming into
 	// it.
 	Fresh bool
@@ -39,12 +36,11 @@ type RunReport struct {
 }
 
 // Run sweeps the plan's grid, appending one result row per cell to
-// resultsPath in canonical cell order. Rows already in the file are
-// skipped by config hash, so re-running a finished sweep is a no-op
-// and re-running an interrupted one converges on the same bytes an
-// uninterrupted sweep produces. Cells differing only in fleet size or
-// merge cadence share one simulation — those axes shape only the
-// deterministic serving-capacity model.
+// resultsPath in canonical cell order; each cell is one scalar
+// simulation. A missing result file starts the sweep from nothing.
+// Rows already in the file are skipped by config hash, so re-running a
+// finished sweep is a no-op and re-running an interrupted one converges
+// on the same bytes an uninterrupted sweep produces.
 func Run(p *Plan, resultsPath string, opts RunOptions) (RunReport, error) {
 	if err := p.Validate(); err != nil {
 		return RunReport{}, err
@@ -54,16 +50,19 @@ func Run(p *Plan, resultsPath string, opts RunOptions) (RunReport, error) {
 			return RunReport{}, fmt.Errorf("plan: %w", err)
 		}
 	}
-	cells := p.Cells()
+	cells, err := p.Cells()
+	if err != nil {
+		return RunReport{}, err
+	}
 	report := RunReport{Cells: len(cells)}
 
 	existing, err := ReadRows(resultsPath)
-	if err != nil {
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return report, err
 	}
 	inGrid := make(map[string]bool, len(cells))
 	for _, c := range cells {
-		inGrid[c.Hash()] = true
+		inGrid[cellHash(c)] = true
 	}
 	done := make(map[string]bool, len(existing))
 	for _, r := range existing {
@@ -74,41 +73,18 @@ func Run(p *Plan, resultsPath string, opts RunOptions) (RunReport, error) {
 		done[r.Hash] = true
 	}
 
-	// The pending cells' unique simulations, in first-appearance order
-	// (canonical cell order keeps each (scenario, platform) pair's jobs
-	// consecutive, so lockstep spans form naturally).
-	var pending []CellConfig
-	simIndex := make(map[string]int)
+	var pending []exp.Cell
 	var jobs []batch.Job
 	for _, c := range cells {
-		if done[c.Hash()] {
+		if done[cellHash(c)] {
 			report.Skipped++
 			continue
 		}
-		pending = append(pending, c)
-		key := c.SimKey()
-		if _, ok := simIndex[key]; ok {
-			continue
-		}
-		ec := exp.Cell{
-			Scenario:      c.Scenario,
-			Platform:      c.Platform,
-			Scheme:        c.Scheme,
-			Learner:       c.Learner,
-			Explorer:      c.Explorer,
-			Seed:          c.Seed,
-			TrainSessions: c.Train,
-			DurationScale: c.Scale,
-		}
-		lockstepKey := ""
-		if opts.Lockstep {
-			lockstepKey = fmt.Sprintf("plan|%s|%s|%d", c.Scenario, c.Platform, c.Seed)
-		}
-		job, err := ec.Job(lockstepKey)
+		job, err := c.Job()
 		if err != nil {
-			return report, fmt.Errorf("plan: cell %s: %w", c.Key(), err)
+			return report, fmt.Errorf("plan: cell %s: %w", cellKey(c), err)
 		}
-		simIndex[key] = len(jobs)
+		pending = append(pending, c)
 		jobs = append(jobs, job)
 	}
 	if len(pending) == 0 {
@@ -116,52 +92,44 @@ func Run(p *Plan, resultsPath string, opts RunOptions) (RunReport, error) {
 	}
 
 	results := batch.Run(jobs, batch.Options{Parallel: opts.Parallel})
-	for _, r := range results {
-		if r.Err != "" {
-			return report, fmt.Errorf("plan: cell %s/%s/%s: %s", r.App, r.Platform, r.Scheme, r.Err)
-		}
-	}
-
-	prov := DetectProvenance()
+	prov := detectProvenance()
 	if opts.Provenance != nil {
 		prov = *opts.Provenance
 	}
-	rows := make([]Row, 0, len(pending))
-	for _, c := range pending {
-		res := results[simIndex[c.SimKey()]].Result
-		rows = append(rows, makeRow(p.Name, c, res, prov))
+	rows := make([]Row, len(pending))
+	for i, r := range results {
+		if r.Err != "" {
+			return report, fmt.Errorf("plan: cell %s: %s", cellKey(pending[i]), r.Err)
+		}
+		rows[i] = makeRow(p.Name, pending[i], r.Result, prov)
 	}
-	if err := AppendRows(resultsPath, rows); err != nil {
+	if err := appendRows(resultsPath, rows); err != nil {
 		return report, err
 	}
 	report.Ran = len(rows)
 	return report, nil
 }
 
-// makeRow folds one cell's simulation result and modeled fleet
-// capacity into its result row.
-func makeRow(planName string, c CellConfig, res sim.Result, prov Provenance) Row {
+// makeRow folds one cell's simulation result into its result row.
+func makeRow(planName string, c exp.Cell, res sim.Result, prov Provenance) Row {
 	return Row{
-		Plan:           planName,
-		Key:            c.Key(),
-		Hash:           c.Hash(),
-		Scenario:       c.Scenario,
-		Platform:       c.Platform,
-		Scheme:         c.Scheme,
-		Learner:        c.Learner,
-		Fleet:          c.Fleet,
-		MergeEvery:     c.MergeEvery,
-		Seed:           c.Seed,
-		SimS:           res.DurationS,
-		EnergyJ:        res.EnergyJ,
-		AvgPowerW:      res.AvgPowerW,
-		PeakPowerW:     res.PeakPowerW,
-		PeakTempBigC:   res.PeakTempBigC,
-		PeakTempDevC:   res.PeakTempDevC,
-		ActiveFPS:      res.ActiveAvgFPS,
-		DropRatePct:    res.DropRate() * 100,
-		CheckinsPerSec: fleetsim.EstimateCheckinsPerSec(c.Fleet, c.MergeEvery),
-		Git:            prov.Git,
-		Host:           prov.Host,
+		Plan:         planName,
+		Key:          cellKey(c),
+		Hash:         cellHash(c),
+		Scenario:     c.Scenario,
+		Platform:     c.Platform,
+		Scheme:       c.Scheme,
+		Learner:      c.Learner,
+		Seed:         c.Seed,
+		SimS:         res.DurationS,
+		EnergyJ:      res.EnergyJ,
+		AvgPowerW:    res.AvgPowerW,
+		PeakPowerW:   res.PeakPowerW,
+		PeakTempBigC: res.PeakTempBigC,
+		PeakTempDevC: res.PeakTempDevC,
+		ActiveFPS:    res.ActiveAvgFPS,
+		DropRatePct:  res.DropRate() * 100,
+		Git:          prov.Git,
+		Host:         prov.Host,
 	}
 }

@@ -3,11 +3,15 @@ package plan
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nextdvfs/internal/exp"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -22,9 +26,8 @@ func testPlan() *Plan {
 			Scenarios: []string{"doomscroll"},
 			Platforms: []string{"note9"},
 			Schemes:   []string{"schedutil", "powersave"},
-			Fleets:    []int{64, 1000},
 		},
-		SLO:           SLO{MinActiveFPS: 20, MaxDropRatePct: 5, MinCheckinsPerSec: 500},
+		SLO:           SLO{MinActiveFPS: 20, MaxDropRatePct: 5},
 		DurationScale: 0.01,
 	}
 }
@@ -49,21 +52,19 @@ func readFile(t *testing.T, path string) []byte {
 }
 
 // The core contract: the same plan and seed produce byte-identical
-// result files on every run, at any parallelism, with or without
-// lockstep batching.
+// result files on every run, at any parallelism.
 func TestRunByteDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "a.jsonl")
 	rep := runInto(t, base, RunOptions{Parallel: 1})
-	if rep.Cells != 4 || rep.Ran != 4 || rep.Skipped != 0 {
-		t.Fatalf("first run report %+v, want 4 cells all ran", rep)
+	if rep.Cells != 2 || rep.Ran != 2 || rep.Skipped != 0 {
+		t.Fatalf("first run report %+v, want 2 cells all ran", rep)
 	}
 	want := readFile(t, base)
 
 	variants := map[string]RunOptions{
 		"serial again": {Parallel: 1},
 		"parallel":     {Parallel: 4},
-		"lockstep":     {Parallel: 2, Lockstep: true},
 	}
 	for name, opts := range variants {
 		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".jsonl")
@@ -76,7 +77,7 @@ func TestRunByteDeterminism(t *testing.T) {
 
 // Re-running a finished sweep is a no-op, and resuming a truncated one
 // appends exactly the missing rows: truncating the tail converges back
-// to the identical bytes, and removing a middle row converges to the
+// to the identical bytes, and removing the first row converges to the
 // identical analysis.
 func TestRunResume(t *testing.T) {
 	dir := t.TempDir()
@@ -85,7 +86,7 @@ func TestRunResume(t *testing.T) {
 	want := readFile(t, path)
 
 	rep := runInto(t, path, RunOptions{})
-	if rep.Ran != 0 || rep.Skipped != 4 {
+	if rep.Ran != 0 || rep.Skipped != 2 {
 		t.Fatalf("re-run report %+v, want everything skipped", rep)
 	}
 	if got := readFile(t, path); !bytes.Equal(got, want) {
@@ -100,17 +101,17 @@ func TestRunResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep = runInto(t, path, RunOptions{})
-	if rep.Ran != 1 || rep.Skipped != 3 {
-		t.Fatalf("resume report %+v, want 1 ran / 3 skipped", rep)
+	if rep.Ran != 1 || rep.Skipped != 1 {
+		t.Fatalf("resume report %+v, want 1 ran / 1 skipped", rep)
 	}
 	if got := readFile(t, path); !bytes.Equal(got, want) {
 		t.Fatal("tail-truncated resume did not converge to the original bytes")
 	}
 
-	// Drop a middle row: the file order differs after resume, but the
+	// Drop the first row: the file order differs after resume, but the
 	// analysis must be identical (analyze orders by canonical cell).
-	middle := append(bytes.Join(append(append([][]byte{}, lines[0]), lines[2:]...), []byte("\n")), '\n')
-	if err := os.WriteFile(path, middle, 0o644); err != nil {
+	headless := append(bytes.Join(lines[1:], []byte("\n")), '\n')
+	if err := os.WriteFile(path, headless, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	runInto(t, path, RunOptions{})
@@ -127,15 +128,18 @@ func TestRunResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testPlan()
-	got, _ := json.MarshalIndent(Analyze(p, rows), "", "  ")
-	ref, _ := json.MarshalIndent(Analyze(p, fullRows), "", "  ")
+	if bytes.Equal(readFile(t, path), want) {
+		t.Fatal("resume after dropping the first row kept canonical order; the reorder case is untested")
+	}
+	got, _ := json.MarshalIndent(mustAnalyze(t, p, rows), "", "  ")
+	ref, _ := json.MarshalIndent(mustAnalyze(t, p, fullRows), "", "  ")
 	if !bytes.Equal(got, ref) {
-		t.Fatalf("analysis after middle-row resume differs:\n%s\n--- want ---\n%s", got, ref)
+		t.Fatalf("analysis after first-row resume differs:\n%s\n--- want ---\n%s", got, ref)
 	}
 
 	// Fresh discards the file and re-runs everything.
 	rep = runInto(t, path, RunOptions{Fresh: true})
-	if rep.Ran != 4 || rep.Skipped != 0 {
+	if rep.Ran != 2 || rep.Skipped != 0 {
 		t.Fatalf("fresh report %+v, want everything ran", rep)
 	}
 	if gotB := readFile(t, path); !bytes.Equal(gotB, want) {
@@ -148,12 +152,12 @@ func TestRunResume(t *testing.T) {
 func TestRunCountsStaleRows(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.jsonl")
-	if err := AppendRows(path, []Row{{Plan: "other", Key: "x", Hash: "feedface"}}); err != nil {
+	if err := appendRows(path, []Row{{Plan: "other", Key: "x", Hash: "feedface"}}); err != nil {
 		t.Fatal(err)
 	}
 	rep := runInto(t, path, RunOptions{})
-	if rep.Stale != 1 || rep.Ran != 4 {
-		t.Fatalf("report %+v, want 1 stale / 4 ran", rep)
+	if rep.Stale != 1 || rep.Ran != 2 {
+		t.Fatalf("report %+v, want 1 stale / 2 ran", rep)
 	}
 }
 
@@ -173,8 +177,10 @@ func TestReadRowsRejectsCorruption(t *testing.T) {
 	if _, err := ReadRows(nohash); err == nil || !strings.Contains(err.Error(), "config hash") {
 		t.Fatalf("missing-hash error = %v", err)
 	}
-	if rows, err := ReadRows(filepath.Join(dir, "absent.jsonl")); err != nil || rows != nil {
-		t.Fatalf("missing file = (%v, %v), want (nil, nil)", rows, err)
+	// A missing file is an error for analyze; Run treats it as an empty sweep.
+	absent := filepath.Join(dir, "absent.jsonl")
+	if _, err := ReadRows(absent); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing file error = %v, want fs.ErrNotExist", err)
 	}
 }
 
@@ -190,7 +196,7 @@ func TestAnalyzeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testPlan()
-	a := Analyze(p, rows)
+	a := mustAnalyze(t, p, rows)
 
 	var b bytes.Buffer
 	a.WriteText(&b)
@@ -228,5 +234,61 @@ func TestAnalyzeGolden(t *testing.T) {
 	}
 	if !sawViolation {
 		t.Fatal("failing cells carry no violation strings")
+	}
+}
+
+// A plan sweep is exp.ScenarioGrid run cell by cell: for the same seed,
+// axes, scale and training sessions, its rows list the grid's cells in
+// the grid's order with the grid's measurements.
+func TestRunMatchesScenarioGrid(t *testing.T) {
+	p := &Plan{
+		Name: "grid",
+		Seed: 42,
+		Grid: Grid{
+			Scenarios: []string{"doomscroll", "cold-start"},
+			Platforms: []string{"note9", "mid6"},
+			Schemes:   []string{"schedutil", "next"},
+			Learners:  []string{"watkins", "sarsa"},
+		},
+		Explorer:      "softmax",
+		DurationScale: 0.02,
+		TrainSessions: 1,
+	}
+	path := filepath.Join(t.TempDir(), "grid.jsonl")
+	if _, err := Run(p, path, RunOptions{Provenance: testProv}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := ReadRows(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exp.ScenarioGrid(exp.ScenarioOptions{
+		Seed:          p.Seed,
+		Scenarios:     p.Grid.Scenarios,
+		Platforms:     p.Grid.Platforms,
+		Schemes:       p.Grid.Schemes,
+		Learners:      p.Grid.Learners,
+		Explorer:      p.Explorer,
+		DurationScale: p.DurationScale,
+		TrainSessions: p.TrainSessions,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d plan rows, %d grid rows", len(rows), len(want))
+	}
+	for i, g := range want {
+		r := rows[i]
+		if r.Scenario != g.Scenario || r.Platform != g.Platform || r.Scheme != g.Scheme || r.Learner != g.Learner {
+			t.Fatalf("row %d is %s, grid cell is %s/%s/%s/%s", i, r.Key, g.Scenario, g.Platform, g.Scheme, g.Learner)
+		}
+		res := g.Result
+		if r.SimS != res.DurationS || r.EnergyJ != res.EnergyJ || r.AvgPowerW != res.AvgPowerW ||
+			r.PeakPowerW != res.PeakPowerW || r.PeakTempBigC != res.PeakTempBigC ||
+			r.PeakTempDevC != res.PeakTempDevC || r.ActiveFPS != res.ActiveAvgFPS ||
+			r.DropRatePct != res.DropRate()*100 {
+			t.Fatalf("row %s measurements differ from the grid's: %+v vs %+v", r.Key, r, res)
+		}
 	}
 }

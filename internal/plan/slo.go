@@ -3,13 +3,14 @@ package plan
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
+
+	"nextdvfs/internal/exp"
 )
 
 // Violations evaluates one row against the SLO and returns the broken
 // dimensions in fixed declaration order (QoS, drops, temperatures,
-// energy, fleet capacity) — empty means the cell passes. The strings
+// energy) — empty means the cell passes. The strings
 // are part of the pinned report format.
 func (s SLO) Violations(r Row) []string {
 	var v []string
@@ -27,9 +28,6 @@ func (s SLO) Violations(r Row) []string {
 	}
 	if s.MaxEnergyJ > 0 && r.EnergyJ > s.MaxEnergyJ {
 		v = append(v, fmt.Sprintf("energy_j %.1f > budget %g", r.EnergyJ, s.MaxEnergyJ))
-	}
-	if s.MinCheckinsPerSec > 0 && r.CheckinsPerSec < s.MinCheckinsPerSec {
-		v = append(v, fmt.Sprintf("checkins_per_sec %.1f < floor %g", r.CheckinsPerSec, s.MinCheckinsPerSec))
 	}
 	return v
 }
@@ -88,14 +86,17 @@ type Analysis struct {
 // matched to grid cells by config hash, outcomes land in canonical
 // cell order regardless of row order in the file (a resumed sweep may
 // interleave), and duplicate rows for one cell keep the first.
-func Analyze(p *Plan, rows []Row) *Analysis {
-	cells := p.Cells()
+func Analyze(p *Plan, rows []Row) (*Analysis, error) {
+	cells, err := p.Cells()
+	if err != nil {
+		return nil, err
+	}
 	a := &Analysis{Plan: p.Name, Cells: len(cells)}
 
 	byHash := make(map[string]Row, len(rows))
 	inGrid := make(map[string]bool, len(cells))
 	for _, c := range cells {
-		inGrid[c.Hash()] = true
+		inGrid[cellHash(c)] = true
 	}
 	for _, r := range rows {
 		if !inGrid[r.Hash] {
@@ -109,11 +110,11 @@ func Analyze(p *Plan, rows []Row) *Analysis {
 		byHash[r.Hash] = r
 	}
 
-	var analyzed []CellConfig
+	var analyzed []exp.Cell
 	for _, c := range cells {
-		r, ok := byHash[c.Hash()]
+		r, ok := byHash[cellHash(c)]
 		if !ok {
-			a.Missing = append(a.Missing, c.Key())
+			a.Missing = append(a.Missing, cellKey(c))
 			continue
 		}
 		v := p.SLO.Violations(r)
@@ -138,7 +139,7 @@ func Analyze(p *Plan, rows []Row) *Analysis {
 		}
 	}
 	a.Sensitivity = sensitivity(analyzed, a.Outcomes)
-	return a
+	return a, nil
 }
 
 // cheaper orders passing cells energy-first, QoS (active FPS) second,
@@ -158,25 +159,23 @@ func cheaper(x, y *CellOutcome) bool {
 // string projection of each cell's value.
 var axes = []struct {
 	name string
-	of   func(CellConfig) string
+	of   func(exp.Cell) string
 }{
-	{"scenario", func(c CellConfig) string { return c.Scenario }},
-	{"platform", func(c CellConfig) string { return c.Platform }},
-	{"scheme", func(c CellConfig) string { return c.Scheme }},
-	{"learner", func(c CellConfig) string {
+	{"scenario", func(c exp.Cell) string { return c.Scenario }},
+	{"platform", func(c exp.Cell) string { return c.Platform }},
+	{"scheme", func(c exp.Cell) string { return c.Scheme }},
+	{"learner", func(c exp.Cell) string {
 		if c.Learner == "" {
 			return "-"
 		}
 		return c.Learner
 	}},
-	{"fleet", func(c CellConfig) string { return strconv.Itoa(c.Fleet) }},
-	{"merge_every", func(c CellConfig) string { return strconv.Itoa(c.MergeEvery) }},
 }
 
 // sensitivity computes per-axis flip counts over the analyzed cells.
 // Axes with fewer than two distinct values are omitted — a knob that
 // never moves cannot flip anything.
-func sensitivity(cells []CellConfig, outcomes []CellOutcome) []AxisSensitivity {
+func sensitivity(cells []exp.Cell, outcomes []CellOutcome) []AxisSensitivity {
 	var out []AxisSensitivity
 	for _, ax := range axes {
 		// Per-value pass counts, values in first-appearance (grid) order.
@@ -225,7 +224,7 @@ func sensitivity(cells []CellConfig, outcomes []CellOutcome) []AxisSensitivity {
 }
 
 // neighbors reports whether two cells differ only on the named axis.
-func neighbors(a, b CellConfig, axis string) bool {
+func neighbors(a, b exp.Cell, axis string) bool {
 	for _, ax := range axes {
 		va, vb := ax.of(a), ax.of(b)
 		if ax.name == axis {
@@ -253,22 +252,22 @@ func (a *Analysis) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "incomplete sweep: %d cell(s) have no result row: %s\n", len(a.Missing), strings.Join(a.Missing, ", "))
 	}
 	if len(a.Outcomes) > 0 {
-		fmt.Fprintf(w, "\n%-44s %10s %7s %6s %8s %8s %9s  %s\n",
-			"cell", "energy(J)", "actFPS", "drop%", "bigPk°C", "devPk°C", "chk/s", "SLO")
+		fmt.Fprintf(w, "\n%-44s %10s %7s %6s %8s %8s  %s\n",
+			"cell", "energy(J)", "actFPS", "drop%", "bigPk°C", "devPk°C", "SLO")
 		for _, o := range a.Outcomes {
 			verdict := "pass"
 			if !o.Pass {
 				verdict = "FAIL " + strings.Join(o.Violations, "; ")
 			}
-			fmt.Fprintf(w, "%-44s %10.2f %7.1f %6.2f %8.1f %8.1f %9.1f  %s\n",
+			fmt.Fprintf(w, "%-44s %10.2f %7.1f %6.2f %8.1f %8.1f  %s\n",
 				o.Row.Key, o.Row.EnergyJ, o.Row.ActiveFPS, o.Row.DropRatePct,
-				o.Row.PeakTempBigC, o.Row.PeakTempDevC, o.Row.CheckinsPerSec, verdict)
+				o.Row.PeakTempBigC, o.Row.PeakTempDevC, verdict)
 		}
 	}
 	fmt.Fprintln(w)
 	if a.Cheapest != nil {
-		fmt.Fprintf(w, "cheapest passing: %s (energy %.2f J, active FPS %.1f, %.1f checkins/s)\n",
-			a.Cheapest.Row.Key, a.Cheapest.Row.EnergyJ, a.Cheapest.Row.ActiveFPS, a.Cheapest.Row.CheckinsPerSec)
+		fmt.Fprintf(w, "cheapest passing: %s (energy %.2f J, active FPS %.1f)\n",
+			a.Cheapest.Row.Key, a.Cheapest.Row.EnergyJ, a.Cheapest.Row.ActiveFPS)
 	} else {
 		fmt.Fprintf(w, "cheapest passing: none — no configuration meets the SLO\n")
 	}

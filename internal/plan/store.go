@@ -12,31 +12,27 @@ import (
 // Row is one cell's measurements plus full provenance — one JSON line
 // of the append-only result file. Every field is deterministic for a
 // given plan file, seed, host and commit: wall-clock timings are
-// deliberately absent (the fleet dimension is the modeled
-// fleetsim.EstimateCheckinsPerSec capacity, not a timed run), which is
-// what lets CI cmp two sweeps byte-for-byte.
+// deliberately absent, which is what lets CI cmp two sweeps
+// byte-for-byte.
 type Row struct {
 	Plan string `json:"plan"`
 	Key  string `json:"key"`
 	Hash string `json:"hash"`
 
-	Scenario   string `json:"scenario"`
-	Platform   string `json:"platform"`
-	Scheme     string `json:"scheme"`
-	Learner    string `json:"learner,omitempty"`
-	Fleet      int    `json:"fleet"`
-	MergeEvery int    `json:"merge_every"`
-	Seed       int64  `json:"seed"`
+	Scenario string `json:"scenario"`
+	Platform string `json:"platform"`
+	Scheme   string `json:"scheme"`
+	Learner  string `json:"learner,omitempty"`
+	Seed     int64  `json:"seed"`
 
-	SimS           float64 `json:"sim_s"`
-	EnergyJ        float64 `json:"energy_j"`
-	AvgPowerW      float64 `json:"avg_power_w"`
-	PeakPowerW     float64 `json:"peak_power_w"`
-	PeakTempBigC   float64 `json:"peak_temp_big_c"`
-	PeakTempDevC   float64 `json:"peak_temp_dev_c"`
-	ActiveFPS      float64 `json:"active_fps"`
-	DropRatePct    float64 `json:"drop_rate_pct"`
-	CheckinsPerSec float64 `json:"checkins_per_sec"`
+	SimS         float64 `json:"sim_s"`
+	EnergyJ      float64 `json:"energy_j"`
+	AvgPowerW    float64 `json:"avg_power_w"`
+	PeakPowerW   float64 `json:"peak_power_w"`
+	PeakTempBigC float64 `json:"peak_temp_big_c"`
+	PeakTempDevC float64 `json:"peak_temp_dev_c"`
+	ActiveFPS    float64 `json:"active_fps"`
+	DropRatePct  float64 `json:"drop_rate_pct"`
 
 	// Git and Host document where the row was produced; they are stable
 	// within one host+commit, so determinism cmp's still hold.
@@ -45,14 +41,12 @@ type Row struct {
 }
 
 // ReadRows parses a result file (every line one Row). A missing file
-// is zero rows — the resume path starts from nothing. A malformed line
-// is an error: a corrupted result store must fail the sweep loudly,
-// not silently re-run cells.
+// is an error wrapping fs.ErrNotExist: analyzing a typoed path must
+// fail, not report zero rows (Run treats it as an empty sweep). A
+// malformed line is an error: a corrupted result store must fail the
+// sweep loudly, not silently re-run cells.
 func ReadRows(path string) ([]Row, error) {
 	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
 	if err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
@@ -82,10 +76,10 @@ func ReadRows(path string) ([]Row, error) {
 	return rows, nil
 }
 
-// AppendRows appends rows to the result file as JSONL, creating it if
+// appendRows appends rows to the result file as JSONL, creating it if
 // needed. Rows are flushed in order; the file is append-only by
 // contract (resume reads it back and skips completed hashes).
-func AppendRows(path string, rows []Row) error {
+func appendRows(path string, rows []Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
@@ -122,9 +116,9 @@ type Provenance struct {
 	Host string
 }
 
-// DetectProvenance shells out once per sweep; failures degrade to
+// detectProvenance shells out once per sweep; failures degrade to
 // "unknown" rather than failing the run.
-func DetectProvenance() Provenance {
+func detectProvenance() Provenance {
 	p := Provenance{Git: "unknown", Host: "unknown"}
 	if host, err := os.Hostname(); err == nil && host != "" {
 		p.Host = host

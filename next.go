@@ -618,7 +618,7 @@ type (
 	PlanGrid = plan.Grid
 	// PlanRow is one cell's result row.
 	PlanRow = plan.Row
-	// PlanRunOptions tunes a sweep (parallelism, lockstep, fresh).
+	// PlanRunOptions tunes a sweep (worker count, fresh start).
 	PlanRunOptions = plan.RunOptions
 	// PlanRunReport summarizes one sweep invocation.
 	PlanRunReport = plan.RunReport
@@ -640,11 +640,11 @@ func RunPlan(p *Plan, resultsPath string, opts PlanRunOptions) (PlanRunReport, e
 // AnalyzePlan re-reads a sweep's result rows and evaluates every grid
 // cell against the plan's SLO: pass/fail per cell, the cheapest
 // passing configuration (energy-first, QoS tiebreak) and per-axis
-// sensitivity.
+// sensitivity. A results file that does not exist is an error.
 func AnalyzePlan(p *Plan, resultsPath string) (*PlanAnalysis, error) {
 	rows, err := plan.ReadRows(resultsPath)
 	if err != nil {
 		return nil, err
 	}
-	return plan.Analyze(p, rows), nil
+	return plan.Analyze(p, rows)
 }

@@ -1,6 +1,9 @@
 package nextdvfs
 
 import (
+	"errors"
+	"io/fs"
+	"path/filepath"
 	"sort"
 	"testing"
 )
@@ -277,5 +280,15 @@ func TestRunScenarioUnderNextScheme(t *testing.T) {
 	}
 	if res.Scheme != "next" {
 		t.Fatalf("scheme = %q", res.Scheme)
+	}
+}
+
+// AnalyzePlan refuses a results path that does not exist rather than
+// judging an empty sweep.
+func TestAnalyzePlanRefusesMissingResults(t *testing.T) {
+	p := &Plan{Name: "x", Grid: PlanGrid{Scenarios: []string{"doomscroll"}, Platforms: []string{"note9"}, Schemes: []string{"schedutil"}}}
+	_, err := AnalyzePlan(p, filepath.Join(t.TempDir(), "typo.jsonl"))
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("AnalyzePlan of a missing file: err = %v, want fs.ErrNotExist", err)
 	}
 }
