@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"nextdvfs"
@@ -57,6 +58,10 @@ func main() {
 		return
 	}
 	if _, err := platform.Get(*plat); err != nil {
+		fmt.Fprintln(os.Stderr, "nextbench:", err)
+		os.Exit(2)
+	}
+	if err := checkFig(*fig); err != nil {
 		fmt.Fprintln(os.Stderr, "nextbench:", err)
 		os.Exit(2)
 	}
@@ -105,6 +110,18 @@ func main() {
 	if *fig == "refresh" || *fig == "all" {
 		runHighRefresh(*plat, *seed, *parallel)
 	}
+}
+
+// figures lists the values -fig accepts.
+var figures = []string{"1", "3", "4", "6", "7", "8", "78", "refresh", "all"}
+
+// checkFig refuses a -fig value that names no figure, so a typo fails
+// instead of printing nothing.
+func checkFig(fig string) error {
+	if slices.Contains(figures, fig) {
+		return nil
+	}
+	return fmt.Errorf("unknown figure %q (want one of: %s)", fig, strings.Join(figures, ", "))
 }
 
 // learnerList expands the -learners flag: "" → nil (each grid's

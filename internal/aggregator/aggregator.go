@@ -248,8 +248,8 @@ type UploadReply struct {
 }
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
-	device := r.URL.Query().Get("device")
-	platform := r.URL.Query().Get("platform")
+	q := r.URL.Query()
+	device, platform := q.Get("device"), q.Get("platform")
 	data, status := s.door.ReadUpload(w, r)
 	if status != http.StatusOK {
 		return status
@@ -308,7 +308,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 }
 
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) int {
-	k := fleetd.Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
+	q := r.URL.Query()
+	k := fleetd.Key{App: q.Get("app"), Platform: q.Get("platform")}
 	info, err := s.MergeLocal(k)
 	if err != nil {
 		return fleetd.WriteErr(w, http.StatusBadRequest, err)

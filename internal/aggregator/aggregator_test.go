@@ -557,3 +557,59 @@ func TestRejectedReuploadKeepsQueuedBody(t *testing.T) {
 		t.Fatal("edge and root policies differ")
 	}
 }
+
+// TestQueuedBodyOutlivesLaterUploads pins that the edge queues each
+// upload's body as it arrived and owns it: no later upload — to the
+// edge, or to a root in the same process, whose upload handler reads
+// and decodes in reused memory — changes a queued body's bytes.
+func TestQueuedBodyOutlivesLaterUploads(t *testing.T) {
+	rootSrv, rootTS := newRoot(t, fleetd.Config{})
+	agg, _ := newEdge(t, Config{ID: "agg-q", Root: rootTS.URL})
+	edge, root := agg.Handler(), rootSrv.Handler()
+	body := func(app string, seed int) []byte {
+		t.Helper()
+		data, err := core.MarshalTableSetBinary(app, learner.SingleTableSet(devTable(seed)), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	k := fleetd.Key{App: "spotify", Platform: "note9"}
+	queued := make(map[string][]byte)
+	for i := range 4 {
+		dev := fmt.Sprintf("d%d", i)
+		data := body(k.App, i)
+		queued[dev] = bytes.Clone(data)
+		expectStatus(t, serve(t, edge, http.MethodPut, "/v1/table?device="+dev+"&platform=note9",
+			core.TableSetMediaType, data), http.StatusOK, dev+" upload")
+	}
+	for i := 4; i < 40; i++ {
+		dev := fmt.Sprintf("d%d", i)
+		expectStatus(t, serve(t, edge, http.MethodPut, "/v1/table?device="+dev+"&platform=note9",
+			core.TableSetMediaType, body(k.App, i)), http.StatusOK, dev+" upload")
+		// Straight at the root, under another app, so the two tiers'
+		// spotify policies still compare.
+		expectStatus(t, serve(t, root, http.MethodPut, "/v1/table?device="+dev+"&platform=note9",
+			core.TableSetMediaType, body("youtube", i)), http.StatusOK, dev+" root upload")
+	}
+	for dev, want := range queued {
+		agg.queue.mu.Lock()
+		got := agg.queue.entries[pendKey{key: k, device: dev}]
+		agg.queue.mu.Unlock()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: queued body changed after later uploads", dev)
+		}
+	}
+	if _, err := agg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agg.MergeLocal(k); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rootSrv.Store().MergeSet(k); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshalPolicy(t, agg.Store(), k), marshalPolicy(t, rootSrv.Store(), k)) {
+		t.Fatal("edge and root policies differ")
+	}
+}

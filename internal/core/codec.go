@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"nextdvfs/internal/learner"
 )
@@ -64,6 +65,11 @@ const (
 	// request before any row bytes are checked. Real action spaces are
 	// single digits; 1<<16 leaves room without allowing multi-GB rows.
 	maxBinActions = 1 << 16
+	// maxBinRoles bounds the role tables a header can make the decoder
+	// size before any of them is read: bounded only by the bytes left,
+	// a 1 MiB body could ask for 350k tables, about 60 MB. Registered
+	// learners keep one or two.
+	maxBinRoles = 16
 )
 
 // MarshalTableSetBinary encodes a learner table set in the binary wire
@@ -187,7 +193,9 @@ func (r *binReader) varint() (int64, error) {
 	return v, nil
 }
 
-func (r *binReader) str(what string) (string, error) {
+// str reads a length-prefixed string. When its bytes spell prev, it
+// returns prev rather than a new copy.
+func (r *binReader) str(what, prev string) (string, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return "", err
@@ -195,9 +203,12 @@ func (r *binReader) str(what string) (string, error) {
 	if n > uint64(r.remaining()) {
 		return "", fmt.Errorf("core: binary table: %s length %d exceeds %d remaining bytes", what, n, r.remaining())
 	}
-	s := string(r.data[r.off : r.off+int(n)])
+	b := r.data[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s, nil
+	if string(b) == prev {
+		return prev, nil
+	}
+	return string(b), nil
 }
 
 // key reads one sorted delta-encoded state key. Deltas after the first
@@ -260,86 +271,101 @@ func UnmarshalTableSetBinary(data []byte) (app string, set *TableSet, trained bo
 }
 
 // UnmarshalSortedSetBinary parses a binary-encoded learner table set
-// into sorted form, the wire's own shape. It is the one NXTB parser:
-// every check on a binary payload is made here. It decodes keys, visit
-// counts and metadata, but leaves each row in data, recording where it
-// starts: the set aliases data (see SortedSet), and the caller hands
-// data over to it.
+// into a new set in sorted form, the wire's own shape: see DecodeBinary.
 func UnmarshalSortedSetBinary(data []byte) (app string, set *SortedSet, trained bool, err error) {
+	set = new(SortedSet)
+	if app, trained, err = set.DecodeBinary(data); err != nil {
+		return "", nil, false, err
+	}
+	return app, set, trained, nil
+}
+
+// DecodeBinary parses a binary-encoded learner table set into s,
+// replacing what s held. It is the one NXTB parser: every check on a
+// binary payload is made here. It decodes keys, visit counts and
+// metadata into s's own slices, growing them only past their capacity,
+// but leaves each row in data, recording where it starts: s aliases
+// data (see SortedSet), and the caller hands data over to it. On an
+// error s holds no usable set, but may be decoded into again.
+func (s *SortedSet) DecodeBinary(data []byte) (app string, trained bool, err error) {
 	if !IsBinaryTableSet(data) {
-		return "", nil, false, fmt.Errorf("core: binary table: missing %q magic", binMagic)
+		return "", false, fmt.Errorf("core: binary table: missing %q magic", binMagic)
 	}
 	if len(data) < len(binMagic)+2 {
-		return "", nil, false, fmt.Errorf("core: binary table: truncated header")
+		return "", false, fmt.Errorf("core: binary table: truncated header")
 	}
 	if len(data) > math.MaxInt32 { // rows are found by int32 offsets
-		return "", nil, false, fmt.Errorf("core: binary table: %d bytes is too large", len(data))
+		return "", false, fmt.Errorf("core: binary table: %d bytes is too large", len(data))
 	}
 	if data[len(binMagic)] != binVersion {
-		return "", nil, false, fmt.Errorf("core: binary table: unsupported version %d (want %d)", data[len(binMagic)], binVersion)
+		return "", false, fmt.Errorf("core: binary table: unsupported version %d (want %d)", data[len(binMagic)], binVersion)
 	}
 	flags := data[len(binMagic)+1]
 	if flags&^flagTrained != 0 {
-		return "", nil, false, fmt.Errorf("core: binary table: unknown flags %#x", flags)
+		return "", false, fmt.Errorf("core: binary table: unknown flags %#x", flags)
 	}
 	trained = flags&flagTrained != 0
 
 	r := &binReader{data: data, off: len(binMagic) + 2}
-	if app, err = r.str("app"); err != nil {
-		return "", nil, false, err
+	if app, err = r.str("app", ""); err != nil {
+		return "", false, err
 	}
-	name, err := r.str("learner")
+	name, err := r.str("learner", s.Learner)
 	if err != nil {
-		return "", nil, false, err
+		return "", false, err
 	}
 	actions64, err := r.uvarint()
 	if err != nil {
-		return "", nil, false, err
+		return "", false, err
 	}
 	if actions64 == 0 || actions64 > maxBinActions {
-		return "", nil, false, fmt.Errorf("core: table for %q has invalid action count %d", app, actions64)
+		return "", false, fmt.Errorf("core: table for %q has invalid action count %d", app, actions64)
 	}
 	actions := int(actions64)
 	roleCount, err := r.uvarint()
 	if err != nil {
-		return "", nil, false, err
+		return "", false, err
 	}
 	// Each role needs at least a name length byte and two count bytes.
-	if roleCount == 0 || roleCount > uint64(r.remaining()/3)+1 {
-		return "", nil, false, fmt.Errorf("core: binary table for %q has implausible role count %d", app, roleCount)
+	if roleCount == 0 || roleCount > maxBinRoles || roleCount > uint64(r.remaining()/3)+1 {
+		return "", false, fmt.Errorf("core: binary table for %q has implausible role count %d", app, roleCount)
 	}
 
-	set = &SortedSet{Learner: learner.Normalize(name), Actions: actions, Roles: make([]SortedTable, roleCount)}
-	for i := range set.Roles {
-		t := &set.Roles[i]
-		if t.Role, err = r.str("role name"); err != nil {
-			return "", nil, false, err
+	s.Learner, s.Actions = learner.Normalize(name), actions
+	s.Roles = slices.Grow(s.Roles[:0], int(roleCount))[:roleCount]
+	for i := range s.Roles {
+		t := &s.Roles[i]
+		// Keep the table's slices and role name for reuse, and nothing
+		// else: no metadata, clamp mark or payload of an earlier decode.
+		*t = SortedTable{Role: t.Role, Keys: t.Keys[:0], at: t.at[:0], VisitKeys: t.VisitKeys[:0], Visits: t.Visits[:0]}
+		if t.Role, err = r.str("role name", t.Role); err != nil {
+			return "", false, err
 		}
 		if i == 0 {
 			if t.Steps, err = r.varint(); err != nil {
-				return "", nil, false, err
+				return "", false, err
 			}
 			if t.TrainedUS, err = r.varint(); err != nil {
-				return "", nil, false, err
+				return "", false, err
 			}
 			if t.ConvergedAtUS, err = r.varint(); err != nil {
-				return "", nil, false, err
+				return "", false, err
 			}
 		}
 		if err := r.readRows(t, actions); err != nil {
-			return "", nil, false, fmt.Errorf("core: role %q of %q: %w", t.Role, app, err)
+			return "", false, fmt.Errorf("core: role %q of %q: %w", t.Role, app, err)
 		}
 		if err := r.readVisits(t); err != nil {
-			return "", nil, false, fmt.Errorf("core: role %q of %q: %w", t.Role, app, err)
+			return "", false, fmt.Errorf("core: role %q of %q: %w", t.Role, app, err)
 		}
 	}
 	if r.remaining() != 0 {
-		return "", nil, false, fmt.Errorf("core: binary table for %q has %d trailing bytes", app, r.remaining())
+		return "", false, fmt.Errorf("core: binary table for %q has %d trailing bytes", app, r.remaining())
 	}
-	if err := learner.ValidateSet(set.layout()); err != nil {
-		return "", nil, false, fmt.Errorf("core: table set for %q: %w", app, err)
+	if err := learner.ValidateSet(s.layout()); err != nil {
+		return "", false, fmt.Errorf("core: table set for %q: %w", app, err)
 	}
-	return app, set, trained, nil
+	return app, trained, nil
 }
 
 // readRows reads a role's keys and notes where each row starts.
@@ -358,9 +384,9 @@ func (r *binReader) readRows(t *SortedTable, actions int) error {
 	if count == 0 {
 		return nil
 	}
-	t.Keys = make([]StateKey, count)
+	t.Keys = slices.Grow(t.Keys, int(count))[:count]
 	t.rows = r.data
-	t.at = make([]int32, count)
+	t.at = slices.Grow(t.at, int(count))[:count]
 	prev := uint64(0)
 	for i := range t.Keys {
 		k, ok := r.smallKey(prev)
@@ -391,8 +417,8 @@ func (r *binReader) readVisits(t *SortedTable) error {
 	if count == 0 {
 		return nil
 	}
-	t.VisitKeys = make([]StateKey, count)
-	t.Visits = make([]int, count)
+	t.VisitKeys = slices.Grow(t.VisitKeys, int(count))[:count]
+	t.Visits = slices.Grow(t.Visits, int(count))[:count]
 	prev := uint64(0)
 	for i := range t.VisitKeys {
 		k, ok := r.smallKey(prev)

@@ -95,17 +95,51 @@ func varintEdgeSeeds(tb testing.TB) [][]byte {
 // rows left in the payload, accepts and rejects exactly what
 // refUnmarshal, a plain encoding/binary decoder that copies every row
 // out, does, with the same keys, row bits, visit counts and metadata;
-// the table-set decode and SortTableSet hold the same set.
+// the table-set decode and SortTableSet hold the same set. Decoding
+// into a set already used — a larger two-role set marked by
+// ClampOnRead — gives what a fresh decode gives, and the used set then
+// decodes its first payload again as it did before.
 func FuzzUnmarshalTableSetBinary(f *testing.F) {
 	binSeeds, _ := fuzzSeedPayloads(f)
 	for _, s := range append(binSeeds, varintEdgeSeeds(f)...) {
 		f.Add(s)
+	}
+	used, err := MarshalTableSetBinary("used", binTestSet(), true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, usedRef, _, err := refUnmarshal(used)
+	if err != nil {
+		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rApp, ref, rTrained, rErr := refUnmarshal(data)
 		app, sorted, trained, err := UnmarshalSortedSetBinary(data)
 		if (err == nil) != (rErr == nil) {
 			t.Fatalf("parser err %v, reference err %v", err, rErr)
+		}
+		reused := new(SortedSet)
+		if _, _, err := reused.DecodeBinary(used); err != nil {
+			t.Fatal(err)
+		}
+		reused.ClampOnRead(1, func(float64) float64 { return 0 })
+		app3, trained3, err3 := reused.DecodeBinary(data)
+		if (err3 == nil) != (err == nil) {
+			t.Fatalf("decode into a used set err %v, fresh decode err %v", err3, err)
+		}
+		if err == nil {
+			if app3 != app || trained3 != trained {
+				t.Fatalf("decode into a used set app/trained %q/%v, fresh %q/%v", app3, trained3, app, trained)
+			}
+			if msg := ref.differs(reused); msg != "" {
+				t.Fatalf("decode into a used set differs from the reference: %s", msg)
+			}
+		}
+		if _, _, err := reused.DecodeBinary(used); err != nil {
+			t.Fatal(err)
+		}
+		if msg := usedRef.differs(reused); msg != "" {
+			t.Fatalf("used set decoded again differs from the reference: %s", msg)
 		}
 		if err != nil {
 			return

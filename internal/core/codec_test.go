@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 
 	"nextdvfs/internal/learner"
@@ -195,6 +197,21 @@ func TestBinaryCodecRejectsHostileInputs(t *testing.T) {
 	hdr = append(hdr, 0xff, 0xff, 0xff, 0xff, 0x0f) // q count ~= 4 billion
 	if _, _, _, err := UnmarshalTableSetBinary(hdr); err == nil {
 		t.Fatal("implausible q entry count accepted")
+	}
+
+	// A role count the bytes could hold but no learner has must be
+	// rejected before it sizes the role tables.
+	many := binary.AppendUvarint([]byte{'N', 'X', 'T', 'B', 1, 0, 1, 'x', 0, 9}, 1<<18)
+	many = append(many, make([]byte, 1<<20)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err = UnmarshalSortedSetBinary(many)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("role count past any learner's accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
+		t.Fatalf("refusing %d roles in a %d-byte body allocated %d bytes", 1<<18, len(many), got)
 	}
 }
 

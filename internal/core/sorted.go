@@ -16,13 +16,15 @@ import (
 // once in key order, such as a fleet server applying a delta upload,
 // and have no use for a QTable's maps.
 //
-// UnmarshalSortedSetBinary and SortTableSet make sorted sets, and both
-// check them as the table-set decoders do; nothing else can, since only
-// this package reads and writes the rows' byte form. A set decoded from
-// a payload aliases the payload's bytes: its rows are read from them
-// on demand, and ClampRows writes into them. Whoever owns the payload
-// owns the set, and must neither change the bytes nor reuse them while
-// the set is in use.
+// DecodeBinary (and UnmarshalSortedSetBinary, a decode into a new set)
+// and SortTableSet make sorted sets, and both check them as the
+// table-set decoders do; nothing else can, since only this package
+// reads and writes the rows' byte form. A set decoded from a payload
+// aliases the payload's bytes: its rows are read from them on demand,
+// by RowInto, and never written. Whoever owns the payload owns the
+// set, and must neither change the bytes nor reuse them while the set
+// is in use. A set may be decoded into again, which reuses its slices;
+// that ends the previous payload's use.
 type SortedSet struct {
 	Learner string // normalized registry name
 	Actions int
@@ -46,40 +48,44 @@ type SortedTable struct {
 	// Steps, TrainedUS and ConvergedAtUS are the table's metadata; the
 	// wire carries them on the primary role only.
 	Steps, TrainedUS, ConvergedAtUS int64
+	// clamp, when set, is the rule RowInto applies to a value whose bits
+	// below the sign bit exceed top (see SortedSet.ClampOnRead).
+	clamp func(float64) float64
+	top   uint64
 }
 
 // RowInto overwrites dst, whose length is the action count, with row i
-// and reports whether any bit of dst changed.
+// and reports whether any bit of dst changed. On a set marked by
+// ClampOnRead, it writes each out-of-range value as the clamp rule
+// maps it.
 func (t *SortedTable) RowInto(i int, dst []float64) (changed bool) {
 	src := t.rows[t.at[i]:][:8*len(dst)]
+	top, clamp := t.top, t.clamp
+	if clamp == nil {
+		top = math.MaxUint64
+	}
 	var diff uint64
 	for j := range dst {
 		b := binary.LittleEndian.Uint64(src[8*j:])
+		if b&^(1<<63) > top {
+			b = math.Float64bits(clamp(math.Float64frombits(b)))
+		}
 		diff |= b ^ math.Float64bits(dst[j])
 		dst[j] = math.Float64frombits(b)
 	}
 	return diff != 0
 }
 
-// ClampRows replaces, in place, each row value that is NaN or whose
-// magnitude exceeds limit with clamp(value). Every other value is left
-// as its bytes are, and clamp never sees it.
-func (s *SortedSet) ClampRows(limit float64, clamp func(float64) float64) {
+// ClampOnRead marks s so that RowInto reads each row value that is NaN
+// or whose magnitude exceeds limit as clamp(value). Every other value
+// is read as its bytes are, and clamp never sees it. The rows' bytes
+// are left as they arrived; decoding into s again clears the mark.
+func (s *SortedSet) ClampOnRead(limit float64, clamp func(float64) float64) {
 	// Below the sign bit, a float64's bits order as its magnitude does,
 	// and NaNs sort above every finite value and the infinities.
 	top := math.Float64bits(limit)
-	n := 8 * s.Actions
 	for r := range s.Roles {
-		t := &s.Roles[r]
-		for _, at := range t.at {
-			row := t.rows[at:][:n]
-			for j := 0; j < n; j += 8 {
-				b := binary.LittleEndian.Uint64(row[j:])
-				if b&^(1<<63) > top {
-					binary.LittleEndian.PutUint64(row[j:], math.Float64bits(clamp(math.Float64frombits(b))))
-				}
-			}
-		}
+		s.Roles[r].clamp, s.Roles[r].top = clamp, top
 	}
 }
 

@@ -62,7 +62,7 @@ func (s *Server) handleFederate(w http.ResponseWriter, r *http.Request) int {
 		return WriteErr(w, http.StatusUnsupportedMediaType,
 			fmt.Errorf("fleetd: federation push must be %s, got %q", FederateMediaType, ct))
 	}
-	data, status := s.door.readBody(w, r, maxFederateBytes, "federation push")
+	data, status := s.door.readBody(w, r, maxFederateBytes, "federation push", nil)
 	if status != http.StatusOK {
 		return status
 	}

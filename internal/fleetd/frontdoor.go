@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 )
 
@@ -32,7 +33,8 @@ const (
 	// maxPresize bounds how far readBody trusts a declared body length
 	// ahead of the bytes: a body is read into one buffer sized from its
 	// Content-Length up to this cap, and past it the buffer grows only
-	// as data arrives.
+	// as data arrives. It also bounds the body buffers the root keeps
+	// pooled between uploads (see uploadScratch).
 	maxPresize = 1 << 20
 	// maxTrackedDevices bounds every DeviceSet. Check-ins are
 	// unauthenticated, so an unbounded set would be a memory leak under
@@ -180,19 +182,21 @@ func (d *FrontDoor) PolicyQuery(w http.ResponseWriter, r *http.Request) (k Key, 
 	return k, device, http.StatusOK
 }
 
-// ReadUpload reads a device table upload body. See readBody.
+// ReadUpload reads a device table upload body into a fresh buffer. See
+// readBody.
 func (d *FrontDoor) ReadUpload(w http.ResponseWriter, r *http.Request) ([]byte, int) {
-	return d.readBody(w, r, maxUploadBytes, "upload")
+	return d.readBody(w, r, maxUploadBytes, "upload", nil)
 }
 
-// readBody reads a request body of at most limit bytes. On success the
-// status is 200 and nothing has been written; otherwise the error is
-// already answered — 413 past the limit, 400 on a read error — and
-// the handler returns the status. A body whose declared length is past
-// the limit is refused before any of it is read; one within it is read
-// into a buffer sized from that length, at most maxPresize bytes ahead
-// of what has arrived.
-func (d *FrontDoor) readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, int) {
+// readBody reads a request body of at most limit bytes, appending it to
+// buf[:0]: buf's memory is reused while the body fits, and a nil buf
+// reads into a fresh buffer. On success the status is 200 and nothing
+// has been written; otherwise the error is already answered — 413 past
+// the limit, 400 on a read error — and the handler returns the status.
+// A body whose declared length is past the limit is refused before any
+// of it is read; one within it is read into a buffer sized from that
+// length, at most maxPresize bytes ahead of what has arrived.
+func (d *FrontDoor) readBody(w http.ResponseWriter, r *http.Request, limit int64, what string, buf []byte) ([]byte, int) {
 	var data []byte
 	var err error
 	body := http.MaxBytesReader(w, r.Body, limit)
@@ -202,11 +206,12 @@ func (d *FrontDoor) readBody(w http.ResponseWriter, r *http.Request, limit int64
 	case r.ContentLength >= 0:
 		// The spare MinRead bytes let the read that finds the end of the
 		// body land without growing the buffer.
-		buf := bytes.NewBuffer(make([]byte, 0, min(r.ContentLength, maxPresize)+bytes.MinRead))
-		_, err = buf.ReadFrom(body)
-		data = buf.Bytes()
+		if n := int(min(r.ContentLength, maxPresize)) + bytes.MinRead; cap(buf) < n {
+			buf = make([]byte, 0, n)
+		}
+		data, err = readAll(body, buf[:0])
 	default:
-		data, err = io.ReadAll(body)
+		data, err = readAll(body, buf[:0])
 	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -217,4 +222,22 @@ func (d *FrontDoor) readBody(w http.ResponseWriter, r *http.Request, limit int64
 		return nil, WriteErr(w, http.StatusBadRequest, fmt.Errorf("%s: reading %s: %w", d.tier, what, err))
 	}
 	return data, http.StatusOK
+}
+
+// readAll appends r's bytes to buf until EOF, growing buf only when it
+// is full.
+func readAll(r io.Reader, buf []byte) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, bytes.MinRead)
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package fleetd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"nextdvfs/internal/cloud"
@@ -154,18 +156,30 @@ func mediaType(v string) string {
 // default empty one) takes the legacy JSON path unchanged. The
 // aggregator tier shares it so both tiers negotiate identically.
 func DecodeTableSet(contentType string, data []byte) (string, *core.TableSet, bool, error) {
+	return decodeTableSet(contentType, data, new(core.SortedSet))
+}
+
+// decodeTableSet is DecodeTableSet with the binary decode's sorted set
+// given: the payload is decoded into scratch, then copied into the
+// table set's maps, which share nothing with scratch or data.
+func decodeTableSet(contentType string, data []byte, scratch *core.SortedSet) (string, *core.TableSet, bool, error) {
 	if mediaType(contentType) == core.TableSetMediaType {
-		return core.UnmarshalTableSetBinary(data)
+		app, trained, err := scratch.DecodeBinary(data)
+		if err != nil {
+			return "", nil, false, err
+		}
+		return app, scratch.TableSet(), trained, nil
 	}
 	return core.UnmarshalTableSet(data)
 }
 
 // decodeSorted is DecodeTableSet into sorted form: the binary media
-// type decodes straight into it, JSON through a decoded table set.
-func decodeSorted(contentType string, data []byte) (string, *core.SortedSet, error) {
+// type decodes straight into scratch, which it returns; JSON decodes
+// through a table set into a new sorted set.
+func decodeSorted(contentType string, data []byte, scratch *core.SortedSet) (string, *core.SortedSet, error) {
 	if mediaType(contentType) == core.TableSetMediaType {
-		app, set, _, err := core.UnmarshalSortedSetBinary(data)
-		return app, set, err
+		app, _, err := scratch.DecodeBinary(data)
+		return app, scratch, err
 	}
 	app, set, _, err := core.UnmarshalTableSet(data)
 	if err != nil {
@@ -197,18 +211,44 @@ func EncodePolicy(app string, set *core.TableSet, binary bool) ([]byte, string, 
 	return data, "application/json", err
 }
 
+// uploadScratch is the memory one upload request is read and decoded
+// in: the body buffer and the sorted set over it. The store keeps no
+// reference to either once its upload call returns, so handleUpload
+// takes one from uploadScratches and gives it back after the reply,
+// and steady-state uploads allocate no body or decode memory.
+type uploadScratch struct {
+	body []byte
+	set  core.SortedSet
+}
+
+var uploadScratches = sync.Pool{New: func() any { return new(uploadScratch) }}
+
+// release gives sc back to the pool, unless its body buffer grew past
+// maxPresize: such a scratch, with the decode slices its body sized, is
+// left to the garbage collector, so the pool never holds on to an
+// outsized buffer.
+func (sc *uploadScratch) release() {
+	if cap(sc.body) > maxPresize+bytes.MinRead {
+		return
+	}
+	uploadScratches.Put(sc)
+}
+
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
-	device := r.URL.Query().Get("device")
-	platform := r.URL.Query().Get("platform")
-	data, status := s.door.ReadUpload(w, r)
+	q := r.URL.Query()
+	device, platform := q.Get("device"), q.Get("platform")
+	sc := uploadScratches.Get().(*uploadScratch)
+	defer sc.release()
+	data, status := s.door.readBody(w, r, maxUploadBytes, "upload", sc.body)
 	if status != http.StatusOK {
 		return status
 	}
+	sc.body = data
 	contentType := r.Header.Get("Content-Type")
 	if baseHdr := r.Header.Get(baseGenHeader); baseHdr != "" {
-		return s.handleDelta(w, device, platform, contentType, data, baseHdr)
+		return s.handleDelta(w, device, platform, contentType, data, &sc.set, baseHdr)
 	}
-	app, set, _, err := DecodeTableSet(contentType, data)
+	app, set, _, err := decodeTableSet(contentType, data, &sc.set)
 	if err != nil {
 		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad table upload: %w", err))
 	}
@@ -221,11 +261,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 }
 
 // handleDelta finishes a delta upload: the body goes from its wire
-// bytes to the sorted form and into the store without a QTable. The
-// handler owns data, which ReadUpload read into a fresh buffer; a
-// binary delta's rows stay in it, and the store sanitizes them there.
-func (s *Server) handleDelta(w http.ResponseWriter, device, platform, contentType string, data []byte, baseHdr string) int {
-	app, delta, err := decodeSorted(contentType, data)
+// bytes to the sorted form and into the store without a QTable. A
+// binary delta decodes into scratch and its rows stay in data, which
+// the store reads, clamped, as it applies them; neither outlives the
+// request.
+func (s *Server) handleDelta(w http.ResponseWriter, device, platform, contentType string, data []byte, scratch *core.SortedSet, baseHdr string) int {
+	app, delta, err := decodeSorted(contentType, data, scratch)
 	if err != nil {
 		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad table upload: %w", err))
 	}
@@ -246,7 +287,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, device, platform, contentTyp
 }
 
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) int {
-	k := Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
+	q := r.URL.Query()
+	k := Key{App: q.Get("app"), Platform: q.Get("platform")}
 	start := time.Now()
 	info, set, err := s.store.MergeSet(k)
 	// Latency covers the merge itself, captured once so the reply and
@@ -354,7 +396,8 @@ func (s *Server) handleRolloutStatus(w http.ResponseWriter, r *http.Request) int
 	if s.rollout == nil {
 		return WriteErr(w, http.StatusNotFound, errRolloutDisabled)
 	}
-	app, platform := r.URL.Query().Get("app"), r.URL.Query().Get("platform")
+	q := r.URL.Query()
+	app, platform := q.Get("app"), q.Get("platform")
 	if app == "" && platform == "" {
 		return WriteJSON(w, http.StatusOK, s.rollout.Statuses())
 	}
@@ -376,7 +419,8 @@ func (s *Server) rolloutAction(w http.ResponseWriter, r *http.Request,
 	if s.rollout == nil {
 		return WriteErr(w, http.StatusNotFound, errRolloutDisabled)
 	}
-	k := Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
+	q := r.URL.Query()
+	k := Key{App: q.Get("app"), Platform: q.Get("platform")}
 	if err := k.validate("fleetd"); err != nil {
 		return WriteErr(w, http.StatusBadRequest, err)
 	}
@@ -418,7 +462,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) int {
 	if s.rollout == nil {
 		return WriteErr(w, http.StatusNotFound, errRolloutDisabled)
 	}
-	k := Key{App: r.URL.Query().Get("app"), Platform: r.URL.Query().Get("platform")}
+	q := r.URL.Query()
+	k := Key{App: q.Get("app"), Platform: q.Get("platform")}
 	if err := k.validate("fleetd"); err != nil {
 		return WriteErr(w, http.StatusBadRequest, err)
 	}

@@ -125,10 +125,12 @@ func sanitizeTable(t *core.QTable) {
 }
 
 // sanitizeSorted is sanitizeTable for every role of a delta in sorted
-// form. The rows of a decoded delta are still in the request body: the
-// clamp rewrites there just the values out of range, and reads the rest.
+// form. The rows of a decoded delta are still in the request body, and
+// stay there as they arrived: the set is marked so that clampQ applies
+// as each row leaves the body (SortedTable.RowInto), which every
+// consumer of the delta's rows reads them through.
 func sanitizeSorted(set *core.SortedSet) {
-	set.ClampRows(maxQValue, clampQ)
+	set.ClampOnRead(maxQValue, clampQ)
 	for i := range set.Roles {
 		t := &set.Roles[i]
 		for j, v := range t.Visits {
@@ -362,9 +364,10 @@ func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseG
 // and costs O(states in the delta). On success it returns the device
 // count and the new generation for the next delta. A missing base or a
 // stale baseGen fails with ErrDeltaBase (full upload required); the
-// store is never modified on error. The store takes ownership of delta
-// and of the body it aliases, and sanitizes it in place, refused or
-// not; it keeps no reference to either once it returns.
+// store is never modified on error. The store sanitizes delta in
+// place, refused or not, and reads the body it aliases without writing
+// it; it keeps no reference to either once it returns, so the caller
+// may reuse both.
 func (s *Store) uploadDelta(k Key, device string, delta *core.SortedSet, baseGen int64) (devices int, gen int64, err error) {
 	if err := admitNames(k, device); err != nil {
 		return 0, 0, err

@@ -17,11 +17,13 @@ import (
 // BenchmarkDeltaUpload times the stages of the delta-upload handler, one
 // sub-benchmark each, on a fixed 1,360-state × 9-action NXTB delta (the
 // size of a delta in the fleet benchmark's recorded traffic): read
-// (FrontDoor.readBody), decode (core.UnmarshalSortedSetBinary, which
-// leaves the rows in the body), sanitize, and arena (Merger.UploadDelta
-// decoding the rows from the body into a merged-in device's column of a
-// 16-device arena). Two deltas over the same states alternate, so every
-// arena update rewrites the device's rows.
+// (FrontDoor.readBody into a body buffer from the handler's scratch
+// pool), decode (SortedSet.DecodeBinary into a reused set, which leaves
+// the rows in the body), sanitize (which clamps visit counts and marks
+// the rows to be clamped as they are read), and arena (Merger.UploadDelta
+// reading the rows, clamped, from the body into a merged-in device's
+// column of a 16-device arena). Two deltas over the same states
+// alternate, so every arena update rewrites the device's rows.
 func BenchmarkDeltaUpload(b *testing.B) {
 	const states, actions, devices = 1360, 9, 16
 	rng := rand.New(rand.NewSource(42))
@@ -67,16 +69,21 @@ func BenchmarkDeltaUpload(b *testing.B) {
 		for i := range b.N {
 			body.Reset(bodies[i%2])
 			req.ContentLength = int64(len(bodies[i%2]))
-			if _, status := door.ReadUpload(rec, req); status != http.StatusOK {
+			sc := uploadScratches.Get().(*uploadScratch)
+			data, status := door.readBody(rec, req, maxUploadBytes, "upload", sc.body)
+			if status != http.StatusOK {
 				b.Fatalf("read: status %d", status)
 			}
+			sc.body = data
+			sc.release()
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
+		var set core.SortedSet
 		b.SetBytes(int64(len(bodies[0])))
 		b.ResetTimer()
 		for i := range b.N {
-			if _, _, _, err := core.UnmarshalSortedSetBinary(bodies[i%2]); err != nil {
+			if _, _, err := set.DecodeBinary(bodies[i%2]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -98,6 +105,9 @@ func BenchmarkDeltaUpload(b *testing.B) {
 			b.Fatal(err)
 		}
 		sets := decode(b)
+		for _, set := range sets {
+			sanitizeSorted(set)
+		}
 		b.ResetTimer()
 		for i := range b.N {
 			if !m.UploadDelta("dev-00", sets[i%2]) {
