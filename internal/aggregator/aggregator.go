@@ -30,8 +30,8 @@ import (
 	"sync"
 	"time"
 
+	"nextdvfs/internal/core"
 	"nextdvfs/internal/fleetd"
-	"nextdvfs/internal/learner"
 )
 
 // Backpressure and federation batching (docs/operations.md, "Fixed
@@ -262,12 +262,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 		return fleetd.WriteErr(w, http.StatusConflict,
 			fmt.Errorf("aggregator %s: delta uploads are not supported at the edge tier; send the full table", s.cfg.ID))
 	}
-	app, set, _, err := fleetd.DecodeTableSet(r.Header.Get("Content-Type"), data)
+	// The store copies the set's rows out; the queue keeps data itself.
+	app, set, err := fleetd.DecodeSorted(r.Header.Get("Content-Type"), data, new(core.SortedSet))
 	if err != nil {
 		return fleetd.WriteErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: bad table upload: %w", err))
-	}
-	if err := learner.ValidateSet(set); err != nil {
-		return fleetd.WriteErr(w, http.StatusBadRequest, fmt.Errorf("aggregator: upload from %q: %w", device, err))
 	}
 	k := fleetd.Key{App: app, Platform: platform}
 	pk := pendKey{key: k, device: device}
@@ -292,7 +290,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 			reply.BackoffS = retryAfterS
 		}
 	}
-	n, _, err := s.store.UploadSetGen(k, device, set)
+	n, _, err := s.store.Upload(k, device, set)
 	if err != nil {
 		// Nothing the local tier refused reaches the root, but the
 		// device's earlier body stays queued: the local store kept it.

@@ -1,7 +1,6 @@
 package aggregator
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 
@@ -41,40 +40,24 @@ func (m *Metrics) Rejected() int64 { return m.rejected.Load() }
 func (m *Metrics) write(w io.Writer, pending, queueLimit, keys, merged, uploads, devices int) {
 	m.RequestMetrics.Write(w)
 
-	fmt.Fprintf(w, "# HELP agg_pending_uploads Device tables queued for upward federation.\n")
-	fmt.Fprintf(w, "# TYPE agg_pending_uploads gauge\n")
-	fmt.Fprintf(w, "agg_pending_uploads %d\n", pending)
-	fmt.Fprintf(w, "# HELP agg_queue_limit Upward queue capacity (distinct policy-device pairs).\n")
-	fmt.Fprintf(w, "# TYPE agg_queue_limit gauge\n")
-	fmt.Fprintf(w, "agg_queue_limit %d\n", queueLimit)
-	fmt.Fprintf(w, "# HELP agg_rejected_uploads_total Uploads answered 429 because the upward queue was full.\n")
-	fmt.Fprintf(w, "# TYPE agg_rejected_uploads_total counter\n")
-	fmt.Fprintf(w, "agg_rejected_uploads_total %d\n", m.rejected.Load())
-	fmt.Fprintf(w, "# HELP agg_forwarded_tables_total Device tables the root accepted via federation pushes.\n")
-	fmt.Fprintf(w, "# TYPE agg_forwarded_tables_total counter\n")
-	fmt.Fprintf(w, "agg_forwarded_tables_total %d\n", m.forwarded.Load())
-	fmt.Fprintf(w, "# HELP agg_dropped_tables_total Device tables the root rejected and the aggregator discarded.\n")
-	fmt.Fprintf(w, "# TYPE agg_dropped_tables_total counter\n")
-	fmt.Fprintf(w, "agg_dropped_tables_total %d\n", m.dropped.Load())
-	fmt.Fprintf(w, "# HELP agg_flush_total Federation pushes to the root, by outcome.\n")
-	fmt.Fprintf(w, "# TYPE agg_flush_total counter\n")
-	fmt.Fprintf(w, "agg_flush_total{result=\"ok\"} %d\n", m.flushes.Load())
-	fmt.Fprintf(w, "agg_flush_total{result=\"error\"} %d\n", m.flushFailures.Load())
-	fmt.Fprintf(w, "# HELP agg_policy_proxied_total Policy downloads answered by the root through the proxy.\n")
-	fmt.Fprintf(w, "# TYPE agg_policy_proxied_total counter\n")
-	fmt.Fprintf(w, "agg_policy_proxied_total %d\n", m.proxied.Load())
-	fmt.Fprintf(w, "# HELP agg_policy_local_fallback_total Policy downloads served from the local merged table (root unreachable or without a policy).\n")
-	fmt.Fprintf(w, "# TYPE agg_policy_local_fallback_total counter\n")
-	fmt.Fprintf(w, "agg_policy_local_fallback_total %d\n", m.proxyFallbacks.Load())
+	fleetd.WriteFamily(w, "agg_pending_uploads", "gauge", "Device tables queued for upward federation.", "", pending)
+	fleetd.WriteFamily(w, "agg_queue_limit", "gauge", "Upward queue capacity (distinct policy-device pairs).", "", queueLimit)
+	fleetd.WriteFamily(w, "agg_rejected_uploads_total", "counter",
+		"Uploads answered 429 because the upward queue was full.", "", m.rejected.Load())
+	fleetd.WriteFamily(w, "agg_forwarded_tables_total", "counter",
+		"Device tables the root accepted via federation pushes.", "", m.forwarded.Load())
+	fleetd.WriteFamily(w, "agg_dropped_tables_total", "counter",
+		"Device tables the root rejected and the aggregator discarded.", "", m.dropped.Load())
+	fleetd.WriteFamily(w, "agg_flush_total", "counter", "Federation pushes to the root, by outcome.",
+		`{result="ok"}`, m.flushes.Load(), `{result="error"}`, m.flushFailures.Load())
+	fleetd.WriteFamily(w, "agg_policy_proxied_total", "counter",
+		"Policy downloads answered by the root through the proxy.", "", m.proxied.Load())
+	fleetd.WriteFamily(w, "agg_policy_local_fallback_total", "counter",
+		"Policy downloads served from the local merged table (root unreachable or without a policy).", "", m.proxyFallbacks.Load())
 
-	fmt.Fprintf(w, "# HELP agg_policies Known app-platform policies in the local store (merged = with a local table).\n")
-	fmt.Fprintf(w, "# TYPE agg_policies gauge\n")
-	fmt.Fprintf(w, "agg_policies{state=\"known\"} %d\n", keys)
-	fmt.Fprintf(w, "agg_policies{state=\"merged\"} %d\n", merged)
-	fmt.Fprintf(w, "# HELP agg_device_tables Device tables held in the local store.\n")
-	fmt.Fprintf(w, "# TYPE agg_device_tables gauge\n")
-	fmt.Fprintf(w, "agg_device_tables %d\n", uploads)
-	fmt.Fprintf(w, "# HELP agg_devices_seen Distinct devices that have checked in at this edge.\n")
-	fmt.Fprintf(w, "# TYPE agg_devices_seen gauge\n")
-	fmt.Fprintf(w, "agg_devices_seen %d\n", devices)
+	fleetd.WriteFamily(w, "agg_policies", "gauge",
+		"Known app-platform policies in the local store (merged = with a local table).",
+		`{state="known"}`, keys, `{state="merged"}`, merged)
+	fleetd.WriteFamily(w, "agg_device_tables", "gauge", "Device tables held in the local store.", "", uploads)
+	fleetd.WriteFamily(w, "agg_devices_seen", "gauge", "Distinct devices that have checked in at this edge.", "", devices)
 }

@@ -2,10 +2,12 @@ package cloud
 
 import (
 	"cmp"
+	"fmt"
 	"maps"
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"nextdvfs/internal/core"
 	"nextdvfs/internal/learner"
@@ -15,7 +17,7 @@ import (
 // from-scratch JoinDevices rebuilds a fresh accumulator map over every
 // device's full table each round — O(fleet) per merge, the measured
 // bottleneck of the 10k-device check-in cycle. Merger keeps the
-// accumulator state ("arena") alive across rounds: each re-upload is
+// accumulator state ("arena") alive across rounds: each upload is
 // diffed against the rows already in the arena, only the states whose
 // contribution actually changed are marked dirty, and Merge recomputes
 // just those states — in the same sorted-device order as the
@@ -27,9 +29,11 @@ import (
 // The arena holds everything a device's table contributes to a merge —
 // its rows, their effective weights, the visit counts it sent for
 // states it has no row in, and its Steps/TrainedUS — so it can be the
-// only copy of those tables a server keeps: UploadDelta overlays a
-// delta in O(states in the delta), and Tables hands the columns back
-// for a rebuild.
+// only copy of those tables a server keeps. Every upload enters it in
+// sorted form through one walker: a full upload replaces the device's
+// contribution, and a delta overlays it in O(states in the delta). A
+// device the arena does not know joins it with its first full upload:
+// it gets a column, and its states are dirtied. Devices never leave.
 //
 // The arena is device-major. Per role, every state any device has a
 // row for gets a small integer id, its sid, which a sorted index (the
@@ -37,38 +41,43 @@ import (
 // a column packs the rows of just the states that device has, in sid
 // order, with their weights and a sid → row index. An upload writes
 // inside one device's column, which stays in cache, and Merge reads
-// each column front to back. Rebuild numbers the states in key order,
-// so a delta, whose keys arrive in ascending order, finds its sids by
-// walking the index forward and writes its column front to back.
+// each column front to back. An upload's keys arrive in ascending
+// order, so it finds their sids by walking the index forward; and each
+// Merge renumbers the states that round brought in key order, so a
+// column's rows follow key order too.
 //
-// The arena is keyed by the device set and table layout captured at
-// Rebuild. Structural changes — a new device, a learner or role-layout
-// change, a different action count — invalidate it: Upload and
-// UploadDelta return false and the caller runs Rebuild (which is
-// JoinDevices plus arena construction). Merger is not safe for
+// The first upload fixes the arena's learner, role layout and action
+// count; an upload of any other layout is refused, and so is a delta
+// from a device the arena does not know. Merger is not safe for
 // concurrent use; callers serialize (fleetd holds the shard lock).
 type Merger struct {
 	learnerName string
 	actions     int
-	roleNames   []string
-	// devices is the sorted device-ID order — the float association
-	// order of every weighted sum, fixed at Rebuild. Devices are found
-	// by binary search, so Rebuild allocates nothing per device.
-	devices []string
-	roles   []*roleArena
-	merged  *learner.TableSet
+	roleNames   []string // nil until the first upload
+	// ids holds each device's ID by slot, the place of its column in
+	// every role: a device's slot is the order it joined in, found by
+	// slots. order lists the slots in sorted-ID order — the float
+	// association order of every weighted sum. The slots from
+	// len(order) on joined since the last Merge, which sorts them in.
+	ids   []string
+	slots map[string]int32
+	order []int32
+	roles []*roleArena
+	// merged is the last Merge's output, the empty set before the first.
+	merged *learner.TableSet
 	// sum and weight are Merge's accumulators, one row and one weight
 	// per dirty state. seen marks the rows a full upload still has;
 	// staged and stagedQ hold an upload's rows for states new to the
 	// device until it repacks the column; fresh holds its states new to
-	// the arena until it adds them to the index. All are reused across
-	// calls.
+	// the arena until it adds them to the index; joined holds the slots
+	// Merge sorts in. All are reused across calls.
 	sum     []float64
 	weight  []int
 	seen    []bool
 	staged  []stagedRow
 	stagedQ []float64
 	fresh   []indexEntry
+	joined  []int32
 }
 
 // indexEntry is a state and its sid, on their way into the index.
@@ -77,11 +86,11 @@ type indexEntry struct {
 	sid int32
 }
 
-// stagedRow is a row waiting for its column's repack: its state, its
-// weight, and its place in Merger.stagedQ.
+// stagedRow is a row waiting for its column's repack: its state and
+// its weight. Row i of Merger.stagedQ is staged row i's.
 type stagedRow struct {
-	sid, at int32
-	w       int
+	sid int32
+	w   int
 }
 
 // roleArena is one role's accumulator state across the fleet.
@@ -97,19 +106,23 @@ type roleArena struct {
 	// holders counts, per sid, the devices with a row for the state;
 	// a state whose count falls to 0 leaves the merge.
 	holders []int32
+	// settled is the sid count at the last Merge. The sids from it on
+	// went to new states in the order they arrived; Merge renumbers
+	// them in key order (see settle).
+	settled int
 	// dirty marks the sids the next Merge must recompute, in a column
 	// index's layout: a bitmap per block of 64 sids beside a count
 	// that accumulate fills in. A state's dirty position is its rank.
 	dirty []uint64
-	// cols holds each device's rows, parallel to Merger.devices.
+	// cols holds each device's rows, by slot.
 	cols []column
-	// inert holds, per device, the positive visit counts it sent for
+	// inert holds, by slot, the positive visit counts the device sent for
 	// states it has no row in (nil for most devices). They are
 	// merge-inert until a later delta sends the row without a count,
 	// which then carries the remembered count as its weight.
 	inert []map[core.StateKey]int
-	// steps/trained mirror each device's table metadata; stepsSum is
-	// the maintained exact (integer) sum.
+	// steps/trained mirror each device's table metadata, by slot;
+	// stepsSum is the maintained exact (integer) sum.
 	steps    []int64
 	trained  []int64
 	stepsSum int64
@@ -197,141 +210,50 @@ func countRows(idx []uint64) int {
 	return n
 }
 
-// NewMerger returns an empty arena; Rebuild must run before Merge.
+// NewMerger returns an empty arena.
 func NewMerger() *Merger { return &Merger{} }
 
-// Rebuild recomputes the merge from scratch via JoinDevices — the
-// pinned reference path, so its output IS the from-scratch result —
-// and rebuilds the arena over the given uploads, numbering each role's
-// states in ascending key order. Rows are copied into the arena;
-// neither the map nor its tables are retained. Each role's
-// columns are carved out of three shared slabs, so Rebuild's
-// allocation count depends on the states, not on the number of
-// devices (devices with row-less visit counts aside).
+// Rebuild replaces the arena with one over the given uploads: a fresh
+// arena, a full upload per device in sorted-ID order, and a Merge. It
+// returns the merged set and the sorted device IDs. It converts each
+// table set with core.SortTableSet. Outside tests, only the frozen
+// benchmark's replay calls it (ROADMAP item 9).
 func (m *Merger) Rebuild(uploads map[string]*learner.TableSet) (*learner.TableSet, []string, error) {
-	merged, devices, err := JoinDevices(uploads)
-	if err != nil {
-		return nil, nil, err
+	if len(uploads) == 0 {
+		return nil, nil, fmt.Errorf("cloud: nothing to join")
 	}
-	first := uploads[devices[0]]
-	m.learnerName = learner.Normalize(first.Learner)
-	m.actions = first.Primary().Actions
-	m.roleNames = make([]string, len(first.Roles))
-	for i, r := range first.Roles {
-		m.roleNames[i] = r.Role
+	devices := slices.Sorted(maps.Keys(uploads))
+	*m = Merger{}
+	for _, d := range devices {
+		set, err := core.SortTableSet(uploads[d])
+		if err != nil {
+			return nil, nil, fmt.Errorf("cloud: device %q: %w", d, err)
+		}
+		if !m.upload(d, set, true) {
+			return nil, nil, fmt.Errorf("cloud: device %q: table set does not match the fleet's layout", d)
+		}
 	}
-	m.devices = devices
-	m.roles = make([]*roleArena, len(m.roleNames))
-	a := m.actions
-	for r := range m.roleNames {
-		union := merged.Roles[r].Table.Q
-		keys := make([]core.StateKey, 0, len(union))
-		for s := range union {
-			keys = append(keys, s)
-		}
-		slices.Sort(keys)
-		ra := &roleArena{
-			index:    keys,
-			indexSid: make([]int32, len(keys)),
-			keys:     slices.Clone(keys),
-			holders:  make([]int32, len(union)),
-			dirty:    make([]uint64, indexWords(len(union))),
-			cols:     make([]column, len(devices)),
-			inert:    make([]map[core.StateKey]int, len(devices)),
-			steps:    make([]int64, len(devices)),
-			trained:  make([]int64, len(devices)),
-		}
-		for i := range ra.indexSid {
-			ra.indexSid[i] = int32(i)
-		}
-		rows := 0
-		for _, d := range devices {
-			rows += len(uploads[d].Roles[r].Table.Q)
-		}
-		words := indexWords(len(union))
-		idxSlab := make([]uint64, len(devices)*words)
-		qSlab := make([]float64, rows*a)
-		wSlab := make([]int32, rows)
-		off := 0
-		for i, d := range devices {
-			t := uploads[d].Roles[r].Table
-			ra.steps[i] = t.Steps
-			ra.stepsSum += t.Steps
-			ra.trained[i] = t.TrainedUS
-			ra.inert[i] = inertVisits(t)
-			n := len(t.Q)
-			c := &ra.cols[i]
-			c.idx = idxSlab[i*words : (i+1)*words : (i+1)*words]
-			c.q = qSlab[off*a : (off+n)*a : (off+n)*a]
-			c.w = wSlab[off : off+n : off+n]
-			off += n
-			for s := range t.Q {
-				sid, _ := ra.lookup(s)
-				c.idx[sid>>6*2] |= 1 << (sid & 63)
-				ra.holders[sid]++
-			}
-			countRows(c.idx)
-			for s, row := range t.Q {
-				sid, _ := ra.lookup(s)
-				k := c.rowOf(sid)
-				copy(c.q[k*a:(k+1)*a], row)
-				c.setWeight(k, sid, effectiveWeight(t, s))
-			}
-		}
-		m.roles[r] = ra
-	}
-	m.merged = merged
-	return merged, devices, nil
+	return m.Merge(), devices, nil
 }
 
-// effectiveWeight is mergeTables' per-device weight rule: the visit
-// count, floored at 1 for states seen but unweighted.
-func effectiveWeight(t *core.QTable, s core.StateKey) int {
-	return max(t.Visits[s], 1)
-}
-
-// inertVisits collects t's positive visit counts for states without a
-// row, or nil when there are none.
-func inertVisits(t *core.QTable) map[core.StateKey]int {
-	var out map[core.StateKey]int
-	for s, v := range t.Visits {
-		if _, hasRow := t.Q[s]; hasRow || v <= 0 {
-			continue
-		}
-		if out == nil {
-			out = make(map[core.StateKey]int)
-		}
-		out[s] = v
-	}
-	return out
-}
-
-// device returns a device's sorted position, or false when the arena
-// does not know it.
-func (m *Merger) device(id string) (int, bool) {
-	return slices.BinarySearch(m.devices, id)
-}
-
-// fits reports whether set has the arena's learner, role layout and
-// action count.
-func (m *Merger) fits(set *learner.TableSet) bool {
-	if set == nil || set.Primary() == nil ||
-		learner.Normalize(set.Learner) != m.learnerName ||
-		len(set.Roles) != len(m.roleNames) {
+// matchLayout reports whether set has the arena's learner, role
+// layout and action count. The first set fixes them, and makes the
+// empty set of that layout the previous Merge's output.
+func (m *Merger) matchLayout(set *core.SortedSet) bool {
+	if set == nil || len(set.Roles) == 0 {
 		return false
 	}
-	for i, r := range set.Roles {
-		if r.Role != m.roleNames[i] || r.Table == nil || r.Table.Actions != m.actions {
-			return false
+	if m.roleNames == nil {
+		m.learnerName, m.actions = set.Learner, set.Actions
+		m.merged = &learner.TableSet{Learner: set.Learner, Roles: make([]learner.RoleTable, len(set.Roles))}
+		for i := range set.Roles {
+			m.roleNames = append(m.roleNames, set.Roles[i].Role)
+			m.roles = append(m.roles, &roleArena{})
+			m.merged.Roles[i] = learner.RoleTable{Role: set.Roles[i].Role, Table: core.NewQTable(set.Actions)}
 		}
+		return true
 	}
-	return true
-}
-
-// fitsSorted is fits for a set in sorted form.
-func (m *Merger) fitsSorted(set *core.SortedSet) bool {
-	if set == nil || learner.Normalize(set.Learner) != m.learnerName ||
-		set.Actions != m.actions || len(set.Roles) != len(m.roleNames) {
+	if set.Learner != m.learnerName || set.Actions != m.actions || len(set.Roles) != len(m.roleNames) {
 		return false
 	}
 	for i := range set.Roles {
@@ -342,11 +264,58 @@ func (m *Merger) fitsSorted(set *core.SortedSet) bool {
 	return true
 }
 
-// setMeta records device idx's Steps/TrainedUS, keeping the exact sum.
-func (ra *roleArena) setMeta(idx int, steps, trained int64) {
-	ra.stepsSum += steps - ra.steps[idx]
-	ra.steps[idx] = steps
-	ra.trained[idx] = trained
+// join gives a device the arena does not know the next slot and an
+// empty column in every role.
+func (m *Merger) join(device string) int32 {
+	slot := int32(len(m.ids))
+	m.ids = append(m.ids, device)
+	if m.slots == nil {
+		m.slots = make(map[string]int32)
+	}
+	m.slots[device] = slot
+	for _, ra := range m.roles {
+		ra.cols = append(ra.cols, column{})
+		ra.inert = append(ra.inert, nil)
+		ra.steps = append(ra.steps, 0)
+		ra.trained = append(ra.trained, 0)
+	}
+	return slot
+}
+
+// sortJoined puts the devices that joined since the last Merge into
+// sorted-ID order: it sorts them, then merges them into order in one
+// pass from the back, so a round in which k devices joined costs
+// O(devices + k log k).
+func (m *Merger) sortJoined() {
+	n := len(m.order)
+	if n == len(m.ids) {
+		return
+	}
+	joined := m.joined[:0]
+	for slot := n; slot < len(m.ids); slot++ {
+		joined = append(joined, int32(slot))
+	}
+	byID := func(x, y int32) int { return strings.Compare(m.ids[x], m.ids[y]) }
+	slices.SortFunc(joined, byID)
+	m.order = slices.Grow(m.order, len(joined))[:len(m.ids)]
+	i := n - 1
+	for w := len(m.order) - 1; len(joined) > 0; w-- {
+		if j := joined[len(joined)-1]; i < 0 || byID(m.order[i], j) < 0 {
+			m.order[w] = j
+			joined = joined[:len(joined)-1]
+		} else {
+			m.order[w] = m.order[i]
+			i--
+		}
+	}
+	m.joined = joined
+}
+
+// setMeta records a device's Steps/TrainedUS, keeping the exact sum.
+func (ra *roleArena) setMeta(slot int32, steps, trained int64) {
+	ra.stepsSum += steps - ra.steps[slot]
+	ra.steps[slot] = steps
+	ra.trained[slot] = trained
 }
 
 // lookup returns state s's sid by binary search of the index, or
@@ -441,24 +410,13 @@ func (ra *roleArena) markDirty(sid int32) {
 	ra.dirty[sid>>6*2] |= 1 << (sid & 63)
 }
 
-// writeRow overwrites row k of c, dirtying state sid when its
-// contribution changed.
-func (ra *roleArena) writeRow(c *column, k int, sid int32, row []float64, w, a int) {
-	dst := c.q[k*a : (k+1)*a]
-	if c.weight(k, sid) != w || !slices.Equal(dst, row) {
-		ra.markDirty(sid)
-	}
-	copy(dst, row)
-	c.setWeight(k, sid, w)
-}
-
 // stageRow queues a row for state sid, which the device has none for,
 // until the upload's repack, and returns the row's place in stagedQ
 // for the caller to fill. room bounds the rows the upload may still
 // stage, this one included, so the buffers grow at most once.
 func (m *Merger) stageRow(ra *roleArena, sid int32, w, room int) []float64 {
 	a := m.actions
-	m.staged = append(slices.Grow(m.staged, room), stagedRow{sid: sid, at: int32(len(m.staged)), w: w})
+	m.staged = append(slices.Grow(m.staged, room), stagedRow{sid: sid, w: w})
 	n := len(m.stagedQ)
 	m.stagedQ = slices.Grow(m.stagedQ, room*a)[:n+a]
 	ra.holders[sid]++
@@ -468,93 +426,59 @@ func (m *Merger) stageRow(ra *roleArena, sid int32, w, room int) []float64 {
 
 // repack rebuilds column c into buffers of its new size: its rows,
 // less those among the first len(seen) whose seen flag is false (the
-// states a full upload no longer has; seen is nil for a delta), merged
-// in sid order with the staged rows.
+// states a full upload no longer has; seen is nil for a delta), and
+// the staged rows. It sets the new column's index first, so every row
+// goes straight to its rank: the staged rows need no sort, however
+// their sids interleave with the column's.
 func (m *Merger) repack(ra *roleArena, c *column, seen []bool) {
 	a := m.actions
-	staged := m.staged
-	slices.SortFunc(staged, func(x, y stagedRow) int { return int(x.sid - y.sid) })
 	old := *c
-	n := old.rows() + len(staged)
-	for _, s := range seen {
-		if !s {
-			n--
-		}
-	}
 	c.idx = make([]uint64, max(len(old.idx), indexWords(len(ra.keys))))
-	c.q, c.w = make([]float64, n*a), make([]int32, n)
-	j := 0
-	put := func(sid int32, row []float64, w int) {
-		copy(c.q[j*a:(j+1)*a], row)
-		c.setWeight(j, sid, w)
-		c.idx[sid>>6*2] |= 1 << (sid & 63)
-		j++
-	}
-	putStaged := func(below int32) {
-		for len(staged) > 0 && staged[0].sid < below {
-			s := staged[0]
-			put(s.sid, m.stagedQ[int(s.at)*a:int(s.at+1)*a], s.w)
-			staged = staged[1:]
-		}
-	}
+	copy(c.idx, old.idx)
 	old.each(func(k int, sid int32) {
-		putStaged(sid)
 		if k < len(seen) && !seen[k] {
+			c.idx[sid>>6*2] &^= 1 << (sid & 63)
 			delete(c.wide, sid)
 			ra.holders[sid]--
 			ra.markDirty(sid)
-			return
 		}
-		put(sid, old.q[k*a:(k+1)*a], old.weight(k, sid))
 	})
-	putStaged(math.MaxInt32)
-	countRows(c.idx)
+	for _, st := range m.staged {
+		c.idx[st.sid>>6*2] |= 1 << (st.sid & 63)
+	}
+	n := countRows(c.idx)
+	c.q, c.w = make([]float64, n*a), make([]int32, n)
+	old.each(func(k int, sid int32) {
+		if j := c.rowOf(sid); j >= 0 {
+			copy(c.q[j*a:(j+1)*a], old.q[k*a:(k+1)*a])
+			c.w[j] = old.w[k] // a wide weight stays in c.wide, by sid
+		}
+	})
+	for i, st := range m.staged {
+		j := c.rowOf(st.sid)
+		copy(c.q[j*a:(j+1)*a], m.stagedQ[i*a:(i+1)*a])
+		c.setWeight(j, st.sid, st.w)
+	}
 	m.staged, m.stagedQ = m.staged[:0], m.stagedQ[:0]
 }
 
-// Upload integrates a device's replacement table set into the arena,
-// diffing it against the device's rows and dirtying only states whose
-// contribution (row values or weight) changed or that the device no
-// longer has. It returns false — arena untouched, caller must Rebuild
-// — on any structural change: a device the arena doesn't know, a
-// different learner or role layout, or a different action count.
+// Upload is a full upload of a table set: it converts next with
+// core.SortTableSet and hands it to the one upload walker. Outside
+// tests, only the frozen benchmark's replay calls it (ROADMAP item 9).
 func (m *Merger) Upload(device string, next *learner.TableSet) bool {
-	idx, ok := m.device(device)
-	if !ok || !m.fits(next) {
-		return false
-	}
-	a := m.actions
-	for r := range m.roleNames {
-		ra := m.roles[r]
-		t := next.Roles[r].Table
-		c := &ra.cols[idx]
-		ra.setMeta(idx, t.Steps, t.TrainedUS)
-		seen := append(m.seen[:0], make([]bool, c.rows())...)
-		kept, room := 0, len(t.Q)
-		for s, row := range t.Q {
-			sid, ok := ra.lookup(s)
-			if !ok {
-				sid = m.newSid(ra, s, room)
-			}
-			w := effectiveWeight(t, s)
-			if k := c.rowOf(sid); k >= 0 {
-				seen[k] = true
-				kept++
-				ra.writeRow(c, k, sid, row, w, a)
-			} else {
-				copy(m.stageRow(ra, sid, w, room), row)
-			}
-			room--
-		}
-		if kept < len(seen) || len(m.staged) > 0 {
-			m.repack(ra, c, seen)
-		}
-		slices.SortFunc(m.fresh, func(x, y indexEntry) int { return cmp.Compare(x.key, y.key) })
-		m.insertFresh(ra)
-		m.seen = seen
-		ra.inert[idx] = inertVisits(t)
-	}
-	return true
+	set, err := core.SortTableSet(next)
+	return err == nil && m.upload(device, set, true)
+}
+
+// UploadFull replaces a device's contribution with a full upload in
+// sorted form, mergeTables' rule: each row weighs its visit count,
+// floored at 1 (1 for a row without a count); the device's rows for
+// states the set lacks are dropped; its visit counts without a row
+// replace the ones it sent before; Steps and TrainedUS are absolute. A
+// device the arena does not know joins it. It returns false — arena
+// untouched — for a set whose layout differs from the arena's.
+func (m *Merger) UploadFull(device string, set *core.SortedSet) bool {
+	return m.upload(device, set, true)
 }
 
 // UploadDelta overlays a delta upload, in sorted form, on the device's
@@ -570,29 +494,44 @@ func (m *Merger) Upload(device string, next *learner.TableSet) bool {
 //     or is remembered while the device has no row for that state;
 //   - Steps and TrainedUS are absolute.
 //
-// Rows and visit counts are joined in key order in one pass, which
-// walks a cursor forward through the index to find each row's sid and
-// decodes the row straight into the device's column. A delta cannot
-// drop states; the column is rebuilt only when the delta brings states
-// new to the device, and the index grows once when it brings states
-// new to the arena. It returns false — arena untouched — for a device
-// the arena doesn't know or a set whose layout differs from the
-// arena's.
+// A delta cannot drop states. It returns false — arena untouched — for
+// a device the arena doesn't know or a set whose layout differs from
+// the arena's.
 func (m *Merger) UploadDelta(device string, delta *core.SortedSet) bool {
-	idx, ok := m.device(device)
-	if !ok || !m.fitsSorted(delta) {
+	return m.upload(device, delta, false)
+}
+
+// upload is the one upload walker, for full uploads and deltas alike
+// (see UploadFull and UploadDelta for their rules). Per role, it joins
+// rows and visit counts in key order in one pass, which walks a cursor
+// forward through the index to find each row's sid, and reads the row
+// straight into the device's column. The column is rebuilt only when
+// the upload brings states new to the device or a full upload drops
+// some, and the index grows once when it brings states new to the
+// arena.
+func (m *Merger) upload(device string, set *core.SortedSet, full bool) bool {
+	slot, known := m.slots[device]
+	if !known && !full || !m.matchLayout(set) {
 		return false
 	}
+	if !known {
+		slot = m.join(device)
+	}
 	a := m.actions
-	for r := range m.roleNames {
-		ra := m.roles[r]
-		t := &delta.Roles[r]
-		c := &ra.cols[idx]
-		ra.setMeta(idx, t.Steps, t.TrainedUS)
+	for r, ra := range m.roles {
+		t := &set.Roles[r]
+		c := &ra.cols[slot]
+		ra.setMeta(slot, t.Steps, t.TrainedUS)
+		var seen []bool
+		if full {
+			seen = append(m.seen[:0], make([]bool, c.rows())...)
+			clear(ra.inert[slot])
+		}
+		kept := 0
 		v, p := 0, 0 // next visit count, index cursor
 		for i, s := range t.Keys {
 			for ; v < len(t.VisitKeys) && t.VisitKeys[v] < s; v++ {
-				ra.rowlessVisit(idx, t.VisitKeys[v], t.Visits[v])
+				ra.rowlessVisit(slot, t.VisitKeys[v], t.Visits[v], full)
 			}
 			var sid int32
 			if p = ra.seek(p, s); p < len(ra.index) && ra.index[p] == s {
@@ -602,18 +541,23 @@ func (m *Merger) UploadDelta(device string, delta *core.SortedSet) bool {
 				sid = m.newSid(ra, s, len(t.Keys)-i)
 			}
 			k := c.rowOf(sid)
-			var w int
+			w := 1
 			switch {
 			case v < len(t.VisitKeys) && t.VisitKeys[v] == s:
 				w = t.Visits[v]
 				v++
+			case full:
 			case k >= 0:
 				w = c.weight(k, sid)
 			default:
-				w = ra.inert[idx][s]
+				w = ra.inert[slot][s]
 			}
 			w = max(w, 1)
 			if k >= 0 {
+				if full {
+					seen[k] = true
+					kept++
+				}
 				if t.RowInto(i, c.q[k*a:(k+1)*a]) || c.weight(k, sid) != w {
 					ra.markDirty(sid)
 				}
@@ -621,92 +565,64 @@ func (m *Merger) UploadDelta(device string, delta *core.SortedSet) bool {
 			} else {
 				t.RowInto(i, m.stageRow(ra, sid, w, len(t.Keys)-i))
 			}
-			if len(ra.inert[idx]) > 0 {
-				delete(ra.inert[idx], s)
+			if !full && len(ra.inert[slot]) > 0 {
+				delete(ra.inert[slot], s)
 			}
 		}
 		for ; v < len(t.VisitKeys); v++ {
-			ra.rowlessVisit(idx, t.VisitKeys[v], t.Visits[v])
+			ra.rowlessVisit(slot, t.VisitKeys[v], t.Visits[v], full)
 		}
-		if len(m.staged) > 0 {
-			m.repack(ra, c, nil)
+		if kept < len(seen) || len(m.staged) > 0 {
+			m.repack(ra, c, seen)
+		}
+		if full {
+			m.seen = seen
 		}
 		m.insertFresh(ra)
 	}
 	return true
 }
 
-// rowlessVisit applies a delta's visit count v for state s, which the
-// delta sends no row for: it re-weights device idx's existing row, or
-// is remembered while the device has no row there. Staged rows are
-// never s's, so it may run before their repack.
-func (ra *roleArena) rowlessVisit(idx int, s core.StateKey, v int) {
-	c := &ra.cols[idx]
-	if sid, ok := ra.lookup(s); ok {
-		if k := c.rowOf(sid); k >= 0 {
-			if w := max(v, 1); w != c.weight(k, sid) {
-				c.setWeight(k, sid, w)
-				ra.markDirty(sid)
+// rowlessVisit applies an upload's visit count v for state s, which
+// the upload sends no row for. In a delta it re-weights the device's
+// existing row; otherwise, and in a full upload always, it is
+// remembered while positive. Staged rows are never s's, so it may run
+// before their repack.
+func (ra *roleArena) rowlessVisit(slot int32, s core.StateKey, v int, full bool) {
+	c := &ra.cols[slot]
+	if !full {
+		if sid, ok := ra.lookup(s); ok {
+			if k := c.rowOf(sid); k >= 0 {
+				if w := max(v, 1); w != c.weight(k, sid) {
+					c.setWeight(k, sid, w)
+					ra.markDirty(sid)
+				}
+				return
 			}
-			return
 		}
 	}
 	if v <= 0 {
-		delete(ra.inert[idx], s)
+		delete(ra.inert[slot], s)
 		return
 	}
-	if ra.inert[idx] == nil {
-		ra.inert[idx] = make(map[core.StateKey]int)
+	if ra.inert[slot] == nil {
+		ra.inert[slot] = make(map[core.StateKey]int)
 	}
-	ra.inert[idx][s] = v
-}
-
-// Tables returns every device's contribution as the arena holds it,
-// keyed by device ID: the rows of each state it has, with their
-// effective merge weights as visit counts, the visit counts it sent
-// without a row, and Steps/TrainedUS. JoinDevices over the result
-// equals Merge, and Rebuild over it (plus new devices) recreates the
-// arena. Rows alias the arena's buffers: read them only, and only
-// until the next Upload, UploadDelta or Rebuild.
-func (m *Merger) Tables() map[string]*learner.TableSet {
-	a := m.actions
-	out := make(map[string]*learner.TableSet, len(m.devices))
-	for i, d := range m.devices {
-		set := &learner.TableSet{Learner: m.learnerName, Roles: make([]learner.RoleTable, len(m.roleNames))}
-		for r, ra := range m.roles {
-			c := &ra.cols[i]
-			inert := ra.inert[i]
-			t := &core.QTable{
-				Actions:   a,
-				Q:         make(map[core.StateKey][]float64, c.rows()),
-				Visits:    make(map[core.StateKey]int, c.rows()+len(inert)),
-				Steps:     ra.steps[i],
-				TrainedUS: ra.trained[i],
-			}
-			for s, v := range inert {
-				t.Visits[s] = v
-			}
-			c.each(func(k int, sid int32) {
-				s := ra.keys[sid]
-				t.Q[s] = c.q[k*a : (k+1)*a : (k+1)*a]
-				t.Visits[s] = c.weight(k, sid)
-			})
-			set.Roles[r] = learner.RoleTable{Role: m.roleNames[r], Table: t}
-		}
-		out[d] = set
-	}
-	return out
+	ra.inert[slot][s] = v
 }
 
 // Merge produces the merged set for the arena's current uploads,
 // recomputing only dirty states and aliasing every clean state's row
-// from the previous output. The returned set is freshly allocated
-// (rows shared with prior outputs are immutable); Merge is byte-
-// identical to JoinDevices over the same uploads.
+// from the previous output (the empty set before the first round), so
+// it is the first round's merge too. The returned set is freshly
+// allocated (rows shared with prior outputs are immutable); Merge is
+// byte-identical to JoinDevices over the same uploads. It returns nil
+// before the first upload.
 func (m *Merger) Merge() *learner.TableSet {
 	if m.merged == nil {
 		return nil
 	}
+	m.sortJoined()
 	a := m.actions
 	out := &learner.TableSet{Learner: m.learnerName, Roles: make([]learner.RoleTable, len(m.roleNames))}
 	for r, roleName := range m.roleNames {
@@ -721,6 +637,7 @@ func (m *Merger) Merge() *learner.TableSet {
 		for _, v := range ra.trained {
 			nt.TrainedUS = max(nt.TrainedUS, v)
 		}
+		m.settle(ra)
 		freed := len(ra.free)
 		m.accumulate(ra)
 		o := 0
@@ -755,6 +672,68 @@ func (m *Merger) Merge() *learner.TableSet {
 	return out
 }
 
+// settle gives the states that got sids since the last Merge those
+// sids in key order. An upload numbers its new states in key order, but
+// the states a round's uploads bring interleave, and a column keeps its
+// rows in sid order; settled, every column holds its rows in key order
+// wherever the states arrived in one round, so a later upload, whose
+// keys ascend, writes its column front to back. The renumbered states
+// are dirty and held only by columns uploaded this round, which are
+// repacked with their rows under the new sids; the rest of the arena
+// is untouched.
+func (m *Merger) settle(ra *roleArena) {
+	lo, n := ra.settled, len(ra.keys)
+	ra.settled = n
+	fresh := ra.keys[lo:n]
+	if slices.IsSorted(fresh) {
+		return
+	}
+	// perm[i] is the new sid of sid lo+i: lo plus its key's rank.
+	byKey := make([]int32, len(fresh))
+	for i := range byKey {
+		byKey[i] = int32(i)
+	}
+	slices.SortFunc(byKey, func(x, y int32) int { return cmp.Compare(fresh[x], fresh[y]) })
+	perm := make([]int32, len(fresh))
+	holders := slices.Clone(ra.holders[lo:n])
+	for r, i := range byKey {
+		perm[i] = int32(lo + r)
+		ra.holders[lo+r] = holders[i]
+	}
+	slices.Sort(fresh)
+	for i, sid := range ra.indexSid {
+		if int(sid) >= lo {
+			ra.indexSid[i] = perm[int(sid)-lo]
+		}
+	}
+	// A column's rows for sids from lo on are its last ones: they move
+	// to staged under their new sids, and repack puts them back.
+	a, b0 := m.actions, lo>>6*2
+	below := uint64(1)<<(lo&63) - 1 // block b0's sids under lo
+	for i := range ra.cols {
+		c := &ra.cols[i]
+		if b0 >= len(c.idx) {
+			continue
+		}
+		k0 := int(c.idx[b0+1]) + bits.OnesCount64(c.idx[b0]&below)
+		k, mask := k0, ^below
+		for b := b0; b < len(c.idx); b, mask = b+2, ^uint64(0) {
+			for set := c.idx[b] & mask; set != 0; set &= set - 1 {
+				sid := int32(b<<5 + bits.TrailingZeros64(set))
+				m.staged = append(m.staged, stagedRow{sid: perm[int(sid)-lo], w: c.weight(k, sid)})
+				m.stagedQ = append(m.stagedQ, c.q[k*a:(k+1)*a]...)
+				delete(c.wide, sid)
+				k++
+			}
+			c.idx[b] &^= mask
+		}
+		if k > k0 {
+			c.q, c.w = c.q[:k0*a], c.w[:k0]
+			m.repack(ra, c, nil)
+		}
+	}
+}
+
 // accumulate is mergeTables' inner loop over the dirty states: walking
 // the devices in sorted order, it adds each weight-scaled row of a
 // dirty state into that state's accumulator (m.sum, by the state's
@@ -776,15 +755,16 @@ func (m *Merger) accumulate(ra *roleArena) {
 	m.weight = slices.Grow(m.weight[:0], n)[:n]
 	clear(m.sum)
 	clear(m.weight)
-	for i := 0; i < len(ra.cols); i += 2 {
-		c := &ra.cols[i]
-		if i+1 == len(ra.cols) {
+	order := m.order
+	for i := 0; i < len(order); i += 2 {
+		c := &ra.cols[order[i]]
+		if i+1 == len(order) {
 			for b := 0; b < len(dirty); b += 2 {
 				m.addBlock(c, dirty, b)
 			}
 			break
 		}
-		d := &ra.cols[i+1]
+		d := &ra.cols[order[i+1]]
 		plain := len(c.wide) == 0 && len(d.wide) == 0
 		for b := 0; b < len(dirty); b += 2 {
 			want := dirty[b]

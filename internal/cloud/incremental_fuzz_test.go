@@ -12,11 +12,11 @@ import (
 )
 
 // The merger oracle drives a byte string through a Merger as a program
-// of full uploads, deltas, merges and Tables → Rebuild round trips, and
-// keeps a shadow of every device's table composed the reference way: a
-// full upload replaces the shadow, a delta is laid over it with
-// overlayDelta. After every merge the Merger's output, JoinDevices over
-// its Tables, and a Rebuild from those Tables must all be
+// of full uploads (new devices join the arena through them), deltas,
+// merges and Rebuilds, and keeps a shadow of every device's table
+// composed the reference way: a full upload replaces the shadow, a
+// delta is laid over it with overlayDelta. After every merge the
+// Merger's output, and a Rebuild over the shadows, must be
 // byte-identical (NXTB) to JoinDevices over the shadows. Values are
 // not sanitized, so NaNs, infinities, signed zeros and visit counts
 // past 32 bits reach the arena.
@@ -128,25 +128,18 @@ type mergerOracle struct {
 	t      *testing.T
 	m      *Merger
 	shadow map[string]*learner.TableSet
-	// stale is set while the shadow holds devices the arena has not
-	// taken in; the next merge rebuilds.
-	stale bool
 }
 
 func newMergerOracle(t *testing.T) *mergerOracle {
-	return &mergerOracle{t: t, shadow: make(map[string]*learner.TableSet)}
+	return &mergerOracle{t: t, m: NewMerger(), shadow: make(map[string]*learner.TableSet)}
 }
 
-// upload sends a full upload, which the arena must take exactly when
-// it has the device; any other device waits for the next Rebuild.
+// upload sends a full upload, which the arena must take from every
+// device: a device it does not know joins it.
 func (o *mergerOracle) upload(dev string, set *learner.TableSet) {
 	o.t.Helper()
-	inArena := o.m != nil && o.inArena(dev)
-	if o.m != nil && o.m.Upload(dev, set) != inArena {
-		o.t.Fatalf("upload from %s: accepted = %v, want %v", dev, !inArena, inArena)
-	}
-	if !inArena {
-		o.stale = true
+	if !o.m.Upload(dev, set) {
+		o.t.Fatalf("full upload from %s refused", dev)
 	}
 	o.shadow[dev] = set
 }
@@ -154,33 +147,25 @@ func (o *mergerOracle) upload(dev string, set *learner.TableSet) {
 // delta sends a delta from a device the shadow has.
 func (o *mergerOracle) delta(dev string, delta *learner.TableSet) {
 	o.t.Helper()
-	if o.m != nil && o.inArena(dev) {
-		if !o.m.UploadDelta(dev, sorted(o.t, delta)) {
-			o.t.Fatalf("same-layout delta from %s refused", dev)
-		}
+	if !o.m.UploadDelta(dev, sorted(o.t, delta)) {
+		o.t.Fatalf("same-layout delta from %s refused", dev)
 	}
 	o.shadow[dev] = overlayDelta(o.shadow[dev], delta)
-}
-
-func (o *mergerOracle) inArena(dev string) bool {
-	_, ok := o.m.device(dev)
-	return ok
 }
 
 // refuse checks that a set of another layout is refused from every
 // device, leaving the arena as it was.
 func (o *mergerOracle) refuse(dev string, set *learner.TableSet) {
 	o.t.Helper()
-	if o.m == nil {
-		return
+	if len(o.shadow) == 0 {
+		return // no upload has fixed the arena's layout yet
 	}
 	if o.m.Upload(dev, set) || o.m.UploadDelta(dev, sorted(o.t, set)) {
 		o.t.Fatalf("set with %d actions accepted from %s", set.Primary().Actions, dev)
 	}
 }
 
-// merge runs a merge round — a Rebuild while the arena is missing
-// devices — and checks it against the shadow.
+// merge runs a merge round and checks it against the shadow.
 func (o *mergerOracle) merge(step string) {
 	o.t.Helper()
 	if len(o.shadow) == 0 {
@@ -190,53 +175,32 @@ func (o *mergerOracle) merge(step string) {
 	if err != nil {
 		o.t.Fatal(err)
 	}
-	var got *learner.TableSet
-	if o.m == nil || o.stale {
-		if o.m == nil {
-			o.m = NewMerger()
-		}
-		if got, _, err = o.m.Rebuild(o.shadow); err != nil {
-			o.t.Fatal(err)
-		}
-		o.stale = false
-	} else {
-		got = o.m.Merge()
-	}
-	o.check(step+": merge", got, want)
+	o.check(step+": merge", o.m.Merge(), want)
 }
 
-// roundTrip checks JoinDevices over Tables, then replaces the arena
-// with a Rebuild from Tables and checks its output.
+// roundTrip replaces the arena with a Rebuild over the shadows and
+// checks its output.
 func (o *mergerOracle) roundTrip(step string) {
 	o.t.Helper()
-	if o.m == nil || o.stale {
+	if len(o.shadow) == 0 {
 		return
 	}
 	want, _, err := JoinDevices(o.shadow)
 	if err != nil {
 		o.t.Fatal(err)
 	}
-	tables := o.m.Tables()
-	joined, _, err := JoinDevices(tables)
-	if err != nil {
-		o.t.Fatal(err)
-	}
-	o.check(step+": JoinDevices(Tables())", joined, want)
 	m := NewMerger()
-	rebuilt, _, err := m.Rebuild(tables)
+	rebuilt, _, err := m.Rebuild(o.shadow)
 	if err != nil {
 		o.t.Fatal(err)
 	}
-	o.check(step+": Rebuild(Tables())", rebuilt, want)
+	o.check(step+": Rebuild", rebuilt, want)
 	o.m = m
 }
 
 // checkIndex checks every role's state index (see indexFault).
 func (o *mergerOracle) checkIndex(step string) {
 	o.t.Helper()
-	if o.m == nil {
-		return
-	}
 	for r, ra := range o.m.roles {
 		if fault := ra.indexFault(); fault != "" {
 			o.t.Fatalf("%s: role %q index: %s", step, o.m.roleNames[r], fault)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nextdvfs/internal/core"
@@ -92,7 +93,7 @@ func setBytes(t *testing.T, set *learner.TableSet) string {
 // TestMergerDifferentialByteIdentity is the tentpole pin: across every
 // registered learner, several fleet sizes, and a dozen federation
 // epochs of partial re-uploads (mutations, dropped states, weight-only
-// changes, a mid-run fleet join forcing a rebuild), the incremental
+// changes, a device joining mid-run), the incremental
 // Merge output must be byte-identical to a from-scratch JoinDevices
 // over the same uploads.
 func TestMergerDifferentialByteIdentity(t *testing.T) {
@@ -143,17 +144,13 @@ func TestMergerDifferentialByteIdentity(t *testing.T) {
 						}
 					}
 					if epoch == 5 {
-						// A device joining mid-run is structural: the arena
-						// must refuse the upload and rebuild cleanly.
+						// A device joining mid-run takes a column in place.
 						d := fmt.Sprintf("new-%03d", epoch)
 						next := randDeviceSet(rng, name, 9)
-						if m.Upload(d, next) {
-							t.Fatal("unknown device accepted into the arena")
+						if !m.Upload(d, next) {
+							t.Fatal("new device refused by the arena")
 						}
 						uploads[d] = next
-						if _, _, err := m.Rebuild(uploads); err != nil {
-							t.Fatal(err)
-						}
 					}
 					got := m.Merge()
 					want, _, err := JoinDevices(uploads)
@@ -202,6 +199,9 @@ func TestMergerStructuralInvalidation(t *testing.T) {
 		if m.Upload("dev-0", next) {
 			t.Fatalf("%s accepted", name)
 		}
+	}
+	if m.UploadDelta("dev-new", sorted(t, mutateDeviceSet(rng, uploads["dev-0"]))) {
+		t.Fatal("delta from a device the arena does not know accepted")
 	}
 	// The arena stayed intact for valid traffic after the refusals.
 	next := mutateDeviceSet(rng, uploads["dev-1"])
@@ -329,9 +329,8 @@ func randDelta(rng *rand.Rand, name string, actions int) *learner.TableSet {
 
 // TestMergerUploadDeltaMatchesOverlay pins UploadDelta to the reference
 // delta rule: after random deltas, full re-uploads and merges, Merge is
-// byte-identical to JoinDevices over the overlaid tables, and so are
-// JoinDevices over Tables() and a Rebuild from Tables() (the path a
-// store takes when new devices join).
+// byte-identical to JoinDevices over the overlaid tables, and so is the
+// next Merge after a Rebuild over them.
 func TestMergerUploadDeltaMatchesOverlay(t *testing.T) {
 	for _, name := range learner.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -376,18 +375,13 @@ func TestMergerUploadDeltaMatchesOverlay(t *testing.T) {
 					}
 				}
 				check(fmt.Sprintf("epoch %d merge", epoch), m.Merge())
-				tables := m.Tables()
-				joined, _, err := JoinDevices(tables)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(fmt.Sprintf("epoch %d join over Tables", epoch), joined)
 				if epoch%10 == 9 {
-					rebuilt := NewMerger()
-					if _, _, err := rebuilt.Rebuild(tables); err != nil {
+					m = NewMerger()
+					rebuilt, _, err := m.Rebuild(uploads)
+					if err != nil {
 						t.Fatal(err)
 					}
-					m = rebuilt
+					check(fmt.Sprintf("epoch %d rebuild", epoch), rebuilt)
 				}
 			}
 			// Refusals leave the arena as it was.
@@ -436,9 +430,9 @@ func span(from, to int) []int {
 // bringing states new to the device and new to the arena; full
 // uploads that drop states, one of them the last holder of a state;
 // visit counts without a row; and a visit count too wide for 32 bits.
-// After every step, Merge, JoinDevices over Tables and a Rebuild from
-// Tables must all be byte-identical (NXTB) to JoinDevices over the
-// shadow tables, and the state index must keep its invariants.
+// After every step, Merge and a Rebuild over the shadow tables must
+// both be byte-identical (NXTB) to JoinDevices over them, and the state
+// index must keep its invariants.
 func TestMergerSparseColumns(t *testing.T) {
 	const a = 4
 	o := newMergerOracle(t)
@@ -453,7 +447,7 @@ func TestMergerSparseColumns(t *testing.T) {
 		name string
 		run  func()
 	}{
-		{"rebuild", func() {}},
+		{"the devices join", func() {}},
 		{"delta with states new to the device", func() {
 			o.delta("dev-b", single(sparseTable(a, 7, span(0, 10)...)))
 		}},
@@ -524,7 +518,9 @@ func TestMergerSparseColumns(t *testing.T) {
 // a large arena merges them into the state index in one pass, and every
 // slice that grows with the sids grows at most once, so the delta's
 // allocation count does not depend on k — up to k equal to the union,
-// where growing per state would reallocate several times over.
+// where growing per state would reallocate several times over. Each of
+// those slices starts with no spare capacity, as the arena's uploads
+// may leave it, so that every k must grow each of them.
 func TestMergerDeltaNewStatesAllocsFlat(t *testing.T) {
 	const union = 100 * 1024 // a whole number of 64-sid index blocks
 	even := make([]int, union)
@@ -540,6 +536,10 @@ func TestMergerDeltaNewStatesAllocsFlat(t *testing.T) {
 		if _, _, err := m.Rebuild(uploads); err != nil {
 			t.Fatal(err)
 		}
+		ra := m.roles[0]
+		ra.keys, ra.holders, ra.dirty = slices.Clip(ra.keys), slices.Clip(ra.holders), slices.Clip(ra.dirty)
+		ra.index, ra.indexSid = slices.Clip(ra.index), slices.Clip(ra.indexSid)
+		m.staged, m.stagedQ, m.fresh = nil, nil, nil
 		odd := make([]int, k) // new to the arena, spread through it
 		for i := range odd {
 			odd[i] = 2*(i*union/k) + 1
@@ -569,25 +569,121 @@ func TestMergerDeltaNewStatesAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestMergerRebuildAllocsFlatInDevices: Rebuild carves every column out
-// of per-role slabs, so its allocation count does not grow with the
-// fleet. (The BenchmarkFleetCheckinScale allocs/op ceilings rest on
-// this: an allocation per device in Rebuild shows up there at 10000
-// devices.)
-func TestMergerRebuildAllocsFlatInDevices(t *testing.T) {
-	allocs := func(devices int) float64 {
-		set := learner.SingleTableSet(sparseTable(9, 1, span(0, 100)...))
-		uploads := make(map[string]*learner.TableSet, devices)
-		for d := 0; d < devices; d++ {
-			uploads[fmt.Sprintf("dev-%05d", d)] = set
-		}
-		return testing.AllocsPerRun(3, func() {
-			if _, _, err := NewMerger().Rebuild(uploads); err != nil {
-				t.Fatal(err)
+// TestMergerJoinKeepsCleanRows: devices that join a merged fleet take
+// columns in place, and the round after them recomputes only their
+// states. Its output is byte-identical (NXTB) to JoinDevices over every
+// upload, and every state no joining device holds keeps the previous
+// round's row, the same backing array.
+func TestMergerJoinKeepsCleanRows(t *testing.T) {
+	for _, name := range learner.Names() {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(name))))
+			set := func(states int) *learner.TableSet {
+				set := learner.Must(name, 4).Snapshot()
+				for _, r := range set.Roles {
+					randFillTable(rng, r.Table, states)
+				}
+				return set
+			}
+			o := newMergerOracle(t)
+			o.upload("dev-b", set(80))
+			o.upload("dev-d", set(80))
+			o.merge("first round")
+			prev := o.m.merged
+			// Joiners sort before, between and after the merged devices,
+			// and join out of order: their shared states' weighted sums
+			// round, so the merge must add them in sorted-device order.
+			joiners := []*learner.TableSet{set(20), set(20), set(20)}
+			for i, d := range []string{"dev-e", "dev-a", "dev-c"} {
+				o.upload(d, joiners[i])
+			}
+			o.merge("join round")
+			for r, role := range o.m.merged.Roles {
+				held := map[core.StateKey]bool{}
+				for _, set := range joiners {
+					for s := range set.Roles[r].Table.Q {
+						held[s] = true
+					}
+				}
+				prevQ, clean := prev.Roles[r].Table.Q, 0
+				for s, row := range role.Table.Q {
+					if held[s] {
+						continue
+					}
+					if old, ok := prevQ[s]; !ok || &old[0] != &row[0] {
+						t.Fatalf("role %q: state %d, which no joining device holds, was recomputed", role.Role, s)
+					}
+					clean++
+				}
+				if clean == 0 {
+					t.Fatalf("role %q: every state was dirty, so the check saw nothing", role.Role)
+				}
 			}
 		})
 	}
-	if small, large := allocs(64), allocs(4096); small != large {
-		t.Fatalf("Rebuild allocates %v times for 64 devices, %v for 4096", small, large)
+}
+
+// TestMergerSettlesNewStatesInKeyOrder: the states a round's uploads
+// bring interleave, and each Merge renumbers them in key order, so the
+// sids each round hands out ascend with their keys. The merges stay
+// byte-identical to JoinDevices, and the index keeps its invariants.
+func TestMergerSettlesNewStatesInKeyOrder(t *testing.T) {
+	o := newMergerOracle(t)
+	single := func(tb *core.QTable) *learner.TableSet { return learner.SingleTableSet(tb) }
+	settled := 0
+	for round, devs := range [][]string{{"dev-c", "dev-a", "dev-b"}, {"dev-d", "dev-a"}} {
+		for i, d := range devs {
+			// Device i of the round holds every third state from i, in
+			// a range each round moves up.
+			var states []int
+			for s := 100*round + i; s < 100*round+90; s += 3 {
+				states = append(states, s)
+			}
+			o.upload(d, single(sparseTable(4, float64(10*round+i+1), states...)))
+		}
+		o.merge(fmt.Sprintf("round %d", round))
+		o.checkIndex(fmt.Sprintf("round %d", round))
+		ra := o.m.roles[0]
+		if fresh := ra.keys[settled:]; len(fresh) == 0 || !slices.IsSorted(fresh) {
+			t.Fatalf("round %d: the round's sids do not follow key order: %v", round, fresh)
+		}
+		settled = len(ra.keys)
+	}
+}
+
+// TestMergerJoinAllocsFlatInDevices: a round in which one device joins
+// allocates about as often in a 4096-device arena as in a 64-device
+// one: the join appends a column, and Merge sorts the joiner in by one
+// merge pass, with no allocation per device already in the arena. (The
+// BenchmarkFleetCheckinScale allocs/op ceilings rest on this: an
+// allocation per device in a join round shows up there at 10000
+// devices.)
+func TestMergerJoinAllocsFlatInDevices(t *testing.T) {
+	allocs := func(devices int) uint64 {
+		set := sorted(t, learner.SingleTableSet(sparseTable(9, 1, span(0, 100)...)))
+		m := NewMerger()
+		for d := 0; d < devices; d++ {
+			if !m.UploadFull(fmt.Sprintf("dev-%05d", 2*d), set) {
+				t.Fatal("upload refused")
+			}
+		}
+		m.Merge()
+		joiner := sorted(t, learner.SingleTableSet(sparseTable(9, 2, span(50, 150)...)))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ok := m.UploadFull(fmt.Sprintf("dev-%05d", devices+1), joiner)
+		m.Merge()
+		runtime.ReadMemStats(&after)
+		if !ok {
+			t.Fatal("join refused")
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	// Slices that grow with the fleet may each reallocate once in the
+	// round; a per-device allocation would add thousands.
+	const growth = 8
+	if small, large := allocs(64), allocs(4096); large > small+growth {
+		t.Fatalf("a join round allocates %d times in a 4096-device arena, %d in a 64-device one", large, small)
 	}
 }

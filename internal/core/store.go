@@ -210,12 +210,12 @@ func (s Store) SaveSet(app string, set *TableSet, trained bool) error {
 }
 
 // WriteFileAtomic writes data to path so that a reader sees the old
-// file or the new one, never a torn write: data goes to a temp file in
-// dir named after tmpPattern (os.CreateTemp's pattern), mode 0644,
-// which is then renamed onto path, a file in dir. dir is created if
-// missing; on any error the temp file is removed. It does not fsync:
-// the write is atomic for concurrent readers, not durable across a
-// crash.
+// file or the new one, never a torn write, and the new one survives a
+// crash once it returns: data goes to a temp file in dir named after
+// tmpPattern (os.CreateTemp's pattern), mode 0644, which is fsynced and
+// then renamed onto path, a file in dir; then dir is fsynced, so the
+// rename is durable too. dir is created if missing; on any error
+// before the rename the temp file is removed.
 func WriteFileAtomic(dir, tmpPattern, path string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -228,6 +228,9 @@ func WriteFileAtomic(dir, tmpPattern, path string, data []byte) error {
 	if err == nil {
 		err = tmp.Chmod(0o644)
 	}
+	if err == nil {
+		err = tmp.Sync()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
@@ -236,6 +239,15 @@ func WriteFileAtomic(dir, tmpPattern, path string, data []byte) error {
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

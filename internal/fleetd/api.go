@@ -108,18 +108,27 @@ func (m *RequestMetrics) Uptime() time.Duration { return time.Since(m.start) }
 // Write renders the uptime, request and request-error blocks of the
 // Prometheus text exposition.
 func (m *RequestMetrics) Write(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s_uptime_seconds Seconds since the %s started.\n", m.prefix, m.subject)
-	fmt.Fprintf(w, "# TYPE %s_uptime_seconds gauge\n", m.prefix)
-	fmt.Fprintf(w, "%s_uptime_seconds %.3f\n", m.prefix, m.Uptime().Seconds())
-
-	fmt.Fprintf(w, "# HELP %s_requests_total Requests served, by endpoint.\n", m.prefix)
-	fmt.Fprintf(w, "# TYPE %s_requests_total counter\n", m.prefix)
+	WriteFamily(w, m.prefix+"_uptime_seconds", "gauge", "Seconds since the "+m.subject+" started.",
+		"", fmt.Sprintf("%.3f", m.Uptime().Seconds()))
+	var requests, errs []any
 	for _, e := range m.endpoints {
-		fmt.Fprintf(w, "%s_requests_total{endpoint=%q} %d\n", m.prefix, e.label, e.requests.Load())
+		series := fmt.Sprintf("{endpoint=%q}", e.label)
+		requests = append(requests, series, e.requests.Load())
+		errs = append(errs, series, e.errors.Load())
 	}
-	fmt.Fprintf(w, "# HELP %s_request_errors_total Requests answered with an error status, by endpoint.\n", m.prefix)
-	fmt.Fprintf(w, "# TYPE %s_request_errors_total counter\n", m.prefix)
-	for _, e := range m.endpoints {
-		fmt.Fprintf(w, "%s_request_errors_total{endpoint=%q} %d\n", m.prefix, e.label, e.errors.Load())
+	WriteFamily(w, m.prefix+"_requests_total", "counter", "Requests served, by endpoint.", requests...)
+	WriteFamily(w, m.prefix+"_request_errors_total", "counter", "Requests answered with an error status, by endpoint.", errs...)
+}
+
+// WriteFamily renders one metric family of the Prometheus text
+// exposition: its HELP and TYPE lines, then one sample line per pair
+// in samples. A pair is a series — what follows the family name: a
+// label set such as {state="known"}, a suffix such as _count, or "" —
+// and its value, written with %v. Both fleet servers write every
+// family of their /metrics page through it.
+func WriteFamily(w io.Writer, name, typ, help string, samples ...any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for i := 0; i+1 < len(samples); i += 2 {
+		fmt.Fprintf(w, "%s%s %v\n", name, samples[i], samples[i+1])
 	}
 }

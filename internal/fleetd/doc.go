@@ -9,7 +9,8 @@
 //	PUT  /v1/table     upload one device-trained table set (compact JSON
 //	                   or the NXTB binary codec), whole or as a delta
 //	POST /v1/merge     run a federated merge round for one app×platform
-//	                   via cloud.JoinDevices (visit-weighted averaging)
+//	                   (visit-weighted averaging, byte-identical to
+//	                   cloud.JoinDevices)
 //	POST /v1/federate  batch ingest from edge aggregators (NXTF envelope)
 //	GET  /v1/policy    download the current merged policy for app×platform
 //	GET  /v1/apps      list known policies (optionally per platform)
@@ -23,10 +24,11 @@
 // driven concurrently converges to the byte-identical table a serial
 // cloud.Fleet.MergeApp of the same uploads produces (pinned by the
 // end-to-end test in internal/fleetsim). Each key's merge arena
-// (cloud.Merger) is the store's only copy of its merged-in devices'
-// tables: a delta upload updates it in O(states in the delta), and a
-// merge round recomputes only the states uploads dirtied, unless new
-// devices joined, which rebuilds it.
+// (cloud.Merger) is the store's only copy of its devices' tables. Every
+// upload enters it in sorted form through one walker: a full upload
+// replaces the device's column, a new device joins the arena with its
+// first one, and a delta upload updates it in O(states in the delta).
+// A merge round recomputes only the states uploads dirtied.
 //
 // Published policies are immutable, so the store installs each merged
 // set together with a memo of its wire bodies: a policy is encoded at

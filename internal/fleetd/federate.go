@@ -75,6 +75,7 @@ func (s *Server) handleFederate(w http.ResponseWriter, r *http.Request) int {
 			fmt.Errorf("fleetd: federation push needs an aggregator ID as a single [a-zA-Z0-9._-] segment"))
 	}
 	reply := FederateReply{Agg: req.Agg}
+	var scratch core.SortedSet // the store copies each upload's rows out
 	for _, d := range req.Devices {
 		if safeName(d) {
 			s.door.note(d)
@@ -82,7 +83,7 @@ func (s *Server) handleFederate(w http.ResponseWriter, r *http.Request) int {
 		}
 	}
 	for _, up := range req.Uploads {
-		if err := s.acceptFederated(up); err != nil {
+		if err := s.acceptFederated(up, &scratch); err != nil {
 			reply.Rejected++
 			if len(reply.Errors) < maxFederateErrors {
 				reply.Errors = append(reply.Errors, err.Error())
@@ -94,19 +95,23 @@ func (s *Server) handleFederate(w http.ResponseWriter, r *http.Request) int {
 	return WriteJSON(w, http.StatusOK, reply)
 }
 
-// acceptFederated lands one relayed device table through the same
-// validation and sanitization path a direct upload takes. Bodies are
-// sniffed per upload (UnmarshalTableSetAny) because one envelope may
-// relay a mixed fleet of binary and legacy-JSON devices.
-func (s *Server) acceptFederated(up FederatedUpload) error {
+// acceptFederated lands one relayed device table through the decoder
+// and store path a direct upload takes, decoding a binary body into
+// scratch. Bodies are sniffed per upload because one envelope may relay
+// a mixed fleet of binary and legacy-JSON devices.
+func (s *Server) acceptFederated(up FederatedUpload, scratch *core.SortedSet) error {
 	if len(up.Body) > maxUploadBytes {
 		return fmt.Errorf("fleetd: federated upload from %q exceeds %d bytes", up.Device, maxUploadBytes)
 	}
-	app, set, _, err := core.UnmarshalTableSetAny(up.Body)
+	contentType := ""
+	if core.IsBinaryTableSet(up.Body) {
+		contentType = core.TableSetMediaType
+	}
+	app, set, err := DecodeSorted(contentType, up.Body, scratch)
 	if err != nil {
 		return fmt.Errorf("fleetd: federated upload from %q: %w", up.Device, err)
 	}
-	_, _, err = s.store.UploadSetGen(Key{App: app, Platform: up.Platform}, up.Device, set)
+	_, _, err = s.store.Upload(Key{App: app, Platform: up.Platform}, up.Device, set)
 	return err
 }
 

@@ -93,75 +93,61 @@ func (m *Metrics) write(w io.Writer, st *Store, devices, untracked int) {
 	m.RequestMetrics.Write(w)
 
 	count, sumUS, maxUS := m.MergeLatency()
-	fmt.Fprintf(w, "# HELP fleetd_merge_latency_us Federated merge round latency in microseconds (quantiles over the last %d rounds; count/sum/max over the server lifetime).\n", mergeRingSize)
-	fmt.Fprintf(w, "# TYPE fleetd_merge_latency_us summary\n")
+	var latency []any
 	if qs := m.mergeQuantiles(0.5, 0.9, 0.99); qs != nil {
-		fmt.Fprintf(w, "fleetd_merge_latency_us{quantile=\"0.5\"} %d\n", qs[0])
-		fmt.Fprintf(w, "fleetd_merge_latency_us{quantile=\"0.9\"} %d\n", qs[1])
-		fmt.Fprintf(w, "fleetd_merge_latency_us{quantile=\"0.99\"} %d\n", qs[2])
+		latency = append(latency, `{quantile="0.5"}`, qs[0], `{quantile="0.9"}`, qs[1], `{quantile="0.99"}`, qs[2])
 	}
-	fmt.Fprintf(w, "fleetd_merge_latency_us_count %d\n", count)
-	fmt.Fprintf(w, "fleetd_merge_latency_us_sum %d\n", sumUS)
-	fmt.Fprintf(w, "fleetd_merge_latency_us_max %d\n", maxUS)
-	fmt.Fprintf(w, "# HELP fleetd_merges_total Merge rounds by path: incremental recomputes the states uploads dirtied, rebuild re-joins every table after new devices joined.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_merges_total counter\n")
-	fmt.Fprintf(w, "fleetd_merges_total{path=\"incremental\"} %d\n", st.merges[mergeIncremental].Load())
-	fmt.Fprintf(w, "fleetd_merges_total{path=\"rebuild\"} %d\n", st.merges[mergeRebuild].Load())
-	fmt.Fprintf(w, "# HELP fleetd_delta_conflicts_total Delta uploads answered 409 because the store held no base at the echoed generation; each device falls back to a full upload.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_delta_conflicts_total counter\n")
-	fmt.Fprintf(w, "fleetd_delta_conflicts_total %d\n", m.deltaConflicts.Load())
+	latency = append(latency, "_count", count, "_sum", sumUS, "_max", maxUS)
+	WriteFamily(w, "fleetd_merge_latency_us", "summary",
+		fmt.Sprintf("Federated merge round latency in microseconds (quantiles over the last %d rounds; count/sum/max over the server lifetime).", mergeRingSize),
+		latency...)
+	WriteFamily(w, "fleetd_merges_total", "counter",
+		"Merge rounds; each recomputes the states uploads dirtied since the round before, new devices' states included.",
+		"", st.merges.Load())
+	WriteFamily(w, "fleetd_delta_conflicts_total", "counter",
+		"Delta uploads answered 409 because the store held no base at the echoed generation; each device falls back to a full upload.",
+		"", m.deltaConflicts.Load())
 
-	fmt.Fprintf(w, "# HELP fleetd_policies Known app-platform policies (merged = with a served table).\n")
-	fmt.Fprintf(w, "# TYPE fleetd_policies gauge\n")
-	fmt.Fprintf(w, "fleetd_policies{state=\"known\"} %d\n", keys)
-	fmt.Fprintf(w, "fleetd_policies{state=\"merged\"} %d\n", merged)
-	fmt.Fprintf(w, "# HELP fleetd_policy_encodes_total Policy bodies encoded for serving, by encoding: one per published policy and encoding, not one per pull.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_policy_encodes_total counter\n")
-	fmt.Fprintf(w, "fleetd_policy_encodes_total{encoding=\"binary\"} %d\n", st.encodes[encBinary].Load())
-	fmt.Fprintf(w, "fleetd_policy_encodes_total{encoding=\"json\"} %d\n", st.encodes[encJSON].Load())
-	fmt.Fprintf(w, "# HELP fleetd_device_tables Device tables currently held for merging.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_device_tables gauge\n")
-	fmt.Fprintf(w, "fleetd_device_tables %d\n", uploads)
-	fmt.Fprintf(w, "# HELP fleetd_devices_seen Distinct devices that have checked in (lower bound once the tracking set is full).\n")
-	fmt.Fprintf(w, "# TYPE fleetd_devices_seen gauge\n")
-	fmt.Fprintf(w, "fleetd_devices_seen %d\n", devices)
-	fmt.Fprintf(w, "# HELP fleetd_untracked_checkins_total Check-ins from devices not in the bounded tracking set.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_untracked_checkins_total counter\n")
-	fmt.Fprintf(w, "fleetd_untracked_checkins_total %d\n", untracked)
-	fmt.Fprintf(w, "# HELP fleetd_snapshots_total Merged tables written to the snapshot directory.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_snapshots_total counter\n")
-	fmt.Fprintf(w, "fleetd_snapshots_total %d\n", m.snapshots.Load())
-	fmt.Fprintf(w, "# HELP fleetd_restored_tables Policies warm-started from a snapshot at boot.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_restored_tables gauge\n")
-	fmt.Fprintf(w, "fleetd_restored_tables %d\n", m.restored.Load())
+	WriteFamily(w, "fleetd_policies", "gauge", "Known app-platform policies (merged = with a served table).",
+		`{state="known"}`, keys, `{state="merged"}`, merged)
+	WriteFamily(w, "fleetd_policy_encodes_total", "counter",
+		"Policy bodies encoded for serving, by encoding: one per published policy and encoding, not one per pull.",
+		`{encoding="binary"}`, st.encodes[encBinary].Load(), `{encoding="json"}`, st.encodes[encJSON].Load())
+	WriteFamily(w, "fleetd_device_tables", "gauge", "Device tables currently held for merging.", "", uploads)
+	WriteFamily(w, "fleetd_devices_seen", "gauge",
+		"Distinct devices that have checked in (lower bound once the tracking set is full).", "", devices)
+	WriteFamily(w, "fleetd_untracked_checkins_total", "counter",
+		"Check-ins from devices not in the bounded tracking set.", "", untracked)
+	WriteFamily(w, "fleetd_snapshots_total", "counter",
+		"Merged tables written to the snapshot directory.", "", m.snapshots.Load())
+	WriteFamily(w, "fleetd_restored_tables", "gauge",
+		"Policies warm-started from a snapshot at boot.", "", m.restored.Load())
 }
 
 // writeRolloutMetrics renders the policy-lifecycle gauges. Emitted only
 // on rollout-enabled servers, so the default exposition is unchanged.
 func writeRolloutMetrics(w io.Writer, statuses []rollout.Status, rollbacksTotal int64) {
-	fmt.Fprintf(w, "# HELP fleetd_rollout_version Current policy artifact version, by policy and lifecycle state.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_rollout_version gauge\n")
+	var versions, stages, reports []any
 	for _, st := range statuses {
 		if st.Stable != nil {
-			fmt.Fprintf(w, "fleetd_rollout_version{policy=%q,state=\"stable\"} %d\n", st.Key, st.Stable.Version)
+			versions = append(versions, fmt.Sprintf(`{policy=%q,state="stable"}`, st.Key), st.Stable.Version)
 		}
 		if st.Candidate != nil {
-			fmt.Fprintf(w, "fleetd_rollout_version{policy=%q,state=\"candidate\"} %d\n", st.Key, st.Candidate.Version)
+			versions = append(versions, fmt.Sprintf(`{policy=%q,state="candidate"}`, st.Key), st.Candidate.Version)
 		}
+		stages = append(stages,
+			fmt.Sprintf(`{policy=%q,kind="stage"}`, st.Key), st.StageBps,
+			fmt.Sprintf(`{policy=%q,kind="effective"}`, st.Key), st.EffectiveBps)
+		reports = append(reports,
+			fmt.Sprintf(`{policy=%q,cohort="canary"}`, st.Key), st.CanaryReports,
+			fmt.Sprintf(`{policy=%q,cohort="control"}`, st.Key), st.ControlReports)
 	}
-	fmt.Fprintf(w, "# HELP fleetd_rollout_stage_bps Active canary stage size in basis points (0 = no active rollout); effective widens to the MinCanary floor.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_rollout_stage_bps gauge\n")
-	for _, st := range statuses {
-		fmt.Fprintf(w, "fleetd_rollout_stage_bps{policy=%q,kind=\"stage\"} %d\n", st.Key, st.StageBps)
-		fmt.Fprintf(w, "fleetd_rollout_stage_bps{policy=%q,kind=\"effective\"} %d\n", st.Key, st.EffectiveBps)
-	}
-	fmt.Fprintf(w, "# HELP fleetd_rollout_cohort_reports Evaluation reports collected this stage, by policy and cohort.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_rollout_cohort_reports gauge\n")
-	for _, st := range statuses {
-		fmt.Fprintf(w, "fleetd_rollout_cohort_reports{policy=%q,cohort=\"canary\"} %d\n", st.Key, st.CanaryReports)
-		fmt.Fprintf(w, "fleetd_rollout_cohort_reports{policy=%q,cohort=\"control\"} %d\n", st.Key, st.ControlReports)
-	}
-	fmt.Fprintf(w, "# HELP fleetd_rollout_rollbacks_total Automatic and operator policy rollbacks since start.\n")
-	fmt.Fprintf(w, "# TYPE fleetd_rollout_rollbacks_total counter\n")
-	fmt.Fprintf(w, "fleetd_rollout_rollbacks_total %d\n", rollbacksTotal)
+	WriteFamily(w, "fleetd_rollout_version", "gauge",
+		"Current policy artifact version, by policy and lifecycle state.", versions...)
+	WriteFamily(w, "fleetd_rollout_stage_bps", "gauge",
+		"Active canary stage size in basis points (0 = no active rollout); effective widens to the MinCanary floor.", stages...)
+	WriteFamily(w, "fleetd_rollout_cohort_reports", "gauge",
+		"Evaluation reports collected this stage, by policy and cohort.", reports...)
+	WriteFamily(w, "fleetd_rollout_rollbacks_total", "counter",
+		"Automatic and operator policy rollbacks since start.", "", rollbacksTotal)
 }

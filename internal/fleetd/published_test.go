@@ -81,33 +81,22 @@ func TestPolicyBodyMemo(t *testing.T) {
 			t.Fatalf("%s: %d json / %d binary encodes after %d installs, want one each per install", what, j, b, installs)
 		}
 	}
-	mergeVia := func(what string, incremental bool) func() {
-		return func() {
-			sh := s.shardFor(k)
-			sh.mu.RLock()
-			e := sh.entries[k]
-			live := e.arena != nil && len(e.pending) == 0
-			sh.mu.RUnlock()
-			if live != incremental {
-				t.Fatalf("%s: merge arena live = %v, want %v", what, live, incremental)
-			}
-			if _, err := merge(s, k); err != nil {
-				t.Fatal(err)
-			}
+	mergeVia := func() {
+		if _, err := merge(s, k); err != nil {
+			t.Fatal(err)
 		}
 	}
 
-	// First round: no arena yet, so the round rebuilds from scratch.
+	// First round: the devices joined the arena as they uploaded.
 	upload(s, k, "dev-000", devTable(1))
 	upload(s, k, "dev-001", devTable(2))
-	step("from-scratch merge", mergeVia("from-scratch merge", false))
-	// A known device re-uploads: the arena stays live and the round is
-	// an incremental dirty-state recompute.
+	step("first merge", mergeVia)
+	// A known device re-uploads: a dirty-state recompute.
 	upload(s, k, "dev-000", devTable(3))
-	step("incremental merge", mergeVia("incremental merge", true))
-	// A new device waits in pending: the round rebuilds again.
+	step("re-upload merge", mergeVia)
+	// A new device joins the arena in place.
 	upload(s, k, "dev-002", devTable(4))
-	step("second from-scratch merge", mergeVia("second from-scratch merge", false))
+	step("join merge", mergeVia)
 
 	// Restore installs a policy from disk over the live one.
 	dir := t.TempDir()

@@ -151,32 +151,24 @@ func mediaType(v string) string {
 	return strings.ToLower(strings.TrimSpace(v))
 }
 
-// DecodeTableSet picks the wire codec by Content-Type: the binary
-// media type decodes strictly as NXTB; every other type (including the
-// default empty one) takes the legacy JSON path unchanged. The
-// aggregator tier shares it so both tiers negotiate identically.
+// DecodeTableSet picks the wire codec by Content-Type, as DecodeSorted
+// does, and decodes into a table set. Outside tests, only the frozen
+// benchmark's replay calls it (ROADMAP item 9).
 func DecodeTableSet(contentType string, data []byte) (string, *core.TableSet, bool, error) {
-	return decodeTableSet(contentType, data, new(core.SortedSet))
-}
-
-// decodeTableSet is DecodeTableSet with the binary decode's sorted set
-// given: the payload is decoded into scratch, then copied into the
-// table set's maps, which share nothing with scratch or data.
-func decodeTableSet(contentType string, data []byte, scratch *core.SortedSet) (string, *core.TableSet, bool, error) {
 	if mediaType(contentType) == core.TableSetMediaType {
-		app, trained, err := scratch.DecodeBinary(data)
-		if err != nil {
-			return "", nil, false, err
-		}
-		return app, scratch.TableSet(), trained, nil
+		return core.UnmarshalTableSetBinary(data)
 	}
 	return core.UnmarshalTableSet(data)
 }
 
-// decodeSorted is DecodeTableSet into sorted form: the binary media
-// type decodes straight into scratch, which it returns; JSON decodes
-// through a table set into a new sorted set.
-func decodeSorted(contentType string, data []byte, scratch *core.SortedSet) (string, *core.SortedSet, error) {
+// DecodeSorted decodes an upload body into the sorted form the store
+// takes, picking the wire codec by Content-Type: the binary media type
+// decodes strictly as NXTB, straight into scratch, which it returns and
+// which then aliases data; every other type (including the default
+// empty one) takes the legacy JSON path, sorted once into a new set.
+// Both validate the set against the learner registry. Root and edge
+// share it, so both tiers negotiate identically.
+func DecodeSorted(contentType string, data []byte, scratch *core.SortedSet) (string, *core.SortedSet, error) {
 	if mediaType(contentType) == core.TableSetMediaType {
 		app, _, err := scratch.DecodeBinary(data)
 		return app, scratch, err
@@ -234,6 +226,12 @@ func (sc *uploadScratch) release() {
 	uploadScratches.Put(sc)
 }
 
+// handleUpload takes a full or delta upload (a delta carries the base
+// generation header): the body goes from its wire bytes to the sorted
+// form and into the store without a QTable. A binary body decodes into
+// the pooled scratch set and its rows stay in the pooled body, which
+// the store reads, clamped, as it copies them into the merge arena;
+// neither outlives the request.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 	q := r.URL.Query()
 	device, platform := q.Get("device"), q.Get("platform")
@@ -244,37 +242,19 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) int {
 		return status
 	}
 	sc.body = data
-	contentType := r.Header.Get("Content-Type")
-	if baseHdr := r.Header.Get(baseGenHeader); baseHdr != "" {
-		return s.handleDelta(w, device, platform, contentType, data, &sc.set, baseHdr)
-	}
-	app, set, _, err := decodeTableSet(contentType, data, &sc.set)
+	app, set, err := DecodeSorted(r.Header.Get("Content-Type"), data, &sc.set)
 	if err != nil {
 		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad table upload: %w", err))
 	}
-	n, gen, err := s.store.UploadSetGen(Key{App: app, Platform: platform}, device, set)
-	if err != nil {
-		return WriteErr(w, http.StatusBadRequest, err)
+	var baseGen int64
+	baseHdr := r.Header.Get(baseGenHeader)
+	delta := baseHdr != ""
+	if delta {
+		if baseGen, err = strconv.ParseInt(baseHdr, 10, 64); err != nil {
+			return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad %s header: %w", baseGenHeader, err))
+		}
 	}
-	return WriteJSON(w, http.StatusOK,
-		UploadReply{App: app, Platform: platform, Device: device, Devices: n, Gen: gen})
-}
-
-// handleDelta finishes a delta upload: the body goes from its wire
-// bytes to the sorted form and into the store without a QTable. A
-// binary delta decodes into scratch and its rows stay in data, which
-// the store reads, clamped, as it applies them; neither outlives the
-// request.
-func (s *Server) handleDelta(w http.ResponseWriter, device, platform, contentType string, data []byte, scratch *core.SortedSet, baseHdr string) int {
-	app, delta, err := decodeSorted(contentType, data, scratch)
-	if err != nil {
-		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad table upload: %w", err))
-	}
-	baseGen, err := strconv.ParseInt(baseHdr, 10, 64)
-	if err != nil {
-		return WriteErr(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad %s header: %w", baseGenHeader, err))
-	}
-	n, gen, err := s.store.uploadDelta(Key{App: app, Platform: platform}, device, delta, baseGen)
+	n, gen, err := s.store.upload(Key{App: app, Platform: platform}, device, set, delta, baseGen)
 	if err != nil {
 		if errors.Is(err, ErrDeltaBase) {
 			s.metrics.deltaConflicts.Add(1)

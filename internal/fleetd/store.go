@@ -98,37 +98,12 @@ const (
 	maxCounter     = int64(1) << 48
 )
 
-// sanitizeSet clamps every role table of an uploaded set.
-func sanitizeSet(set *learner.TableSet) {
-	for _, r := range set.Roles {
-		sanitizeTable(r.Table)
-	}
-}
-
-// sanitizeTable clamps an uploaded table's counters and Q-values into
-// merge-safe ranges (see the constant block above for why each bound
-// exists).
-func sanitizeTable(t *core.QTable) {
-	for s, v := range t.Visits {
-		if c := clampVisits(v); c != v {
-			t.Visits[s] = c
-		}
-	}
-	for _, row := range t.Q {
-		for i, v := range row {
-			if c := clampQ(v); c != v {
-				row[i] = c
-			}
-		}
-	}
-	t.Steps, t.TrainedUS, t.ConvergedAtUS = clampCounter(t.Steps), clampCounter(t.TrainedUS), clampCounter(t.ConvergedAtUS)
-}
-
-// sanitizeSorted is sanitizeTable for every role of a delta in sorted
-// form. The rows of a decoded delta are still in the request body, and
-// stay there as they arrived: the set is marked so that clampQ applies
-// as each row leaves the body (SortedTable.RowInto), which every
-// consumer of the delta's rows reads them through.
+// sanitizeSorted clamps an uploaded set's counters and visit counts
+// into merge-safe ranges (see the constant block above for why each
+// bound exists), and marks the set so that clampQ applies as each row
+// leaves the request body (SortedTable.RowInto), which every consumer
+// of the upload's rows reads them through. The body stays as it
+// arrived.
 func sanitizeSorted(set *core.SortedSet) {
 	set.ClampOnRead(maxQValue, clampQ)
 	for i := range set.Roles {
@@ -170,17 +145,9 @@ type Store struct {
 	maxDevices int
 	// encodes counts policy-body encodes (memo fills) per encoding.
 	encodes [numEncodings]atomic.Int64
-	// merges counts merge rounds per path (fleetd_merges_total).
-	merges [numMergePaths]atomic.Int64
+	// merges counts merge rounds (fleetd_merges_total).
+	merges atomic.Int64
 }
-
-// A merge round either recomputes the arena's dirty states or rebuilds
-// the arena from scratch; merges counts each path.
-const (
-	mergeIncremental = iota
-	mergeRebuild
-	numMergePaths
-)
 
 type storeShard struct {
 	mu      sync.RWMutex
@@ -188,15 +155,14 @@ type storeShard struct {
 }
 
 type entry struct {
-	// arena is the incremental merge arena over every merged-in device:
-	// the store's only copy of those devices' tables. Nil until the
-	// first merge round.
+	// arena is the incremental merge arena over every device that
+	// uploaded: the store's only copy of their tables.
 	arena *cloud.Merger
-	// pending holds the sanitized full uploads of devices the arena
-	// does not have yet, owned by the store (see UploadSetGen). A
-	// pending set overrides the device's arena column; the next merge
-	// round rebuilds the arena over both and empties it.
-	pending map[string]*learner.TableSet
+	// learner and actions are the key's layout, which every upload must
+	// match: its first upload's, or its restored policy's ("" and 0
+	// until then).
+	learner string
+	actions int
 	// pub is the current served policy — the merged set and its
 	// encoded bodies, installed together — nil until the first merge
 	// round (or snapshot restore); round counts merge rounds.
@@ -204,9 +170,12 @@ type entry struct {
 	round int64
 	// devGen counts accepted uploads per device — the generation a
 	// delta upload must echo to prove its base is the table the store
-	// holds (see UploadDelta). Its keys are exactly the devices in
-	// pending or the arena.
+	// holds (see UploadDelta). Its keys are exactly the arena's devices.
 	devGen map[string]int64
+}
+
+func newEntry() *entry {
+	return &entry{arena: cloud.NewMerger(), devGen: make(map[string]int64)}
 }
 
 // NewStoreMaxDevices returns an empty store accepting up to maxDevices
@@ -234,25 +203,6 @@ func (s *Store) shardFor(k Key) *storeShard {
 	return &s.shards[h.Sum32()%numShards]
 }
 
-// admit runs the checks every upload passes before the store takes a
-// lock: key and device names, a non-empty set, and learner registry
-// validation. The registry check comes before anything is stored: a
-// hostile first upload with a made-up learner name (or bogus role
-// names) would otherwise pin an unmatchable layout onto the key and
-// lock out every legitimate device. kind names the upload in errors.
-func admit(k Key, device string, set *learner.TableSet, kind string) error {
-	if err := admitNames(k, device); err != nil {
-		return err
-	}
-	if set == nil || set.Primary() == nil {
-		return fmt.Errorf("fleetd: %s: empty %s from %q", k, kind, device)
-	}
-	if err := learner.ValidateSet(set); err != nil {
-		return fmt.Errorf("fleetd: %s: %s from %q: %w", k, kind, device, err)
-	}
-	return nil
-}
-
 // admitNames checks an upload's key and device names.
 func admitNames(k Key, device string) error {
 	if err := k.validate("fleetd"); err != nil {
@@ -264,77 +214,48 @@ func admitNames(k Key, device string) error {
 	return nil
 }
 
-// UploadSetGen records a device's complete learner table set as its
-// latest upload for the key, replacing any previous one. It returns
-// how many devices have contributed and the device's new upload
-// generation, which the server echoes so the client can base its next
-// delta upload on this one.
-//
-// The store takes ownership of the set and sanitizes it in place: the
-// caller must hold no other reference to it (the HTTP handlers qualify
-// — each request decodes a fresh set — and skipping a defensive clone
-// is worth ~15% on the check-in hot path). Every upload for a key must
-// come from the same learner (same registry name and role layout) and
+// UploadSetGen is a full upload of a table set: it converts set with
+// core.SortTableSet, which runs learner registry validation, and
+// records it through the one upload path (see Upload). The set is
+// copied, not kept. It is the last table-set entry point for full
+// uploads, kept for the frozen benchmark's replay; ROADMAP item 9
+// retires it.
+func (s *Store) UploadSetGen(k Key, device string, set *learner.TableSet) (devices int, gen int64, err error) {
+	if err := admitNames(k, device); err != nil {
+		return 0, 0, err
+	}
+	sorted, err := core.SortTableSet(set)
+	if err != nil {
+		return 0, 0, fmt.Errorf("fleetd: %s: upload from %q: %w", k, device, err)
+	}
+	return s.upload(k, device, sorted, false, 0)
+}
+
+// UploadDelta is a delta upload of a table set: it converts delta with
+// core.SortTableSet and records it through the one upload path. It is
+// the last table-set delta entry point, kept for the frozen benchmark's
+// replay; ROADMAP item 9 retires it.
+func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseGen int64) (devices int, gen int64, err error) {
+	sorted, err := core.SortTableSet(delta)
+	if err != nil {
+		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w", k, device, err)
+	}
+	return s.upload(k, device, sorted, true, baseGen)
+}
+
+// Upload records a device's complete table set, in the sorted form the
+// wire decoders make (see DecodeSorted), as its latest upload for the
+// key, replacing any previous one. It returns how many devices have
+// contributed and the device's new upload generation, which the server
+// echoes so the client can base its next delta upload on this one.
+// set must come from DecodeSorted or core.SortTableSet, which validate
+// it against the learner registry. Every upload for a key must come
+// from the same learner (same registry name and role layout) and
 // action-space size: tables merge role-by-role, and averaging a
 // Double-Q estimator into a single-table policy would silently corrupt
-// both.
-func (s *Store) UploadSetGen(k Key, device string, set *learner.TableSet) (devices int, gen int64, err error) {
-	if err := admit(k, device, set, "upload"); err != nil {
-		return 0, 0, err
-	}
-	// The set is the caller's own, so it is clamped before the lock;
-	// a refused upload leaves the store as it was.
-	sanitizeSet(set)
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, err := s.entryForUpload(sh, k, device, set)
-	if err != nil {
-		return 0, 0, err
-	}
-	// A merged-in device's upload replaces its arena column; any other
-	// waits in pending for the next round's rebuild.
-	if _, ok := e.pending[device]; ok || e.arena == nil || !e.arena.Upload(device, set) {
-		e.pending[device] = set
-	}
-	gen = e.bumpGen(device)
-	return len(e.devGen), gen, nil
-}
-
-// entryForUpload runs the per-entry admission checks (key/device caps,
-// action-space and learner consistency) and returns the entry, creating
-// it on first contact. Callers hold the shard write lock.
-func (s *Store) entryForUpload(sh *storeShard, k Key, device string, set *learner.TableSet) (*entry, error) {
-	e := sh.entries[k]
-	if e == nil {
-		if len(sh.entries) >= maxKeysPerShard {
-			return nil, fmt.Errorf("fleetd: %s: policy-key limit reached (%d per shard)", k, maxKeysPerShard)
-		}
-		e = &entry{pending: make(map[string]*learner.TableSet), devGen: make(map[string]int64)}
-		sh.entries[k] = e
-	}
-	// ValidateSet already pinned the role layout to the learner name,
-	// so cross-upload consistency reduces to the name and action count.
-	if ref := e.anySet(); ref != nil {
-		if want := ref.Primary().Actions; set.Primary().Actions != want {
-			return nil, fmt.Errorf("fleetd: %s: upload from %q has %d actions, fleet has %d", k, device, set.Primary().Actions, want)
-		}
-		if learner.Normalize(ref.Learner) != learner.Normalize(set.Learner) {
-			return nil, fmt.Errorf("fleetd: %s: upload from %q: learner %q does not match the fleet's %q",
-				k, device, learner.Normalize(set.Learner), learner.Normalize(ref.Learner))
-		}
-	}
-	if _, seen := e.devGen[device]; !seen && len(e.devGen) >= s.maxDevices {
-		return nil, fmt.Errorf("fleetd: %s: device limit reached (%d)", k, s.maxDevices)
-	}
-	return e, nil
-}
-
-// bumpGen advances the device's upload generation and returns it.
-// Callers hold the shard write lock.
-func (e *entry) bumpGen(device string) int64 {
-	e.devGen[device]++
-	return e.devGen[device]
+// both. The store sanitizes set and copies its rows out (see upload).
+func (s *Store) Upload(k Key, device string, set *core.SortedSet) (devices int, gen int64, err error) {
+	return s.upload(k, device, set, false, 0)
 }
 
 // ErrDeltaBase marks a delta upload whose base generation does not
@@ -344,136 +265,101 @@ func (e *entry) bumpGen(device string) int64 {
 // maps it to HTTP 409.
 var ErrDeltaBase = errors.New("fleetd: delta base generation mismatch")
 
-// UploadDelta is uploadDelta for a delta held as a table set. It is
-// the last table-set delta entry point, kept for the frozen benchmark's
-// replay; ROADMAP item 9 folds it into one Store.Upload.
-func (s *Store) UploadDelta(k Key, device string, delta *learner.TableSet, baseGen int64) (devices int, gen int64, err error) {
-	sorted, err := core.SortTableSet(delta)
-	if err != nil {
-		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w", k, device, err)
-	}
-	return s.uploadDelta(k, device, sorted, baseGen)
-}
-
-// uploadDelta applies a delta upload, in the sorted form the upload
-// handler decodes: only the states changed since the device's last
-// accepted upload (plus absolute metadata), guarded by the generation
-// echo from that upload. The delta's layout must match the stored base
-// exactly; states in the delta replace the base's, states absent carry
-// over. A merged-in device's delta goes straight into the merge arena
-// and costs O(states in the delta). On success it returns the device
-// count and the new generation for the next delta. A missing base or a
-// stale baseGen fails with ErrDeltaBase (full upload required); the
-// store is never modified on error. The store sanitizes delta in
-// place, refused or not, and reads the body it aliases without writing
-// it; it keeps no reference to either once it returns, so the caller
+// upload is the one way into the store. A full upload (delta false)
+// replaces the device's table, and a device new to the key joins its
+// merge arena. A delta carries only the states changed since the
+// device's last accepted upload (plus absolute metadata), guarded by
+// baseGen, the generation echo from that upload: its layout must match
+// the stored base exactly; states in the delta replace the base's,
+// states absent carry over, at O(states in the delta). On success it
+// returns the device count and the device's new generation. A delta
+// with no base or a stale baseGen fails with ErrDeltaBase (full upload
+// required); the store is never modified on error.
+//
+// set is the caller's own and is sanitized in place, refused or not.
+// The store reads the rows it aliases without writing them, and keeps
+// no reference to set or its payload once it returns, so the caller
 // may reuse both.
-func (s *Store) uploadDelta(k Key, device string, delta *core.SortedSet, baseGen int64) (devices int, gen int64, err error) {
+func (s *Store) upload(k Key, device string, set *core.SortedSet, delta bool, baseGen int64) (devices int, gen int64, err error) {
 	if err := admitNames(k, device); err != nil {
 		return 0, 0, err
 	}
-	sanitizeSorted(delta) // the caller's own set, clamped before the lock
+	sanitizeSorted(set) // the caller's own set, clamped before the lock
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	var e *entry
+	if delta {
+		e, err = deltaEntry(sh, k, device, baseGen)
+	} else {
+		e, err = s.entryForUpload(sh, k, device, set)
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	// The arena checks the layout before it touches anything, so a
+	// refusal leaves the store as it was.
+	if delta && !e.arena.UploadDelta(device, set) {
+		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q does not match the stored base layout", k, device)
+	}
+	if !delta && !e.arena.UploadFull(device, set) {
+		return 0, 0, fmt.Errorf("fleetd: %s: upload from %q does not match the key's layout", k, device)
+	}
+	e.devGen[device]++
+	return len(e.devGen), e.devGen[device], nil
+}
+
+// deltaEntry returns the entry a delta applies to, or ErrDeltaBase when
+// the store holds no base for the device at baseGen. Callers hold the
+// shard write lock.
+func deltaEntry(sh *storeShard, k Key, device string, baseGen int64) (*entry, error) {
 	e := sh.entries[k]
 	if e == nil {
-		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w (no uploads for key)", k, device, ErrDeltaBase)
+		return nil, fmt.Errorf("fleetd: %s: delta from %q: %w (no uploads for key)", k, device, ErrDeltaBase)
 	}
 	have, ok := e.devGen[device]
 	if !ok {
-		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w (no base upload)", k, device, ErrDeltaBase)
+		return nil, fmt.Errorf("fleetd: %s: delta from %q: %w (no base upload)", k, device, ErrDeltaBase)
 	}
 	if have != baseGen {
-		return 0, 0, fmt.Errorf("fleetd: %s: delta from %q: %w (base %d, store at %d)", k, device, ErrDeltaBase, baseGen, have)
+		return nil, fmt.Errorf("fleetd: %s: delta from %q: %w (base %d, store at %d)", k, device, ErrDeltaBase, baseGen, have)
 	}
-	badLayout := func() error {
-		return fmt.Errorf("fleetd: %s: delta from %q does not match the stored base layout", k, device)
-	}
-	if prev, ok := e.pending[device]; ok {
-		if !sameLayout(prev, delta) {
-			return 0, 0, badLayout()
-		}
-		// The pending base is sanitized and owned by the store; the
-		// overlay shares its unchanged rows.
-		e.pending[device] = applyDelta(prev, delta)
-	} else {
-		// UploadDelta checks the layout before it touches the arena, so
-		// a refusal leaves the store as it was.
-		if !e.arena.UploadDelta(device, delta) {
-			return 0, 0, badLayout()
-		}
-	}
-	gen = e.bumpGen(device)
-	return len(e.devGen), gen, nil
+	return e, nil
 }
 
-// sameLayout reports whether a delta has its base's learner, action
-// count and role layout.
-func sameLayout(base *learner.TableSet, delta *core.SortedSet) bool {
-	if learner.Normalize(delta.Learner) != learner.Normalize(base.Learner) ||
-		delta.Actions != base.Primary().Actions ||
-		len(delta.Roles) != len(base.Roles) {
-		return false
+// entryForUpload runs the per-entry admission checks of a full upload
+// (key/device caps, action-space and learner consistency) and returns
+// the entry, creating it on first contact. Callers hold the shard write
+// lock.
+func (s *Store) entryForUpload(sh *storeShard, k Key, device string, set *core.SortedSet) (*entry, error) {
+	e := sh.entries[k]
+	if e == nil {
+		if len(sh.entries) >= maxKeysPerShard {
+			return nil, fmt.Errorf("fleetd: %s: policy-key limit reached (%d per shard)", k, maxKeysPerShard)
+		}
+		e = newEntry()
+		sh.entries[k] = e
 	}
-	for i := range delta.Roles {
-		if delta.Roles[i].Role != base.Roles[i].Role {
-			return false
+	// The decoders validated the set against the learner registry
+	// before it got here: a hostile first upload with a made-up learner
+	// name (or bogus role names) would otherwise pin an unmatchable
+	// layout onto the key and lock out every legitimate device. The
+	// registry pins the role layout to the learner name, so consistency
+	// with the key reduces to the name and action count.
+	if e.learner != "" {
+		if set.Actions != e.actions {
+			return nil, fmt.Errorf("fleetd: %s: upload from %q has %d actions, fleet has %d", k, device, set.Actions, e.actions)
+		}
+		if set.Learner != e.learner {
+			return nil, fmt.Errorf("fleetd: %s: upload from %q: learner %q does not match the fleet's %q",
+				k, device, set.Learner, e.learner)
 		}
 	}
-	return true
-}
-
-// applyDelta overlays a delta on a pending base role-by-role. The
-// result is a fresh set whose unchanged rows alias the base and whose
-// new rows are copied out of the delta; metadata is absolute from the
-// delta.
-// Merger.UploadDelta applies the same rule to merged-in devices.
-func applyDelta(base *learner.TableSet, delta *core.SortedSet) *learner.TableSet {
-	next := &learner.TableSet{Learner: base.Learner, Roles: make([]learner.RoleTable, len(base.Roles))}
-	for i := range base.Roles {
-		bt, dt := base.Roles[i].Table, &delta.Roles[i]
-		nt := &core.QTable{
-			Actions:       bt.Actions,
-			Q:             make(map[core.StateKey][]float64, len(bt.Q)+len(dt.Keys)),
-			Visits:        make(map[core.StateKey]int, len(bt.Visits)+len(dt.VisitKeys)),
-			Steps:         dt.Steps,
-			TrainedUS:     dt.TrainedUS,
-			ConvergedAtUS: dt.ConvergedAtUS,
-		}
-		for s, row := range bt.Q {
-			nt.Q[s] = row
-		}
-		for s, v := range bt.Visits {
-			nt.Visits[s] = v
-		}
-		a := delta.Actions
-		q := make([]float64, len(dt.Keys)*a)
-		for j, s := range dt.Keys {
-			row := q[j*a : (j+1)*a : (j+1)*a]
-			dt.RowInto(j, row)
-			nt.Q[s] = row
-		}
-		for j, s := range dt.VisitKeys {
-			nt.Visits[s] = dt.Visits[j]
-		}
-		next.Roles[i] = learner.RoleTable{Role: base.Roles[i].Role, Table: nt}
+	if _, seen := e.devGen[device]; !seen && len(e.devGen) >= s.maxDevices {
+		return nil, fmt.Errorf("fleetd: %s: device limit reached (%d)", k, s.maxDevices)
 	}
-	return next
-}
-
-// anySet returns an established set of the entry for layout checks:
-// the merged policy, else any pending upload (nil while empty). Every
-// upload matches the first one's learner and action count, and the
-// merged policy has their layout. Callers hold the lock.
-func (e *entry) anySet() *learner.TableSet {
-	if e.pub != nil {
-		return e.pub.set
-	}
-	for _, set := range e.pending {
-		return set
-	}
-	return nil
+	e.learner, e.actions = set.Learner, set.Actions
+	return e, nil
 }
 
 // MergeInfo summarizes one federated merge round.
@@ -491,26 +377,19 @@ type MergeInfo struct {
 
 // MergeSet runs a federated merge round for the key: every device's
 // latest upload, in sorted-device-ID order, through the visit-weighted
-// federated average (cloud.JoinDevices). The result is a deterministic
-// function of the uploads — concurrent rounds interleaved with uploads
-// converge to the set a serial merge of the final uploads produces.
-// It returns the round summary and the freshly installed, immutable
-// published set, so the rollout layer can wrap the round's output as a
-// policy artifact without re-locking the shard (and without racing a
-// concurrent round for "which set did my round produce").
+// federated average. The result is a deterministic function of the
+// uploads, byte-identical to cloud.JoinDevices over them — concurrent
+// rounds interleaved with uploads converge to the set a serial merge of
+// the final uploads produces. It returns the round summary and the
+// freshly installed, immutable published set, so the rollout layer can
+// wrap the round's output as a policy artifact without re-locking the
+// shard (and without racing a concurrent round for "which set did my
+// round produce").
 //
-// The round runs under the shard write lock and takes one of two
-// paths:
-//
-//   - incremental: with no device pending, the arena holds every
-//     device's latest table, and the round recomputes only the states
-//     uploads dirtied since the last round — O(changed state), not
-//     O(fleet).
-//   - rebuild: after new devices joined (or a device's upload did not
-//     fit the arena), the round runs Merger.Rebuild — JoinDevices, the
-//     pinned reference path — over the arena's columns plus the
-//     pending uploads, and the new arena takes them all in. Same-key
-//     uploads and pulls wait while it runs; other keys proceed.
+// The round runs under the shard write lock and recomputes only the
+// states uploads dirtied since the last round (cloud.Merger.Merge) —
+// O(changed state), not O(fleet). Devices that joined since then only
+// dirtied their own states; Merge sorts them into device order.
 //
 // Every install puts the merged set in place together with a fresh,
 // still empty body memo (see PolicyBody), so a pull never sees one
@@ -526,27 +405,8 @@ func (s *Store) MergeSet(k Key) (MergeInfo, *learner.TableSet, error) {
 	if e == nil || len(e.devGen) == 0 {
 		return MergeInfo{}, nil, fmt.Errorf("fleetd: %s: no device tables to merge", k)
 	}
-	var merged *learner.TableSet
-	if len(e.pending) == 0 {
-		merged = e.arena.Merge()
-		s.merges[mergeIncremental].Add(1)
-	} else {
-		tables := e.pending
-		if e.arena != nil {
-			tables = e.arena.Tables()
-			for d, set := range e.pending {
-				tables[d] = set
-			}
-		}
-		arena := cloud.NewMerger()
-		var err error
-		if merged, _, err = arena.Rebuild(tables); err != nil {
-			return MergeInfo{}, nil, fmt.Errorf("fleetd: %s: %w", k, err)
-		}
-		e.arena = arena
-		clear(e.pending)
-		s.merges[mergeRebuild].Add(1)
-	}
+	merged := e.arena.Merge()
+	s.merges.Add(1)
 	e.pub = s.publish(k.App, merged)
 	e.round++
 	return MergeInfo{
@@ -686,14 +546,12 @@ func (s *Store) Restore(dir string) (int, error) {
 			if err := k.validate("fleetd"); err != nil {
 				return n, fmt.Errorf("fleetd: restoring %s/%s: %w", p.Name(), f.Name(), err)
 			}
+			e := newEntry()
+			e.learner, e.actions = learner.Normalize(set.Learner), set.Primary().Actions
+			e.pub, e.round = s.publish(k.App, set), 1
 			sh := s.shardFor(k)
 			sh.mu.Lock()
-			sh.entries[k] = &entry{
-				pending: make(map[string]*learner.TableSet),
-				devGen:  make(map[string]int64),
-				pub:     s.publish(k.App, set),
-				round:   1,
-			}
+			sh.entries[k] = e
 			sh.mu.Unlock()
 			n++
 		}

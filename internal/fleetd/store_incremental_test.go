@@ -1,6 +1,7 @@
 package fleetd
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -27,7 +28,7 @@ func policyBytes(t *testing.T, s *Store, k Key) string {
 
 // TestStoreIncrementalMergeMatchesScratch is the store-level
 // differential pin: across interleaved re-uploads and merge rounds —
-// the pattern that keeps the arena live — every served policy must be
+// new devices joining between them — every served policy must be
 // byte-identical to a from-scratch JoinDevices over a shadow copy of
 // the same uploads.
 func TestStoreIncrementalMergeMatchesScratch(t *testing.T) {
@@ -71,11 +72,76 @@ func TestStoreIncrementalMergeMatchesScratch(t *testing.T) {
 		for j := 1 + rng.Intn(4); j > 0; j-- {
 			upload(fmt.Sprintf("dev-%03d", rng.Intn(6)), rng.Intn(40)+1)
 		}
-		// ... and occasionally a brand-new device (invalidates it).
+		// ... and occasionally a brand-new device, which joins the arena.
 		if round%4 == 0 {
 			upload(fmt.Sprintf("late-%03d", round), rng.Intn(40)+1)
 		}
 		check(round)
+	}
+}
+
+// TestStoreJoinRoundKeepsCleanRows: devices that upload to a merged key
+// join its arena in place. The next round's policy is byte-identical
+// to JoinDevices over every upload, and every state no joining device
+// holds keeps the previous round's row, the same backing array.
+func TestStoreJoinRoundKeepsCleanRows(t *testing.T) {
+	s := NewStoreMaxDevices(0)
+	k := Key{App: "spotify", Platform: "note9"}
+	shadow := make(map[string]*learner.TableSet)
+	put := func(dev string, seed int) {
+		t.Helper()
+		shadow[dev] = learner.SingleTableSet(devTable(seed))
+		if _, _, err := s.UploadSetGen(k, dev, shadow[dev]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 4 {
+		put(fmt.Sprintf("dev-%03d", 2*i+1), i+1)
+	}
+	_, prev, err := s.MergeSet(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first joiner holds dev-005's states, the others states of
+	// their own; they sort before, between and after the merged devices.
+	joined := map[core.StateKey]bool{}
+	for i, dev := range []string{"dev-000", "dev-004", "dev-008"} {
+		put(dev, 3+2*i)
+		for st := range shadow[dev].Primary().Q {
+			joined[st] = true
+		}
+	}
+	_, got, err := s.MergeSet(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := cloud.JoinDevices(shadow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nxtb := func(set *learner.TableSet) []byte {
+		t.Helper()
+		data, err := core.MarshalTableSetBinary(k.App, set, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if !bytes.Equal(nxtb(got), nxtb(want)) {
+		t.Fatal("join round differs from JoinDevices over every upload")
+	}
+	clean := 0
+	for st, row := range got.Primary().Q {
+		if joined[st] {
+			continue
+		}
+		if old := prev.Primary().Q[st]; old == nil || &old[0] != &row[0] {
+			t.Fatalf("state %d, which no joining device holds, was recomputed", st)
+		}
+		clean++
+	}
+	if clean == 0 {
+		t.Fatal("every state was dirty, so the check saw nothing")
 	}
 }
 

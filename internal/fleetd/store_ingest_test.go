@@ -19,10 +19,10 @@ import (
 // table composed the reference way: a full upload replaces the shadow,
 // a delta is laid over it with overlayDelta, both sanitized as the store
 // sanitizes. After every merge the served policy must be byte-identical
-// to cloud.JoinDevices over the shadows. The store holds merged-in
-// devices only in its merge arena, so this pins the arena's own delta
-// rule (Merger.UploadDelta) and its rebuild path (Merger.Tables) to
-// overlayDelta's composition.
+// to cloud.JoinDevices over the shadows. The store holds every device
+// only in its merge arena, which new devices join through their first
+// full upload, so this pins the arena's one upload walker — its full
+// and delta rules, and joins — to overlayDelta's composition.
 
 const (
 	ingestActions = 3
@@ -126,11 +126,17 @@ func (tp *ingestTape) set(name string, actions int) *learner.TableSet {
 	return set
 }
 
-// sanitized returns a sanitized copy of set, leaving set as it was.
-func sanitized(set *learner.TableSet) *learner.TableSet {
-	c := set.Clone()
-	sanitizeSet(c)
-	return c
+// sanitized returns a sanitized copy of set, leaving set as it was: the
+// store's one sanitize rule, applied to set in sorted form and read
+// back into maps.
+func sanitized(t *testing.T, set *learner.TableSet) *learner.TableSet {
+	t.Helper()
+	c, err := core.SortTableSet(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sanitizeSorted(c)
+	return c.TableSet()
 }
 
 // overlayDelta is the reference delta rule over table sets: a fresh
@@ -215,7 +221,7 @@ func runIngest(t *testing.T, data []byte) {
 		switch op {
 		case 0, 1: // full upload: a new device, or a replacement that may drop states
 			set := tp.set(name, ingestActions)
-			want := sanitized(set)
+			want := sanitized(t, set)
 			_, gen, err := s.UploadSetGen(k, dev, set)
 			if err != nil {
 				t.Fatalf("step %d: full upload: %v", step, err)
@@ -226,7 +232,7 @@ func runIngest(t *testing.T, data []byte) {
 			shadow[dev], gens[dev] = want, gen
 		case 2, 3, 4: // delta on the generation the store handed out
 			delta := tp.set(name, ingestActions)
-			want := sanitized(delta)
+			want := sanitized(t, delta)
 			_, gen, err := s.UploadDelta(k, dev, delta, gens[dev])
 			if !known {
 				if !errors.Is(err, ErrDeltaBase) {
@@ -278,14 +284,14 @@ func TestStoreIngestMatchesJoin(t *testing.T) {
 // FuzzStoreIngest lets the fuzzer write ingest programs for the oracle.
 func FuzzStoreIngest(f *testing.F) {
 	f.Add([]byte{})
-	// A merged-in device sends a visit count for a state it has no row
+	// A merged device sends a visit count for a state it has no row
 	// in, then that state's row without a count: the merge must weight
 	// the row by the remembered count (7), and by 1 when a zero count
 	// replaced it in between.
 	start := []byte{
 		4,                                  // learner.Names()[4]: watkins
 		0, 1, 1, 3, 0, 8, 8, 8, 5, 2, 2, 2, // dev-1 full upload: state 3, row 1.0, 6 visits
-		6, 0, // merge: dev-1 joins the arena
+		6, 0, // merge
 		2, 1, 1, 4, 2, 6, 2, 2, 2, // dev-1 delta: 7 visits for state 4, no row
 	}
 	zero := []byte{2, 1, 1, 4, 2, 16, 2, 2, 2}              // dev-1 delta: 0 visits for state 4

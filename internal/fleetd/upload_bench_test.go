@@ -21,7 +21,7 @@ import (
 // pool), decode (SortedSet.DecodeBinary into a reused set, which leaves
 // the rows in the body), sanitize (which clamps visit counts and marks
 // the rows to be clamped as they are read), and arena (Merger.UploadDelta
-// reading the rows, clamped, from the body into a merged-in device's
+// reading the rows, clamped, from the body into a known device's
 // column of a 16-device arena). Two deltas over the same states
 // alternate, so every arena update rewrites the device's rows.
 func BenchmarkDeltaUpload(b *testing.B) {

@@ -60,7 +60,7 @@ func scratchSet(rng *rand.Rand, name string, actions int, finite bool) *learner.
 // TestUploadHandlerReusesScratch drives interleaved full and delta
 // uploads from several devices through Server.Handler, where each
 // request reads and decodes in memory an earlier request gave back:
-// binary and JSON bodies, deltas of pending and merged-in devices, row
+// binary and JSON bodies, deltas before and after a merge round, row
 // values sanitize must clamp, and refusals (a stale base, a broken
 // body, a layout change, a body past the size limit) in between. After
 // every merge the served policy must be byte-identical to
@@ -160,7 +160,7 @@ func runScratchProgram(t *testing.T, name string) {
 			body, ct := encode(set, binary)
 			rec := send(http.MethodPut, target, ct, body, "")
 			expect(step, rec, http.StatusOK, "full upload")
-			shadow[dev], gens[dev] = sanitized(set), reply(rec)
+			shadow[dev], gens[dev] = sanitized(t, set), reply(rec)
 		case op < 13: // delta on the generation the server handed out
 			delta := scratchSet(rng, name, actions, !binary)
 			body, ct := encode(delta, binary)
@@ -171,7 +171,7 @@ func runScratchProgram(t *testing.T, name string) {
 				continue
 			}
 			expect(step, rec, http.StatusOK, "delta")
-			shadow[dev], gens[dev] = overlayDelta(base, sanitized(delta)), reply(rec)
+			shadow[dev], gens[dev] = overlayDelta(base, sanitized(t, delta)), reply(rec)
 		case op == 13: // stale base generation
 			body, ct := encode(scratchSet(rng, name, actions, !binary), binary)
 			stale := strconv.FormatInt(gens[dev]+1, 10)
@@ -217,7 +217,7 @@ func runScratchProgram(t *testing.T, name string) {
 	body, ct := encode(set, true)
 	rec = send(http.MethodPut, "/v1/table?device=dev-0&platform=note9", ct, body, "")
 	expect(-1, rec, http.StatusOK, "full upload after an oversized body")
-	shadow["dev-0"] = sanitized(set)
+	shadow["dev-0"] = sanitized(t, set)
 	check(-1)
 	if merged < 10 {
 		t.Fatalf("only %d merges ran; the program checks too little", merged)
@@ -246,12 +246,12 @@ func TestUploadDeltaLeavesBodyUnwritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	arrived := slices.Clone(body)
-	for round := range 2 { // a pending device, then a merged-in one
+	for round := range 2 { // before the first merge, then after it
 		_, set, _, err := core.UnmarshalSortedSetBinary(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, gen, err = s.uploadDelta(k, "dev-a", set, gen); err != nil {
+		if _, gen, err = s.upload(k, "dev-a", set, true, gen); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(body, arrived) {
@@ -309,9 +309,9 @@ func TestUploadHandlerConcurrentScratch(t *testing.T) {
 		if _, err := put(fmt.Sprintf("dev-%d", d), set, 0); err != nil {
 			t.Fatal(err)
 		}
-		shadows[d] = sanitized(set)
+		shadows[d] = sanitized(t, set)
 	}
-	for round := range 2 { // pending devices, then merged-in ones
+	for round := range 2 { // before the first merge, then after it
 		var wg sync.WaitGroup
 		for d := range devices {
 			wg.Add(1)
@@ -326,7 +326,7 @@ func TestUploadHandlerConcurrentScratch(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					shadows[d] = overlayDelta(shadows[d], sanitized(delta))
+					shadows[d] = overlayDelta(shadows[d], sanitized(t, delta))
 				}
 			}()
 		}
