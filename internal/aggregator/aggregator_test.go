@@ -163,12 +163,15 @@ func TestAggregatorEndToEnd(t *testing.T) {
 }
 
 // TestTwoTierByteIdenticalToFlat is the tentpole pin at width: 4
-// aggregators × 16 devices each, federated to one root, must merge to
-// the byte-identical table a flat single-tier fleet of the same 64
-// devices produces.
+// aggregators × 16 devices each, federated to one root over two keys
+// in one epoch, must run one root merge per key, each byte-identical
+// to the table a flat single-tier store of the same uploads produces.
 func TestTwoTierByteIdenticalToFlat(t *testing.T) {
 	rootSrv, rootTS := newRoot(t, fleetd.Config{})
-	k := fleetd.Key{App: "game", Platform: "sd855"}
+	// Two keys in one epoch: every device uploads "game", every other
+	// device also uploads "video", so the keys join different device
+	// sets and each must still land on its own flat merge.
+	keys := []fleetd.Key{{App: "game", Platform: "sd855"}, {App: "video", Platform: "sd855"}}
 	flat := fleetd.NewStoreMaxDevices(0)
 
 	var aggs []*Server
@@ -180,31 +183,42 @@ func TestTwoTierByteIdenticalToFlat(t *testing.T) {
 			// device order differs from upload order — the identity must
 			// come from the canonical join, not delivery order.
 			dev := fmt.Sprintf("dev-%08d", d*4+a)
-			seed := d*4 + a + 1
-			if _, err := client.UploadTableSet(dev, "sd855", "game", learner.SingleTableSet(devTable(seed)), 0); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := flat.UploadSetGen(k, dev, learner.SingleTableSet(devTable(seed))); err != nil {
-				t.Fatal(err)
+			for ki, k := range keys {
+				if ki == 1 && d%2 == 1 {
+					continue
+				}
+				seed := d*4 + a + 1 + ki*100
+				if _, err := client.UploadTableSet(dev, k.Platform, k.App, learner.SingleTableSet(devTable(seed)), 0); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := flat.UploadSetGen(k, dev, learner.SingleTableSet(devTable(seed))); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
 	coord := &Coordinator{Root: fleetd.NewClient(rootTS.URL), Aggs: aggs}
-	rep, err := coord.RunEpoch([]fleetd.Key{k})
+	rep, err := coord.RunEpoch(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Late) != 0 || rep.Flushed != 64 {
+	if len(rep.Late) != 0 || rep.Flushed != 64+32 {
 		t.Fatalf("epoch report = %+v", rep)
 	}
-	if len(rep.Merges) != 1 || rep.Merges[0].Devices != 64 {
-		t.Fatalf("root merges = %+v", rep.Merges)
+	if len(rep.Merges) != len(keys) {
+		t.Fatalf("root merges = %+v, want one per key", rep.Merges)
 	}
-	if _, _, err := flat.MergeSet(k); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshalPolicy(t, rootSrv.Store(), k), marshalPolicy(t, flat, k)) {
-		t.Fatal("4-aggregator federated merge is not byte-identical to the flat merge")
+	for ki, k := range keys {
+		info := rep.Merges[ki]
+		if want := 64 - 32*ki; info.App != k.App || info.Platform != k.Platform || info.Devices != want {
+			t.Fatalf("root merge %d = %+v, want %s with %d devices", ki, info, k, want)
+		}
+		if _, _, err := flat.MergeSet(k); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshalPolicy(t, rootSrv.Store(), k), marshalPolicy(t, flat, k)) {
+			t.Fatalf("%s: 4-aggregator federated merge is not byte-identical to the flat merge", k)
+		}
 	}
 }
 

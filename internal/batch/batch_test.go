@@ -220,6 +220,44 @@ func TestRunLockstepBuildErrorFallsBack(t *testing.T) {
 	}
 }
 
+// wrappedApp hides a ProfileApp behind the plain workload.App
+// interface, as an instrumenting wrapper does.
+type wrappedApp struct{ workload.App }
+
+// The batch engine steps only *workload.ProfileApp lanes: NewBatch
+// refuses a span whose apps are wrapped, and Run falls back to scalar
+// engines with byte-identical results.
+func TestRunLockstepRefusesWrappedApps(t *testing.T) {
+	wrap := func(jobs []Job) []Job {
+		for i := range jobs {
+			orig := jobs[i].Build
+			jobs[i].Build = func() (sim.Config, error) {
+				cfg, err := orig()
+				for s := range cfg.Timeline.Scripts {
+					cfg.Timeline.Scripts[s].App = wrappedApp{cfg.Timeline.Scripts[s].App}
+				}
+				return cfg, err
+			}
+		}
+		return jobs
+	}
+	if _, err := buildBatch(wrap(lockstepJobs("sweep"))); err == nil {
+		t.Fatal("NewBatch accepted a wrapped app")
+	}
+	want := Run(lockstepJobs(""), Options{Parallel: 1})
+	got := Run(wrap(lockstepJobs("sweep")), Options{Parallel: 2})
+	a, _ := json.Marshal(want)
+	b, _ := json.Marshal(got)
+	if !bytes.Equal(a, b) {
+		t.Fatal("wrapped-app span diverged from the scalar run")
+	}
+	for i, r := range got {
+		if r.Err != "" {
+			t.Fatalf("job %d failed in fallback: %s", i, r.Err)
+		}
+	}
+}
+
 // Job order must hold even when the pool is wider than the job list —
 // the worker clamp in Options.workers keeps index dispatch well-formed.
 func TestRunOrderWithMoreWorkersThanJobs(t *testing.T) {

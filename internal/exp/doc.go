@@ -23,10 +23,11 @@
 // ScenarioConfig turns a scenario into a sim.Config (structure and
 // engine seeds apart, so lockstep lanes can share structure),
 // NewDefaultAgent builds the platform's default agent, and
-// session.AppTimeline is the single-app session. The facade,
-// internal/fleetsim and the CLIs build their sessions through these
-// and call sim.New or sim.NewBatch themselves; exp exports no
-// single-run wrapper.
+// session.AppTimeline is the single-app session. The facade and the
+// CLIs build their sessions through these and call sim.New or
+// sim.NewBatch themselves; internal/fleetsim's homogeneous fleet needs
+// only NewDefaultAgent and session.AppTimeline on sim.New. exp exports
+// no single-run wrapper.
 //
 // Runners are deterministic given their seed.
 package exp

@@ -112,7 +112,7 @@ func runPhased(client *fleetd.Client, plat platform.Platform, report Report) (Re
 		trafficWall += time.Since(ts)
 	}
 
-	if err := report.pullFinal(client, opts.App, report.Merge, &requests); err != nil {
+	if err := report.pullFinal(client, report.Merge, &requests); err != nil {
 		return report, err
 	}
 	report.TrainWallS = trainWall

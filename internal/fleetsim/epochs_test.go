@@ -77,19 +77,11 @@ func TestFleetEpochsDeterministic(t *testing.T) {
 	}
 }
 
-// Epochs <= 1 must not change the legacy traffic shape, and the phased
-// loop refuses option combinations it does not model.
+// The phased loop refuses option combinations it does not model.
 func TestFleetEpochsValidation(t *testing.T) {
 	_, url, done := startServer(t)
 	defer done()
-	if _, err := Run(url, Options{Devices: 2, Sessions: 1, SessionSecs: 5, Epochs: 2, Lockstep: true}); err == nil {
-		t.Fatal("epochs+lockstep accepted")
-	}
 	if _, err := Run(url, Options{Devices: 2, Sessions: 1, SessionSecs: 5, Epochs: 2, Aggregators: 2}); err == nil {
 		t.Fatal("epochs+aggregators accepted")
-	}
-	if _, err := Run(url, Options{Devices: 2, Sessions: 1, SessionSecs: 5, Epochs: 2,
-		Scenarios: []string{"doomscroll"}}); err == nil {
-		t.Fatal("epochs+scenarios accepted")
 	}
 }

@@ -2,7 +2,6 @@ package fleetsim
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -129,84 +128,6 @@ func TestFleetRunDeterministic(t *testing.T) {
 	}
 }
 
-// Lockstep is a distinct, deterministic training mode: two
-// identically-seeded lockstep fleets merge to byte-identical tables,
-// every device succeeds, and per-device tables still differ (each lane
-// keeps its own engine seed and rng streams inside the shared loop).
-func TestFleetLockstepDeterministic(t *testing.T) {
-	opts := Options{Devices: 5, Sessions: 2, SessionSecs: 5, Seed: 7, Parallel: 4, Lockstep: true}
-	var tables [][]byte
-	var first Report
-	for i := 0; i < 2; i++ {
-		_, url, done := startServer(t)
-		report, err := Run(url, opts)
-		done()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report.Errors != 0 {
-			for _, d := range report.Devices {
-				if d.Err != "" {
-					t.Errorf("%s: %s", d.Device, d.Err)
-				}
-			}
-			t.Fatalf("run %d: %d device errors", i, report.Errors)
-		}
-		data, err := core.MarshalTableSet(report.Options.App, learner.SingleTableSet(report.Merged), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tables = append(tables, data)
-		if i == 0 {
-			first = report
-		}
-	}
-	if !bytes.Equal(tables[0], tables[1]) {
-		t.Fatal("same seeds, different lockstep merged tables")
-	}
-	a, _ := core.MarshalTableSet(first.Options.App, learner.SingleTableSet(first.Devices[0].Uploaded), false)
-	b, _ := core.MarshalTableSet(first.Options.App, learner.SingleTableSet(first.Devices[1].Uploaded), false)
-	if bytes.Equal(a, b) {
-		t.Fatal("lockstep lanes 0 and 1 trained identical tables; engine seeds not independent")
-	}
-}
-
-// A scenario fleet in lockstep mode groups devices into per-preset
-// cohorts; every cohort trains and federates successfully.
-func TestFleetLockstepScenarioCohorts(t *testing.T) {
-	_, url, done := startServer(t)
-	defer done()
-	opts := Options{
-		Devices: 6, Sessions: 1, SessionSecs: 6, Seed: 11, Parallel: 4,
-		Lockstep:  true,
-		Scenarios: []string{"doomscroll", "bursty-messaging"},
-	}
-	report, err := Run(url, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Errors != 0 {
-		for _, d := range report.Devices {
-			if d.Err != "" {
-				t.Errorf("%s: %s", d.Device, d.Err)
-			}
-		}
-		t.Fatalf("%d device errors", report.Errors)
-	}
-	if len(report.PerApp) == 0 {
-		t.Fatal("scenario fleet produced no per-app merges")
-	}
-	for i, d := range report.Devices {
-		want := opts.Scenarios[i%len(opts.Scenarios)]
-		if d.Scenario != want {
-			t.Fatalf("device %d trained %q, want %q", i, d.Scenario, want)
-		}
-		if len(d.Tables) == 0 {
-			t.Fatalf("device %d uploaded no tables", i)
-		}
-	}
-}
-
 func TestFleetRunServerMetricsSeeTraffic(t *testing.T) {
 	srv, url, done := startServer(t)
 	defer done()
@@ -237,135 +158,5 @@ func TestFleetRunValidation(t *testing.T) {
 	}
 	if _, err := Run("http://127.0.0.1:1", Options{}); err == nil || !strings.Contains(err.Error(), "not reachable") {
 		t.Fatal("dead server should fail fast")
-	}
-}
-
-// A heterogeneous scenario fleet: devices rotate through three usage
-// presets, every app any scenario visits is uploaded and federated, and
-// each per-app merge is byte-identical to a serial cloud.MergeTables of
-// the same device tables in device order — policies trained on
-// different usage genuinely blend.
-func TestFleetScenarioHeterogeneousMerge(t *testing.T) {
-	_, url, done := startServer(t)
-	defer done()
-
-	opts := Options{
-		Devices:     6,
-		Platform:    "note9",
-		Sessions:    1,
-		SessionSecs: 30,
-		Seed:        42,
-		Parallel:    4,
-		Scenarios:   []string{"commute", "doomscroll", "video-binge"},
-	}
-	report, err := Run(url, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Errors != 0 {
-		for _, d := range report.Devices {
-			if d.Err != "" {
-				t.Errorf("%s: %s", d.Device, d.Err)
-			}
-		}
-		t.Fatalf("%d devices failed", report.Errors)
-	}
-	for i, d := range report.Devices {
-		want := opts.Scenarios[i%len(opts.Scenarios)]
-		if d.Scenario != want {
-			t.Fatalf("%s trained %q, want %q", d.Device, d.Scenario, want)
-		}
-		if len(d.Tables) == 0 || d.States == 0 {
-			t.Fatalf("%s uploaded nothing", d.Device)
-		}
-	}
-	if len(report.PerApp) == 0 {
-		t.Fatal("scenario fleet reported no per-app merges")
-	}
-
-	// The union must span more than one app — heterogeneity is the point.
-	if len(report.PerApp) < 3 {
-		t.Fatalf("only %d apps federated: %+v", len(report.PerApp), report.PerApp)
-	}
-
-	for _, am := range report.PerApp {
-		var sets []*learner.TableSet
-		devs := 0
-		for _, d := range report.Devices { // device order == sorted name order
-			if tab, ok := d.Tables[am.App]; ok {
-				sets = append(sets, learner.SingleTableSet(tab.Clone()))
-				devs++
-			}
-		}
-		if devs != am.Merge.Devices {
-			t.Fatalf("%s: server merged %d devices, fleet holds %d", am.App, am.Merge.Devices, devs)
-		}
-		serial, err := cloud.MergeTableSets(sets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotJSON, err := core.MarshalTableSet(am.App, learner.SingleTableSet(am.Merged), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantJSON, err := core.MarshalTableSet(am.App, learner.SingleTableSet(serial.Primary()), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Fatalf("%s: concurrent scenario-fleet merge differs from serial cloud.MergeTableSets", am.App)
-		}
-	}
-
-	// Devices on different scenarios trained different app sets or
-	// different tables — the blend is real.
-	if len(report.Devices[0].Tables) == len(report.Devices[1].Tables) {
-		same := true
-		for app := range report.Devices[0].Tables {
-			if _, ok := report.Devices[1].Tables[app]; !ok {
-				same = false
-				break
-			}
-		}
-		if same {
-			a, _ := json.Marshal(report.Devices[0].Tables)
-			b, _ := json.Marshal(report.Devices[1].Tables)
-			if bytes.Equal(a, b) {
-				t.Fatal("commute and doomscroll devices trained identical tables")
-			}
-		}
-	}
-}
-
-// Scenario fleets keep the determinism contract: identical options
-// against fresh servers produce byte-identical per-app merged tables.
-func TestFleetScenarioRunDeterministic(t *testing.T) {
-	opts := Options{
-		Devices: 4, Sessions: 1, SessionSecs: 20, Seed: 9, Parallel: 4,
-		Scenarios: []string{"bursty-messaging", "thermal-soak"},
-	}
-	var runs [][]byte
-	for i := 0; i < 2; i++ {
-		_, url, done := startServer(t)
-		report, err := Run(url, opts)
-		done()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report.Errors != 0 {
-			t.Fatalf("run %d: %d device errors", i, report.Errors)
-		}
-		var blob bytes.Buffer
-		for _, am := range report.PerApp {
-			data, err := core.MarshalTableSet(am.App, learner.SingleTableSet(am.Merged), true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob.Write(data)
-		}
-		runs = append(runs, blob.Bytes())
-	}
-	if !bytes.Equal(runs[0], runs[1]) {
-		t.Fatal("same scenario fleet options, different merged tables")
 	}
 }

@@ -2,7 +2,6 @@ package fleetsim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 )
 
 // fleetFingerprint renders the deterministic part of a report: the
-// final merged policies, every device's uploaded tables, the merge
+// final merged policy, every device's uploaded table, the merge
 // device/state counts and the rollout rounds and outcome. Wall-clock
 // fields and merge latencies are left out, and so is the mid-traffic
 // policy round of unphased runs, which depends on request interleaving.
@@ -32,21 +31,14 @@ func fleetFingerprint(t *testing.T, rep Report, phased bool) string {
 	}
 	fmt.Fprintf(&sb, "errors=%d merge devices=%d states=%d merged:", rep.Errors, rep.Merge.Devices, rep.Merge.States)
 	table(rep.Options.App, rep.Merged)
-	for _, am := range rep.PerApp {
-		fmt.Fprintf(&sb, "app %s devices=%d states=%d merged:", am.App, am.Merge.Devices, am.Merge.States)
-		table(am.App, am.Merged)
-	}
 	for _, d := range rep.Devices {
-		fmt.Fprintf(&sb, "%s err=%q scenario=%s states=%d steps=%d", d.Device, d.Err, d.Scenario, d.States, d.Steps)
+		// The empty scenario= field keeps the pinned byte format.
+		fmt.Fprintf(&sb, "%s err=%q scenario= states=%d steps=%d", d.Device, d.Err, d.States, d.Steps)
 		if phased {
 			fmt.Fprintf(&sb, " policy round=%d states=%d", d.PolicyRound, d.PolicyStates)
 		}
 		sb.WriteString(" uploaded:")
 		table(rep.Options.App, d.Uploaded)
-		for _, app := range sortedKeys(d.Tables) {
-			fmt.Fprintf(&sb, "  %s:", app)
-			table(app, d.Tables[app])
-		}
 	}
 	if ro := rep.Rollout; ro != nil {
 		fmt.Fprintf(&sb, "rollout stable=%d candidate=%d outcome=%s final=%d rollbacks=%d skipped=%d\n",
@@ -61,19 +53,10 @@ func fleetFingerprint(t *testing.T, rep Report, phased bool) string {
 	return golden.Hash(sb.String())
 }
 
-func sortedKeys(m map[string]*core.QTable) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// TestGoldenFleetModes pins every fleetsim mode — flat, scenario,
-// lockstep (homogeneous and scenario cohorts), phased epochs over the
-// binary wire with deltas, rollout promote and sabotage, and the
-// two-aggregator tier — to the hash of its deterministic report fields.
+// TestGoldenFleetModes pins every fleetsim mode — flat, phased epochs
+// over the binary wire with deltas, rollout promote and sabotage, and
+// the two-aggregator tier — to the hash of its deterministic report
+// fields.
 func TestGoldenFleetModes(t *testing.T) {
 	modes := []struct {
 		name    string
@@ -81,11 +64,6 @@ func TestGoldenFleetModes(t *testing.T) {
 		rollout bool
 	}{
 		{name: "flat", opts: Options{Devices: 4, Sessions: 2, SessionSecs: 5, Seed: 3, Parallel: 2}},
-		{name: "scenarios", opts: Options{Devices: 4, Sessions: 1, SessionSecs: 10, Seed: 5, Parallel: 2,
-			Scenarios: []string{"commute", "doomscroll"}}},
-		{name: "lockstep", opts: Options{Devices: 3, Sessions: 2, SessionSecs: 5, Seed: 7, Parallel: 2, Lockstep: true}},
-		{name: "lockstep-scenarios", opts: Options{Devices: 4, Sessions: 2, SessionSecs: 6, Seed: 11, Parallel: 2,
-			Lockstep: true, Scenarios: []string{"doomscroll", "bursty-messaging"}}},
 		{name: "epochs3-binary-delta", opts: Options{Devices: 3, Sessions: 1, SessionSecs: 5, Seed: 13, Parallel: 2,
 			Epochs: 3, Binary: true, DeltaUploads: true}},
 		{name: "rollout-promote", opts: abOptions(false), rollout: true},

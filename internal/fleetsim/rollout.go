@@ -199,7 +199,7 @@ func runRollout(client *fleetd.Client, plat platform.Platform, report Report) (R
 	// The report counts the lifecycle's traffic; the final pull below
 	// only reads back the stable policy.
 	report.tally(requests.Load(), 1)
-	if err := report.pullFinal(client, opts.App, report.Merge, &requests); err != nil {
+	if err := report.pullFinal(client, report.Merge, &requests); err != nil {
 		return report, err
 	}
 	return report, nil
@@ -238,7 +238,7 @@ func sabotageSet(set *learner.TableSet) *learner.TableSet {
 // device's trajectory differs only by the policy it runs) exploits the
 // installed table set greedily for SessionSecs simulated seconds.
 func evalPolicy(plat platform.Platform, opts Options, set *learner.TableSet, roundSeed int64) (res evalResult, err error) {
-	agent := exp.NewDefaultAgent(plat, roundSeed, opts.Learner, opts.Explorer)
+	agent := exp.NewDefaultAgent(plat, roundSeed, opts.Learner, "")
 	// Clone: the agent's online update keeps learning during the replay
 	// and must never write through to the shared cached download.
 	agent.InstallTableSet(opts.App, set.Clone(), true)

@@ -52,9 +52,9 @@ func startAggTier(rootURL string, opts Options) (*aggTier, error) {
 			Root:       rootURL,
 			FlushEvery: -1,
 			// Sized so a well-behaved run never trips backpressure: the
-			// queue bounds distinct (policy, device) pairs and a scenario
-			// device uploads one table per visited app.
-			QueueLimit:       opts.Devices*16 + 64,
+			// queue bounds distinct (policy, device) pairs and every
+			// device uploads one table.
+			QueueLimit:       opts.Devices + 64,
 			MaxDevicesPerKey: opts.Devices + 1,
 		})
 		if err != nil {
@@ -109,19 +109,16 @@ func uploadWithBackpressure(client *fleetd.Client, device, platform, app string,
 }
 
 // runEpochPhase is phase 3 of a two-tier run: one federation epoch
-// (aggregator-local merges → flush upward → root joins), then the
-// final policies pulled from the root — the table every device would
-// get on its next check-in, pinned byte-identical to a flat merge.
-func runEpochPhase(rootClient *fleetd.Client, tier *aggTier, report *Report, requests, retries *atomic.Int64) error {
+// (aggregator-local merges → flush upward → root joins) over the
+// options app, returning the root merge that produced the final policy
+// — the table every device would get on its next check-in, pinned
+// byte-identical to a flat merge.
+func runEpochPhase(rootClient *fleetd.Client, tier *aggTier, report *Report, requests, retries *atomic.Int64) (fleetd.MergeInfo, error) {
 	coord := &aggregator.Coordinator{Root: rootClient, Aggs: tier.aggs}
-	apps := finalApps(report)
-	keys := make([]fleetd.Key, len(apps))
-	for i, app := range apps {
-		keys[i] = fleetd.Key{App: app, Platform: report.Options.Platform}
-	}
-	rep, err := coord.RunEpoch(keys)
+	key := fleetd.Key{App: report.Options.App, Platform: report.Options.Platform}
+	rep, err := coord.RunEpoch([]fleetd.Key{key})
 	if err != nil {
-		return fmt.Errorf("fleetsim: federation epoch: %w", err)
+		return fleetd.MergeInfo{}, fmt.Errorf("fleetsim: federation epoch: %w", err)
 	}
 	requests.Add(int64(len(rep.Merges)))
 	report.Federation = &FederationReport{
@@ -131,18 +128,10 @@ func runEpochPhase(rootClient *fleetd.Client, tier *aggTier, report *Report, req
 		Late:        rep.Late,
 		Retries429:  retries.Load(),
 	}
-	byApp := make(map[string]fleetd.MergeInfo, len(rep.Merges))
 	for _, info := range rep.Merges {
-		byApp[info.App] = info
-	}
-	for _, app := range apps {
-		info, ok := byApp[app]
-		if !ok {
-			return fmt.Errorf("fleetsim: federation epoch produced no root merge for %s", app)
-		}
-		if err := report.pullFinal(rootClient, app, info, requests); err != nil {
-			return err
+		if info.App == key.App {
+			return info, nil
 		}
 	}
-	return nil
+	return fleetd.MergeInfo{}, fmt.Errorf("fleetsim: federation epoch produced no root merge for %s", key.App)
 }

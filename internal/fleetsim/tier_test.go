@@ -77,55 +77,6 @@ func TestTwoTierFleetMatchesFlatRun(t *testing.T) {
 	}
 }
 
-// Scenario fleets keep the byte-identity pin per app: every app's root
-// table after a two-tier run equals the flat run's.
-func TestTwoTierScenarioFleetMatchesFlatPerApp(t *testing.T) {
-	opts := Options{
-		Devices:   12,
-		Scenarios: []string{"commute", "doomscroll"},
-		Sessions:  1, SessionSecs: 6, Seed: 7, Parallel: 8,
-	}
-
-	_, flatURL, flatDone := startServer(t)
-	defer flatDone()
-	flat, err := Run(flatURL, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tiered := opts
-	tiered.Aggregators = 2
-	_, rootURL, rootDone := startServer(t)
-	defer rootDone()
-	report, err := Run(rootURL, tiered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Errors != 0 || flat.Errors != 0 {
-		t.Fatalf("device errors: tiered %d, flat %d", report.Errors, flat.Errors)
-	}
-	if len(report.PerApp) != len(flat.PerApp) {
-		t.Fatalf("tiered run merged %d apps, flat %d", len(report.PerApp), len(flat.PerApp))
-	}
-	for i, am := range report.PerApp {
-		want := flat.PerApp[i]
-		if am.App != want.App {
-			t.Fatalf("app order diverged: tiered %s, flat %s", am.App, want.App)
-		}
-		gotJSON, err := core.MarshalTableSet(am.App, learner.SingleTableSet(am.Merged), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantJSON, err := core.MarshalTableSet(want.App, learner.SingleTableSet(want.Merged), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Fatalf("%s: two-tier table differs from flat run", am.App)
-		}
-	}
-}
-
 // The tier summary lines appear only for two-tier runs, so the default
 // WriteSummary output stays byte-identical for flat fleets.
 func TestWriteSummaryFederationLines(t *testing.T) {

@@ -29,18 +29,19 @@ import (
 // Lanes may differ in seed, governor/controller (scheme), record
 // cadence and fault hooks; NewBatch rejects configs whose shared
 // structure (chip OPP tables, power constants, thermal network,
-// timeline shape, schedules, panel rate) is not identical, so callers
-// can attempt batching and fall back to scalar engines on error.
+// timeline shape, schedules, panel rate) is not identical, or whose
+// apps are not all *workload.ProfileApp (any other workload.App, a
+// wrapper included, runs only on the scalar Engine), so callers can
+// attempt batching and fall back to scalar engines on error.
 type BatchEngine struct {
 	lanes
 	therm  *thermal.Batch
 	sensor *thermal.VirtualSensor
 
-	// fast is set when every app in every lane is a *workload.ProfileApp:
-	// the tick loop then takes the devirtualized TickFast/StartFrameFast
-	// path over frand's replayed (bit-identical) streams instead of the
-	// App interface over the standard Rand.
-	fast  bool
+	// Every app in every lane is a *workload.ProfileApp (NewBatch
+	// checks), so the tick loop calls the devirtualized
+	// TickFast/StartFrameFast over frand's replayed (bit-identical)
+	// streams instead of the App interface over the standard Rand.
 	frngs []*frand.Rand
 	pApps []*workload.ProfileApp // [nScripts*k], like apps
 
@@ -83,9 +84,9 @@ type ipArgs struct {
 // NewBatch builds a lockstep engine over k configs. Configs are
 // validated and defaulted like New does, then checked for structural
 // compatibility against lane 0; any mismatch (or shared mutable
-// subsystem instances between lanes) returns an error so callers can
-// fall back to k scalar engines. k=1 is allowed and degenerates to a
-// scalar run.
+// subsystem instances between lanes, or an app that is not a
+// *workload.ProfileApp) returns an error so callers can fall back to k
+// scalar engines. k=1 is allowed and degenerates to a scalar run.
 func NewBatch(cfgs []Config) (*BatchEngine, error) {
 	k := len(cfgs)
 	if k == 0 {
@@ -117,16 +118,16 @@ func NewBatch(cfgs []Config) (*BatchEngine, error) {
 	b.init(local, &b.therm.AmbientC)
 
 	b.pApps = make([]*workload.ProfileApp, len(b.apps))
-	b.fast = true
 	for i, app := range b.apps {
-		b.pApps[i], _ = app.(*workload.ProfileApp)
-		b.fast = b.fast && b.pApps[i] != nil
-	}
-	if b.fast {
-		b.frngs = make([]*frand.Rand, k)
-		for r := range local {
-			b.frngs[r] = frand.New(local[r].Seed)
+		p, ok := app.(*workload.ProfileApp)
+		if !ok {
+			return nil, fmt.Errorf("sim: batch lane %d: app %T is not a *workload.ProfileApp", i%k, app)
 		}
+		b.pApps[i] = p
+	}
+	b.frngs = make([]*frand.Rand, k)
+	for r := range local {
+		b.frngs[r] = frand.New(local[r].Seed)
 	}
 
 	b.baseW = make([]float64, k)
@@ -245,30 +246,17 @@ func (b *BatchEngine) Run() []Result {
 		}
 		apps := b.scriptApps(si)
 
-		// Stage 1: workload + renderer, per lane. The fast path calls the
-		// concrete ProfileApp methods over the replayed rng stream; the
-		// generic path is the App interface over the standard Rand.
-		if b.fast {
-			papps := b.pApps[si*k:][:k:k]
-			for r := 0; r < k; r++ {
-				d := papps[r].TickFast(now, tickUS, inter, b.frngs[r])
-				demand[r] = d
-				demBig[r], demLittle[r], demGPU[r] = d.BigBg, d.LittleBg, d.GPUBg
-				if b.frameSlot(r, d.WantFrame) {
-					b.startFrame(r, papps[r].StartFrameFast(inter, b.frngs[r]))
-				}
-				rendering[r] = b.render(r)
+		// Stage 1: workload + renderer, per lane, through the concrete
+		// ProfileApp methods over the replayed rng stream.
+		papps := b.pApps[si*k:][:k:k]
+		for r := 0; r < k; r++ {
+			d := papps[r].TickFast(now, tickUS, inter, b.frngs[r])
+			demand[r] = d
+			demBig[r], demLittle[r], demGPU[r] = d.BigBg, d.LittleBg, d.GPUBg
+			if b.frameSlot(r, d.WantFrame) {
+				b.startFrame(r, papps[r].StartFrameFast(inter, b.frngs[r]))
 			}
-		} else {
-			for r := 0; r < k; r++ {
-				d := apps[r].Tick(now, tickUS, inter, b.lane[r].rng)
-				demand[r] = d
-				demBig[r], demLittle[r], demGPU[r] = d.BigBg, d.LittleBg, d.GPUBg
-				if b.frameSlot(r, d.WantFrame) {
-					b.startFrame(r, apps[r].StartFrame(inter, b.lane[r].rng))
-				}
-				rendering[r] = b.render(r)
-			}
+			rendering[r] = b.render(r)
 		}
 
 		// Stage 2: batched power integration and thermal step across all
