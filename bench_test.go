@@ -499,6 +499,37 @@ func benchCheckinScale(b *testing.B, devices, aggs int) {
 	}
 }
 
+// BenchmarkArtifactHash measures the content hash of a merge round's
+// artifact mint: core.HashTableSet over a merged 2,600-state x
+// 9-action table, about what fleet-serve merges. The hash is SHA-256
+// over the table's compact JSON, whose rows are formatted on up to
+// GOMAXPROCS goroutines; BENCH_fleet.json gates its B/op and allocs/op,
+// which fail on a return to building the JSON through encoding/json's
+// map DTOs.
+func BenchmarkArtifactHash(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	t := core.NewQTable(9)
+	for len(t.Q) < 2600 {
+		s := core.StateKey(rng.Int63n(1 << 24))
+		row := make([]float64, 9)
+		for a := range row {
+			row[a] = rng.NormFloat64()
+		}
+		t.Q[s] = row
+		t.Visits[s] = rng.Intn(50000) + 1
+	}
+	set := learner.SingleTableSet(t)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.HashTableSet(set); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "hashes/s")
+}
+
 // BenchmarkPolicyResolve measures the rollout manager's device-facing
 // hot path — cohort bucketing plus stable/candidate artifact selection
 // while a staged rollout is live — against 4096 registered devices.

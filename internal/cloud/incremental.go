@@ -6,8 +6,10 @@ import (
 	"maps"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 
 	"nextdvfs/internal/core"
 	"nextdvfs/internal/learner"
@@ -740,13 +742,11 @@ func (m *Merger) settle(ra *roleArena) {
 // dirty rank) and the weight into m.weight. Every state's terms are
 // thus summed in device order, as mergeTables sums them.
 //
-// A column and the dirty set share one index layout, so each block of
-// 64 sids intersects them with one AND, and a device's rows there and
-// their accumulators are found by rank. Where a device has exactly the
-// block's dirty states, both are one contiguous run. Devices go in
-// pairs, block by block — the first device's terms of a block before
-// the second's — and where both have exactly the block's dirty states
-// one pass adds both, loading and storing each accumulator once.
+// The index blocks split into GOMAXPROCS contiguous ranges holding
+// about equal numbers of dirty states, and one goroutine accumulates
+// each range that is not empty. A range owns its states' accumulators,
+// and walks the devices in the same order, so the sums are the same
+// bits at any goroutine count.
 func (m *Merger) accumulate(ra *roleArena) {
 	a := m.actions
 	dirty := ra.dirty
@@ -755,18 +755,55 @@ func (m *Merger) accumulate(ra *roleArena) {
 	m.weight = slices.Grow(m.weight[:0], n)[:n]
 	clear(m.sum)
 	clear(m.weight)
+	parts := min(runtime.GOMAXPROCS(0), len(dirty)/2)
+	// Range p ends before the first block whose first dirty rank
+	// (countRows' prefix in dirty[b+1]) reaches p*n/parts.
+	var wg sync.WaitGroup
+	lo := 0
+	for p := 1; p < parts; p++ {
+		hi := lo
+		for hi < len(dirty) && int(dirty[hi+1]) < p*n/parts {
+			hi += 2
+		}
+		if hi == lo {
+			continue
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			m.accumulateBlocks(ra, lo, hi)
+		}(lo, hi)
+		lo = hi
+	}
+	m.accumulateBlocks(ra, lo, len(dirty))
+	wg.Wait()
+}
+
+// accumulateBlocks is accumulate over index blocks [lo, hi), which
+// are even dirty-word offsets.
+//
+// A column and the dirty set share one index layout, so each block of
+// 64 sids intersects them with one AND, and a device's rows there and
+// their accumulators are found by rank. Where a device has exactly the
+// block's dirty states, both are one contiguous run. Devices go in
+// pairs, block by block — the first device's terms of a block before
+// the second's — and where both have exactly the block's dirty states
+// one pass adds both, loading and storing each accumulator once.
+func (m *Merger) accumulateBlocks(ra *roleArena, lo, hi int) {
+	a := m.actions
+	dirty := ra.dirty
 	order := m.order
 	for i := 0; i < len(order); i += 2 {
 		c := &ra.cols[order[i]]
 		if i+1 == len(order) {
-			for b := 0; b < len(dirty); b += 2 {
+			for b := lo; b < hi; b += 2 {
 				m.addBlock(c, dirty, b)
 			}
 			break
 		}
 		d := &ra.cols[order[i+1]]
 		plain := len(c.wide) == 0 && len(d.wide) == 0
-		for b := 0; b < len(dirty); b += 2 {
+		for b := lo; b < hi; b += 2 {
 			want := dirty[b]
 			if want == 0 {
 				continue

@@ -34,17 +34,23 @@ type ArtifactMeta struct {
 }
 
 // HashTableSet returns the canonical content hash of a table set:
-// sha256 over the compact wire form with a fixed app name and trained
-// bit, so the hash is a pure function of the tables. encoding/json
-// sorts map keys, so the bytes — and therefore the hash — are
-// deterministic and identical across GOARCH.
+// "sha256:" and the hex SHA-256 of the set's compact JSON wire form
+// (MarshalTableSetCompact) with app "" and trained true, so the hash is
+// a pure function of the tables and the learner name. That form is
+// canonical: the members app, actions, steps, trained_us,
+// converged_at_us, trained, q and visits in that order, then learner
+// (left out for the default learner) and aux (left out for a single
+// table); state keys as decimal strings in string order ("10" before
+// "9"), for q and visits each; aux roles in name order; each float64 in
+// encoding/json's shortest form; no whitespace. So the hash is the
+// same across runs, map orders, GOARCH and GOMAXPROCS, and equals the
+// SHA-256 of json.Marshal over the table DTO.
 func HashTableSet(set *TableSet) (string, error) {
-	data, err := MarshalTableSetCompact("", set, true)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
+	h, err := withJSONEncoder("", set, true, func(compact []byte) ([]byte, error) {
+		sum := sha256.Sum256(compact)
+		return hex.AppendEncode([]byte("sha256:"), sum[:]), nil
+	})
+	return string(h), err
 }
 
 // artifactDTO is the artifact wire/snapshot format: the metadata plus

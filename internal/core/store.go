@@ -38,76 +38,6 @@ type tableDTO struct {
 	Aux           map[string]roleDTO   `json:"aux,omitempty"`
 }
 
-// MarshalTableSet serializes a learner's complete table state.
-func MarshalTableSet(app string, set *TableSet, trained bool) ([]byte, error) {
-	dto, err := setToDTO(app, set, trained)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(dto, "", " ")
-}
-
-// MarshalTableSetCompact is MarshalTableSet without indentation.
-func MarshalTableSetCompact(app string, set *TableSet, trained bool) ([]byte, error) {
-	dto, err := setToDTO(app, set, trained)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(dto)
-}
-
-func setToDTO(app string, set *TableSet, trained bool) (*tableDTO, error) {
-	if set == nil || set.Primary() == nil {
-		return nil, fmt.Errorf("core: nil table set for %q", app)
-	}
-	t := set.Primary()
-	dto := tableDTO{
-		App:           app,
-		Actions:       t.Actions,
-		Steps:         t.Steps,
-		TrainedUS:     t.TrainedUS,
-		ConvergedAtUS: t.ConvergedAtUS,
-		Trained:       trained,
-		Q:             tableToWire(t),
-		Visits:        visitsToWire(t),
-	}
-	// The default learner stays implicit so watkins snapshots remain
-	// byte-identical to the historical single-table format.
-	if name := learner.Normalize(set.Learner); name != learner.DefaultLearner {
-		dto.Learner = name
-	}
-	for _, r := range set.Roles[1:] {
-		if r.Table.Actions != t.Actions {
-			return nil, fmt.Errorf("core: role %q of %q has %d actions, primary has %d",
-				r.Role, app, r.Table.Actions, t.Actions)
-		}
-		if dto.Aux == nil {
-			dto.Aux = make(map[string]roleDTO, len(set.Roles)-1)
-		}
-		if _, dup := dto.Aux[r.Role]; dup || r.Role == "" {
-			return nil, fmt.Errorf("core: bad role %q in table set for %q", r.Role, app)
-		}
-		dto.Aux[r.Role] = roleDTO{Q: tableToWire(r.Table), Visits: visitsToWire(r.Table)}
-	}
-	return &dto, nil
-}
-
-func tableToWire(t *QTable) map[string][]float64 {
-	m := make(map[string][]float64, len(t.Q))
-	for k, v := range t.Q {
-		m[strconv.FormatUint(uint64(k), 10)] = v
-	}
-	return m
-}
-
-func visitsToWire(t *QTable) map[string]int {
-	m := make(map[string]int, len(t.Visits))
-	for k, v := range t.Visits {
-		m[strconv.FormatUint(uint64(k), 10)] = v
-	}
-	return m
-}
-
 func wireToTable(actions int, q map[string][]float64, visits map[string]int) (*QTable, error) {
 	t := NewQTable(actions)
 	for k, v := range q {

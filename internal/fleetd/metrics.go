@@ -34,6 +34,12 @@ type Metrics struct {
 	mergeRing  [mergeRingSize]int64
 	mergeRingN int64
 
+	// mint* summarize the artifact mint of rollout servers' merge
+	// rounds: the content hash and the rollout Submit.
+	mintCount atomic.Int64
+	mintSumUS atomic.Int64
+	mintMaxUS atomic.Int64
+
 	snapshots atomic.Int64
 	restored  atomic.Int64
 	// deltaConflicts counts delta uploads answered 409.
@@ -51,9 +57,22 @@ func (m *Metrics) observeMerge(d time.Duration) {
 	m.mergeRing[m.mergeRingN%mergeRingSize] = us
 	m.mergeRingN++
 	m.mergeMu.Unlock()
+	storeMax(&m.mergeMaxUS, us)
+}
+
+// observeMint records one artifact mint's latency.
+func (m *Metrics) observeMint(d time.Duration) {
+	us := d.Microseconds()
+	m.mintCount.Add(1)
+	m.mintSumUS.Add(us)
+	storeMax(&m.mintMaxUS, us)
+}
+
+// storeMax raises a to v if v is larger.
+func storeMax(a *atomic.Int64, v int64) {
 	for {
-		cur := m.mergeMaxUS.Load()
-		if us <= cur || m.mergeMaxUS.CompareAndSwap(cur, us) {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -124,9 +143,13 @@ func (m *Metrics) write(w io.Writer, st *Store, devices, untracked int) {
 		"Policies warm-started from a snapshot at boot.", "", m.restored.Load())
 }
 
-// writeRolloutMetrics renders the policy-lifecycle gauges. Emitted only
-// on rollout-enabled servers, so the default exposition is unchanged.
-func writeRolloutMetrics(w io.Writer, statuses []rollout.Status, rollbacksTotal int64) {
+// writeRollout renders the policy-lifecycle gauges and the artifact
+// mint latency. Emitted only on rollout-enabled servers, so the default
+// exposition is unchanged.
+func (m *Metrics) writeRollout(w io.Writer, statuses []rollout.Status, rollbacksTotal int64) {
+	WriteFamily(w, "fleetd_artifact_mint_latency_us", "summary",
+		"Policy artifact mint latency in microseconds: the merge output's content hash and the rollout submit, after the merge round (count/sum/max over the server lifetime).",
+		"_count", m.mintCount.Load(), "_sum", m.mintSumUS.Load(), "_max", m.mintMaxUS.Load())
 	var versions, stages, reports []any
 	for _, st := range statuses {
 		if st.Stable != nil {

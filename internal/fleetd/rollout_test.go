@@ -358,6 +358,7 @@ func TestRolloutMetricsExposition(t *testing.T) {
 		`fleetd_rollout_stage_bps{policy="spotify@note9",kind="stage"} 0`,
 		`fleetd_rollout_cohort_reports{policy="spotify@note9",cohort="canary"} 0`,
 		`fleetd_rollout_rollbacks_total 1`,
+		`fleetd_artifact_mint_latency_us_count 2`,
 		`fleetd_requests_total{endpoint="rollout"} 1`,
 		`fleetd_requests_total{endpoint="report"} 2`,
 	} {

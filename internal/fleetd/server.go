@@ -282,6 +282,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) int {
 	if s.rollout != nil {
 		// Mint (or dedup to) this round's policy artifact. The merged set
 		// is immutable once published, so the artifact shares it.
+		mintStart := time.Now()
 		art, err := cloud.NewArtifact(set, info.Round, info.Devices)
 		if err != nil {
 			return WriteErr(w, http.StatusInternalServerError, fmt.Errorf("fleetd: building artifact for %s: %w", k, err))
@@ -290,6 +291,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) int {
 		if err != nil {
 			return WriteErr(w, http.StatusInternalServerError, err)
 		}
+		s.metrics.observeMint(time.Since(mintStart))
 		info.Version = sub.Version
 	}
 	if s.cfg.SnapshotDir != "" {
@@ -486,7 +488,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.write(w, s.store, devices, untracked)
 	if s.rollout != nil {
-		writeRolloutMetrics(w, s.rollout.Statuses(), s.rollout.RollbacksTotal())
+		s.metrics.writeRollout(w, s.rollout.Statuses(), s.rollout.RollbacksTotal())
 	}
 	return http.StatusOK
 }
