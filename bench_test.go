@@ -502,10 +502,10 @@ func benchCheckinScale(b *testing.B, devices, aggs int) {
 // BenchmarkArtifactHash measures the content hash of a merge round's
 // artifact mint: core.HashTableSet over a merged 2,600-state x
 // 9-action table, about what fleet-serve merges. The hash is SHA-256
-// over the table's compact JSON, whose rows are formatted on up to
-// GOMAXPROCS goroutines; BENCH_fleet.json gates its B/op and allocs/op,
-// which fail on a return to building the JSON through encoding/json's
-// map DTOs.
+// over the table's canonical NXTB encoding, written serially into a
+// pooled buffer; BENCH_fleet.json gates its B/op and allocs/op, which
+// fail on a return to hashing JSON built through encoding/json's map
+// DTOs.
 func BenchmarkArtifactHash(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	t := core.NewQTable(9)

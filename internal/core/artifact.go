@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"nextdvfs/internal/learner"
 )
@@ -18,8 +19,10 @@ import (
 type ArtifactMeta struct {
 	Version int64 `json:"version"`
 	// Hash is the canonical content hash ("sha256:<hex>" over the
-	// compact table-set wire form) — the artifact's identity across
-	// restarts, snapshots and architectures.
+	// table set's canonical NXTB encoding; see HashTableSet): the
+	// artifact's identity across restarts, snapshots and
+	// architectures, what rollout dedup compares and what the
+	// /v1/policy ETag carries.
 	Hash string `json:"hash"`
 	// Learner is the registry name of the rule that trained the tables.
 	Learner string `json:"learner"`
@@ -34,30 +37,50 @@ type ArtifactMeta struct {
 }
 
 // HashTableSet returns the canonical content hash of a table set:
-// "sha256:" and the hex SHA-256 of the set's compact JSON wire form
-// (MarshalTableSetCompact) with app "" and trained true, so the hash is
-// a pure function of the tables and the learner name. That form is
-// canonical: the members app, actions, steps, trained_us,
-// converged_at_us, trained, q and visits in that order, then learner
-// (left out for the default learner) and aux (left out for a single
-// table); state keys as decimal strings in string order ("10" before
-// "9"), for q and visits each; aux roles in name order; each float64 in
-// encoding/json's shortest form; no whitespace. So the hash is the
-// same across runs, map orders, GOARCH and GOMAXPROCS, and equals the
-// SHA-256 of json.Marshal over the table DTO.
+// "sha256:" and the hex SHA-256 of the set's NXTB encoding
+// (MarshalTableSetBinary) with app "" and trained true, so the hash is
+// a pure function of the tables and the learner name. That encoding is
+// canonical (see the codec's doc), so the hash is the same across runs,
+// map orders and GOARCH. It refuses a set the encoder refuses, a row
+// whose length is not the action count included, and a set holding NaN
+// or ±Inf, which the JSON encoders refuse too: every hashable set can
+// be written as a JSON artifact.
 func HashTableSet(set *TableSet) (string, error) {
-	h, err := withJSONEncoder("", set, true, func(compact []byte) ([]byte, error) {
-		sum := sha256.Sum256(compact)
-		return hex.AppendEncode([]byte("sha256:"), sum[:]), nil
-	})
-	return string(h), err
+	buf := hashBufs.Get().(*[]byte)
+	defer hashBufs.Put(buf)
+	b, err := appendTableSetBinary((*buf)[:0], "", set, true, true)
+	if err != nil {
+		return "", err
+	}
+	*buf = b
+	return sha256Hash(b), nil
+}
+
+// hashBufs pools HashTableSet's encode buffers: a merged policy encodes
+// to a few hundred KB, once a merge round.
+var hashBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// jsonRuleHash is the content hash as it was computed before the NXTB
+// rule: SHA-256 over the set's compact JSON with app "" and trained
+// true. Artifacts persisted then carry it.
+func jsonRuleHash(set *TableSet) (string, error) {
+	data, err := MarshalTableSetCompact("", set, true)
+	if err != nil {
+		return "", err
+	}
+	return sha256Hash(data), nil
+}
+
+func sha256Hash(data []byte) string {
+	sum := sha256.Sum256(data)
+	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
 // artifactDTO is the artifact wire/snapshot format: the metadata plus
 // the table payload in the standard table-set wire form.
 type artifactDTO struct {
 	ArtifactMeta
-	Table json.RawMessage `json:"table"`
+	Table tableDTO `json:"table"`
 }
 
 func validateArtifactMeta(m ArtifactMeta) error {
@@ -82,11 +105,11 @@ func MarshalArtifact(meta ArtifactMeta, set *TableSet) ([]byte, error) {
 	if err := validateArtifactMeta(meta); err != nil {
 		return nil, err
 	}
-	table, err := MarshalTableSetCompact("", set, true)
+	table, err := setToDTO("", set, true)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(artifactDTO{ArtifactMeta: meta, Table: table})
+	return json.Marshal(artifactDTO{ArtifactMeta: meta, Table: *table})
 }
 
 // UnmarshalArtifact parses a persisted policy artifact with the same
@@ -95,7 +118,10 @@ func MarshalArtifact(meta ArtifactMeta, set *TableSet) ([]byte, error) {
 // payload goes through the hardened table-set path (registry-validated
 // learner and role layout), the learner name must match the tables,
 // and the content hash is recomputed — a tampered payload fails here,
-// not after it has been served to a cohort.
+// not after it has been served to a cohort. A hash under the JSON rule
+// that preceded HashTableSet's is accepted too, and the artifact comes
+// back stamped with its HashTableSet hash, so an older snapshot
+// restores and dedup and ETags use one rule from then on.
 func UnmarshalArtifact(data []byte) (ArtifactMeta, *TableSet, error) {
 	var dto artifactDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
@@ -104,7 +130,7 @@ func UnmarshalArtifact(data []byte) (ArtifactMeta, *TableSet, error) {
 	if err := validateArtifactMeta(dto.ArtifactMeta); err != nil {
 		return ArtifactMeta{}, nil, err
 	}
-	_, set, _, err := UnmarshalTableSet(dto.Table)
+	set, err := dtoToSet(&dto.Table)
 	if err != nil {
 		return ArtifactMeta{}, nil, fmt.Errorf("core: artifact v%d: %w", dto.Version, err)
 	}
@@ -121,7 +147,10 @@ func UnmarshalArtifact(data []byte) (ArtifactMeta, *TableSet, error) {
 		return ArtifactMeta{}, nil, err
 	}
 	if hash != dto.Hash {
-		return ArtifactMeta{}, nil, fmt.Errorf("core: artifact v%d content hash mismatch (tampered or torn snapshot)", dto.Version)
+		if old, err := jsonRuleHash(set); err != nil || old != dto.Hash {
+			return ArtifactMeta{}, nil, fmt.Errorf("core: artifact v%d content hash mismatch (tampered or torn snapshot)", dto.Version)
+		}
+		dto.Hash = hash
 	}
 	return dto.ArtifactMeta, set, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -100,6 +101,24 @@ func TestUnmarshalArtifactHostileInputs(t *testing.T) {
 		t.Fatalf("tampered artifact = %v, want content-hash error", err)
 	}
 
+	// An artifact hashed under the JSON rule loads, stamped with
+	// HashTableSet's hash; altered after hashing, it fails too.
+	oldRule := good
+	if oldRule.Hash, err = jsonRuleHash(set); err != nil || oldRule.Hash == hash {
+		t.Fatalf("jsonRuleHash = %q, %v; want a hash other than %q", oldRule.Hash, err, hash)
+	}
+	data, err = MarshalArtifact(oldRule, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := UnmarshalArtifact(data); err != nil || got != good {
+		t.Fatalf("JSON-rule artifact = %+v, %v; want %+v", got, err, good)
+	}
+	tampered = bytes.Replace(data, []byte(`"7":[1,2,3]`), []byte(`"7":[8,2,3]`), 1)
+	if _, _, err := UnmarshalArtifact(tampered); err == nil || !strings.Contains(err.Error(), "hash") {
+		t.Fatalf("tampered JSON-rule artifact = %v, want content-hash error", err)
+	}
+
 	// Lying metadata: claimed state count differs from the payload.
 	lying := good
 	lying.States = 99
@@ -120,5 +139,36 @@ func TestUnmarshalArtifactHostileInputs(t *testing.T) {
 	}
 	if _, _, err := UnmarshalArtifact(data); err == nil || !strings.Contains(err.Error(), "learner") {
 		t.Fatalf("learner-mismatch artifact = %v, want learner error", err)
+	}
+}
+
+// TestMarshalArtifactBytes pins MarshalArtifact's bytes to the form it
+// had when it embedded the table as compact JSON in a json.RawMessage.
+func TestMarshalArtifactBytes(t *testing.T) {
+	doubleq := &TableSet{Learner: "doubleq", Roles: []RoleTable{
+		{Role: "a", Table: wideSet(300, 1).Primary()},
+		{Role: "b", Table: wideSet(300, 2).Primary()},
+	}}
+	meta := ArtifactMeta{Version: 2, Hash: "sha256:<&>", Learner: "<&>", Parent: 1, Round: 3, Devices: 4, States: 5, CreatedUS: 6}
+	for name, set := range map[string]*TableSet{
+		"small":   artifactTestSet(),
+		"wide":    wideSet(2600, 7),
+		"doubleq": doubleq,
+		"empty":   learner.SingleTableSet(NewQTable(3)),
+	} {
+		table, err := MarshalTableSetCompact("", set, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(struct {
+			ArtifactMeta
+			Table json.RawMessage `json:"table"`
+		}{meta, table})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := MarshalArtifact(meta, set); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: MarshalArtifact = %.200s, %v\nwant %.200s", name, got, err, want)
+		}
 	}
 }

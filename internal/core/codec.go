@@ -43,12 +43,23 @@ import (
 //
 // Q and Visits are encoded as separate key sets because the wire
 // contract allows them to differ (a visit count without a row, and
-// vice versa). Sorted keys make the encoding canonical: equal sets
-// encode to equal bytes. The decoder enforces the sort (a non-
-// increasing key sequence is a hard error), bounds every count
-// against the bytes remaining, rejects trailing garbage, and runs
-// learner.ValidateSet like the JSON path, so hostile inputs fail
-// loudly instead of allocating unboundedly.
+// vice versa).
+//
+// The encoding is canonical: equal sets encode to equal bytes,
+// whatever their maps' iteration order or the machine. The learner
+// name is written normalized ("" as the default learner). State keys
+// ascend, in Q and in Visits each. Roles follow the set's order, which
+// learner.ValidateSet fixes to the learner's registered layout, the
+// primary first. Each value is its float64 bits as they are, so 0 and
+// -0 differ. Every row holds exactly actions values, so its end needs
+// no length; the encoder refuses any other row. HashTableSet hashes
+// this form with app "" and trained set, and refuses NaN and ±Inf
+// besides, so every set it hashes has a JSON form too.
+//
+// The decoder enforces the sort (a non-increasing key sequence is a
+// hard error), bounds every count against the bytes remaining, rejects
+// trailing garbage, and runs learner.ValidateSet like the JSON path,
+// so hostile inputs fail loudly instead of allocating unboundedly.
 
 // TableSetMediaType is the HTTP media type for the binary codec,
 // negotiated via Content-Type (uploads, federation) and Accept
@@ -75,8 +86,17 @@ const (
 // MarshalTableSetBinary encodes a learner table set in the binary wire
 // format. It enforces the same structural rules as the JSON marshaler
 // (non-nil primary, uniform action counts, unique non-empty role
-// names) and produces canonical bytes: equal sets encode identically.
+// names), refuses a row whose length is not the action count, and
+// produces canonical bytes: equal sets encode identically.
 func MarshalTableSetBinary(app string, set *TableSet, trained bool) ([]byte, error) {
+	return appendTableSetBinary(nil, app, set, trained, false)
+}
+
+// appendTableSetBinary appends the set's NXTB encoding to buf, growing
+// it once to the estimated size; it is the one NXTB encoder. If finite
+// is set, a NaN or ±Inf value is an error, as it is to the JSON
+// encoders. On an error it returns nil.
+func appendTableSetBinary(buf []byte, app string, set *TableSet, trained, finite bool) ([]byte, error) {
 	if set == nil || set.Primary() == nil {
 		return nil, fmt.Errorf("core: nil table set for %q", app)
 	}
@@ -93,7 +113,7 @@ func MarshalTableSetBinary(app string, set *TableSet, trained bool) ([]byte, err
 		}
 	}
 
-	buf := make([]byte, 0, binSetSize(app, set))
+	buf = slices.Grow(buf, binSetSize(app, set))
 	buf = append(buf, binMagic...)
 	buf = append(buf, binVersion)
 	var flags byte
@@ -118,7 +138,15 @@ func MarshalTableSetBinary(app string, set *TableSet, trained bool) ([]byte, err
 		for j, k := range keys {
 			buf = appendBinKey(buf, uint64(k), prev, j == 0)
 			prev = uint64(k)
-			for _, v := range r.Table.Q[k] {
+			row := r.Table.Q[k]
+			if len(row) != primary.Actions {
+				return nil, fmt.Errorf("core: role %q of %q: state %d has %d action values, want %d",
+					r.Role, app, k, len(row), primary.Actions)
+			}
+			for _, v := range row {
+				if finite && (math.IsNaN(v) || math.IsInf(v, 0)) {
+					return nil, fmt.Errorf("core: role %q of %q: state %d holds %v", r.Role, app, k, v)
+				}
 				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 			}
 		}

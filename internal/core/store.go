@@ -38,6 +38,78 @@ type tableDTO struct {
 	Aux           map[string]roleDTO   `json:"aux,omitempty"`
 }
 
+// MarshalTableSet serializes a learner's complete table state,
+// indented.
+func MarshalTableSet(app string, set *TableSet, trained bool) ([]byte, error) {
+	dto, err := setToDTO(app, set, trained)
+	if err != nil {
+		return nil, err
+	}
+	return json.MarshalIndent(dto, "", " ")
+}
+
+// MarshalTableSetCompact is MarshalTableSet without indentation, the
+// table-set JSON wire form.
+func MarshalTableSetCompact(app string, set *TableSet, trained bool) ([]byte, error) {
+	dto, err := setToDTO(app, set, trained)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(dto)
+}
+
+func setToDTO(app string, set *TableSet, trained bool) (*tableDTO, error) {
+	if set == nil || set.Primary() == nil {
+		return nil, fmt.Errorf("core: nil table set for %q", app)
+	}
+	t := set.Primary()
+	dto := tableDTO{
+		App:           app,
+		Actions:       t.Actions,
+		Steps:         t.Steps,
+		TrainedUS:     t.TrainedUS,
+		ConvergedAtUS: t.ConvergedAtUS,
+		Trained:       trained,
+		Q:             tableToWire(t),
+		Visits:        visitsToWire(t),
+	}
+	// The default learner stays implicit so watkins snapshots remain
+	// byte-identical to the historical single-table format.
+	if name := learner.Normalize(set.Learner); name != learner.DefaultLearner {
+		dto.Learner = name
+	}
+	for _, r := range set.Roles[1:] {
+		if r.Table.Actions != t.Actions {
+			return nil, fmt.Errorf("core: role %q of %q has %d actions, primary has %d",
+				r.Role, app, r.Table.Actions, t.Actions)
+		}
+		if dto.Aux == nil {
+			dto.Aux = make(map[string]roleDTO, len(set.Roles)-1)
+		}
+		if _, dup := dto.Aux[r.Role]; dup || r.Role == "" {
+			return nil, fmt.Errorf("core: bad role %q in table set for %q", r.Role, app)
+		}
+		dto.Aux[r.Role] = roleDTO{Q: tableToWire(r.Table), Visits: visitsToWire(r.Table)}
+	}
+	return &dto, nil
+}
+
+func tableToWire(t *QTable) map[string][]float64 {
+	m := make(map[string][]float64, len(t.Q))
+	for k, v := range t.Q {
+		m[strconv.FormatUint(uint64(k), 10)] = v
+	}
+	return m
+}
+
+func visitsToWire(t *QTable) map[string]int {
+	m := make(map[string]int, len(t.Visits))
+	for k, v := range t.Visits {
+		m[strconv.FormatUint(uint64(k), 10)] = v
+	}
+	return m
+}
+
 func wireToTable(actions int, q map[string][]float64, visits map[string]int) (*QTable, error) {
 	t := NewQTable(actions)
 	for k, v := range q {
@@ -68,23 +140,31 @@ func UnmarshalTableSet(data []byte) (app string, set *TableSet, trained bool, er
 	if err = json.Unmarshal(data, &dto); err != nil {
 		return "", nil, false, err
 	}
+	if set, err = dtoToSet(&dto); err != nil {
+		return "", nil, false, err
+	}
+	return dto.App, set, dto.Trained, nil
+}
+
+// dtoToSet builds and validates the table set a decoded DTO holds.
+func dtoToSet(dto *tableDTO) (*TableSet, error) {
 	if dto.Actions <= 0 {
-		return "", nil, false, fmt.Errorf("core: table for %q has invalid action count %d", dto.App, dto.Actions)
+		return nil, fmt.Errorf("core: table for %q has invalid action count %d", dto.App, dto.Actions)
 	}
 	primary, err := wireToTable(dto.Actions, dto.Q, dto.Visits)
 	if err != nil {
-		return "", nil, false, err
+		return nil, err
 	}
 	primary.Steps = dto.Steps
 	primary.TrainedUS = dto.TrainedUS
 	primary.ConvergedAtUS = dto.ConvergedAtUS
 
 	name := learner.Normalize(dto.Learner)
-	set = &TableSet{Learner: name, Roles: []RoleTable{{Role: learner.PrimaryRole(name), Table: primary}}}
+	set := &TableSet{Learner: name, Roles: []RoleTable{{Role: learner.PrimaryRole(name), Table: primary}}}
 	for _, role := range sortedRoles(dto.Aux) {
 		aux, err := wireToTable(dto.Actions, dto.Aux[role].Q, dto.Aux[role].Visits)
 		if err != nil {
-			return "", nil, false, fmt.Errorf("core: role %q of %q: %w", role, dto.App, err)
+			return nil, fmt.Errorf("core: role %q of %q: %w", role, dto.App, err)
 		}
 		set.Roles = append(set.Roles, RoleTable{Role: role, Table: aux})
 	}
@@ -92,9 +172,9 @@ func UnmarshalTableSet(data []byte) (app string, set *TableSet, trained bool, er
 	// or a role layout that doesn't match the named learner fails here,
 	// not as a silently dropped estimator downstream.
 	if err := learner.ValidateSet(set); err != nil {
-		return "", nil, false, fmt.Errorf("core: table set for %q: %w", dto.App, err)
+		return nil, fmt.Errorf("core: table set for %q: %w", dto.App, err)
 	}
-	return dto.App, set, dto.Trained, nil
+	return set, nil
 }
 
 // sortedRoles orders aux-role names so set reconstruction (and
